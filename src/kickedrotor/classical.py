@@ -106,8 +106,10 @@ def _bisect(f, a, b, tol=1e-14, max_iter=200):
         raise ValueError("bisection bracket does not straddle a root")
     for _ in range(max_iter):
         mid = 0.5 * (a + b)
+        if (b - a) < tol:
+            return mid
         fm = f(mid)
-        if fm == 0.0 or (b - a) < tol:
+        if fm == 0.0:
             return mid
         if fa * fm < 0:
             b, fb = mid, fm

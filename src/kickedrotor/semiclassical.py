@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
-from .classical import rainbow_angle
+from .classical import _bisect, rainbow_angle
 from .specfun import (
-    ConvergenceError,
+    _p1_contour,
     airy,
     bessel_j0,
     bessel_j1,
@@ -50,7 +50,6 @@ __all__ = [
     "focal_density_asymptotic",
     "pearcey_focus_2d",
     "pearcey_focus_2d_full",
-    "focal_sum_2d",
     "pearcey_cusp_3d",
     "airy_rainbow_2d",
     "airy_rainbow_2d_full",
@@ -162,35 +161,6 @@ def pearcey_focus_2d_full(theta, tau, P):
     return pearcey_focus_2d(theta, tau, P) + pearcey_focus_2d(2.0 * math.pi - theta, tau, P)
 
 
-def focal_sum_2d(theta, P, n_terms=200):
-    """Focal-time (P*tau = 1) branch wave function by the single sum
-
-      psi~ = (6P)^(1/4)/(2 pi sqrt(2i)) e^{iP(1+theta^2/2)}
-             sum_n beta^(2n)/(2n)! Gamma[(2n+1)/4] e^{i pi(10n+1)/8},
-
-    an independent code path against pearcey_focus_2d at x = 0.
-    """
-    if P <= 0:
-        raise ValueError("P must be > 0")
-    beta = float(math.sqrt(2.0) * theta * P * (6.0 / P) ** 0.25)
-    with mpmath.workdps(40):
-        B = mpmath.mpf(repr(float(beta)))
-        acc = mpmath.mpc(0)
-        for n in range(n_terms):
-            term = (B ** (2 * n) / mpmath.factorial(2 * n)
-                    * mpmath.gamma(mpmath.mpf(2 * n + 1) / 4)
-                    * mpmath.expjpi(mpmath.mpf(10 * n + 1) / 8))
-            acc += term
-            if n > 4 and abs(term) < mpmath.mpf("1e-25") * max(abs(acc), mpmath.mpf(1)):
-                break
-        else:
-            raise ConvergenceError("focal_sum_2d did not converge")
-        s = complex(acc)
-    pref = (6.0 * P) ** 0.25 / (2.0 * math.pi * cmath.sqrt(2.0j))
-    pref *= cmath.exp(1j * P * (1.0 + theta * theta / 2.0))
-    return pref * s
-
-
 def focal_peak_2d(P):
     """|psi~(0, 1/P)|^2 = sqrt(6P) Gamma(1/4)^2 / (8 pi^2) ~ 0.4078 sqrt(P)."""
     return math.sqrt(6.0 * P) * gamma_fn(0.25) ** 2 / (8.0 * math.pi ** 2)
@@ -205,59 +175,30 @@ def focal_tail_2d(theta):
 # Pearcey focusing, 3D
 # ----------------------------------------------------------------------
 
+_PHI_PANEL_BETA = 5.0  # units of beta per 24-node panel of the azimuthal quadrature
+
+
 def pearcey_cusp_3d(theta, tau, P):
     """3D cusp wave function from the azimuthally integrated Pearcey
     derivative,
 
-      psi = -(6/P)^(1/2) e^{i(P + theta^2/2tau)} / (4 sqrt(pi) tau)
-            * sum_{n,m} x^m/m! beta^(2n)/(2n)! [(2n-1)!!/(2n)!!]
-              Gamma[(n+m+1)/2] e^{i pi (5n+3m+3)/4}.
+      psi = -(6/P)^(1/2) e^{i(P + theta^2/2tau)} / (4 sqrt(pi) tau) * S(x, beta),
+      S(x, beta) = (4/pi) int_0^pi dP1/dy(x, beta cos phi) dphi,
 
+    with the 2D cusp variables x, beta.  dP1/dy is evaluated by one array
+    call of the rotated-contour quadrature on all the Gauss-Legendre phi
+    nodes, one 24-node panel per 5 units of beta and at least two.
     At theta = 0, P*tau = 1 the density is exactly 3P/8.
     """
     if tau <= 0 or P <= 0:
         raise ValueError("pearcey_cusp_3d requires tau, P > 0")
     x, beta = _cusp_variables(theta, tau, P)
-    if abs(x) > 40 or abs(beta) > 40:
-        raise ConvergenceError("pearcey_cusp_3d arguments outside the series domain")
-    with mpmath.workdps(50):
-        X = mpmath.mpf(repr(float(x)))
-        B = mpmath.mpf(repr(float(beta)))
-        total = mpmath.mpc(0)
-        quiet_rows = 0
-        dfac = mpmath.mpf(1)  # (2n-1)!!/(2n)!!
-        for n in range(300):
-            if n > 0:
-                dfac *= mpmath.mpf(2 * n - 1) / (2 * n)
-            bpow = B ** (2 * n) / mpmath.factorial(2 * n) * dfac
-            row = mpmath.mpc(0)
-            quiet = 0
-            for m in range(300):
-                term = (bpow * X ** m / mpmath.factorial(m)
-                        * mpmath.gamma(mpmath.mpf(n + m + 1) / 2)
-                        * mpmath.expjpi(mpmath.mpf(5 * n + 3 * m + 3) / 4))
-                row += term
-                if abs(term) < mpmath.mpf("1e-25") * max(abs(total + row), mpmath.mpf(1)):
-                    quiet += 1
-                    if quiet >= 4 and m > 4:
-                        break
-                else:
-                    quiet = 0
-            else:
-                raise ConvergenceError("pearcey_cusp_3d inner sum exhausted")
-            total += row
-            if n > 4 and abs(row) < mpmath.mpf("1e-25") * max(abs(total), mpmath.mpf(1)):
-                quiet_rows += 1
-                if quiet_rows >= 10:
-                    break
-            else:
-                quiet_rows = 0
-        else:
-            raise ConvergenceError("pearcey_cusp_3d row budget exhausted")
-        s = complex(total)
+    n_panels = max(2, math.ceil(abs(beta) / _PHI_PANEL_BETA))
+    s = (4.0 / math.pi) * gauss_segment(
+        lambda phi: _p1_contour(x, beta * np.cos(phi.real), power=1), 0.0, math.pi, n_panels)
     pref = -math.sqrt(6.0 / P) / (4.0 * math.sqrt(math.pi) * tau)
     pref *= cmath.exp(1j * (P + theta * theta / (2.0 * tau)))
-    return pref * s
+    return complex(pref * s)
 
 
 def focal_peak_3d(P):
@@ -313,26 +254,6 @@ def airy_rainbow_2d_full(theta, tau, P):
 # Rainbow: uniform Airy, 3D (full-cosine phase)
 # ----------------------------------------------------------------------
 
-def _bisect(f, a, b, tol=1e-14):
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise ValueError("no sign change in bracket")
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
 def _fullcos_pair(theta, tau, P):
     """Roots of t - s sin t = -theta flanking tbar (the pi-azimuth pair)."""
     s = P * tau
@@ -368,10 +289,10 @@ def _ua_coefficients(theta, tau, P):
     return A, xi, g1, g2
 
 
-_UA_LIMIT_CACHE = {}
 _UA_MERGE_BAND = 1e-7  # relative distance to theta_r where the limit form takes over
 
 
+@functools.lru_cache(maxsize=256)
 def _ua_limit_coefficients(tau, P):
     """(G1, G2): the theta -> theta_r limits of (g1, g2).
 
@@ -381,14 +302,10 @@ def _ua_limit_coefficients(tau, P):
     from the composite just inside the fold, where its evaluation is still
     cancellation-free.
     """
-    key = (tau, P)
-    if key in _UA_LIMIT_CACHE:
-        return _UA_LIMIT_CACHE[key]
     s = P * tau
     tbar, thr = _rainbow_geometry(s)
     G1 = 2.0 * math.pi * (2.0 / (P * math.sin(tbar))) ** (1.0 / 3.0) * math.sqrt(tbar)
     _, _, _, g2 = _ua_coefficients(thr * (1.0 - 1e-6), tau, P)
-    _UA_LIMIT_CACHE[key] = (G1, g2)
     return G1, g2
 
 

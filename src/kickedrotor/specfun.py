@@ -5,6 +5,14 @@ spherical Bessel j_l, Airy Ai/Ai', Gamma, Legendre polynomials, the Pearcey
 integral and its half-range derivative, and the confluent hypergeometric
 helper 1F1(1/2, 3/2, iz) used by the focal-point asymptotics.
 
+Each Pearcey object has one evaluator, the rotated-contour quadrature
+`_p1_contour` of the half-range integral
+P1(x, y) = int_0^inf exp[i(u^4 + x u^2 + y u)] du and of its y-derivative:
+P(x, beta) = P1(x, beta) + P1(x, -beta), and dP1/dy is the same contour
+with the extra factor i u.  1F1(1/2, 3/2, iz) = int_0^1 e^{i z t^2} dt is
+the same Gauss-Legendre kernel on [0, 1] up to |z| = 30 and its
+large-argument expansion beyond.  The runtime needs numpy only.
+
 All functions are pure and hold no mutable state, so they are safe to call
 from any number of threads.
 """
@@ -15,7 +23,6 @@ import cmath
 import math
 from math import fsum
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -398,7 +405,9 @@ _MAX_PANELS = 10**6
 
 def gauss_segment(f, z0, z1, n_panels):
     """Composite 24-point Gauss-Legendre of f along the straight segment
-    z0 -> z1 (complex endpoints allowed).  f must accept ndarray input."""
+    z0 -> z1 (complex endpoints allowed).  f must accept an ndarray of
+    nodes; if it returns an array, its last axis runs over the nodes and
+    is the axis summed."""
     if n_panels > _MAX_PANELS:
         raise ConvergenceError(f"panel budget exceeded ({n_panels} > {_MAX_PANELS})")
     dz = z1 - z0
@@ -407,138 +416,66 @@ def gauss_segment(f, z0, z1, n_panels):
     half = 0.5 * (edges[1] - edges[0])
     t = (mid + half * _GL_NODES[None, :]).ravel()
     w = np.broadcast_to(_GL_WEIGHTS, (n_panels, _GL_NODES.size)).ravel()
-    return np.sum(w * f(z0 + t * dz)) * half * dz
+    return np.sum(w * f(z0 + t * dz), axis=-1) * half * dz
 
 
 # ----------------------------------------------------------------------
 # Pearcey integral P(x, beta) and the half-range derivative dP1/dy
 # ----------------------------------------------------------------------
 
-_PEARCEY_SERIES_MAX = 12.0
 _PEARCEY_ARG_MAX = 400.0
-_MP_DPS = 50
-
-# Gamma at quarter arguments and the 16 eighth-roots of unity, precomputed
-# once at high precision for the series evaluators.
-mpmath.mp.dps = _MP_DPS
-_MP_PI8 = [mpmath.expjpi(mpmath.mpf(k) / 8) for k in range(16)]
+# (y, node) entries evaluated at once: longer y arrays go in row blocks,
+# so the quadrature's working memory stays under a few MB
+_CONTOUR_BLOCK = 2**15
 
 
-def _pearcey_series_mp(x, beta, half_dy=False):
-    """High-precision evaluation of the double series.
+def _p1_contour(x, y, power=0):
+    """int_0^inf (iu)^power exp[i(u^4 + x u^2 + y u)] du for an array of y:
+    P1(x, y) at power 0, dP1/dy at power 1.
 
-    half_dy=False: P(x,b) = 1/2 sum x^m/m! b^{2n}/(2n)! G[(2n+2m+1)/4]
-                            * exp[i pi (10n+6m+1)/8]
-    half_dy=True : dP1/dy  = 1/4 sum x^m/m! y^{n-1}/(n-1)! G[(n+2m+1)/4]
-                            * exp[i pi (5n+6m+1)/8],  n >= 1
-
-    The terms cancel catastrophically toward the corner of the series
-    domain, so the accumulation runs at 50 significant digits.
+    Two-leg contour (DLMF 36.15): the real axis out to R, past every real
+    stationary point, then the ray R + t exp(i pi/8) on which the quartic
+    decays.  R, the ray length T and the panel counts are sized from
+    max |y| of each row block; for smaller |y| the longer real leg is still
+    a valid contour.
     """
-    with mpmath.workdps(_MP_DPS):
-        X = mpmath.mpf(repr(float(x)))
-        B = mpmath.mpf(repr(float(beta)))
-        total = mpmath.mpc(0)
-        quiet_rows = 0
-        n = 0
-        while n < 300:
-            if half_dy:
-                # n here indexes the surviving odd orders n_series = n+1? no:
-                # term n of dP1/dy uses y^{n}/n! with Gamma((n+1+2m+1)/4)
-                bpow = B ** n / mpmath.factorial(n)
-            else:
-                bpow = B ** (2 * n) / mpmath.factorial(2 * n)
-            row = mpmath.mpc(0)
-            m = 0
-            quiet_terms = 0
-            while m < 300:
-                if half_dy:
-                    g = mpmath.gamma(mpmath.mpf(n + 1 + 2 * m + 1) / 4)
-                    ph = _MP_PI8[(5 * (n + 1) + 6 * m + 1) % 16]
-                else:
-                    g = mpmath.gamma(mpmath.mpf(2 * n + 2 * m + 1) / 4)
-                    ph = _MP_PI8[(10 * n + 6 * m + 1) % 16]
-                term = bpow * X ** m / mpmath.factorial(m) * g * ph
-                row += term
-                scale = max(abs(total + row), mpmath.mpf(1))
-                if abs(term) < mpmath.mpf("1e-25") * scale:
-                    quiet_terms += 1
-                    if quiet_terms >= 4 and m > 4:
-                        break
-                else:
-                    quiet_terms = 0
-                m += 1
-            else:
-                raise ConvergenceError("pearcey series: inner loop exhausted")
-            total += row
-            scale = max(abs(total), mpmath.mpf(1))
-            if abs(row) < mpmath.mpf("1e-25") * scale and n > 4:
-                quiet_rows += 1
-                if quiet_rows >= 10:
-                    break
-            else:
-                quiet_rows = 0
-            n += 1
-        else:
-            raise ConvergenceError("pearcey series: row budget exhausted")
-        fac = mpmath.mpf(1) / 4 if half_dy else mpmath.mpf(1) / 2
-        total *= fac
-        return complex(total)
-
-
-def _p1_contour(x, y):
-    """P1(x,y) = int_0^inf exp[i(u^4 + x u^2 + y u)] du.
-
-    Two-leg contour: the real axis out to R (past every real stationary
-    point), then the ray R + t exp(i pi/8) on which the quartic decays.
-    """
+    y = np.asarray(y, dtype=float)
+    ay = float(np.max(np.abs(y), initial=0.0))
     w8 = cmath.exp(1j * math.pi / 8)
-    R = 1.0 + (abs(y) / 4.0) ** (1.0 / 3.0) + math.sqrt(abs(x) / 2.0)
+    R = 1.0 + (ay / 4.0) ** (1.0 / 3.0) + math.sqrt(abs(x) / 2.0)
+    T = (60.0 + abs(x) + ay) ** 0.25 + 4.0
+    n1 = max(8, int((R ** 4 + abs(x) * R ** 2 + ay * R) / 3))
+    n2 = max(16, int(4 * R ** 3 + 2 * abs(x) * R + ay))
+    rows = max(1, _CONTOUR_BLOCK // (_GL_NODES.size * (n1 + n2)))
+    if y.size > rows:
+        return np.concatenate([_p1_contour(x, y[i:i + rows], power)
+                               for i in range(0, y.size, rows)])
 
     def f(u):
-        return np.exp(1j * (u ** 4 + x * u ** 2 + y * u))
+        return (1j * u) ** power * np.exp(1j * (u ** 4 + x * u ** 2 + y[..., None] * u))
 
-    phase1 = R ** 4 + abs(x) * R ** 2 + abs(y) * R
-    leg1 = gauss_segment(f, 0.0 + 0.0j, R + 0.0j, max(8, int(phase1 / 3)))
-    T = (60.0 + abs(x) + abs(y)) ** 0.25 + 4.0
-    slope2 = 4 * R ** 3 + 2 * abs(x) * R + abs(y)
-    leg2 = gauss_segment(f, R + 0.0j, R + T * w8, max(16, int(slope2)))
-    return leg1 + leg2
+    return gauss_segment(f, 0.0 + 0.0j, R + 0.0j, n1) + gauss_segment(f, R + 0.0j, R + T * w8, n2)
 
 
-def _p1_contour_du(x, y):
-    """d/dy of P1: int_0^inf i u exp[i(u^4 + x u^2 + y u)] du, same contour."""
-    w8 = cmath.exp(1j * math.pi / 8)
-    R = 1.0 + (abs(y) / 4.0) ** (1.0 / 3.0) + math.sqrt(abs(x) / 2.0)
-
-    def f(u):
-        return 1j * u * np.exp(1j * (u ** 4 + x * u ** 2 + y * u))
-
-    phase1 = R ** 4 + abs(x) * R ** 2 + abs(y) * R
-    leg1 = gauss_segment(f, 0.0 + 0.0j, R + 0.0j, max(8, int(phase1 / 3)))
-    T = (60.0 + abs(x) + abs(y)) ** 0.25 + 4.0
-    slope2 = 4 * R ** 3 + 2 * abs(x) * R + abs(y)
-    leg2 = gauss_segment(f, R + 0.0j, R + T * w8, max(16, int(slope2)))
-    return leg1 + leg2
+def _check_args(name, x, y):
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"{name} requires finite arguments")
+    if abs(x) > _PEARCEY_ARG_MAX or abs(y) > _PEARCEY_ARG_MAX:
+        raise DomainError(f"{name} argument beyond supported range")
 
 
 def pearcey(x, beta):
     """Pearcey integral P(x, beta) = int exp[i(u^4 + x u^2 + beta u)] du.
 
-    Even in beta; the sign is canonicalized before evaluation so
-    pearcey(x, b) == pearcey(x, -b) bit for bit.  Inside |x|,|beta| <= 12
-    the double series is used; outside, the rotated-contour quadrature
-    takes over as the primary evaluator.
+    Evaluated as P(x, beta) = P1(x, beta) + P1(x, -beta) by one call of the
+    rotated-contour quadrature, for |x|, |beta| <= 400.  Even in beta; the
+    sign is canonicalized before evaluation so pearcey(x, b) ==
+    pearcey(x, -b) bit for bit.
     """
     x = float(x)
     beta = abs(float(beta))
-    if not (math.isfinite(x) and math.isfinite(beta)):
-        raise DomainError("pearcey requires finite arguments")
-    if abs(x) > _PEARCEY_ARG_MAX or beta > _PEARCEY_ARG_MAX:
-        raise DomainError("pearcey argument beyond supported range")
-    if abs(x) <= _PEARCEY_SERIES_MAX and beta <= _PEARCEY_SERIES_MAX:
-        return _pearcey_series_mp(x, beta, half_dy=False)
-    return _p1_contour(x, beta) + _p1_contour(x, -beta)
+    _check_args("pearcey", x, beta)
+    return complex(np.sum(_p1_contour(x, [beta, -beta])))
 
 
 def pearcey_p1(x, y):
@@ -548,37 +485,32 @@ def pearcey_p1(x, y):
     """
     x = float(x)
     y = float(y)
-    if abs(x) > _PEARCEY_ARG_MAX or abs(y) > _PEARCEY_ARG_MAX:
-        raise DomainError("pearcey_p1 argument beyond supported range")
-    return _p1_contour(x, y)
+    _check_args("pearcey_p1", x, y)
+    return complex(_p1_contour(x, y))
 
 
 def pearcey_half_dy(x, y):
-    """dP1(x,y)/dy, by the term-wise differentiated series inside the
-    series domain and by rotated-contour quadrature outside."""
+    """dP1(x,y)/dy = int_0^inf i u exp[i(u^4 + x u^2 + y u)] du, by the same
+    rotated-contour quadrature as pearcey, for |x|, |y| <= 400."""
     x = float(x)
     y = float(y)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError("pearcey_half_dy requires finite arguments")
-    if abs(x) > _PEARCEY_ARG_MAX or abs(y) > _PEARCEY_ARG_MAX:
-        raise DomainError("pearcey_half_dy argument beyond supported range")
-    if abs(x) <= _PEARCEY_SERIES_MAX and abs(y) <= _PEARCEY_SERIES_MAX:
-        return _pearcey_series_mp(x, y, half_dy=True)
-    return _p1_contour_du(x, y)
+    _check_args("pearcey_half_dy", x, y)
+    return complex(_p1_contour(x, y, power=1))
 
 
 # ----------------------------------------------------------------------
 # 1F1(1/2, 3/2, iz)
 # ----------------------------------------------------------------------
 
-_HYP_SERIES_MAX = 30.0
+_HYP_QUADRATURE_MAX = 30.0
 
 
 def hyp1f1_focus(z):
     """Confluent hypergeometric 1F1(1/2, 3/2, i z) for real z.
 
-    Power series for |z| <= 30; beyond that the large-argument form
-    (1/2)sqrt(pi/z) e^{i pi/4} + e^{iz}/(2iz) * sum_s (1/2)_s / (iz)^s,
+    For |z| <= 30 it is the integral int_0^1 e^{i z t^2} dt by Gauss
+    quadrature with about z/4 + 2 panels; beyond that the large-argument
+    form (1/2)sqrt(pi/z) e^{i pi/4} + e^{iz}/(2iz) * sum_s (1/2)_s / (iz)^s,
     whose first piece is exact and whose second carries the asymptotic
     correction series.
     """
@@ -587,23 +519,10 @@ def hyp1f1_focus(z):
         raise DomainError("hyp1f1_focus requires finite z")
     if z < 0:
         return hyp1f1_focus(-z).conjugate()
-    if z <= _HYP_SERIES_MAX:
-        # sum (iz)^nu / ((2 nu + 1) nu!); the terms grow to ~e^z before the
-        # sum collapses to O(1/sqrt(z)), so accumulate in high precision
-        with mpmath.workdps(40):
-            iz = mpmath.mpc(0, z)
-            term = mpmath.mpc(1)
-            acc = mpmath.mpc(1)
-            for nu in range(1, 400):
-                term *= iz * (2 * nu - 1) / ((2 * nu + 1) * nu)
-                acc += term
-                if abs(term) < mpmath.mpf("1e-22"):
-                    break
-            else:
-                raise ConvergenceError("hyp1f1_focus series did not converge")
-            return complex(acc)
     if z == 0.0:
         return 1.0 + 0.0j
+    if z <= _HYP_QUADRATURE_MAX:
+        return complex(gauss_segment(lambda t: np.exp(1j * z * t * t), 0.0, 1.0, int(z / 4) + 2))
     lead = 0.5 * math.sqrt(math.pi / z) * cmath.exp(1j * math.pi / 4)
     corr = 0.0 + 0.0j
     term = 1.0 + 0.0j

@@ -247,13 +247,13 @@ def test_criterion_11_squeezing():
 
 
 def test_criterion_12_property_suite():
-    from test_specfun import _p1_contour_oracle
+    from oracles import p1_contour_oracle
 
-    # Pearcey series vs rotated-contour quadrature on the stated grid
+    # Pearcey evaluator vs scipy rotated-contour quadrature on the stated grid
     worst_p = 0.0
     for x in (-8.0, -4.0, 0.0, 4.0, 8.0):
         for b in (-8.0, -4.0, 0.0, 4.0, 8.0):
-            oracle = _p1_contour_oracle(x, abs(b)) + _p1_contour_oracle(x, -abs(b))
+            oracle = p1_contour_oracle(x, abs(b)) + p1_contour_oracle(x, -abs(b))
             worst_p = max(worst_p, abs(sf.pearcey(x, b) - oracle))
     pearcey_ok = worst_p < 1e-8
 

@@ -10,6 +10,7 @@ from kickedrotor import quantum2d as q2
 from kickedrotor import quantum3d as q3
 from kickedrotor import semiclassical as sc
 from kickedrotor.classical import rainbow_angle
+from oracles import cusp_3d_series, focal_sum_2d
 
 
 def exact_density_2d(P, tau, thetas):
@@ -79,7 +80,7 @@ class TestPearceyFocus2D:
         P = 85.0
         for theta in (0.0, 0.1, 0.25):
             a = sc.pearcey_focus_2d(theta, 1.0 / P, P)
-            b = sc.focal_sum_2d(theta, P)
+            b = focal_sum_2d(theta, P)
             assert abs(a - b) < 1e-10
 
     def test_matches_exact_through_cusp_window(self):
@@ -106,6 +107,14 @@ class TestPearceyCusp3D:
         for P in (50.0, 75.0):
             dens = abs(sc.pearcey_cusp_3d(0.0, 1.0 / P, P)) ** 2
             assert dens == pytest.approx(sc.focal_peak_3d(P), rel=1e-12)
+
+    @pytest.mark.parametrize("fac", [1.0, 1.2, 1.4])
+    def test_against_series_oracle(self, fac):
+        P = 50.0
+        tau = fac / P
+        for theta in (0.0, 0.12, 0.3):
+            ref = cusp_3d_series(theta, tau, P)
+            assert abs(sc.pearcey_cusp_3d(theta, tau, P) - ref) < 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("fac,tol", [(1.0, 0.05), (1.2, 0.08), (1.4, 0.18)])
     def test_matches_exact_3d(self, fac, tol):

@@ -1,19 +1,24 @@
 """Special-function core against independent oracles.
 
 Oracles: integral representations integrated by scipy.integrate.quad,
-scipy.special reference implementations, and closed-form identities.
+scipy.special reference implementations, the 50-digit Pearcey series and
+closed-form identities (see oracles.py).
 Frozen numbers below were produced by the stated oracle, not by the code
 under test.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.special as sps
-from scipy.integrate import quad
 
+import kickedrotor
 from kickedrotor import specfun as sf
+from oracles import p1_contour_oracle, pearcey_series_mp
 
 # --- frozen oracle values ---
 # (1/pi) int_0^pi cos(5t - 85 sin t) dt by adaptive quadrature
@@ -190,20 +195,13 @@ class TestLegendre:
             sf.legendre_p(3, 1.5)
 
 
-def _p1_contour_oracle(x, y, T=12.0):
-    """Rotated-contour quadrature of int_0^inf e^{i(u^4+xu^2+yu)} du,
-    via scipy: real axis to beyond the stationary points, then the
-    pi/8 ray."""
-    w8 = np.exp(1j * np.pi / 8)
-    R = 1.0 + (abs(y) / 4.0) ** (1 / 3) + math.sqrt(abs(x) / 2.0)
-    f = lambda t: np.exp(1j * (t ** 4 + x * t ** 2 + y * t))
-    re1, _ = quad(lambda t: f(t).real, 0, R, limit=2000)
-    im1, _ = quad(lambda t: f(t).imag, 0, R, limit=2000)
-    g = lambda t: np.exp(1j * ((R + t * w8) ** 4 + x * (R + t * w8) ** 2
-                               + y * (R + t * w8))) * w8
-    re2, _ = quad(lambda t: g(t).real, 0, T, limit=2000)
-    im2, _ = quad(lambda t: g(t).imag, 0, T, limit=2000)
-    return complex(re1 + re2, im1 + im2)
+_GRID = [(x, b) for x in (-8.0, -4.0, 0.0, 4.0, 8.0) for b in (-8.0, -4.0, 0.0, 4.0, 8.0)]
+# inside |x|, |beta| <= 12, where the 50-digit series runs out of terms
+_DOMAIN_EDGE = [(-12.0, 6.0), (-12.0, 9.0), (-12.0, 12.0), (12.0, 3.0), (12.0, 6.0),
+                (12.0, 9.0), (12.0, 12.0), (11.5, 8.6), (-11.5, 8.6), (11.5, 11.5),
+                (-11.5, 11.5)]
+# where the series converges; each point costs it 20-400 ms
+_SERIES_POINTS = [(-11.5, 0.0), (0.0, 11.5), (11.5, 0.0), (3.0, -5.0)]
 
 
 class TestPearcey:
@@ -220,18 +218,29 @@ class TestPearcey:
     def test_point_oracle(self):
         assert sf.pearcey(1.0, 1.0) == pytest.approx(PEARCEY_11_ORACLE, abs=1e-8)
 
-    @pytest.mark.parametrize("x", [-8.0, -4.0, 0.0, 4.0, 8.0])
-    @pytest.mark.parametrize("beta", [-8.0, -4.0, 0.0, 4.0, 8.0])
+    @pytest.mark.parametrize("x,beta", _GRID + _DOMAIN_EDGE)
     def test_series_vs_quadrature_grid(self, x, beta):
-        series = sf.pearcey(x, beta)
-        oracle = _p1_contour_oracle(x, abs(beta)) + _p1_contour_oracle(x, -abs(beta))
-        assert abs(series - oracle) < 1e-8
+        mine = sf.pearcey(x, beta)
+        oracle = p1_contour_oracle(x, abs(beta)) + p1_contour_oracle(x, -abs(beta))
+        assert abs(mine - oracle) < 1e-8
+
+    @pytest.mark.parametrize("x,beta", _SERIES_POINTS)
+    def test_against_series_oracle(self, x, beta):
+        assert abs(sf.pearcey(x, beta) - pearcey_series_mp(x, beta)) < 1e-12
+
+    def test_continuous_across_beta_12(self):
+        # central difference across beta = 12 against
+        # dP/dbeta = dP1/dy(x, b) - dP1/dy(x, -b)
+        h = 0.01
+        for x in (-12.0, 0.0, 12.0):
+            step = (sf.pearcey(x, 12.0 + h) - sf.pearcey(x, 12.0 - h)) / (2 * h)
+            deriv = sf.pearcey_half_dy(x, 12.0) - sf.pearcey_half_dy(x, -12.0)
+            assert abs(step - deriv) < 5e-4
 
     def test_large_argument_quadrature_regime(self):
-        # beyond the series domain the contour quadrature takes over
         for (x, b) in [(0.0, 41.6), (13.0, 20.0), (0.0, 240.0)]:
             mine = sf.pearcey(x, b)
-            oracle = _p1_contour_oracle(x, abs(b)) + _p1_contour_oracle(x, -abs(b))
+            oracle = p1_contour_oracle(x, abs(b)) + p1_contour_oracle(x, -abs(b))
             assert abs(mine - oracle) < 1e-7
 
     def test_p1_decomposition(self):
@@ -249,18 +258,15 @@ class TestPearceyHalfDy:
     def test_point_oracle(self):
         assert sf.pearcey_half_dy(1.0, 2.0) == pytest.approx(DP1_12_ORACLE, abs=1e-8)
 
-    @pytest.mark.parametrize("x,y", [(0.0, 0.0), (-4.0, 6.0), (8.0, -8.0), (5.0, 5.0)])
+    @pytest.mark.parametrize(
+        "x,y", [(0.0, 0.0), (-4.0, 6.0), (8.0, -8.0), (5.0, 5.0)] + _DOMAIN_EDGE)
     def test_against_contour_oracle(self, x, y):
-        w8 = np.exp(1j * np.pi / 8)
-        R = 1.0 + (abs(y) / 4.0) ** (1 / 3) + math.sqrt(abs(x) / 2.0)
-        f = lambda u: 1j * u * np.exp(1j * (u ** 4 + x * u ** 2 + y * u))
-        re1, _ = quad(lambda t: f(t).real, 0, R, limit=2000)
-        im1, _ = quad(lambda t: f(t).imag, 0, R, limit=2000)
-        g = lambda t: f(R + t * w8) * w8
-        re2, _ = quad(lambda t: g(t).real, 0, 12.0, limit=2000)
-        im2, _ = quad(lambda t: g(t).imag, 0, 12.0, limit=2000)
-        oracle = complex(re1 + re2, im1 + im2)
+        oracle = p1_contour_oracle(x, y, power=1)
         assert abs(sf.pearcey_half_dy(x, y) - oracle) < 1e-8
+
+    @pytest.mark.parametrize("x,y", _SERIES_POINTS)
+    def test_against_series_oracle(self, x, y):
+        assert abs(sf.pearcey_half_dy(x, y) - pearcey_series_mp(x, y, half_dy=True)) < 1e-12
 
     def test_derivative_consistency_with_p1(self):
         # centered finite difference of P1 in y
@@ -292,3 +298,12 @@ class TestHyp1F1Focus:
         z = P * L ** 4 / 24.0
         dens = abs(P * L * L / 2.0 * sf.hyp1f1_focus(z)) ** 2 / (4 * math.pi)
         assert dens == pytest.approx(3 * P / 8, rel=2e-3)
+
+
+def test_import_leaves_mpmath_unloaded():
+    # the runtime is numpy-only: importing the package must not load
+    # mpmath (which would also reset its global precision)
+    src = os.path.dirname(os.path.dirname(kickedrotor.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, kickedrotor; assert 'mpmath' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
