@@ -25,7 +25,6 @@ from . import quantum3d as q3
 from . import semiclassical as sc
 from . import squeeze as sq
 from . import thermal as th
-from .specfun import ConvergenceError
 
 __all__ = ["ScenarioConfig", "ResultEnvelope", "ConfigError", "run", "batch", "main"]
 
@@ -363,7 +362,7 @@ def batch(config_path, out_dir=None):
             envelopes.append(env)
             entry["status"] = "ok"
             entry["summary"] = env.summary
-        except (ConfigError, ConvergenceError, ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError) as exc:  # ConfigError is a ValueError
             entry["status"] = "failed"
             entry["error"] = f"{type(exc).__name__}: {exc}"
         index.append(entry)
@@ -501,8 +500,9 @@ def main(argv=None):
         # out-of-domain windows/parameters surface as argument errors
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConvergenceError as exc:
-        print(f"numerical non-convergence: {exc}", file=sys.stderr)
+    except RuntimeError as exc:
+        # ConvergenceError, TruncationError and other numerical failures
+        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

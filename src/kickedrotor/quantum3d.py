@@ -120,11 +120,13 @@ def _n_matrix_element(L, Lp):
     return 0.0
 
 
-_TABLE_CACHE = {}
+_TABLE_CACHE = {}  # L_max -> RecurrenceTable, in insertion order
+_TABLE_CACHE_MAX = 32
 
 
 def build_recurrence(L_max):
-    """Legendre re-expansion table, computed once per L_max and cached.
+    """Legendre re-expansion table, computed once per L_max and cached
+    (the last _TABLE_CACHE_MAX sizes built are kept).
 
     Column l+1 follows from columns l and l-1:
       d_{L,l+1} = (2l+1)(2L+1)/(l+1) sum_{L'} d_{L',l} N_{L,L'}
@@ -153,6 +155,8 @@ def build_recurrence(L_max):
     table = RecurrenceTable(d=d)
     d.setflags(write=False)
     _TABLE_CACHE[L_max] = table
+    if len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
+        del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
     return table
 
 

@@ -10,7 +10,9 @@ mixed moment) and waiting for the next minimum gives the exact recurrence
 with the wait Delta tau_k = u_k/(u_k + w_k) in kick-scaled time.  The
 large-k flow conserves u^2 + 2wu and drives u ~ k^(-1/2): squeezing
 without saturation.  A Monte Carlo driver applies the same protocol to
-the full classical 3D ensemble.
+the full classical 3D ensemble; it finds each minimum of the spread from
+the closed-form free flight of `thermal._free_flight`, which `evolve`
+shares, and evolves the ensemble once per kick.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from .classical import Coupling
 from . import thermal
+from .specfun import ConvergenceError
 
 __all__ = [
     "MomentState",
@@ -83,7 +86,9 @@ def run_accumulative(u0, w0, kicks):
     """Iterate kick_cycle, recording (k, u_k, w_k, dtau_k).
 
     Record k holds the state *after* k cycles; u decreases and w
-    increases strictly at every step.
+    increases strictly at every step.  A start whose u0/(u0 + w0) is
+    below double precision cannot show that decrease and raises
+    ValueError.
     """
     if kicks < 1:
         raise ValueError("kicks must be >= 1")
@@ -93,7 +98,10 @@ def run_accumulative(u0, w0, kicks):
         prev = state
         state, dtau = kick_cycle(state)
         if not (state.u < prev.u and state.w > prev.w):
-            raise AssertionError("squeezing monotonicity violated")
+            raise ValueError(
+                f"squeezing stalls at kick {k}: u/(u + w) = "
+                f"{prev.u / (prev.u + prev.w):.3g} is below double precision "
+                f"(u0 = {u0!r}, w0 = {w0!r})")
         records.append(SqueezeRecord(k=k, u=state.u, w=state.w, dtau=dtau))
     return SqueezeTrace(records=tuple(records))
 
@@ -108,16 +116,40 @@ def ode_invariant(u, w):
     return u * u + 2.0 * w * u
 
 
-def _first_minimum(ensemble, coupling, step, refine_tol):
-    """Locate the first local minimum of O (dipole) or A (polarization)
-    after a kick, scanning in steps of P'dt = step then refining by
-    golden section."""
-    idx = 0 if coupling is Coupling.DIPOLE else 1
-    P = ensemble.kick_strength
-    dt = step / P
+def _observable_in_flight(ensemble, coupling):
+    """O(t) = <1 - cos theta(t)> (dipole) or A(t) = <1 - cos^2 theta(t)>
+    (polarization) of the ensemble in free flight, as a function of t.
+
+    Closed form: the coefficients of `thermal._free_flight` are computed
+    once, and each value of t costs one cos and one sin per particle; it
+    agrees with `orientation_alignment(evolve(ensemble, t))` to rounding.
+    """
+    cos0, _, omega, b = thermal._free_flight(ensemble)
+    squared = coupling is Coupling.POLARIZATION
 
     def value_at(t):
-        return thermal.orientation_alignment(thermal.evolve(ensemble, t))[idx]
+        wt = omega * t
+        c = np.cos(wt)
+        c *= cos0
+        s = np.sin(wt, out=wt)
+        s *= b
+        c -= s
+        if squared:
+            c *= c
+        np.subtract(1.0, c, out=c)
+        return float(np.mean(c))
+
+    return value_at
+
+
+def _first_minimum(ensemble, coupling, step, refine_tol):
+    """Time of the first local minimum of O (dipole) or A (polarization)
+    after a kick: scan in steps of P'dt = step, then refine by golden
+    section.  Each probe is the closed-form `_observable_in_flight`, so
+    the ensemble is never evolved here."""
+    P = ensemble.kick_strength
+    dt = step / P
+    value_at = _observable_in_flight(ensemble, coupling)
 
     t_prev, f_prev = 0.0, value_at(0.0)
     t_curr, f_curr = dt, value_at(dt)
@@ -129,7 +161,7 @@ def _first_minimum(ensemble, coupling, step, refine_tol):
         t_curr = n_steps * dt
         f_curr = value_at(t_curr)
         if n_steps > 2_000_000:
-            raise RuntimeError("no minimum found within the scan budget")
+            raise ConvergenceError("no minimum found within the scan budget")
     a = max(0.0, t_prev - dt)
     b = t_curr
     # golden-section refinement on [a, b]
@@ -146,8 +178,7 @@ def _first_minimum(ensemble, coupling, step, refine_tol):
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = value_at(d)
-    t_min = 0.5 * (a + b)
-    return t_min, value_at(t_min)
+    return 0.5 * (a + b)
 
 
 def classical_accumulative_3d(n_particles, P_prime, kicks, seed,
@@ -158,6 +189,9 @@ def classical_accumulative_3d(n_particles, P_prime, kicks, seed,
     Each cycle kicks the ensemble, then advances to the first local
     minimum of the orientation factor O (dipole) or alignment factor A
     (polarization) and records it; the next kick fires at that instant.
+    The minimum search evaluates O or A in closed form from the
+    free-flight coefficients of `thermal._free_flight`, so each cycle
+    calls `thermal.evolve` once, to the minimum it found.
     P_prime = inf means zero initial temperature (only P't' matters, so
     the kick strength is set to 1 and time is reported as P't').
     """
@@ -174,8 +208,9 @@ def classical_accumulative_3d(n_particles, P_prime, kicks, seed,
     records = []
     for k in range(1, kicks + 1):
         ens = thermal.kick(ens, coupling)
-        t_min, obs = _first_minimum(ens, coupling, scan_step, refine_tol)
+        t_min = _first_minimum(ens, coupling, scan_step, refine_tol)
         ens = thermal.evolve(ens, t_min)
+        obs = thermal.orientation_alignment(ens)[idx]
         c = np.cos(ens.theta)
         u = float(np.mean((1.0 - c) * 2.0))  # ~ <theta^2> near the pole
         w = float(np.mean(ens.p_theta ** 2)) / ens.kick_strength

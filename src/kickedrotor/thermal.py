@@ -97,37 +97,60 @@ def kick(ensemble, coupling=Coupling.DIPOLE):
     return replace(ensemble, p_theta=ensemble.p_theta + dp)
 
 
+def _free_flight(ensemble):
+    """Per-particle coefficients of the free flight, fixed until the next kick.
+
+    Returns (cos theta0, sin theta0, omega, b) with b = (p_theta'/omega)
+    sin theta0, so that cos theta(t') = cos theta0 cos(omega t')
+    - b sin(omega t').  A particle that does not move (omega = 0, or
+    undefined at a pole) gets omega = b = 0 and so keeps theta0.
+    `evolve` and the squeeze driver's minimum search share these.
+    """
+    p0 = ensemble.p_theta
+    sin0 = np.sin(ensemble.theta)
+    omega = np.sqrt(p0 ** 2 + (ensemble.p_phi / sin0) ** 2)
+    moving = omega > 0
+    omega[~moving] = 0.0  # NaN where theta0 sits exactly on a pole
+    b = p0 / np.where(moving, omega, 1.0) * sin0
+    return np.cos(ensemble.theta), sin0, omega, b
+
+
 def evolve(ensemble, dt):
     """Free flight for dimensionless time dt (>= 0).
 
-    cos(theta) rotates harmonically at each particle's omega; sin(theta)
-    is recovered from the energy invariant and p_theta from the analytic
-    time derivative, which also makes passage through a pole (possible
-    only for p_phi = 0) reflect the momentum automatically.
+    cos(theta) rotates harmonically at each particle's omega, with the
+    coefficients of `_free_flight`; sin(theta) is recovered from the
+    energy invariant and p_theta from the analytic time derivative, which
+    also makes passage through a pole (possible only for p_phi = 0)
+    reflect the momentum automatically.  Each transcendental is computed
+    once per particle, and the large temporaries are freed as soon as
+    they are used.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
     if dt == 0:
         return ensemble
-    th0 = ensemble.theta
-    p0 = ensemble.p_theta
-    sin0 = np.sin(th0)
-    omega = np.sqrt(p0 ** 2 + (ensemble.p_phi / sin0) ** 2)
-    moving = omega > 0
-    w = np.where(moving, omega, 1.0)
-    c = np.cos(th0) * np.cos(w * dt) - (p0 / w) * sin0 * np.sin(w * dt)
-    # d(cos theta)/dt, used to recover sin(theta) and the momentum sign
-    cdot = -w * np.cos(th0) * np.sin(w * dt) - p0 * sin0 * np.cos(w * dt)
-    c = np.clip(c, -1.0, 1.0)
-    # energy invariant: sin^2(theta) = (cdot^2 + p_phi^2)/omega^2, which
+    cos0, sin0, omega, b = _free_flight(ensemble)
+    wt = omega * dt
+    cw = np.cos(wt)
+    sw = np.sin(wt, out=wt)
+    c = np.clip(cos0 * cw - b * sw, -1.0, 1.0)
+    del b
+    # g = -d(cos theta)/dt, used to recover sin(theta) and the momentum sign
+    g = omega * cos0 * sw + ensemble.p_theta * sin0 * cw
+    del cos0, sin0, cw, sw
+    # energy invariant: sin^2(theta) = (g^2 + p_phi^2)/omega^2, which
     # stays well conditioned when the trajectory grazes a pole (the
     # direct sqrt(1 - c^2) loses half the digits there)
-    sin_new = np.sqrt(cdot ** 2 + ensemble.p_phi ** 2) / w
-    theta = np.arctan2(sin_new, c)
+    sin_new = np.sqrt(g * g + ensemble.p_phi ** 2)
+    moving = omega > 0
+    np.divide(sin_new, omega, out=sin_new, where=moving)
+    theta = np.arctan2(sin_new, c, out=c)
     safe = sin_new > 1e-300
-    p_theta = np.where(safe, -cdot / np.where(safe, sin_new, 1.0), -p0)
-    theta = np.where(moving, theta, th0)
-    p_theta = np.where(moving, p_theta, p0)
+    p_theta = np.divide(g, sin_new, out=g, where=safe)
+    np.negative(ensemble.p_theta, out=p_theta, where=~safe)
+    np.copyto(theta, ensemble.theta, where=~moving)
+    np.copyto(p_theta, ensemble.p_theta, where=~moving)
     return replace(ensemble, theta=theta, p_theta=p_theta)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kickedrotor import cli
+from kickedrotor import quantum2d as q2
 from kickedrotor.cli import ConfigError, ScenarioConfig, batch, run, write_envelope
 
 
@@ -133,6 +134,19 @@ class TestBatch:
         assert (tmp_path / "a.csv").exists()
         assert not (tmp_path / "b.csv").exists()
 
+    def test_squeeze_stall_does_not_stop_the_batch(self, tmp_path):
+        stall = {"command": "squeeze", "u0": 1e-20, "w0": 1.0, "kicks": 3,
+                 "output_path": "stall.csv"}
+        good = {"command": "quantum2d", "P": 20.0, "s": 1.0, "grid_points": 16,
+                "output_path": "good.csv"}
+        f = tmp_path / "b.jsonl"
+        f.write_text(json.dumps(stall) + "\n" + json.dumps(good) + "\n")
+        envs, index = batch(str(f), str(tmp_path / "out"))
+        assert [e["status"] for e in index] == ["failed", "ok"]
+        assert index[0]["error"].startswith("ValueError")
+        assert (tmp_path / "out" / "good.csv").exists()
+        assert (tmp_path / "out" / "b.index.json").exists()
+
     def test_duplicate_outputs_rejected(self, tmp_path):
         row = {"command": "quantum2d", "P": 20.0, "s": 1.0,
                "output_path": str(tmp_path / "same.csv")}
@@ -154,6 +168,22 @@ class TestMain:
                        "--out", str(tmp_path / "m.csv")])
         assert rc == 2
         assert "field 'P'" in capsys.readouterr().err
+
+    def test_squeeze_stall_exit_two(self, tmp_path, capsys):
+        rc = cli.main(["squeeze", "--u0", "1e-20", "--w0", "1", "--kicks", "3",
+                       "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "double precision" in err and "Traceback" not in err
+
+    def test_runtime_error_exit_three(self, tmp_path, monkeypatch, capsys):
+        def truncated(cfg):
+            raise q2.TruncationError("edge coefficient above tolerance")
+        monkeypatch.setattr(cli, "run", truncated)
+        rc = cli.main(["quantum2d", "--P", "20", "--s", "1",
+                       "--out", str(tmp_path / "t.csv")])
+        assert rc == 3
+        assert "TruncationError" in capsys.readouterr().err
 
     def test_batch_exit_codes(self, tmp_path):
         good = {"command": "quantum2d", "P": 20.0, "s": 1.0, "grid_points": 16,

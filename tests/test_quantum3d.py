@@ -53,6 +53,13 @@ class TestRecurrenceTable:
         with pytest.raises(ValueError):
             a.d[0, 0] = 2.0
 
+    def test_cache_is_bounded(self):
+        sizes = range(2, 2 * (q3._TABLE_CACHE_MAX + 10) + 1, 2)
+        for L_max in sizes:
+            q3.build_recurrence(L_max)
+        assert len(q3._TABLE_CACHE) == q3._TABLE_CACHE_MAX
+        assert sizes[-1] in q3._TABLE_CACHE
+
     def test_rejects_odd_lmax(self):
         with pytest.raises(ValueError):
             q3.build_recurrence(21)

@@ -9,7 +9,9 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import minimize_scalar
 
 from kickedrotor import squeeze as sq
+from kickedrotor import thermal as th
 from kickedrotor.classical import Coupling
+from kickedrotor.specfun import ConvergenceError
 
 
 class TestKickCycle:
@@ -30,6 +32,11 @@ class TestKickCycle:
         for _ in range(200):
             state, _ = sq.kick_cycle(state)
             assert state.u > 0 and state.w > 0
+
+    def test_stall_below_double_precision_is_a_value_error(self):
+        # u - u^2/(u + w) rounds to u when u/(u + w) < 2^-53
+        with pytest.raises(ValueError, match="double precision"):
+            sq.run_accumulative(1e-20, 1.0, 3)
 
     def test_requires_minimal_spread(self):
         with pytest.raises(ValueError):
@@ -142,3 +149,52 @@ class TestClassicalDriver:
         b = sq.classical_accumulative_3d(5000, math.inf, 3, seed=9)
         assert np.array_equal(a.column("observable"), b.column("observable"))
         assert np.array_equal(a.column("dtau"), b.column("dtau"))
+
+
+def kicked_ensemble(P_prime, coupling, seed=21, n=20000):
+    if math.isinf(P_prime):
+        ens = th.sample_ensemble(n, seed, kick_strength=1.0, temperature=0.0)
+    else:
+        ens = th.sample_ensemble(n, seed, kick_strength=P_prime)
+    ens = th.kick(ens, coupling)
+    ens.p_theta[0] = ens.p_phi[0] = 0.0  # a particle at rest
+    return ens
+
+
+class TestClosedFormObservable:
+    @pytest.mark.parametrize("coupling", [Coupling.DIPOLE, Coupling.POLARIZATION])
+    @pytest.mark.parametrize("P_prime", [math.inf, 5.0])
+    def test_matches_evolved_ensemble(self, P_prime, coupling):
+        ens = kicked_ensemble(P_prime, coupling)
+        value_at = sq._observable_in_flight(ens, coupling)
+        idx = 0 if coupling is Coupling.DIPOLE else 1
+        for st in (0.0, 0.01, 0.5, 1.773, 3.0, 25.0):
+            t = st / ens.kick_strength
+            ref = th.orientation_alignment(th.evolve(ens, t))[idx]
+            assert value_at(t) == pytest.approx(ref, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("coupling", [Coupling.DIPOLE, Coupling.POLARIZATION])
+    def test_rest_particle_keeps_theta0(self, coupling):
+        ens = th.ThermalEnsemble(
+            theta=np.array([1.0]), phi=np.array([0.0]),
+            p_theta=np.array([0.0]), p_phi=np.array([0.0]),
+            kick_strength=1.0, seed=0)
+        value_at = sq._observable_in_flight(ens, coupling)
+        c = math.cos(1.0)
+        ref = 1.0 - c if coupling is Coupling.DIPOLE else 1.0 - c * c
+        for t in (0.0, 0.3, 7.0):
+            assert value_at(t) == ref
+
+    def test_driver_evolves_once_per_kick(self, monkeypatch):
+        calls = []
+        real = th.evolve
+        monkeypatch.setattr(th, "evolve", lambda ens, dt: calls.append(dt) or real(ens, dt))
+        tr = sq.classical_accumulative_3d(2000, 5.0, 4, seed=8)
+        assert len(calls) == 4
+        assert [t * 5.0 for t in calls] == list(tr.column("dtau"))
+
+    def test_no_minimum_is_a_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(sq, "_observable_in_flight", lambda ens, coupling: lambda t: 1.0)
+        ens = kicked_ensemble(5.0, Coupling.DIPOLE, n=10)
+        with pytest.raises(ConvergenceError, match="scan budget"):
+            sq._first_minimum(ens, Coupling.DIPOLE, 0.01, 1e-6)

@@ -137,6 +137,19 @@ class TestEvolve:
         assert ev.p_theta[0] == pytest.approx(1.0, abs=1e-12)
 
 
+    def test_rest_particle_kept_and_input_untouched(self):
+        # evolve reuses its temporaries in place: the input arrays must
+        # survive, and a particle with p_theta = p_phi = 0 stays at theta0
+        e = th.kick(th.sample_ensemble(1000, seed=6, kick_strength=2.0))
+        e.p_theta[0] = e.p_phi[0] = 0.0
+        before = [a.copy() for a in (e.theta, e.phi, e.p_theta, e.p_phi)]
+        ev = th.evolve(e, 0.8)
+        for a, b in zip((e.theta, e.phi, e.p_theta, e.p_phi), before):
+            assert np.array_equal(a, b)
+        assert ev.theta[0] == e.theta[0] and ev.p_theta[0] == 0.0
+        assert not np.array_equal(ev.theta[1:], e.theta[1:])
+
+
 class TestHistogram:
     def test_isotropic_half_sine(self, big_ensemble):
         prof = th.angular_histogram(big_ensemble, 50)
