@@ -220,7 +220,7 @@ def _method_density(cfg, method, grid):
     if method == "ford-wheeler":
         return np.array([abs(sc.ford_wheeler_glory(t, tau, P)) ** 2 for t in grid])
     if method == "planar":
-        return np.array([abs(sc.planar_psi(t, tau, P, radius=cfg.radius)) ** 2 for t in grid])
+        return np.abs(sc.planar_psi(grid, tau, P, radius=cfg.radius)) ** 2
     raise ConfigError(f"field 'method': {method!r}")
 
 
@@ -332,8 +332,9 @@ def run(config):
 def batch(config_path, out_dir=None):
     """Run a JSON-lines scenario file; one failure does not stop the rest.
 
-    Returns (envelopes, index) where the index records per-scenario status.
-    Duplicate output paths are a config error.
+    Returns (envelopes, index) where the index records per-scenario status;
+    a failed entry also records its class, "config" (ValueError) or
+    "numerical" (RuntimeError).  Duplicate output paths are a config error.
     """
     scenarios = []
     with open(config_path, encoding="utf-8") as fh:
@@ -364,6 +365,7 @@ def batch(config_path, out_dir=None):
             entry["summary"] = env.summary
         except (ValueError, RuntimeError) as exc:  # ConfigError is a ValueError
             entry["status"] = "failed"
+            entry["failure"] = "config" if isinstance(exc, ValueError) else "numerical"
             entry["error"] = f"{type(exc).__name__}: {exc}"
         index.append(entry)
     index_path = os.path.splitext(config_path)[0] + ".index.json"
@@ -476,7 +478,9 @@ def main(argv=None):
             for e in index:
                 print(f"[{e['status']}] {e['output_path']}"
                       + (f" ({e.get('error', '')})" if e["status"] != "ok" else ""))
-            return EXIT_NUMERICAL if failed else EXIT_OK
+            if any(e["failure"] == "numerical" for e in failed):
+                return EXIT_NUMERICAL
+            return EXIT_CONFIG if failed else EXIT_OK
 
         kwargs = {k: v for k, v in vars(args).items() if v is not None}
         kwargs.pop("command")

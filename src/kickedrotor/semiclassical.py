@@ -32,6 +32,8 @@ import numpy as np
 
 from .classical import _bisect, rainbow_angle
 from .specfun import (
+    _CONTOUR_BLOCK,
+    _GL_NODES,
     _p1_contour,
     airy,
     bessel_j0,
@@ -76,7 +78,19 @@ class Validity(enum.Enum):
 # ----------------------------------------------------------------------
 
 def planar_psi(theta, tau, P, radius=DISC_RADIUS):
-    """Planar-model wave function by oscillatory quadrature (1e-8 abs).
+    """Planar-model wave function
+    psi(theta) = e^{i(P + theta^2/2tau)} / (i tau sqrt(4 pi))
+                 * int_0^L t J_0(theta t/tau) e^{i(a t^2 + P t^4/24)} dt,
+    a = (1/tau - P)/2, by Gauss-Legendre quadrature.
+
+    theta may be a scalar (complex result) or an array of any shape
+    (complex array of that shape).  Long arrays go in row blocks of at
+    most specfun._CONTOUR_BLOCK (theta, node) entries; each block bounds
+    its phase slope with its own max |theta| and gives every 24-node panel
+    at most 12 rad of it, at least 6 panels.  On the fig07 and fig12
+    windows it agrees with an independent oracle (scipy's J_0, 32-node
+    panels at 4x the density) within 2.4e-11 of the largest |psi|, as
+    closely as 3-rad panels do: bessel_j0's own ~1e-11 error sets the gap.
 
     radius is the disc radius; the default 2 matches the disc of area
     4*pi.  For late times (P*tau >~ 3) the glory ring migrates past
@@ -85,18 +99,27 @@ def planar_psi(theta, tau, P, radius=DISC_RADIUS):
     """
     if tau <= 0:
         raise ValueError("planar_psi requires tau > 0")
+    theta = np.asarray(theta, dtype=float)
+    out = _planar_rows(theta.ravel(), tau, P, float(radius)).reshape(theta.shape)
+    return complex(out) if out.ndim == 0 else out
+
+
+def _planar_rows(theta, tau, P, L):
+    # psi on a 1-D theta array, one block of rows per quadrature call
     a = 0.5 * (1.0 / tau - P)
     b = P / 24.0
-    L = float(radius)
-    slope = 2.0 * abs(a) * L + 4.0 * b * L ** 3 + abs(theta) / tau
+    slope = 2.0 * abs(a) * L + 4.0 * b * L ** 3 + float(np.max(np.abs(theta), initial=0.0)) / tau
+    n_pan = max(6, int(slope * L / 12.0))
+    rows = max(1, _CONTOUR_BLOCK // (_GL_NODES.size * n_pan))
+    if theta.size > rows:
+        return np.concatenate([_planar_rows(theta[i:i + rows], tau, P, L)
+                               for i in range(0, theta.size, rows)])
 
     def f(t):
-        tr = t.real
-        return tr * bessel_j0(theta * tr / tau) * np.exp(1j * (a * tr * tr + b * tr ** 4))
+        return t * np.exp(1j * (a * t * t + b * t ** 4)) * bessel_j0((theta / tau)[:, None] * t)
 
-    n_pan = max(24, int(slope * L / 3.0))
-    I = gauss_segment(f, 0.0 + 0.0j, L + 0.0j, n_pan)
-    pref = cmath.exp(1j * (P + theta * theta / (2.0 * tau))) / (1j * tau * math.sqrt(4.0 * math.pi))
+    I = gauss_segment(f, 0.0, L, n_pan)
+    pref = np.exp(1j * (P + theta * theta / (2.0 * tau))) / (1j * tau * math.sqrt(4.0 * math.pi))
     return pref * I
 
 

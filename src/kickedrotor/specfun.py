@@ -138,33 +138,38 @@ _P0, _Q0 = _hankel_coeffs(0)
 _P1, _Q1 = _hankel_coeffs(1)
 
 
+def _horner(u, coeffs):
+    # sum_k coeffs[k] u^k by Horner's rule, in place
+    acc = np.full_like(u, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc *= u
+        acc += c
+    return acc
+
+
 def _hankel(x, pc, qc):
     z = 1.0 / (x * x)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for c in reversed(pc):
-        p = p * z + c
-    for c in reversed(qc):
-        q = q * z + c
-    q /= x
-    return p, q
+    return _horner(z, pc), _horner(z, qc) / x
+
+
+# Power-series coefficients in u = x^2 for |x| < _J_SERIES_CUT, 45 terms:
+# J_0 = sum_k (-1)^k u^k / (4^k k!^2),  J_1 = (x/2) sum_k (-1)^k u^k / (4^k k! (k+1)!)
+_J0_SERIES = tuple((-0.25) ** k / math.factorial(k) ** 2 for k in range(45))
+_J1_SERIES = tuple((-0.25) ** k / (math.factorial(k) * math.factorial(k + 1)) for k in range(45))
 
 
 def bessel_j0(x):
-    """Vectorized J_0; accuracy ~1e-10 (quadrature-grade)."""
+    """Vectorized J_0; accuracy ~1e-10 (quadrature-grade).
+
+    Power series in x^2 by Horner's rule below |x| = 12, Hankel
+    asymptotic expansion above."""
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     out = np.empty_like(ax)
     small = ax < _J_SERIES_CUT
     if np.any(small):
         xs = ax[small]
-        t = -(xs * xs) / 4.0
-        term = np.ones_like(xs)
-        acc = np.ones_like(xs)
-        for k in range(1, 45):
-            term *= t / (k * k)
-            acc += term
-        out[small] = acc
+        out[small] = _horner(xs * xs, _J0_SERIES)
     if np.any(~small):
         xl = ax[~small]
         p, q = _hankel(xl, _P0, _Q0)
@@ -174,20 +179,17 @@ def bessel_j0(x):
 
 
 def bessel_j1(x):
-    """Vectorized J_1; accuracy ~1e-10 (quadrature-grade)."""
+    """Vectorized J_1; accuracy ~1e-10 (quadrature-grade).
+
+    Power series in x^2 by Horner's rule below |x| = 12, Hankel
+    asymptotic expansion above."""
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     out = np.empty_like(ax)
     small = ax < _J_SERIES_CUT
     if np.any(small):
         xs = ax[small]
-        t = -(xs * xs) / 4.0
-        term = xs / 2.0
-        acc = term.copy()
-        for k in range(1, 45):
-            term *= t / (k * (k + 1.0))
-            acc += term
-        out[small] = acc
+        out[small] = 0.5 * xs * _horner(xs * xs, _J1_SERIES)
     if np.any(~small):
         xl = ax[~small]
         p, q = _hankel(xl, _P1, _Q1)

@@ -7,7 +7,9 @@ None of these share code with the package evaluators they check:
 - `cusp_3d_series`: the 3D cusp wave function from its double series;
 - `focal_sum_2d`: the 2D focal-time (P tau = 1) single sum;
 - `p1_contour_oracle`: the rotated-contour Pearcey half-range integral by
-  scipy adaptive quadrature.
+  scipy adaptive quadrature;
+- `planar_psi_oracle`: the planar-model wave function with scipy's J_0 and
+  32-node Gauss-Legendre on four times the panels the package once used.
 
 The series are slow (10-1000 ms a point), so tests call them at a few
 points only.  The double series run out of terms near the corner of
@@ -21,6 +23,7 @@ import math
 import mpmath
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import j0
 
 from kickedrotor.specfun import ConvergenceError
 
@@ -186,3 +189,23 @@ def p1_contour_oracle(x, y, T=12.0, power=0):
     re2, _ = quad(lambda t: g(t).real, 0, T, limit=2000)
     im2, _ = quad(lambda t: g(t).imag, 0, T, limit=2000)
     return complex(re1 + re2, im1 + im2)
+
+
+def planar_psi_oracle(theta, tau, P, radius=2.0):
+    """Planar-model psi(theta) = e^{i(P + theta^2/2tau)} / (i tau sqrt(4 pi))
+    * int_0^L t J_0(theta t/tau) e^{i(a t^2 + P t^4/24)} dt, a = (1/tau - P)/2,
+    one theta at a time: scipy's J_0, 32-node Gauss-Legendre, panels of at
+    most 0.75 rad of the phase-slope bound (4x the earlier 24-node,
+    3-rad rule, at least 96)."""
+    a = 0.5 * (1.0 / tau - P)
+    b = P / 24.0
+    L = float(radius)
+    x, w = np.polynomial.legendre.leggauss(32)
+    slope = 2.0 * abs(a) * L + 4.0 * b * L ** 3 + abs(theta) / tau
+    n = 4 * max(24, int(slope * L / 3.0))
+    h = L / n
+    t = ((np.arange(n)[:, None] + 0.5) + 0.5 * x[None, :]).ravel() * h
+    wt = np.tile(w, n) * (0.5 * h)
+    integral = np.sum(wt * t * j0(theta * t / tau) * np.exp(1j * (a * t * t + b * t ** 4)))
+    pref = cmath.exp(1j * (P + theta * theta / (2.0 * tau))) / (1j * tau * math.sqrt(4.0 * math.pi))
+    return complex(pref * integral)

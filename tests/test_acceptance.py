@@ -115,7 +115,7 @@ def test_criterion_06_glory():
     tau = 4.0 / P
     grid = np.linspace(0.0, 0.8, 33)
     ub = np.array([abs(sc.uniform_bessel_glory(t, tau, P)) ** 2 for t in grid])
-    oracle = np.array([abs(sc.planar_psi(t, tau, P, radius=math.pi)) ** 2 for t in grid])
+    oracle = np.abs(sc.planar_psi(grid, tau, P, radius=math.pi)) ** 2
     scale = oracle.max()
     dev = np.max(np.abs(ub - oracle)) / scale
     ok = dev < 0.10

@@ -185,15 +185,31 @@ class TestMain:
         assert rc == 3
         assert "TruncationError" in capsys.readouterr().err
 
-    def test_batch_exit_codes(self, tmp_path):
+    def test_batch_exit_codes(self, tmp_path, monkeypatch):
         good = {"command": "quantum2d", "P": 20.0, "s": 1.0, "grid_points": 16,
                 "output_path": str(tmp_path / "g.csv")}
         f = tmp_path / "b.jsonl"
         f.write_text(json.dumps(good) + "\n")
         assert cli.main(["batch", str(f)]) == 0
+        # configuration failures only: exit 2
         bad = dict(good, P=-1.0, output_path=str(tmp_path / "h.csv"))
         f.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        assert cli.main(["batch", str(f)]) == 2
+        index = json.loads((tmp_path / "b.index.json").read_text())
+        assert [e.get("failure") for e in index] == [None, "config"]
+        # any numerical failure: exit 3
+        trunc = dict(good, P=30.0, output_path=str(tmp_path / "t.csv"))
+        f.write_text("\n".join(json.dumps(d) for d in (good, bad, trunc)) + "\n")
+        run = cli.run
+
+        def truncated(cfg):
+            if cfg.P == 30.0:
+                raise q2.TruncationError("edge coefficient above tolerance")
+            return run(cfg)
+        monkeypatch.setattr(cli, "run", truncated)
         assert cli.main(["batch", str(f)]) == 3
+        index = json.loads((tmp_path / "b.index.json").read_text())
+        assert [e.get("failure") for e in index] == [None, "config", "numerical"]
 
     def test_default_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KICKEDROTOR_OUTDIR", str(tmp_path))

@@ -10,7 +10,7 @@ from kickedrotor import quantum2d as q2
 from kickedrotor import quantum3d as q3
 from kickedrotor import semiclassical as sc
 from kickedrotor.classical import rainbow_angle
-from oracles import cusp_3d_series, focal_sum_2d
+from oracles import cusp_3d_series, focal_sum_2d, planar_psi_oracle
 
 
 def exact_density_2d(P, tau, thetas):
@@ -42,7 +42,7 @@ class TestPlanarPsi:
         P = 50.0
         tau = 1.0 / P
         grid = np.linspace(0.04, 0.3, 40)
-        planar = np.array([abs(sc.planar_psi(t, tau, P)) ** 2 for t in grid])
+        planar = np.abs(sc.planar_psi(grid, tau, P)) ** 2
         exact = exact_density_3d(P, tau, grid)
         assert np.max(np.abs(planar - exact)) < 0.06 * exact_density_3d(P, tau, [0.0])[0]
 
@@ -51,13 +51,52 @@ class TestPlanarPsi:
         P = 50.0
         tau = 4.0 / P
         grid = np.linspace(0.6, 1.4, 9)
-        planar = np.array([abs(sc.planar_psi(t, tau, P)) ** 2 for t in grid])
+        planar = np.abs(sc.planar_psi(grid, tau, P)) ** 2
         exact = exact_density_3d(P, tau, grid)
         assert np.max(np.abs(planar - exact) / exact) > 0.10
 
     def test_requires_positive_tau(self):
         with pytest.raises(ValueError):
             sc.planar_psi(0.1, 0.0, 50.0)
+        with pytest.raises(ValueError):
+            sc.planar_psi(np.linspace(0.0, 0.5, 5), -0.02, 50.0)
+
+    @pytest.mark.parametrize("P,s,radius,window", [
+        (50.0, 1.0, 2.0, (0.0, 0.6)),
+        (50.0, 1.2, 2.0, (0.0, 0.6)),
+        (50.0, 2.0, 2.0, (0.0, 1.0)),
+        (50.0, 4.0, 2.0, (0.0, 1.5)),
+        (75.0, 4.0, math.pi, (0.0, 0.8)),
+    ])
+    def test_against_independent_oracle(self, P, s, radius, window):
+        # fig07 and fig12 parameters; scipy J_0 and 32-node panels at 4x
+        # the density; the measured gap is ~1e-11, set by bessel_j0
+        tau = s / P
+        grid = np.linspace(*window, 41)
+        mine = sc.planar_psi(grid, tau, P, radius=radius)
+        ref = np.array([planar_psi_oracle(t, tau, P, radius) for t in grid])
+        assert np.max(np.abs(mine - ref)) < 1e-10 * np.max(np.abs(ref))
+
+    def test_array_shape_and_scalar_type(self):
+        tau, P = 1.2 / 50.0, 50.0
+        grid = np.linspace(0.0, 0.6, 12).reshape(3, 4)
+        vals = sc.planar_psi(grid, tau, P)
+        assert vals.shape == (3, 4) and vals.dtype == complex
+        assert type(sc.planar_psi(0.3, tau, P)) is complex
+        empty = sc.planar_psi(np.array([]), tau, P)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+    @pytest.mark.parametrize("P,s,radius,window", [
+        (50.0, 1.0, 2.0, (0.0, 0.6)),
+        (75.0, 4.0, math.pi, (0.0, 0.8)),
+    ])
+    def test_array_matches_scalar_calls(self, P, s, radius, window):
+        # the fig12 window goes in several row blocks of the array call
+        tau = s / P
+        grid = np.linspace(*window, 60)
+        vals = sc.planar_psi(grid, tau, P, radius=radius)
+        each = np.array([sc.planar_psi(t, tau, P, radius=radius) for t in grid])
+        assert np.max(np.abs(vals - each)) < 1e-12 * np.max(np.abs(each))
 
 
 class TestPearceyFocus2D:
@@ -135,8 +174,7 @@ class TestPearceyCusp3D:
             tau = fac / P
             grid = np.linspace(0.0, 0.3, 16)
             mine = np.array([abs(sc.pearcey_cusp_3d(t, tau, P)) ** 2 for t in grid])
-            parent = np.array([abs(sc.planar_psi(t, tau, P, radius=math.pi)) ** 2
-                               for t in grid])
+            parent = np.abs(sc.planar_psi(grid, tau, P, radius=math.pi)) ** 2
             l2 = math.sqrt(np.sum((mine - parent) ** 2) / np.sum(parent ** 2))
             assert l2 < 0.02
 
@@ -265,8 +303,7 @@ class TestUniformBesselGlory:
         grid = np.linspace(0.0, 0.8, 33)
         ub = np.array([abs(sc.uniform_bessel_glory(t, self.tau, self.P)) ** 2
                        for t in grid])
-        oracle = np.array([abs(sc.planar_psi(t, self.tau, self.P, radius=math.pi)) ** 2
-                           for t in grid])
+        oracle = np.abs(sc.planar_psi(grid, self.tau, self.P, radius=math.pi)) ** 2
         scale = oracle.max()
         assert np.max(np.abs(ub - oracle)) < 0.10 * scale
 

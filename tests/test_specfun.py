@@ -81,9 +81,17 @@ class TestBesselJ:
             sf.bessel_j(1, 10 ** 4 + 1.0)
 
     def test_vectorized_j0_j1(self):
-        x = np.linspace(0.0, 300.0, 5001)
+        # a sweep, the series/Hankel cut at 12 and tiny arguments, both signs
+        x = np.concatenate([np.linspace(0.0, 300.0, 5001), np.linspace(11.9, 12.1, 2001),
+                            np.geomspace(1e-300, 1e-8, 300)])
+        x = np.concatenate([x, -x])
         assert np.max(np.abs(sf.bessel_j0(x) - sps.j0(x))) < 1e-9
         assert np.max(np.abs(sf.bessel_j1(x) - sps.j1(x))) < 1e-9
+
+    def test_vectorized_j0_even_j1_odd(self):
+        x = np.concatenate([np.linspace(0.0, 40.0, 801), [1e-300, 1e-8, 11.999, 12.0]])
+        assert np.array_equal(sf.bessel_j0(-x), sf.bessel_j0(x))
+        assert np.array_equal(sf.bessel_j1(-x), -sf.bessel_j1(x))
 
 
 class TestSphericalJ:
