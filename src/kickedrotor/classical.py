@@ -14,6 +14,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Coupling",
     "Geometry",
@@ -116,6 +118,39 @@ def _bisect(f, a, b, tol=1e-14, max_iter=200):
         else:
             a, fa = mid, fm
     return 0.5 * (a + b)
+
+
+def _bisect_rows(f, a, b, tol=1e-14, max_iter=200):
+    """_bisect on many brackets at once.
+
+    f maps an array of abscissae, one per row, to the array of its values
+    at them; a and b are the bracket ends (arrays or scalars).  Every row
+    follows _bisect's stopping rule, so each root is the one _bisect
+    returns for that row, and a row that does not straddle a root raises
+    the same ValueError.
+    """
+    fa, fb = f(a), f(b)
+    a = np.broadcast_to(a, fa.shape).astype(float)
+    b = np.broadcast_to(b, fa.shape).astype(float)
+    root = np.where(fa == 0.0, a, b)
+    live = (fa != 0.0) & (fb != 0.0)
+    if np.any(live & (fa * fb > 0)):
+        raise ValueError("bisection bracket does not straddle a root")
+    for _ in range(max_iter):
+        if not live.any():
+            return root
+        mid = 0.5 * (a + b)
+        done = live & ((b - a) < tol)
+        fm = f(mid)
+        done |= live & (fm == 0.0)
+        root = np.where(done, mid, root)
+        live &= ~done
+        left = live & (fa * fm < 0)
+        right = live & ~left
+        b = np.where(left, mid, b)
+        a = np.where(right, mid, a)
+        fa = np.where(right, fm, fa)
+    return np.where(live, 0.5 * (a + b), root)
 
 
 def _monotone_breakpoints(s, m, lo, hi):

@@ -95,6 +95,14 @@ class ScenarioConfig:
                 raise ConfigError("field 'P_prime': positive kick strength required")
             if self.t_prime is None or self.t_prime < 0:
                 raise ConfigError("field 't_prime': nonnegative time required")
+        if self.window:
+            try:
+                lo, hi = (float(v) for v in self.window)
+            except (TypeError, ValueError):
+                raise ConfigError(f"field 'window': expected [lo, hi], got {list(self.window)!r}") from None
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ConfigError(f"field 'window': expected finite lo < hi, got {list(self.window)!r}")
+            self.window = (lo, hi)
         if self.command == "squeeze" and self.kicks < 1:
             raise ConfigError("field 'kicks': must be >= 1")
         if not self.output_path:
@@ -197,6 +205,31 @@ def _exact_density_3d(cfg, grid):
     return q3.density_3d(packet, grid).values, packet
 
 
+def _per_point(psi, grid, tau, P):
+    # the Pearcey forms size one contour per point: one contour sized by a
+    # column's largest |beta| would cost more
+    return np.array([psi(t, tau, P) for t in grid])
+
+
+# psi(cfg, grid, tau, P) for each semiclassical method, keyed as
+# sc.annotate_validity names them; each evaluator is looked up on `sc` when
+# called, so a wrapper later installed on the module sees every call
+_SEMICLASSICAL = {
+    "pearcey": lambda cfg, g, tau, P: _per_point(sc.pearcey_focus_2d, g, tau, P),
+    "pearcey3d": lambda cfg, g, tau, P: _per_point(sc.pearcey_cusp_3d, g, tau, P),
+    "airy": lambda cfg, g, tau, P: sc.airy_rainbow_2d_full(g, tau, P),
+    "uniform-airy": lambda cfg, g, tau, P: sc.uniform_airy_3d(np.maximum(g, 1e-9), tau, P),
+    "uniform-bessel": lambda cfg, g, tau, P: sc.uniform_bessel_glory(g, tau, P),
+    "ford-wheeler": lambda cfg, g, tau, P: sc.ford_wheeler_glory(g, tau, P),
+    "planar": lambda cfg, g, tau, P: sc.planar_psi(g, tau, P, radius=cfg.radius),
+}
+
+
+def _semiclassical_key(method, three_d):
+    # "pearcey" is the 2D cusp or, with dim 3, the 3D one
+    return "pearcey3d" if method == "pearcey" and three_d else method
+
+
 def _method_density(cfg, method, grid):
     tau, P = cfg.resolved_tau(), cfg.P
     three_d = cfg.dim == 3
@@ -207,21 +240,10 @@ def _method_density(cfg, method, grid):
         geom = Geometry.SPHERE_3D if three_d else Geometry.PLANAR_2D
         params = MapParams(P * tau, _coupling(cfg), geom)
         return np.array([density_classical(t, params) for t in grid])
-    if method == "pearcey":
-        if three_d:
-            return np.array([abs(sc.pearcey_cusp_3d(t, tau, P)) ** 2 for t in grid])
-        return np.array([abs(sc.pearcey_focus_2d(t, tau, P)) ** 2 for t in grid])
-    if method == "airy":
-        return np.array([abs(sc.airy_rainbow_2d_full(t, tau, P)) ** 2 for t in grid])
-    if method == "uniform-airy":
-        return np.array([abs(sc.uniform_airy_3d(max(t, 1e-9), tau, P)) ** 2 for t in grid])
-    if method == "uniform-bessel":
-        return np.array([abs(sc.uniform_bessel_glory(t, tau, P)) ** 2 for t in grid])
-    if method == "ford-wheeler":
-        return np.array([abs(sc.ford_wheeler_glory(t, tau, P)) ** 2 for t in grid])
-    if method == "planar":
-        return np.abs(sc.planar_psi(grid, tau, P, radius=cfg.radius)) ** 2
-    raise ConfigError(f"field 'method': {method!r}")
+    psi = _SEMICLASSICAL.get(_semiclassical_key(method, three_d))
+    if psi is None:
+        raise ConfigError(f"field 'method': {method!r}")
+    return np.abs(psi(cfg, grid, tau, P)) ** 2
 
 
 def _peak_summary(grid, vals):
@@ -278,7 +300,7 @@ def run(config):
         if cfg.method not in ("exact", "classical", "planar"):
             tau = cfg.resolved_tau()
             mid = 0.5 * (grid[0] + grid[-1])
-            key = {"pearcey": "pearcey3d" if three_d else "pearcey"}.get(cfg.method, cfg.method)
+            key = _semiclassical_key(cfg.method, three_d)
             summary["validity"] = sc.annotate_validity(key, mid, tau, cfg.P).value
 
     elif cfg.command == "squeeze":
@@ -332,9 +354,11 @@ def run(config):
 def batch(config_path, out_dir=None):
     """Run a JSON-lines scenario file; one failure does not stop the rest.
 
-    Returns (envelopes, index) where the index records per-scenario status;
-    a failed entry also records its class, "config" (ValueError) or
-    "numerical" (RuntimeError).  Duplicate output paths are a config error.
+    Returns (envelopes, index) where the index records per-scenario status
+    and `runtime_ms` (the envelope's run time, or for a failed entry the
+    time until the exception); a failed entry also records its class,
+    "config" (ValueError) or "numerical" (RuntimeError).  Duplicate output
+    paths are a config error.
     """
     scenarios = []
     with open(config_path, encoding="utf-8") as fh:
@@ -357,14 +381,17 @@ def batch(config_path, out_dir=None):
     envelopes, index = [], []
     for ln, cfg in scenarios:
         entry = {"line": ln, "output_path": cfg.output_path}
+        t0 = time.perf_counter()
         try:
             env = run(cfg)
             write_envelope(env)
             envelopes.append(env)
             entry["status"] = "ok"
+            entry["runtime_ms"] = round(env.runtime_ms, 3)
             entry["summary"] = env.summary
         except (ValueError, RuntimeError) as exc:  # ConfigError is a ValueError
             entry["status"] = "failed"
+            entry["runtime_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
             entry["failure"] = "config" if isinstance(exc, ValueError) else "numerical"
             entry["error"] = f"{type(exc).__name__}: {exc}"
         index.append(entry)
@@ -391,15 +418,6 @@ def _add_common(p, need_P=True):
     p.add_argument("--window", type=str, default=None,
                    help="theta window 'lo,hi' (default: full domain)")
     p.add_argument("--out", type=str, default=None, dest="output_path")
-
-
-def _parse_window(text):
-    if text is None:
-        return ()
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError("field 'window': expected 'lo,hi'")
-    return (float(parts[0]), float(parts[1]))
 
 
 def build_parser():
@@ -487,7 +505,7 @@ def main(argv=None):
         if "methods" in kwargs:
             kwargs["methods"] = tuple(kwargs["methods"].split(","))
         if "window" in kwargs:
-            kwargs["window"] = _parse_window(kwargs["window"])
+            kwargs["window"] = tuple(kwargs["window"].split(","))
         cfg = ScenarioConfig(command=args.command, **kwargs)
         if not cfg.output_path:
             cfg.output_path = _default_out(cfg)

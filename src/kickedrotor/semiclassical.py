@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _bisect, rainbow_angle
+from .classical import _bisect_rows, rainbow_angle
 from .specfun import (
     _CONTOUR_BLOCK,
     _GL_NODES,
@@ -247,6 +247,11 @@ def airy_fringe_width(tau, P):
     return 2.3381074104597670 * tau / c
 
 
+def _as_psi(psi):
+    # a 0-d result is the scalar call's complex
+    return complex(psi) if psi.ndim == 0 else psi
+
+
 def airy_rainbow_2d(theta, tau, P):
     """Rainbow-branch wave function
 
@@ -254,22 +259,26 @@ def airy_rainbow_2d(theta, tau, P):
               exp[i(2 + (theta - tb)^2)/(2 tau)] Ai(eta),
 
     with eta = [2/(P sin tb)]^(1/3) (theta - theta_r)/tau: oscillatory on
-    the lit side theta < theta_r, decaying beyond it.
+    the lit side theta < theta_r, decaying beyond it.  theta may be a
+    scalar (complex result) or an array of any shape (complex array of
+    that shape, one airy call); eta is clipped to airy's [-60, 20].
     """
     s = P * tau
     if s <= 1.0:
         raise ValueError("airy_rainbow_2d requires P*tau > 1")
+    theta = np.asarray(theta, dtype=float)
     tbar, thr = _rainbow_geometry(s)
     c = (2.0 / (P * math.sin(tbar))) ** (1.0 / 3.0)
     eta = c * (theta - thr) / tau
-    ai, _ = airy(max(min(eta, 20.0), -60.0))
+    ai, _ = airy(np.clip(eta, -60.0, 20.0))
     pref = (1.0 / cmath.sqrt(1j * tau)) * c
-    pref *= cmath.exp(1j * (2.0 + (theta - tbar) ** 2) / (2.0 * tau))
-    return pref * ai
+    return _as_psi(pref * np.exp(1j * (2.0 + (theta - tbar) ** 2) / (2.0 * tau)) * ai)
 
 
 def airy_rainbow_2d_full(theta, tau, P):
-    """Two-rainbow superposition psi_r(theta) + psi_r(2 pi - theta)."""
+    """Two-rainbow superposition psi_r(theta) + psi_r(2 pi - theta), on a
+    scalar or an array theta like airy_rainbow_2d."""
+    theta = np.asarray(theta, dtype=float)
     return airy_rainbow_2d(theta, tau, P) + airy_rainbow_2d(2.0 * math.pi - theta, tau, P)
 
 
@@ -278,37 +287,40 @@ def airy_rainbow_2d_full(theta, tau, P):
 # ----------------------------------------------------------------------
 
 def _fullcos_pair(theta, tau, P):
-    """Roots of t - s sin t = -theta flanking tbar (the pi-azimuth pair)."""
+    """Roots of t - s sin t = -theta flanking tbar (the pi-azimuth pair),
+    for an array of theta."""
     s = P * tau
     tbar = math.acos(1.0 / s)
-    f = lambda t: t - s * math.sin(t) + theta
-    t2 = _bisect(f, 1e-14, tbar)
-    t3 = _bisect(f, tbar, math.pi)
+    f = lambda t: t - s * np.sin(t) + theta
+    t2 = _bisect_rows(f, 1e-14, tbar)
+    t3 = _bisect_rows(f, tbar, math.pi)
     return t2, t3, tbar
 
 
 def _phi_fullcos(t, theta, tau, P):
-    return (theta + t) ** 2 / (2.0 * tau) + P * math.cos(t)
+    return (theta + t) ** 2 / (2.0 * tau) + P * np.cos(t)
 
 
 def _phi_fullcos_diff(t2, t3, theta, tau, P):
-    """Phi(t3) - Phi(t2) as the path integral of Phi', cancellation-free."""
+    """Phi(t3) - Phi(t2) as the path integral of Phi', cancellation-free;
+    one gauss_segment call for the whole theta array."""
+    theta = np.asarray(theta)[..., None]
+
     def dphi(t):
-        tr = np.real(t)
-        return (theta + tr) / tau - P * np.sin(tr)
-    return gauss_segment(dphi, complex(t2), complex(t3), 8).real
+        return (theta + t) / tau - P * np.sin(t)
+    return gauss_segment(dphi, t2, t3, 8)
 
 
 def _ua_coefficients(theta, tau, P):
     t2, t3, tbar = _fullcos_pair(theta, tau, P)
     dF = _phi_fullcos_diff(t2, t3, theta, tau, P)  # Phi3 - Phi2 (negative)
     A = _phi_fullcos(t2, theta, tau, P) + 0.5 * dF
-    xi = -abs(0.75 * dF) ** (2.0 / 3.0)
-    c2 = math.sqrt(t2 / abs(math.cos(tbar) - math.cos(t2)))
-    c3 = math.sqrt(t3 / abs(math.cos(tbar) - math.cos(t3)))
+    xi = -np.abs(0.75 * dF) ** (2.0 / 3.0)
+    c2 = np.sqrt(t2 / np.abs(math.cos(tbar) - np.cos(t2)))
+    c3 = np.sqrt(t3 / np.abs(math.cos(tbar) - np.cos(t3)))
     root = math.sqrt(2.0 / P) * math.pi
-    g1 = root * abs(xi) ** 0.25 * (c2 + c3)
-    g2 = root * abs(xi) ** -0.25 * (c3 - c2)
+    g1 = root * np.abs(xi) ** 0.25 * (c2 + c3)
+    g2 = root * np.abs(xi) ** -0.25 * (c3 - c2)
     return A, xi, g1, g2
 
 
@@ -329,23 +341,27 @@ def _ua_limit_coefficients(tau, P):
     tbar, thr = _rainbow_geometry(s)
     G1 = 2.0 * math.pi * (2.0 / (P * math.sin(tbar))) ** (1.0 / 3.0) * math.sqrt(tbar)
     _, _, _, g2 = _ua_coefficients(thr * (1.0 - 1e-6), tau, P)
-    return G1, g2
+    return G1, float(g2)
+
+
+def _ua_prefactor(theta, tau):
+    return 2.0 * np.sqrt(-1j * math.pi * tau / (2.0 * theta)) / (4j * tau * math.pi ** 1.5)
 
 
 def uniform_airy_3d_limit_form(theta, tau, P):
     """Fold-limit wave function: limit coefficients (G1, G2) on the
     rainbow Airy variable eta.  This is the beyond-fold branch of
     uniform_airy_3d, exposed separately; usable in a neighborhood of
-    theta_r on either side."""
+    theta_r on either side.  Scalar or array theta, like uniform_airy_3d."""
+    theta = np.asarray(theta, dtype=float)
     s = P * tau
     tbar, thr = _rainbow_geometry(s)
     G1, G2 = _ua_limit_coefficients(tau, P)
     c = (2.0 / (P * math.sin(tbar))) ** (1.0 / 3.0)
     eta = c * (theta - thr) / tau
     A = _phi_fullcos(tbar, theta, tau, P)
-    ai, aip = airy(max(min(eta, 20.0), -60.0))
-    pref = 2.0 * cmath.sqrt(-1j * math.pi * tau / (2.0 * theta)) / (4j * tau * math.pi ** 1.5)
-    return pref * cmath.exp(1j * A) * (G1 * ai - 1j * G2 * aip)
+    ai, aip = airy(np.clip(eta, -60.0, 20.0))
+    return _as_psi(_ua_prefactor(theta, tau) * np.exp(1j * A) * (G1 * ai - 1j * G2 * aip))
 
 
 def uniform_airy_3d(theta, tau, P):
@@ -358,30 +374,42 @@ def uniform_airy_3d(theta, tau, P):
     prefactor is 2 sqrt(-i pi tau / 2 theta) / (4 i tau pi^(3/2)); the
     factor 2 restores the azimuthal stationary-phase weight.  Diverges as
     1/sqrt(theta) toward the pole.
+
+    theta may be a scalar (complex result) or an array of any shape
+    (complex array of that shape): the composite rows and the limit-form
+    rows are chosen by mask and evaluated with one airy call each.  Any
+    theta outside (0, pi] raises ValueError.
     """
     s = P * tau
     if s <= 1.0:
         raise ValueError("uniform_airy_3d requires P*tau > 1")
-    if theta <= 0.0 or theta > math.pi:
+    theta = np.asarray(theta, dtype=float)
+    flat = theta.ravel()
+    if not np.all((flat > 0.0) & (flat <= math.pi)):
         raise ValueError("uniform_airy_3d requires 0 < theta <= pi")
     tbar, thr = _rainbow_geometry(s)
-    if theta >= thr * (1.0 - _UA_MERGE_BAND):
-        return uniform_airy_3d_limit_form(theta, tau, P)
-    A, xi, g1, g2 = _ua_coefficients(theta, tau, P)
-    ai, aip = airy(max(min(xi, 20.0), -60.0))
-    pref = 2.0 * cmath.sqrt(-1j * math.pi * tau / (2.0 * theta)) / (4j * tau * math.pi ** 1.5)
-    return pref * cmath.exp(1j * A) * (g1 * ai - 1j * g2 * aip)
+    out = np.empty(flat.shape, dtype=complex)
+    limit = flat >= thr * (1.0 - _UA_MERGE_BAND)
+    if limit.any():
+        out[limit] = uniform_airy_3d_limit_form(flat[limit], tau, P)
+    inner = flat[~limit]
+    if inner.size:
+        A, xi, g1, g2 = _ua_coefficients(inner, tau, P)
+        ai, aip = airy(np.clip(xi, -60.0, 20.0))
+        out[~limit] = _ua_prefactor(inner, tau) * np.exp(1j * A) * (g1 * ai - 1j * g2 * aip)
+    return _as_psi(out.reshape(theta.shape))
 
 
 def uniform_airy_3d_coefficients(theta, tau, P):
-    """(A, xi, g1, g2), exposed for the fold-merge diagnostics."""
+    """(A, xi, g1, g2) inside the fold, for a scalar or an array theta;
+    exposed for the fold-merge diagnostics."""
     return _ua_coefficients(theta, tau, P)
 
 
 def uniform_airy_norm(tau, P, n_grid=4000):
     """2 pi int |Psi_UA|^2 sin(theta) dtheta over (0, pi]."""
     grid = (np.arange(n_grid) + 0.5) * (math.pi / n_grid)
-    vals = np.array([abs(uniform_airy_3d(t, tau, P)) ** 2 for t in grid])
+    vals = np.abs(uniform_airy_3d(grid, tau, P)) ** 2
     return float(2.0 * math.pi * np.sum(vals * np.sin(grid)) * (math.pi / n_grid))
 
 
@@ -403,18 +431,20 @@ def _quartic_phase(t, theta, tau, P, azim_sign):
 
 
 def _quartic_glory_pair(theta, tau, P):
-    """Stationary points flanking the quartic glory angle."""
-    s = P * tau
+    """Stationary points flanking the quartic glory angle, for a scalar or
+    an array theta >= 0; at theta = 0 both are the glory angle."""
     tg = glory_angle_planar(tau, P)
-    if theta == 0.0:
-        return tg, tg, tg
-    f0 = lambda t: (P / 6.0) * t ** 3 + (1.0 / tau - P) * t - theta / tau
-    fpi = lambda t: (P / 6.0) * t ** 3 + (1.0 / tau - P) * t + theta / tau
-    t01 = _bisect(f0, tg, tg + 3.0)
+    theta = np.asarray(theta, dtype=float)
+    t01, t02 = np.full(theta.shape, tg), np.full(theta.shape, tg)
+    off = theta != 0.0
+    th = theta[off]
+    f0 = lambda t: (P / 6.0) * t ** 3 + (1.0 / tau - P) * t - th / tau
+    fpi = lambda t: (P / 6.0) * t ** 3 + (1.0 / tau - P) * t + th / tau
     lo = tg / math.sqrt(3.0)  # quartic fold angle, where the pair is born
-    if fpi(lo) > 0.0:
+    if np.any(fpi(lo) > 0.0):
         raise ValueError("theta beyond the quartic rainbow; glory pair is gone")
-    t02 = _bisect(fpi, lo, tg)
+    t01[off] = _bisect_rows(f0, tg, tg + 3.0)
+    t02[off] = _bisect_rows(fpi, lo, tg)
     return t01, t02, tg
 
 
@@ -426,11 +456,16 @@ def uniform_bessel_glory(theta, tau, P):
 
     built from the stationary pair flanking the glory angle.  Valid for
     small theta; p+- diverge as theta approaches the quartic rainbow.
+    theta may be a scalar (complex result) or an array of any shape
+    (complex array of that shape, one bessel_j0 and one bessel_j1 call);
+    a negative theta, or one beyond the quartic rainbow, anywhere in it
+    raises ValueError.
     """
     s = P * tau
     if s <= 1.0:
         raise ValueError("uniform_bessel_glory requires P*tau > 1")
-    if theta < 0:
+    theta = np.asarray(theta, dtype=float)
+    if np.any(theta < 0):
         raise ValueError("theta must be >= 0")
     t01, t02, tg = _quartic_glory_pair(theta, tau, P)
     F1 = _quartic_phase(t01, theta, tau, P, -1.0)
@@ -439,36 +474,38 @@ def uniform_bessel_glory(theta, tau, P):
     b = 0.5 * (F2 - F1)
     D1 = (1.0 - s) + 0.5 * s * t01 * t01
     D2 = (1.0 - s) + 0.5 * s * t02 * t02
-    chi = -0.25 * math.pi if D1 > 0 else 0.25 * math.pi
-    if theta < 1e-12:
-        pp = tg / math.sqrt(abs(D1))
-        pm = 0.0
-        b = 0.0
-    else:
-        base = 0.5 * math.sqrt(abs(b) * tau / theta)
-        pp = base * (math.sqrt(t01 / abs(D1)) + math.sqrt(t02 / abs(D2)))
-        pm = base * (math.sqrt(t01 / abs(D1)) - math.sqrt(t02 / abs(D2)))
-    I = 2.0 * math.pi * math.sqrt(2.0 * math.pi * tau) * cmath.exp(1j * (a - chi)) \
+    chi = np.where(D1 > 0, -0.25 * math.pi, 0.25 * math.pi)
+    axis = theta < 1e-12
+    # axis rows take their limits below; dividing them by 1 keeps base finite
+    base = 0.5 * np.sqrt(np.abs(b) * tau / np.where(axis, 1.0, theta))
+    pp = np.where(axis, tg / np.sqrt(np.abs(D1)),
+                  base * (np.sqrt(t01 / np.abs(D1)) + np.sqrt(t02 / np.abs(D2))))
+    pm = np.where(axis, 0.0, base * (np.sqrt(t01 / np.abs(D1)) - np.sqrt(t02 / np.abs(D2))))
+    b = np.where(axis, 0.0, b)
+    I = 2.0 * math.pi * math.sqrt(2.0 * math.pi * tau) * np.exp(1j * (a - chi)) \
         * (pp * bessel_j0(b) - 1j * pm * bessel_j1(b))
-    pref = cmath.exp(1j * (P + theta * theta / (2.0 * tau))) / (4j * math.pi ** 1.5 * tau)
-    return pref * I
+    pref = np.exp(1j * (P + theta * theta / (2.0 * tau))) / (4j * math.pi ** 1.5 * tau)
+    return _as_psi(pref * I)
 
 
 def ford_wheeler_glory(theta, tau, P):
     """Glory limit form theta_g J0(theta_g theta / tau)/sqrt(D) with the
-    quartic glory angle; agrees with uniform_bessel_glory as theta -> 0."""
+    quartic glory angle; agrees with uniform_bessel_glory as theta -> 0.
+    theta may be a scalar (complex result) or an array of any shape
+    (complex array of that shape, one bessel_j0 call)."""
     s = P * tau
     if s <= 1.0:
         raise ValueError("ford_wheeler_glory requires P*tau > 1")
+    theta = np.asarray(theta, dtype=float)
     tg = glory_angle_planar(tau, P)
     D = 1.0 - s + 0.5 * s * tg * tg  # = 2 (s - 1) > 0
     a = _quartic_phase(tg, theta, tau, P, +1.0) * 0.5 + _quartic_phase(tg, theta, tau, P, -1.0) * 0.5
     chi = -0.25 * math.pi
     amp = tg * bessel_j0(tg * theta / tau) / math.sqrt(D)
-    phase = cmath.exp(1j * (a - chi)) * cmath.exp(
+    phase = np.exp(1j * (a - chi)) * np.exp(
         1j * (P + theta * theta / (2.0 * tau)
               + 0.5 * (1.0 / tau - P) * tg * tg + P * tg ** 4 / 24.0))
-    return phase * amp / (1j * math.sqrt(2.0 * tau))
+    return _as_psi(phase * amp / (1j * math.sqrt(2.0 * tau)))
 
 
 # ----------------------------------------------------------------------

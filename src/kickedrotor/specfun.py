@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from math import fsum
 
 import numpy as np
 
@@ -262,106 +261,138 @@ _AIRY_SERIES_NEG = -7.0
 _AIRY_SERIES_POS = 5.5
 
 
+def _airy_u(n):
+    # u_k of the asymptotic expansions (DLMF 9.7.2), k < n
+    u = [1.0]
+    for k in range(1, n):
+        u.append(u[-1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1)))
+    return tuple(u)
+
+
+_AIRY_U = _airy_u(61)
+# v_k = -(6k+1)/(6k-1) u_k, the coefficients of the Ai' expansions
+_AIRY_V = tuple(-u * (6 * k + 1) / (6 * k - 1) if k else 1.0 for k, u in enumerate(_AIRY_U))
+
+
+def _compensated_sum(terms):
+    # Neumaier's compensated sum of a sequence of equal-shape arrays
+    s = terms[0]
+    c = np.zeros_like(s)
+    for term in terms[1:]:
+        t = s + term
+        c += np.where(np.abs(s) >= np.abs(term), (s - t) + term, (term - t) + s)
+        s = t
+    return s + c
+
+
 def _airy_series(x):
     # Ai = Ai(0) f(x) + Ai'(0) g(x) with
     #   f = sum c_k x^{3k},   c_k = c_{k-1}/((3k-1)(3k))
     #   g = sum d_k x^{3k+1}, d_k = d_{k-1}/((3k)(3k+1))
     #   f' = x^2 sum e_k x^{3k}, e_0 = 1/2, e_k = e_{k-1}(k+1)/(k(3k+2)(3k+3))
     #   g' = sum h_k x^{3k},   h_0 = 1,   h_k = h_{k-1}/((3k-2)(3k))
+    # A point stops after the first k at which all four terms are below
+    # 1e-21; later terms of a stopped point enter its sums as zeros.
     x3 = x * x * x
-    f_terms, g_terms, fp_terms, gp_terms = [1.0], [x], [0.5], [1.0]
-    tf, tg, te, th = 1.0, x, 0.5, 1.0
+    tf, tg, te, th = np.ones_like(x), x, np.full_like(x, 0.5), np.ones_like(x)
+    sums = ([tf], [tg], [te], [th])
+    live = np.ones(x.shape, dtype=bool)
     for k in range(1, 240):
-        tf *= x3 / ((3 * k - 1) * (3 * k))
-        tg *= x3 / ((3 * k) * (3 * k + 1))
-        te *= x3 * (k + 1) / (k * (3 * k + 2) * (3 * k + 3))
-        th *= x3 / ((3 * k - 2) * (3 * k))
-        f_terms.append(tf)
-        g_terms.append(tg)
-        fp_terms.append(te)
-        gp_terms.append(th)
-        if max(abs(tf), abs(tg), abs(te), abs(th)) < 1e-21:
+        tf = tf * (x3 / ((3 * k - 1) * (3 * k)))
+        tg = tg * (x3 / ((3 * k) * (3 * k + 1)))
+        te = te * (x3 * (k + 1) / (k * (3 * k + 2) * (3 * k + 3)))
+        th = th * (x3 / ((3 * k - 2) * (3 * k)))
+        for terms, t in zip(sums, (tf, tg, te, th)):
+            terms.append(np.where(live, t, 0.0))
+        live &= np.maximum(np.maximum(np.abs(tf), np.abs(tg)),
+                           np.maximum(np.abs(te), np.abs(th))) >= 1e-21
+        if not live.any():
             break
     else:
         raise ConvergenceError("airy series did not converge")
-    f, g = fsum(f_terms), fsum(g_terms)
-    fp = x * x * fsum(fp_terms)
-    gp = fsum(gp_terms)
-    return _AI0 * f + _AIP0 * g, _AI0 * fp + _AIP0 * gp
+    f, g, fp, gp = (_compensated_sum(terms) for terms in sums)
+    return _AI0 * f + _AIP0 * g, _AI0 * (x * x * fp) + _AIP0 * gp
+
+
+def _truncated_sums(terms, n, shape):
+    # Sums over k < n of the sequences terms(k) = (lead_k, *others_k), each
+    # point stopping before its first k at which |lead_k| grows (optimal
+    # truncation); later terms of a stopped point enter its sums as zeros.
+    cols = []
+    prev = np.full(shape, math.inf)
+    live = np.ones(shape, dtype=bool)
+    for k in range(n):
+        ts = terms(k)
+        live &= ~(np.abs(ts[0]) > prev)
+        if not live.any():
+            break
+        cols.append([np.where(live, t, 0.0) for t in ts])
+        prev = np.abs(cols[-1][0])
+    return [_compensated_sum(seq) for seq in zip(*cols)]
 
 
 def _airy_asymp_pos(x):
     zeta = (2.0 / 3.0) * x ** 1.5
-    # u_k / zeta^k with optimal truncation
-    s_ai, s_aip = [1.0], [1.0]
-    uk = 1.0
-    prev = math.inf
-    k = 0
-    while k < 60:
-        k += 1
-        uk_next = uk * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        term = uk_next / zeta ** k * (-1) ** k
-        if abs(term) > prev:
-            break
-        s_ai.append(term)
-        # d_k = -(6k+1)/(6k-1) u_k
-        s_aip.append(-term * (6 * k + 1) / (6 * k - 1))
-        prev = abs(term)
-        uk = uk_next
-    pref = math.exp(-zeta) / (2.0 * math.sqrt(math.pi) * x ** 0.25)
-    ai = pref * fsum(s_ai)
-    aip = -pref * x ** 0.5 * fsum(s_aip)
+
+    def terms(k):
+        # u_k / (-zeta)^k for Ai and v_k / (-zeta)^k for Ai'
+        t = _AIRY_U[k] / zeta ** k * (-1) ** k
+        return t, -t * (6 * k + 1) / (6 * k - 1)
+
+    s_ai, s_aip = _truncated_sums(terms, 61, x.shape)
+    pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi) * x ** 0.25)
+    ai = pref * s_ai
+    aip = -pref * x ** 0.5 * s_aip
     return ai, aip
 
 
 def _airy_asymp_neg(x):
     z = -x
     zeta = (2.0 / 3.0) * z ** 1.5
-    uk = [1.0]
-    for k in range(1, 40):
-        uk.append(uk[-1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1)))
-    c_even, c_odd = [], []
-    prev = math.inf
-    for k in range(20):
-        t_e = (-1) ** k * uk[2 * k] / zeta ** (2 * k)
-        t_o = (-1) ** k * uk[2 * k + 1] / zeta ** (2 * k + 1)
-        if abs(t_e) > prev:
-            break
-        c_even.append(t_e)
-        c_odd.append(t_o)
-        prev = abs(t_e)
-    se, so = fsum(c_even), fsum(c_odd)
-    # and for Ai': v_k = -(6k+1)/(6k-1) u_k
-    d_even, d_odd = [], []
-    prev = math.inf
-    for k in range(20):
-        v2k = -uk[2 * k] * (12 * k + 1) / (12 * k - 1) if k > 0 else 1.0
-        v2k1 = -uk[2 * k + 1] * (12 * k + 7) / (12 * k + 5)
-        t_e = (-1) ** k * v2k / zeta ** (2 * k)
-        t_o = (-1) ** k * v2k1 / zeta ** (2 * k + 1)
-        if abs(t_e) > prev:
-            break
-        d_even.append(t_e)
-        d_odd.append(t_o)
-        prev = abs(t_e)
-    de, do = fsum(d_even), fsum(d_odd)
+
+    def pairs(coef):
+        # (-1)^k coef_2k / zeta^2k and (-1)^k coef_2k+1 / zeta^2k+1
+        return lambda k: ((-1) ** k * coef[2 * k] / zeta ** (2 * k),
+                          (-1) ** k * coef[2 * k + 1] / zeta ** (2 * k + 1))
+
+    se, so = _truncated_sums(pairs(_AIRY_U), 20, z.shape)
+    de, do = _truncated_sums(pairs(_AIRY_V), 20, z.shape)
     arg = zeta - 0.25 * math.pi
+    cos, sin = np.cos(arg), np.sin(arg)
     pref = 1.0 / (math.sqrt(math.pi) * z ** 0.25)
-    ai = pref * (math.cos(arg) * se + math.sin(arg) * so)
-    aip = pref * z ** 0.5 * (math.sin(arg) * de - math.cos(arg) * do)
+    ai = pref * (cos * se + sin * so)
+    aip = pref * z ** 0.5 * (sin * de - cos * do)
     return ai, aip
 
 
 def airy(x):
-    """Airy function: returns (Ai(x), Ai'(x)) for -60 <= x <= 20."""
-    x = float(x)
-    if not (_AIRY_LO <= x <= _AIRY_HI):
-        raise DomainError(f"airy argument {x} outside [{_AIRY_LO}, {_AIRY_HI}]")
-    if _AIRY_SERIES_NEG <= x <= _AIRY_SERIES_POS:
-        return _airy_series(x)
-    if x > 0:
-        return _airy_asymp_pos(x)
-    return _airy_asymp_neg(x)
+    """Airy function Ai(x) and its derivative Ai'(x) for -60 <= x <= 20.
+
+    x may be a scalar, which gives the tuple (Ai, Ai') of two floats, or
+    an array of any shape, which gives two arrays of that shape.  Each
+    point takes one of three branches: the Maclaurin series on
+    [-7, 5.5], summed until all four of its term sequences fall below
+    1e-21, and beyond the cuts the asymptotic expansions in
+    zeta = (2/3)|x|^(3/2), exponential for x > 5.5 and oscillatory for
+    x < -7, each truncated before its first growing term.  Truncation is
+    decided point by point, and every sum is a compensated (Neumaier) sum
+    across the array.  An argument outside [-60, 20] (or NaN) anywhere in
+    x raises DomainError.
+    """
+    xa = np.asarray(x, dtype=float)
+    flat = xa.ravel()
+    bad = ~((flat >= _AIRY_LO) & (flat <= _AIRY_HI))
+    if bad.any():
+        raise DomainError(f"airy argument {float(flat[bad][0])} outside [{_AIRY_LO}, {_AIRY_HI}]")
+    ai, aip = np.empty_like(flat), np.empty_like(flat)
+    for rows, branch in (((flat >= _AIRY_SERIES_NEG) & (flat <= _AIRY_SERIES_POS), _airy_series),
+                         (flat > _AIRY_SERIES_POS, _airy_asymp_pos),
+                         (flat < _AIRY_SERIES_NEG, _airy_asymp_neg)):
+        if rows.any():
+            ai[rows], aip[rows] = branch(flat[rows])
+    if xa.ndim == 0:
+        return float(ai[0]), float(aip[0])
+    return ai.reshape(xa.shape), aip.reshape(xa.shape)
 
 
 # ----------------------------------------------------------------------
@@ -409,16 +440,19 @@ def gauss_segment(f, z0, z1, n_panels):
     """Composite 24-point Gauss-Legendre of f along the straight segment
     z0 -> z1 (complex endpoints allowed).  f must accept an ndarray of
     nodes; if it returns an array, its last axis runs over the nodes and
-    is the axis summed."""
+    is the axis summed.  z0 and z1 may also be arrays of one shape, one
+    segment per entry: f then gets the nodes on a new last axis after the
+    endpoints' axes, and the result has the endpoints' shape."""
     if n_panels > _MAX_PANELS:
         raise ConvergenceError(f"panel budget exceeded ({n_panels} > {_MAX_PANELS})")
-    dz = z1 - z0
+    z0 = np.asarray(z0)
+    dz = np.asarray(z1 - z0)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1] - edges[0])
     t = (mid + half * _GL_NODES[None, :]).ravel()
     w = np.broadcast_to(_GL_WEIGHTS, (n_panels, _GL_NODES.size)).ravel()
-    return np.sum(w * f(z0 + t * dz), axis=-1) * half * dz
+    return np.sum(w * f(z0[..., None] + t * dz[..., None]), axis=-1) * half * dz
 
 
 # ----------------------------------------------------------------------

@@ -131,8 +131,22 @@ class TestBatch:
         envs, index = batch(str(f))
         assert len(envs) == 1
         assert [e["status"] for e in index] == ["ok", "failed"]
+        assert index[0]["runtime_ms"] == round(envs[0].runtime_ms, 3)
+        assert all(e["runtime_ms"] >= 0.0 for e in index)
         assert (tmp_path / "a.csv").exists()
         assert not (tmp_path / "b.csv").exists()
+
+    def test_malformed_window_fails_its_line_only(self, tmp_path):
+        short = {"command": "quantum2d", "P": 20.0, "s": 1.0, "grid_points": 16,
+                 "window": [0.5], "output_path": "short.csv"}
+        good = dict(short, window=[0.5, 1.0], output_path="good.csv")
+        f = tmp_path / "w.jsonl"
+        f.write_text(json.dumps(short) + "\n" + json.dumps(good) + "\n")
+        envs, index = batch(str(f), str(tmp_path / "out"))
+        assert [e["status"] for e in index] == ["failed", "ok"]
+        assert index[0]["failure"] == "config"
+        assert "field 'window'" in index[0]["error"]
+        assert (tmp_path / "out" / "good.csv").exists()
 
     def test_squeeze_stall_does_not_stop_the_batch(self, tmp_path):
         stall = {"command": "squeeze", "u0": 1e-20, "w0": 1.0, "kicks": 3,
@@ -168,6 +182,14 @@ class TestMain:
                        "--out", str(tmp_path / "m.csv")])
         assert rc == 2
         assert "field 'P'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["nan,1", "1,1", "0,inf", "0.5", "a,b", "1,0.5,2"])
+    def test_malformed_window_exit_two(self, tmp_path, capsys, window):
+        rc = cli.main(["quantum2d", "--P", "10", "--s", "1", "--grid", "4",
+                       "--window", window, "--out", str(tmp_path / "w.csv")])
+        assert rc == 2
+        assert "field 'window'" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
 
     def test_squeeze_stall_exit_two(self, tmp_path, capsys):
         rc = cli.main(["squeeze", "--u0", "1e-20", "--w0", "1", "--kicks", "3",

@@ -9,7 +9,7 @@ import pytest
 from kickedrotor import quantum2d as q2
 from kickedrotor import quantum3d as q3
 from kickedrotor import semiclassical as sc
-from kickedrotor.classical import rainbow_angle
+from kickedrotor.classical import _bisect, _bisect_rows, rainbow_angle
 from oracles import cusp_3d_series, focal_sum_2d, planar_psi_oracle
 
 
@@ -195,7 +195,7 @@ class TestAiryRainbow2D:
         tau = 4.0 / P
         thr = rainbow_angle(4.0)
         grid = np.linspace(thr - 1.0, thr + 0.4, 400)
-        mine = np.array([abs(sc.airy_rainbow_2d_full(t, tau, P)) ** 2 for t in grid])
+        mine = np.abs(sc.airy_rainbow_2d_full(grid, tau, P)) ** 2
         exact = exact_density_2d(P, tau, grid)
         w = sc.airy_fringe_width(tau, P)
         assert abs(grid[np.argmax(exact)] - thr) < w
@@ -210,7 +210,7 @@ class TestAiryRainbow2D:
         c = (2.0 / (P * math.sin(tbar))) ** (1.0 / 3.0)
         predicted = thr - 1.0187929 * tau / c
         grid = np.linspace(thr - 0.5, thr, 800)
-        mine = np.array([abs(sc.airy_rainbow_2d(t, tau, P)) ** 2 for t in grid])
+        mine = np.abs(sc.airy_rainbow_2d(grid, tau, P)) ** 2
         assert grid[np.argmax(mine)] == pytest.approx(predicted, abs=2e-3)
 
     def test_separated_then_interfering(self):
@@ -222,10 +222,9 @@ class TestAiryRainbow2D:
         both = abs(sc.airy_rainbow_2d_full(thr4, 4.0 / P, P)) ** 2
         assert both == pytest.approx(one, rel=0.12)
         grid = np.linspace(2.8, 3.5, 120)
-        d47 = np.array([abs(sc.airy_rainbow_2d_full(t, 4.7 / P, P)) ** 2 for t in grid])
-        b47 = np.array([abs(sc.airy_rainbow_2d(t, 4.7 / P, P)) ** 2
-                        + abs(sc.airy_rainbow_2d(2 * math.pi - t, 4.7 / P, P)) ** 2
-                        for t in grid])
+        d47 = np.abs(sc.airy_rainbow_2d_full(grid, 4.7 / P, P)) ** 2
+        b47 = (np.abs(sc.airy_rainbow_2d(grid, 4.7 / P, P)) ** 2
+               + np.abs(sc.airy_rainbow_2d(2 * math.pi - grid, 4.7 / P, P)) ** 2)
         # coherent sum oscillates around the incoherent one
         assert np.max(d47 - b47) > 0.3 * b47.max()
         assert np.min(d47 - b47) < -0.3 * b47.max()
@@ -267,7 +266,7 @@ class TestUniformAiry3D:
         thr = rainbow_angle(4.0)
         w = sc.airy_fringe_width(self.tau, self.P)
         grid = np.linspace(thr - 0.5, thr + 0.2, 400)
-        ua = np.array([abs(sc.uniform_airy_3d(t, self.tau, self.P)) ** 2 for t in grid])
+        ua = np.abs(sc.uniform_airy_3d(grid, self.tau, self.P)) ** 2
         exact = exact_density_3d(self.P, self.tau, grid)
         assert abs(grid[np.argmax(ua)] - grid[np.argmax(exact)]) < 0.25 * w
 
@@ -279,7 +278,7 @@ class TestUniformAiry3D:
         tbar = math.acos(1.0 / 4.0)
         deficit = (math.sin(tbar) * thr) / (tbar * math.sin(thr))
         grid = np.linspace(thr - 0.35, thr - 0.05, 150)
-        ua = np.array([abs(sc.uniform_airy_3d(t, self.tau, self.P)) ** 2 for t in grid])
+        ua = np.abs(sc.uniform_airy_3d(grid, self.tau, self.P)) ** 2
         exact = exact_density_3d(self.P, self.tau, grid)
         ratio = exact.max() / ua.max()
         assert ratio == pytest.approx(deficit, rel=0.25)
@@ -301,8 +300,7 @@ class TestUniformBesselGlory:
         tg = sc.glory_angle_planar(self.tau, self.P)
         assert tg > sc.DISC_RADIUS
         grid = np.linspace(0.0, 0.8, 33)
-        ub = np.array([abs(sc.uniform_bessel_glory(t, self.tau, self.P)) ** 2
-                       for t in grid])
+        ub = np.abs(sc.uniform_bessel_glory(grid, self.tau, self.P)) ** 2
         oracle = np.abs(sc.planar_psi(grid, self.tau, self.P, radius=math.pi)) ** 2
         scale = oracle.max()
         assert np.max(np.abs(ub - oracle)) < 0.10 * scale
@@ -340,7 +338,7 @@ class TestFordWheeler:
         tg = sc.glory_angle_planar(tau, P)
         theta_zero = 2.404825557695773 * tau / tg  # first J0 zero, scaled
         grid = np.linspace(0.5 * theta_zero, 1.5 * theta_zero, 200)
-        vals = np.array([abs(sc.ford_wheeler_glory(t, tau, P)) ** 2 for t in grid])
+        vals = np.abs(sc.ford_wheeler_glory(grid, tau, P)) ** 2
         assert grid[np.argmin(vals)] == pytest.approx(theta_zero, rel=1e-2)
 
     def test_matches_planar_oracle_near_axis(self):
@@ -354,6 +352,99 @@ class TestFordWheeler:
     def test_domain(self):
         with pytest.raises(ValueError):
             sc.ford_wheeler_glory(0.1, 0.9 / 50.0, 50.0)
+
+
+# (form, tau, P, a theta window inside its domain)
+ARRAY_FORMS = [
+    (sc.airy_rainbow_2d, 4.0 / 75.0, 75.0, (0.5, 3.0)),
+    (sc.airy_rainbow_2d_full, 4.7 / 75.0, 75.0, (2.8, 3.5)),
+    (sc.uniform_airy_3d, 4.0 / 75.0, 75.0, (0.02, 3.12)),
+    (sc.uniform_bessel_glory, 4.0 / 75.0, 75.0, (0.0, 0.8)),
+    (sc.ford_wheeler_glory, 1.2 / 50.0, 50.0, (0.0, 0.3)),
+]
+# (form, tau, P, a theta window, one theta the scalar call rejects, its message)
+BAD_THETA = [
+    (sc.airy_rainbow_2d, 4.0 / 75.0, 75.0, (0.5, 3.0), math.nan, "airy argument nan"),
+    (sc.airy_rainbow_2d_full, 4.7 / 75.0, 75.0, (2.8, 3.5), math.nan, "airy argument nan"),
+    (sc.uniform_airy_3d, 4.0 / 75.0, 75.0, (0.02, 3.12), 0.0, "0 < theta <= pi"),
+    (sc.uniform_airy_3d, 4.0 / 75.0, 75.0, (0.02, 3.12), 3.2, "0 < theta <= pi"),
+    (sc.uniform_bessel_glory, 4.0 / 75.0, 75.0, (0.0, 0.8), 2.5, "quartic rainbow"),
+    (sc.uniform_bessel_glory, 4.0 / 75.0, 75.0, (0.0, 0.8), -0.1, "theta must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("form,tau,P,window", ARRAY_FORMS,
+                         ids=[case[0].__name__ for case in ARRAY_FORMS])
+class TestArrayForms:
+    def test_shape_and_scalar_type(self, form, tau, P, window):
+        grid = np.linspace(*window, 24).reshape(4, 6)
+        vals = form(grid, tau, P)
+        assert vals.shape == (4, 6) and vals.dtype == complex
+        scalar = form(float(grid[1, 2]), tau, P)
+        assert type(scalar) is complex
+        assert scalar == pytest.approx(vals[1, 2], rel=1e-12)
+        empty = form(np.array([]), tau, P)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+    def test_array_matches_scalar_calls(self, form, tau, P, window):
+        grid = np.linspace(*window, 40)
+        vals = form(grid, tau, P)
+        each = np.array([form(t, tau, P) for t in grid])
+        assert np.max(np.abs(vals - each)) < 1e-12 * np.max(np.abs(each))
+
+    def test_map_strength_error_kept(self, form, tau, P, window):
+        with pytest.raises(ValueError, match="P\\*tau > 1"):
+            form(np.linspace(*window, 5), 0.9 / P, P)
+
+
+@pytest.mark.parametrize("form,tau,P,window,bad,message", BAD_THETA,
+                         ids=[f"{case[0].__name__}-{case[4]}" for case in BAD_THETA])
+def test_one_bad_theta_raises_the_scalar_error(form, tau, P, window, bad, message):
+    with pytest.raises(ValueError, match=message):
+        form(bad, tau, P)
+    grid = np.linspace(*window, 10)
+    grid[7] = bad
+    with pytest.raises(ValueError, match=message):
+        form(grid, tau, P)
+
+
+class TestBisectRows:
+    # the stationary-pair brackets of the fig11 (uniform Airy) and fig12
+    # (uniform Bessel) columns, P = 75, s = 4
+    P, s = 75.0, 4.0
+
+    def test_fullcos_roots_equal_scalar_bisection(self):
+        s = self.s
+        tbar = math.acos(1.0 / s)
+        grid = np.linspace(0.02, 3.12, 800)
+        grid = grid[grid < rainbow_angle(s) * (1.0 - 1e-7)]
+        for lo, hi in ((1e-14, tbar), (tbar, math.pi)):
+            rows = _bisect_rows(lambda t: t - s * np.sin(t) + grid, lo, hi)
+            each = [_bisect(lambda t, th=th: t - s * math.sin(t) + th, lo, hi) for th in grid]
+            assert np.array_equal(rows, each)
+
+    def test_quartic_roots_equal_scalar_bisection(self):
+        P, tau = self.P, self.s / self.P
+        tg = sc.glory_angle_planar(tau, P)
+        grid = np.linspace(0.0, 0.8, 400)[1:]
+        # t * t * t, not t ** 3: numpy's power and the C library's pow
+        # round a few cubes differently, multiplication rounds alike
+        cubic = lambda t, sign, th: (P / 6.0) * (t * t * t) + (1.0 / tau - P) * t + sign * th / tau
+        for sign, lo, hi in ((-1.0, tg, tg + 3.0), (1.0, tg / math.sqrt(3.0), tg)):
+            rows = _bisect_rows(lambda t: cubic(t, sign, grid), lo, hi)
+            each = [_bisect(lambda t, th=th: cubic(t, sign, th), lo, hi) for th in grid]
+            assert np.array_equal(rows, each)
+
+    def test_root_at_bracket_end(self):
+        c = np.array([0.0, 0.5, 1.0])
+        roots = _bisect_rows(lambda t: t - c, np.array([0.0, 0.0, 0.0]), 1.0)
+        assert roots[0] == 0.0 and roots[2] == 1.0
+        assert roots[1] == pytest.approx(0.5, abs=1e-14)
+
+    def test_row_without_a_root_raises(self):
+        c = np.array([0.5, 2.0])
+        with pytest.raises(ValueError, match="straddle"):
+            _bisect_rows(lambda t: t - c, 0.0, 1.0)
 
 
 class TestStationaryPoints:

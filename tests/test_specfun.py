@@ -151,16 +151,39 @@ class TestAiry:
     def test_against_scipy_sweep(self):
         xs = np.linspace(-60.0, 20.0, 641)
         ai_ref, aip_ref, _, _ = sps.airy(xs)
-        ai = np.array([sf.airy(float(x))[0] for x in xs])
-        aip = np.array([sf.airy(float(x))[1] for x in xs])
+        ai, aip = sf.airy(xs)
         assert np.max(np.abs(ai - ai_ref)) < 1e-10
         assert np.max(np.abs(aip - aip_ref)) < 1e-10
+
+    @pytest.mark.parametrize("cut", [-7.0, 5.5])
+    def test_against_scipy_across_branch_cuts(self, cut):
+        # series and asymptotic points side by side in one array
+        xs = cut + np.linspace(-1e-9, 1e-9, 201)
+        ai_ref, aip_ref, _, _ = sps.airy(xs)
+        ai, aip = sf.airy(xs)
+        assert np.max(np.abs(ai - ai_ref)) < 1e-10
+        assert np.max(np.abs(aip - aip_ref)) < 1e-10
+
+    def test_array_contract(self):
+        xs = np.linspace(-60.0, 20.0, 24).reshape(4, 6)
+        ai, aip = sf.airy(xs)
+        assert ai.shape == aip.shape == (4, 6)
+        for x, a, ap in zip(xs.ravel(), ai.ravel(), aip.ravel()):
+            assert (a, ap) == pytest.approx(sf.airy(float(x)), rel=1e-13, abs=1e-300)
+        scalar = sf.airy(-3.0)
+        assert type(scalar) is tuple and all(type(v) is float for v in scalar)
+        ai, aip = sf.airy(np.array([]))
+        assert ai.shape == aip.shape == (0,)
 
     def test_domain(self):
         with pytest.raises(sf.DomainError):
             sf.airy(21.0)
         with pytest.raises(sf.DomainError):
             sf.airy(-61.0)
+        with pytest.raises(sf.DomainError, match="21.0"):
+            sf.airy(np.array([[0.0, 1.0], [21.0, -3.0]]))
+        with pytest.raises(sf.DomainError):
+            sf.airy(np.array([0.0, np.nan]))
 
 
 class TestGamma:
