@@ -282,21 +282,15 @@ def density_classical(theta, params, detailed=False):
     return math.inf if singular else total
 
 
-def rainbow_angle(s, geometry=None):
+def rainbow_angle(s):
     """Rainbow (fold) angle theta_r = -arccos(1/s) + sqrt(s^2 - 1).
 
-    This is the positive representative; the mirror rainbow sits at
-    -theta_r.  Pass a Geometry to fold the representative into that
-    geometry's domain.
+    This is the positive representative, unfolded (it passes pi once
+    s > ~4.6); the mirror rainbow sits at -theta_r.
     """
     if s < 1.0:
         raise ValueError("rainbow exists only for s >= 1")
-    thr = -math.acos(1.0 / s) + math.sqrt(s * s - 1.0)
-    if geometry is Geometry.SPHERE_3D:
-        return fold_to_sphere(thr)
-    if geometry is Geometry.PLANAR_2D:
-        return thr % TWO_PI
-    return thr
+    return -math.acos(1.0 / s) + math.sqrt(s * s - 1.0)
 
 
 @dataclass(frozen=True)
@@ -358,6 +352,6 @@ def focal_times(P, coupling=Coupling.DIPOLE):
     """Focusing delay: 1/P for the dipole kick, 1/(2P) for polarization."""
     if P <= 0:
         raise ValueError("focal_times requires P > 0")
-    if coupling is Coupling.POLARIZATION or coupling == "polarization":
+    if coupling is Coupling.POLARIZATION:
         return 1.0 / (2.0 * P)
     return 1.0 / P

@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -34,12 +35,30 @@ EXIT_NUMERICAL = 3
 
 _COMMANDS = ("quantum2d", "quantum3d", "classical", "thermal", "semiclassical",
              "squeeze", "compare")
-_METHODS = ("exact", "pearcey", "airy", "uniform-airy", "uniform-bessel",
-            "ford-wheeler", "planar", "classical")
 
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; names the offending field."""
+
+
+def _check_type(field, value):
+    # a value against its field's annotation: "str", "int" or "float" (a
+    # finite real; P_prime may also be +inf, zero temperature), with
+    # "| None" where None is allowed; the tuple fields have their own rules
+    kind = field.type.split(" |")[0]
+    if kind == "tuple" or (value is None and field.type.endswith("| None")):
+        return
+    if kind == "str":
+        ok, expected = isinstance(value, str), "a string"
+    elif kind == "int":
+        ok, expected = isinstance(value, numbers.Integral) and not isinstance(value, bool), "an integer"
+    else:
+        inf_ok = field.name == "P_prime"
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and (math.isfinite(value) or (inf_ok and value == math.inf)))
+        expected = "a finite number or inf" if inf_ok else "a finite number"
+    if not ok:
+        raise ConfigError(f"field '{field.name}': expected {expected}, got {value!r}")
 
 
 @dataclass
@@ -72,10 +91,14 @@ class ScenarioConfig:
         raise ConfigError("field 'tau' (or 's' with 'P') is required")
 
     def validate(self):
+        for f in fields(self):
+            _check_type(f, getattr(self, f.name))
         if self.command not in _COMMANDS:
             raise ConfigError(f"field 'command': unknown command {self.command!r}")
         if self.grid_points < 2:
             raise ConfigError("field 'grid_points': must be >= 2")
+        if self.dim not in (2, 3):
+            raise ConfigError(f"field 'dim': must be 2 or 3, got {self.dim}")
         if self.coupling not in ("dipole", "polarization"):
             raise ConfigError(f"field 'coupling': {self.coupling!r}")
         if self.command in ("quantum2d", "quantum3d", "classical", "semiclassical", "compare"):
@@ -88,7 +111,7 @@ class ScenarioConfig:
             if len(self.methods) < 2:
                 raise ConfigError("field 'methods': compare needs at least two")
             for m in self.methods:
-                if m not in _METHODS:
+                if not isinstance(m, str) or m not in _METHODS:
                     raise ConfigError(f"field 'methods': {m!r}")
         if self.command == "thermal":
             if self.P_prime is None or self.P_prime <= 0:
@@ -117,13 +140,17 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["methods"] = tuple(d.get("methods", ()))
-        d["window"] = tuple(d.get("window", ()))
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise ConfigError(f"expected a JSON object, got {type(d).__name__}")
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        d = dict(d)
+        for name in ("methods", "window"):
+            try:
+                d[name] = tuple(d.get(name, ()))
+            except TypeError:
+                raise ConfigError(f"field '{name}': expected a list, got {d[name]!r}") from None
         return cls(**d)
 
 
@@ -190,13 +217,12 @@ def _grid(cfg, three_d):
     return np.linspace(lo, hi, cfg.grid_points, endpoint=False)
 
 
-def _exact_density_2d(cfg, grid):
-    packet = q2.apply_kick(q2.ground_packet(0), q2.KickSpec(cfg.P, _coupling(cfg)))
-    packet = q2.free_evolve(packet, cfg.resolved_tau())
-    return q2.density(packet, grid).values, packet
-
-
-def _exact_density_3d(cfg, grid):
+def _exact_density(cfg, grid, three_d):
+    # the exact density on the grid, and the kicked and evolved packet
+    if not three_d:
+        packet = q2.apply_kick(q2.ground_packet(0), q2.KickSpec(cfg.P, _coupling(cfg)))
+        packet = q2.free_evolve(packet, cfg.resolved_tau())
+        return q2.density(packet, grid).values, packet
     if _coupling(cfg) is Coupling.DIPOLE:
         packet = q3.dipole_kick_ground(cfg.P)
     else:
@@ -205,45 +231,40 @@ def _exact_density_3d(cfg, grid):
     return q3.density_3d(packet, grid).values, packet
 
 
-def _per_point(psi, grid, tau, P):
-    # the Pearcey forms size one contour per point: one contour sized by a
-    # column's largest |beta| would cost more
-    return np.array([psi(t, tau, P) for t in grid])
+def _classical(cfg, grid, tau, P):
+    geom = Geometry.SPHERE_3D if cfg.dim == 3 else Geometry.PLANAR_2D
+    params = MapParams(P * tau, _coupling(cfg), geom)
+    return np.array([density_classical(t, params) for t in grid])
 
 
-# psi(cfg, grid, tau, P) for each semiclassical method, keyed as
-# sc.annotate_validity names them; each evaluator is looked up on `sc` when
-# called, so a wrapper later installed on the module sees every call
-_SEMICLASSICAL = {
-    "pearcey": lambda cfg, g, tau, P: _per_point(sc.pearcey_focus_2d, g, tau, P),
-    "pearcey3d": lambda cfg, g, tau, P: _per_point(sc.pearcey_cusp_3d, g, tau, P),
-    "airy": lambda cfg, g, tau, P: sc.airy_rainbow_2d_full(g, tau, P),
-    "uniform-airy": lambda cfg, g, tau, P: sc.uniform_airy_3d(np.maximum(g, 1e-9), tau, P),
-    "uniform-bessel": lambda cfg, g, tau, P: sc.uniform_bessel_glory(g, tau, P),
-    "ford-wheeler": lambda cfg, g, tau, P: sc.ford_wheeler_glory(g, tau, P),
-    "planar": lambda cfg, g, tau, P: sc.planar_psi(g, tau, P, radius=cfg.radius),
+def _pearcey(cfg, grid, tau, P):
+    # the 2D cusp, or with dim 3 the 3D one; each point sizes its own
+    # contour, since one sized by a column's largest |beta| would cost more
+    psi = sc.pearcey_cusp_3d if cfg.dim == 3 else sc.pearcey_focus_2d
+    return np.abs(np.array([psi(t, tau, P) for t in grid])) ** 2
+
+
+# method -> (density(cfg, grid, tau, P), whether `semiclassical` tags the
+# run with its sc.annotate_validity window); the keys are the valid
+# methods.  Each evaluator is looked up on its module when called, so a
+# wrapper later installed there sees every call.
+_METHODS = {
+    "exact": (lambda cfg, g, tau, P: _exact_density(cfg, g, cfg.dim == 3)[0], False),
+    "pearcey": (_pearcey, True),
+    "airy": (lambda cfg, g, tau, P: np.abs(sc.airy_rainbow_2d_full(g, tau, P)) ** 2, True),
+    "uniform-airy": (lambda cfg, g, tau, P:
+                     np.abs(sc.uniform_airy_3d(np.maximum(g, 1e-9), tau, P)) ** 2, True),
+    "uniform-bessel": (lambda cfg, g, tau, P: np.abs(sc.uniform_bessel_glory(g, tau, P)) ** 2, True),
+    "ford-wheeler": (lambda cfg, g, tau, P: np.abs(sc.ford_wheeler_glory(g, tau, P)) ** 2, True),
+    "planar": (lambda cfg, g, tau, P:
+               np.abs(sc.planar_psi(g, tau, P, radius=cfg.radius)) ** 2, False),
+    "classical": (_classical, False),
 }
 
 
-def _semiclassical_key(method, three_d):
-    # "pearcey" is the 2D cusp or, with dim 3, the 3D one
-    return "pearcey3d" if method == "pearcey" and three_d else method
-
-
 def _method_density(cfg, method, grid):
-    tau, P = cfg.resolved_tau(), cfg.P
-    three_d = cfg.dim == 3
-    if method == "exact":
-        vals, _ = (_exact_density_3d if three_d else _exact_density_2d)(cfg, grid)
-        return vals
-    if method == "classical":
-        geom = Geometry.SPHERE_3D if three_d else Geometry.PLANAR_2D
-        params = MapParams(P * tau, _coupling(cfg), geom)
-        return np.array([density_classical(t, params) for t in grid])
-    psi = _SEMICLASSICAL.get(_semiclassical_key(method, three_d))
-    if psi is None:
-        raise ConfigError(f"field 'method': {method!r}")
-    return np.abs(psi(cfg, grid, tau, P)) ** 2
+    density, _ = _METHODS[method]
+    return density(cfg, grid, cfg.resolved_tau(), cfg.P)
 
 
 def _peak_summary(grid, vals):
@@ -260,7 +281,7 @@ def run(config):
     if cfg.command in ("quantum2d", "quantum3d"):
         three_d = cfg.command == "quantum3d"
         grid = _grid(cfg, three_d)
-        vals, packet = (_exact_density_3d if three_d else _exact_density_2d)(cfg, grid)
+        vals, packet = _exact_density(cfg, grid, three_d)
         columns = {"theta": grid, "density": vals}
         if three_d:
             columns["weighted_density"] = 2.0 * math.pi * np.sin(grid) * vals
@@ -297,11 +318,11 @@ def run(config):
         vals = _method_density(cfg, cfg.method, grid)
         columns = {"theta": grid, "density": vals}
         summary.update(_peak_summary(grid, vals))
-        if cfg.method not in ("exact", "classical", "planar"):
-            tau = cfg.resolved_tau()
+        if _METHODS[cfg.method][1]:
             mid = 0.5 * (grid[0] + grid[-1])
-            key = _semiclassical_key(cfg.method, three_d)
-            summary["validity"] = sc.annotate_validity(key, mid, tau, cfg.P).value
+            # sc.annotate_validity names the 3D cusp "pearcey3d"
+            key = "pearcey3d" if cfg.method == "pearcey" and three_d else cfg.method
+            summary["validity"] = sc.annotate_validity(key, mid, cfg.resolved_tau(), cfg.P).value
 
     elif cfg.command == "squeeze":
         if cfg.P_prime is not None:
@@ -351,48 +372,53 @@ def run(config):
                           runtime_ms=(time.perf_counter() - t0) * 1e3)
 
 
+def _parse_line(line, out_dir):
+    # one batch line as a validated config, its output path under out_dir
+    try:
+        d = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from None
+    cfg = ScenarioConfig.from_dict(d).validate()
+    if out_dir:
+        cfg.output_path = os.path.join(out_dir, cfg.output_path)
+    return cfg
+
+
 def batch(config_path, out_dir=None):
     """Run a JSON-lines scenario file; one failure does not stop the rest.
 
-    Returns (envelopes, index) where the index records per-scenario status
-    and `runtime_ms` (the envelope's run time, or for a failed entry the
-    time until the exception); a failed entry also records its class,
-    "config" (ValueError) or "numerical" (RuntimeError).  Duplicate output
-    paths are a config error.
+    Each line is parsed, validated and run in turn.  Returns (envelopes,
+    index) where the index records per-line status and `runtime_ms` (the
+    envelope's run time, or for a failed entry the time until the
+    exception); a failed entry also records its class, "config"
+    (ValueError: a malformed line, an invalid field, an output path an
+    earlier line already named; OSError: an output path that cannot be
+    written) or "numerical" (RuntimeError).
     """
-    scenarios = []
     with open(config_path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                scenarios.append((ln, ScenarioConfig.from_dict(json.loads(line))))
-            except (json.JSONDecodeError, TypeError) as exc:
-                raise ConfigError(f"line {ln}: {exc}") from exc
-    if out_dir:
-        for _, cfg in scenarios:
-            cfg.output_path = os.path.join(out_dir, cfg.output_path)
-    paths = [cfg.output_path for _, cfg in scenarios]
-    dupes = {p for p in paths if paths.count(p) > 1}
-    if dupes:
-        raise ConfigError(f"field 'output_path': duplicated in batch: {sorted(dupes)}")
-
-    envelopes, index = [], []
-    for ln, cfg in scenarios:
-        entry = {"line": ln, "output_path": cfg.output_path}
+        lines = [(ln, line.strip()) for ln, line in enumerate(fh, 1)]
+    envelopes, index, seen = [], [], set()
+    for ln, line in lines:
+        if not line or line.startswith("#"):
+            continue
+        entry = {"line": ln, "output_path": ""}
         t0 = time.perf_counter()
         try:
+            cfg = _parse_line(line, out_dir)
+            entry["output_path"] = cfg.output_path
+            if cfg.output_path in seen:
+                raise ConfigError("field 'output_path': already named by an earlier line")
+            seen.add(cfg.output_path)
             env = run(cfg)
             write_envelope(env)
             envelopes.append(env)
             entry["status"] = "ok"
             entry["runtime_ms"] = round(env.runtime_ms, 3)
             entry["summary"] = env.summary
-        except (ValueError, RuntimeError) as exc:  # ConfigError is a ValueError
+        except (ValueError, OSError, RuntimeError) as exc:  # ConfigError is a ValueError
             entry["status"] = "failed"
             entry["runtime_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
-            entry["failure"] = "config" if isinstance(exc, ValueError) else "numerical"
+            entry["failure"] = "numerical" if isinstance(exc, RuntimeError) else "config"
             entry["error"] = f"{type(exc).__name__}: {exc}"
         index.append(entry)
     index_path = os.path.splitext(config_path)[0] + ".index.json"
@@ -437,7 +463,7 @@ def build_parser():
 
     p = sub.add_parser("semiclassical", help="asymptotic approximations")
     _add_common(p)
-    p.add_argument("--method", choices=_METHODS, default="pearcey")
+    p.add_argument("--method", choices=tuple(_METHODS), default="pearcey")
     p.add_argument("--dim", type=int, choices=(2, 3), default=2)
     p.add_argument("--radius", type=float, default=sc.DISC_RADIUS,
                    help="planar-model disc radius")
@@ -515,11 +541,9 @@ def main(argv=None):
         for k, v in env.summary.items():
             print(f"  {k} = {v}")
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        # out-of-domain windows/parameters surface as argument errors
+    except (ValueError, OSError) as exc:
+        # ConfigError, out-of-domain windows/parameters in the evaluators,
+        # and files that cannot be read or written
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:

@@ -110,6 +110,7 @@ def _padded(packet, extra):
     return c, packet.n_max + extra
 
 
+# i^k by k mod 4, exact unit phases (quantum3d uses it too)
 _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 

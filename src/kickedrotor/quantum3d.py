@@ -19,10 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import DensityProfile
-from .quantum2d import NORM_TOL, TAIL_TOL, ResolutionError, TruncationError, kick_order_margin
+from .quantum2d import _I_POW, NORM_TOL, TAIL_TOL, ResolutionError, TruncationError, kick_order_margin
 from .specfun import spherical_jn_array
-
-_I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 __all__ = [
     "LegendrePacket3D",

@@ -38,7 +38,6 @@ from .specfun import (
     airy,
     bessel_j0,
     bessel_j1,
-    gamma_fn,
     gauss_segment,
     hyp1f1_focus,
     pearcey,
@@ -51,7 +50,6 @@ __all__ = [
     "focal_density_closed_form",
     "focal_density_asymptotic",
     "pearcey_focus_2d",
-    "pearcey_focus_2d_full",
     "pearcey_cusp_3d",
     "airy_rainbow_2d",
     "airy_rainbow_2d_full",
@@ -179,14 +177,9 @@ def pearcey_focus_2d(theta, tau, P):
     return pref * pearcey(x, beta)
 
 
-def pearcey_focus_2d_full(theta, tau, P):
-    """Symmetrized wave function psi~(theta) + psi~(2 pi - theta)."""
-    return pearcey_focus_2d(theta, tau, P) + pearcey_focus_2d(2.0 * math.pi - theta, tau, P)
-
-
 def focal_peak_2d(P):
     """|psi~(0, 1/P)|^2 = sqrt(6P) Gamma(1/4)^2 / (8 pi^2) ~ 0.4078 sqrt(P)."""
-    return math.sqrt(6.0 * P) * gamma_fn(0.25) ** 2 / (8.0 * math.pi ** 2)
+    return math.sqrt(6.0 * P) * math.gamma(0.25) ** 2 / (8.0 * math.pi ** 2)
 
 
 def focal_tail_2d(theta):
@@ -233,17 +226,17 @@ def focal_peak_3d(P):
 # Rainbow: 2D Airy
 # ----------------------------------------------------------------------
 
-def _rainbow_geometry(s):
+def _rainbow_geometry(tau, P):
+    # (tbar, theta_r, c): the rainbow's initial and final angles and the
+    # Airy scale c = [2/(P sin tbar)]^(1/3) of eta = c (theta - theta_r)/tau
+    s = P * tau
     tbar = math.acos(1.0 / s)
-    thr = math.sqrt(s * s - 1.0) - tbar
-    return tbar, thr
+    return tbar, rainbow_angle(s), (2.0 / (P * math.sin(tbar))) ** (1.0 / 3.0)
 
 
 def airy_fringe_width(tau, P):
     """Angular distance from theta_r to the first Airy zero."""
-    s = P * tau
-    tbar, _ = _rainbow_geometry(s)
-    c = (2.0 / (P * math.sin(tbar))) ** (1.0 / 3.0)
+    _, _, c = _rainbow_geometry(tau, P)
     return 2.3381074104597670 * tau / c
 
 
@@ -267,8 +260,7 @@ def airy_rainbow_2d(theta, tau, P):
     if s <= 1.0:
         raise ValueError("airy_rainbow_2d requires P*tau > 1")
     theta = np.asarray(theta, dtype=float)
-    tbar, thr = _rainbow_geometry(s)
-    c = (2.0 / (P * math.sin(tbar))) ** (1.0 / 3.0)
+    tbar, thr, c = _rainbow_geometry(tau, P)
     eta = c * (theta - thr) / tau
     ai, _ = airy(np.clip(eta, -60.0, 20.0))
     pref = (1.0 / cmath.sqrt(1j * tau)) * c
@@ -337,9 +329,8 @@ def _ua_limit_coefficients(tau, P):
     from the composite just inside the fold, where its evaluation is still
     cancellation-free.
     """
-    s = P * tau
-    tbar, thr = _rainbow_geometry(s)
-    G1 = 2.0 * math.pi * (2.0 / (P * math.sin(tbar))) ** (1.0 / 3.0) * math.sqrt(tbar)
+    tbar, thr, c = _rainbow_geometry(tau, P)
+    G1 = 2.0 * math.pi * c * math.sqrt(tbar)
     _, _, _, g2 = _ua_coefficients(thr * (1.0 - 1e-6), tau, P)
     return G1, float(g2)
 
@@ -354,10 +345,8 @@ def uniform_airy_3d_limit_form(theta, tau, P):
     uniform_airy_3d, exposed separately; usable in a neighborhood of
     theta_r on either side.  Scalar or array theta, like uniform_airy_3d."""
     theta = np.asarray(theta, dtype=float)
-    s = P * tau
-    tbar, thr = _rainbow_geometry(s)
+    tbar, thr, c = _rainbow_geometry(tau, P)
     G1, G2 = _ua_limit_coefficients(tau, P)
-    c = (2.0 / (P * math.sin(tbar))) ** (1.0 / 3.0)
     eta = c * (theta - thr) / tau
     A = _phi_fullcos(tbar, theta, tau, P)
     ai, aip = airy(np.clip(eta, -60.0, 20.0))
@@ -387,7 +376,7 @@ def uniform_airy_3d(theta, tau, P):
     flat = theta.ravel()
     if not np.all((flat > 0.0) & (flat <= math.pi)):
         raise ValueError("uniform_airy_3d requires 0 < theta <= pi")
-    tbar, thr = _rainbow_geometry(s)
+    _, thr, _ = _rainbow_geometry(tau, P)
     out = np.empty(flat.shape, dtype=complex)
     limit = flat >= thr * (1.0 - _UA_MERGE_BAND)
     if limit.any():
@@ -400,17 +389,14 @@ def uniform_airy_3d(theta, tau, P):
     return _as_psi(out.reshape(theta.shape))
 
 
-def uniform_airy_3d_coefficients(theta, tau, P):
-    """(A, xi, g1, g2) inside the fold, for a scalar or an array theta;
-    exposed for the fold-merge diagnostics."""
-    return _ua_coefficients(theta, tau, P)
+_UA_NORM_GRID = 4000  # midpoint-rule nodes of uniform_airy_norm on (0, pi]
 
 
-def uniform_airy_norm(tau, P, n_grid=4000):
+def uniform_airy_norm(tau, P):
     """2 pi int |Psi_UA|^2 sin(theta) dtheta over (0, pi]."""
-    grid = (np.arange(n_grid) + 0.5) * (math.pi / n_grid)
+    grid = (np.arange(_UA_NORM_GRID) + 0.5) * (math.pi / _UA_NORM_GRID)
     vals = np.abs(uniform_airy_3d(grid, tau, P)) ** 2
-    return float(2.0 * math.pi * np.sum(vals * np.sin(grid)) * (math.pi / n_grid))
+    return float(2.0 * math.pi * np.sum(vals * np.sin(grid)) * (math.pi / _UA_NORM_GRID))
 
 
 # ----------------------------------------------------------------------
@@ -590,11 +576,11 @@ def stationary_points_3d(theta, tau, P):
 def annotate_validity(method, theta, tau, P):
     """Coarse inside/edge/outside window annotation for each approximation."""
     s = P * tau
-    if method in ("pearcey", "pearcey2d"):
+    if method == "pearcey":
         if 0.7 <= s <= 1.25:
             return Validity.INSIDE
         return Validity.EDGE if s <= 1.45 else Validity.OUTSIDE
-    if method in ("pearcey3d", "cusp3d"):
+    if method == "pearcey3d":
         if 1.0 <= s <= 1.4:
             return Validity.INSIDE
         return Validity.EDGE if 0.9 <= s <= 1.6 else Validity.OUTSIDE
@@ -614,7 +600,6 @@ def annotate_validity(method, theta, tau, P):
     if method == "uniform-bessel":
         if s <= 1.0:
             return Validity.OUTSIDE
-        tg = glory_angle_planar(tau, P)
         thr_q = (2.0 / 3.0) * (s - 1.0) * math.sqrt(2.0 * (s - 1.0) / s)
         if theta < 0.6 * thr_q:
             return Validity.INSIDE

@@ -1,9 +1,10 @@
 """Special-function core for the kicked-rotor toolkit.
 
-Everything the other modules need lives here: integer-order Bessel J_n,
-spherical Bessel j_l, Airy Ai/Ai', Gamma, Legendre polynomials, the Pearcey
-integral and its half-range derivative, and the confluent hypergeometric
-helper 1F1(1/2, 3/2, iz) used by the focal-point asymptotics.
+Everything the other modules need lives here: integer-order Bessel J_n
+and spherical Bessel j_l (as arrays of all orders up to a maximum), J_0 and
+J_1 on arrays, Airy Ai/Ai', the Pearcey integral, and the confluent
+hypergeometric helper 1F1(1/2, 3/2, iz) used by the focal-point
+asymptotics.
 
 Each Pearcey object has one evaluator, the rotated-contour quadrature
 `_p1_contour` of the half-range integral
@@ -27,18 +28,12 @@ import numpy as np
 __all__ = [
     "DomainError",
     "ConvergenceError",
-    "bessel_j",
     "bessel_jn_array",
     "bessel_j0",
     "bessel_j1",
-    "spherical_j",
     "spherical_jn_array",
     "airy",
-    "gamma_fn",
-    "legendre_p",
     "pearcey",
-    "pearcey_p1",
-    "pearcey_half_dy",
     "hyp1f1_focus",
     "gauss_segment",
 ]
@@ -102,20 +97,6 @@ def bessel_jn_array(n_max, x):
     return out
 
 
-def bessel_j(n, x):
-    """Bessel function J_n(x) for integer n."""
-    n = int(n)
-    x = float(x)
-    if abs(n) > _BESSEL_N_LIMIT or abs(x) > _BESSEL_X_LIMIT:
-        raise DomainError(f"bessel_j out of range: n={n}, x={x}")
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2:
-            sign = -sign
-    return sign * bessel_jn_array(n, x)[n]
-
-
 # Vectorized J0/J1 for oscillatory quadratures: power series below the
 # crossover, Hankel asymptotic expansion above.  Absolute accuracy ~1e-10,
 # which is ample for the 1e-8 quadrature targets they feed.
@@ -157,24 +138,33 @@ _J0_SERIES = tuple((-0.25) ** k / math.factorial(k) ** 2 for k in range(45))
 _J1_SERIES = tuple((-0.25) ** k / (math.factorial(k) * math.factorial(k + 1)) for k in range(45))
 
 
-def bessel_j0(x):
-    """Vectorized J_0; accuracy ~1e-10 (quadrature-grade).
-
-    Power series in x^2 by Horner's rule below |x| = 12, Hankel
-    asymptotic expansion above."""
+def _bessel_01(x, n, series, pc, qc):
+    # J_n for n = 0 or 1: the series sum_k series[k] x^(2k), times x/2 for
+    # J_1, below |x| = 12, and the Hankel expansion with coefficients
+    # (pc, qc) and phase x - (2n + 1) pi/4 above
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     out = np.empty_like(ax)
     small = ax < _J_SERIES_CUT
     if np.any(small):
         xs = ax[small]
-        out[small] = _horner(xs * xs, _J0_SERIES)
+        out[small] = _horner(xs * xs, series) * (0.5 * xs if n else 1.0)
     if np.any(~small):
         xl = ax[~small]
-        p, q = _hankel(xl, _P0, _Q0)
-        chi = xl - 0.25 * np.pi
+        p, q = _hankel(xl, pc, qc)
+        chi = xl - (0.25 + 0.5 * n) * np.pi
         out[~small] = np.sqrt(2.0 / (np.pi * xl)) * (p * np.cos(chi) - q * np.sin(chi))
+    if n:
+        out = np.where(x < 0, -out, out)
     return out if out.shape else float(out)
+
+
+def bessel_j0(x):
+    """Vectorized J_0; accuracy ~1e-10 (quadrature-grade).
+
+    Power series in x^2 by Horner's rule below |x| = 12, Hankel
+    asymptotic expansion above."""
+    return _bessel_01(x, 0, _J0_SERIES, _P0, _Q0)
 
 
 def bessel_j1(x):
@@ -182,20 +172,7 @@ def bessel_j1(x):
 
     Power series in x^2 by Horner's rule below |x| = 12, Hankel
     asymptotic expansion above."""
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    out = np.empty_like(ax)
-    small = ax < _J_SERIES_CUT
-    if np.any(small):
-        xs = ax[small]
-        out[small] = 0.5 * xs * _horner(xs * xs, _J1_SERIES)
-    if np.any(~small):
-        xl = ax[~small]
-        p, q = _hankel(xl, _P1, _Q1)
-        chi = xl - 0.75 * np.pi
-        out[~small] = np.sqrt(2.0 / (np.pi * xl)) * (p * np.cos(chi) - q * np.sin(chi))
-    res = np.where(x < 0, -out, out)
-    return res if res.shape else float(res)
+    return _bessel_01(x, 1, _J1_SERIES, _P1, _Q1)
 
 
 # ----------------------------------------------------------------------
@@ -240,14 +217,6 @@ def spherical_jn_array(l_max, x):
     else:
         out *= j1 / out[1]
     return out
-
-
-def spherical_j(l, x):
-    """Spherical Bessel function j_l(x), l >= 0, x >= 0."""
-    l = int(l)
-    if l < 0:
-        raise DomainError("spherical_j requires l >= 0")
-    return spherical_jn_array(l, float(x))[l]
 
 
 # ----------------------------------------------------------------------
@@ -396,39 +365,6 @@ def airy(x):
 
 
 # ----------------------------------------------------------------------
-# Gamma (x > 0)
-# ----------------------------------------------------------------------
-
-def gamma_fn(x):
-    """Gamma(x) for x > 0 (Lanczos-class evaluation, <1e-13 relative)."""
-    x = float(x)
-    if not (x > 0.0) or math.isinf(x):
-        raise DomainError("gamma_fn requires finite x > 0")
-    if x > 171.62:
-        return math.inf
-    return math.gamma(x)
-
-
-# ----------------------------------------------------------------------
-# Legendre polynomials
-# ----------------------------------------------------------------------
-
-def legendre_p(l, x):
-    """P_l(x) by the stable three-term upward recurrence, x in [-1, 1]."""
-    l = int(l)
-    if l < 0:
-        raise DomainError("legendre_p requires l >= 0")
-    if not -1.0 <= x <= 1.0:
-        raise DomainError("legendre_p requires -1 <= x <= 1")
-    if l == 0:
-        return 1.0
-    pm, p = 1.0, x
-    for k in range(1, l):
-        pm, p = p, ((2 * k + 1) * x * p - k * pm) / (k + 1)
-    return p
-
-
-# ----------------------------------------------------------------------
 # Complex Gauss-Legendre segments (shared oscillatory-quadrature kernel)
 # ----------------------------------------------------------------------
 
@@ -493,13 +429,6 @@ def _p1_contour(x, y, power=0):
     return gauss_segment(f, 0.0 + 0.0j, R + 0.0j, n1) + gauss_segment(f, R + 0.0j, R + T * w8, n2)
 
 
-def _check_args(name, x, y):
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"{name} requires finite arguments")
-    if abs(x) > _PEARCEY_ARG_MAX or abs(y) > _PEARCEY_ARG_MAX:
-        raise DomainError(f"{name} argument beyond supported range")
-
-
 def pearcey(x, beta):
     """Pearcey integral P(x, beta) = int exp[i(u^4 + x u^2 + beta u)] du.
 
@@ -510,28 +439,11 @@ def pearcey(x, beta):
     """
     x = float(x)
     beta = abs(float(beta))
-    _check_args("pearcey", x, beta)
+    if not (math.isfinite(x) and math.isfinite(beta)):
+        raise DomainError("pearcey requires finite arguments")
+    if abs(x) > _PEARCEY_ARG_MAX or beta > _PEARCEY_ARG_MAX:
+        raise DomainError("pearcey argument beyond supported range")
     return complex(np.sum(_p1_contour(x, [beta, -beta])))
-
-
-def pearcey_p1(x, y):
-    """Half-range Pearcey integral P1(x, y) = int_0^inf e^{i(u^4+xu^2+yu)} du.
-
-    Satisfies P(x,y) = P1(x,y) + P1(x,-y).
-    """
-    x = float(x)
-    y = float(y)
-    _check_args("pearcey_p1", x, y)
-    return complex(_p1_contour(x, y))
-
-
-def pearcey_half_dy(x, y):
-    """dP1(x,y)/dy = int_0^inf i u exp[i(u^4 + x u^2 + y u)] du, by the same
-    rotated-contour quadrature as pearcey, for |x|, |y| <= 400."""
-    x = float(x)
-    y = float(y)
-    _check_args("pearcey_half_dy", x, y)
-    return complex(_p1_contour(x, y, power=1))
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ shares, and evolves the ensemble once per kick.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,13 +142,19 @@ def _observable_in_flight(ensemble, coupling):
     return value_at
 
 
-def _first_minimum(ensemble, coupling, step, refine_tol):
+# P't' step of the scan for the first minimum, and the P't' width to which
+# the golden section then narrows it
+_SCAN_STEP = 0.01
+_REFINE_TOL = 1e-6
+
+
+def _first_minimum(ensemble, coupling):
     """Time of the first local minimum of O (dipole) or A (polarization)
-    after a kick: scan in steps of P'dt = step, then refine by golden
+    after a kick: scan in steps of P'dt = _SCAN_STEP, then refine by golden
     section.  Each probe is the closed-form `_observable_in_flight`, so
     the ensemble is never evolved here."""
     P = ensemble.kick_strength
-    dt = step / P
+    dt = _SCAN_STEP / P
     value_at = _observable_in_flight(ensemble, coupling)
 
     t_prev, f_prev = 0.0, value_at(0.0)
@@ -169,7 +175,7 @@ def _first_minimum(ensemble, coupling, step, refine_tol):
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = value_at(c), value_at(d)
-    while (b - a) > refine_tol / P:
+    while (b - a) > _REFINE_TOL / P:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -182,8 +188,7 @@ def _first_minimum(ensemble, coupling, step, refine_tol):
 
 
 def classical_accumulative_3d(n_particles, P_prime, kicks, seed,
-                              coupling=Coupling.DIPOLE,
-                              scan_step=0.01, refine_tol=1e-6):
+                              coupling=Coupling.DIPOLE):
     """Accumulative squeezing of a classical thermal ensemble.
 
     Each cycle kicks the ensemble, then advances to the first local
@@ -208,7 +213,7 @@ def classical_accumulative_3d(n_particles, P_prime, kicks, seed,
     records = []
     for k in range(1, kicks + 1):
         ens = thermal.kick(ens, coupling)
-        t_min = _first_minimum(ens, coupling, scan_step, refine_tol)
+        t_min = _first_minimum(ens, coupling)
         ens = thermal.evolve(ens, t_min)
         obs = thermal.orientation_alignment(ens)[idx]
         c = np.cos(ens.theta)

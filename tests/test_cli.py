@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kickedrotor import cli
 from kickedrotor import quantum2d as q2
@@ -49,6 +51,40 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             ScenarioConfig.from_dict({"command": "quantum2d", "zap": 1})
+
+    @pytest.mark.parametrize("field,value", [
+        ("P", "10"), ("P", True), ("P", math.nan), ("P", math.inf), ("s", "1"),
+        ("tau", -math.inf), ("u0", None), ("radius", [2.0]), ("P_prime", -math.inf),
+        ("P_prime", math.nan), ("grid_points", 8.5), ("grid_points", True),
+        ("grid_points", "16"), ("dim", 2.0), ("seed", None), ("kicks", 1.5),
+        ("command", 3), ("coupling", None), ("method", ["airy"]), ("output_path", 7)])
+    def test_mistyped_field_rejected(self, field, value):
+        c = ScenarioConfig(command="quantum2d", P=10.0, s=1.0, output_path="x.csv")
+        setattr(c, field, value)
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            c.validate()
+
+    def test_numbers_of_either_type_accepted(self):
+        c = ScenarioConfig(command="squeeze", P=10, s=1, P_prime=math.inf, u0=2,
+                           grid_points=np.int64(16), output_path="x.csv")
+        assert c.validate() is c
+
+    @pytest.mark.parametrize("dim", [0, 1, 4])
+    def test_dim_must_be_two_or_three(self, dim):
+        c = ScenarioConfig(command="classical", P=10.0, s=1.0, dim=dim, output_path="x.csv")
+        with pytest.raises(ConfigError, match="field 'dim'"):
+            c.validate()
+
+    @pytest.mark.parametrize("field,value", [("methods", None), ("methods", 5), ("window", None)])
+    def test_list_fields_must_be_lists(self, field, value):
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            ScenarioConfig.from_dict({"command": "compare", field: value})
+
+    def test_compare_method_must_be_a_name(self):
+        c = ScenarioConfig(command="compare", P=10.0, s=1.0, methods=("exact", ["airy"]),
+                           output_path="x.csv")
+        with pytest.raises(ConfigError, match="field 'methods'"):
+            c.validate()
 
 
 class TestRun:
@@ -162,12 +198,62 @@ class TestBatch:
         assert (tmp_path / "out" / "b.index.json").exists()
 
     def test_duplicate_outputs_rejected(self, tmp_path):
-        row = {"command": "quantum2d", "P": 20.0, "s": 1.0,
+        # the later line naming an output path fails; the earlier one runs
+        row = {"command": "quantum2d", "P": 20.0, "s": 1.0, "grid_points": 16,
                "output_path": str(tmp_path / "same.csv")}
         f = tmp_path / "dup.jsonl"
-        f.write_text(json.dumps(row) + "\n" + json.dumps(row) + "\n")
-        with pytest.raises(ConfigError, match="output_path"):
-            batch(str(f))
+        f.write_text(json.dumps(row) + "\n" + json.dumps(dict(row, P=30.0)) + "\n")
+        envs, index = batch(str(f))
+        assert [e["status"] for e in index] == ["ok", "failed"]
+        assert index[1]["failure"] == "config"
+        assert "field 'output_path'" in index[1]["error"]
+        assert [env.config.P for env in envs] == [20.0]
+        assert (tmp_path / "dup.index.json").exists()
+
+    def test_malformed_and_mistyped_lines_fail_alone(self, tmp_path, capsys):
+        good = {"command": "quantum2d", "P": 20.0, "s": 1.0, "grid_points": 16,
+                "output_path": "a.csv"}
+        lines = [json.dumps(good),
+                 json.dumps(dict(good, P="10", output_path="b.csv")),
+                 json.dumps(dict(good, grid_points=8.5, output_path="c.csv")),
+                 json.dumps(dict(good, window=None, output_path="d.csv")),
+                 json.dumps(dict(good, colour=1, output_path="e.csv")),
+                 json.dumps(good),
+                 json.dumps(dict(good, output_path="g.csv"))]
+        f = tmp_path / "seven.jsonl"
+        f.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["batch", str(f), "--outdir", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        index = json.loads((out / "seven.index.json").read_text())
+        assert [e["line"] for e in index] == list(range(1, 8))
+        assert [e["status"] for e in index] == ["ok"] + ["failed"] * 5 + ["ok"]
+        assert all(e["failure"] == "config" for e in index[1:6])
+        for e, field in zip(index[1:6], ("P", "grid_points", "window", "colour", "output_path")):
+            assert field in e["error"]
+        assert (out / "a.csv").exists() and (out / "g.csv").exists()
+        assert not any((out / n).exists() for n in ("b.csv", "c.csv", "d.csv", "e.csv"))
+
+    def test_unwritable_output_fails_its_line_only(self, tmp_path):
+        good = {"command": "quantum2d", "P": 20.0, "s": 1.0, "grid_points": 16,
+                "output_path": "good.csv"}
+        f = tmp_path / "b.jsonl"
+        f.write_text(json.dumps(dict(good, output_path="sub/")) + "\n" + json.dumps(good) + "\n")
+        envs, index = batch(str(f), str(tmp_path / "out"))
+        assert [e["status"] for e in index] == ["failed", "ok"]
+        assert index[0]["failure"] == "config"
+        assert (tmp_path / "out" / "good.csv").exists()
+
+    @pytest.mark.parametrize("line", ["{not json", "[1, 2]", "5", '"text"'])
+    def test_line_that_is_not_an_object_fails_alone(self, tmp_path, line):
+        good = {"command": "quantum2d", "P": 20.0, "s": 1.0, "grid_points": 16,
+                "output_path": "good.csv"}
+        f = tmp_path / "b.jsonl"
+        f.write_text(line + "\n" + json.dumps(good) + "\n")
+        envs, index = batch(str(f), str(tmp_path / "out"))
+        assert [e["status"] for e in index] == ["failed", "ok"]
+        assert index[0]["failure"] == "config" and index[0]["error"].startswith("ConfigError")
+        assert (tmp_path / "out" / "good.csv").exists()
 
 
 class TestMain:
@@ -190,6 +276,10 @@ class TestMain:
         assert rc == 2
         assert "field 'window'" in capsys.readouterr().err
         assert not (tmp_path / "w.csv").exists()
+
+    def test_missing_batch_file_exit_two(self, tmp_path, capsys):
+        assert cli.main(["batch", str(tmp_path / "missing.jsonl")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_squeeze_stall_exit_two(self, tmp_path, capsys):
         rc = cli.main(["squeeze", "--u0", "1e-20", "--w0", "1", "--kicks", "3",
@@ -246,3 +336,85 @@ class TestMain:
         assert rc == 0
         side = json.loads((tmp_path / "d.json").read_text())
         assert side["summary"]["monotone_decreasing"] is True
+
+
+# Per-field pools for the batch property test: valid values first, then
+# wrong types, None, NaN, +-inf and out-of-range values.  Grids have at
+# most 16 points, ensembles at most 1,000 particles, trains at most 3 kicks.
+_NAN, _INF = math.nan, math.inf
+_POOLS = {
+    "command": ["quantum2d", "quantum3d", "classical", "thermal", "semiclassical",
+                "squeeze", "compare", "zap", 3, None],
+    "P": [10.0, 25, 0.0, -1.0, 1e4, None, "10", True, _NAN, _INF, -_INF],
+    "s": [1.0, 1.5, 4.0, 0.0, -2.0, None, "1", _NAN, _INF],
+    "tau": [0.05, 0.0, -0.1, None, _NAN, -_INF],
+    "coupling": ["dipole", "polarization", "quadrupole", None, 1],
+    "method": ["exact", "pearcey", "airy", "uniform-airy", "uniform-bessel", "ford-wheeler",
+               "planar", "classical", "nope", None, 3, ["airy"]],
+    "methods": [["exact", "classical"], ["exact", "pearcey"], ["airy", "uniform-airy"],
+                ["exact"], [], ["exact", "nope"], [["exact"], "airy"], "exact,airy", None, 5],
+    "dim": [2, 3, 4, 0, 2.0, "3", None, True],
+    "grid_points": [8, 16, 2, 1, 0, -3, 8.5, "16", None, True],
+    "window": [[0.1, 0.5], [0.5, 3.0], [-1.0, 1.0], [0.0, 10.0], [0.5], [1, 1],
+               [0.0, _INF], [_NAN, 1.0], "ab", None, 3],
+    "particles": [500, 1000, 1, 0, -5, 100.5, "500", None],
+    "seed": [1, 7, 0, -1, 1.5, "1", None],
+    "kicks": [1, 3, 0, -2, 2.5, None],
+    "P_prime": [5.0, 1, _INF, 0.0, -1.0, -_INF, _NAN, "5", None],
+    "t_prime": [1.0, 0.0, -1.0, _NAN, _INF, None],
+    "u0": [1.0, 1e-20, 0.0, -1.0, _NAN, _INF, None],
+    "w0": [1.0, 0.0, -1.0, _NAN, None],
+    "radius": [2.0, 3.0, 0.0, -1.0, _NAN, _INF, None],
+    "output_path": ["a.csv", "b.csv", "sub/c.csv", "sub/", "", None, 5],
+}
+# one valid line per command; a drawn line overrides a few of its fields
+_BASES = [
+    {"command": "quantum2d", "P": 10.0, "s": 1.0, "grid_points": 8},
+    {"command": "quantum3d", "P": 10.0, "s": 1.2, "grid_points": 8},
+    {"command": "classical", "P": 10.0, "s": 1.5, "dim": 3, "grid_points": 8},
+    {"command": "semiclassical", "P": 20.0, "s": 1.5, "method": "airy", "grid_points": 8},
+    {"command": "semiclassical", "P": 20.0, "s": 1.1, "method": "pearcey", "grid_points": 4,
+     "window": [0.0, 0.3]},
+    {"command": "semiclassical", "P": 20.0, "s": 1.2, "method": "pearcey", "dim": 3,
+     "grid_points": 4, "window": [0.0, 0.3]},
+    {"command": "semiclassical", "P": 20.0, "s": 4.0, "method": "uniform-airy", "dim": 3,
+     "grid_points": 8},
+    {"command": "semiclassical", "P": 20.0, "s": 1.5, "method": "uniform-bessel", "dim": 3,
+     "grid_points": 8, "window": [0.0, 0.1]},
+    {"command": "semiclassical", "P": 20.0, "s": 1.5, "method": "planar", "dim": 3,
+     "grid_points": 8, "window": [0.0, 0.5]},
+    {"command": "compare", "P": 10.0, "s": 1.0, "methods": ["exact", "classical"],
+     "grid_points": 8},
+    {"command": "thermal", "P_prime": 5.0, "t_prime": 1.0, "particles": 500, "grid_points": 8},
+    {"command": "squeeze", "u0": 1.0, "w0": 1.0, "kicks": 3},
+    {"command": "squeeze", "P_prime": 5.0, "particles": 500, "kicks": 2},
+]
+for _i, _base in enumerate(_BASES):
+    _base["output_path"] = f"base{_i}.csv"
+_RAW_LINES = ["{not json", "[1, 2]", "5", '"text"', '{"command": "quantum2d", "colour": 1}']
+
+
+def _batch_lines():
+    overrides = st.lists(st.sampled_from(sorted(_POOLS)), max_size=3, unique=True).flatmap(
+        lambda names: st.fixed_dictionaries({n: st.sampled_from(_POOLS[n]) for n in names}))
+    drawn = st.builds(lambda base, over: json.dumps(dict(base, **over)),
+                      st.sampled_from(_BASES), overrides)
+    # about one line in ten is one of the raw malformed lines
+    line = st.tuples(st.integers(0, 9), drawn, st.sampled_from(_RAW_LINES))
+    return st.lists(line.map(lambda t: t[2] if t[0] == 9 else t[1]), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_batch_lines())
+def test_no_batch_run_ends_in_a_traceback(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "b.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = os.path.join(tmp, "out")
+        assert cli.main(["batch", path, "--outdir", out]) in (0, 2, 3)
+        with open(os.path.join(out, "b.index.json"), encoding="utf-8") as fh:
+            index = json.load(fh)
+        assert [e["line"] for e in index] == list(range(1, len(lines) + 1))
+        assert all(e["status"] == "ok" or e["failure"] in ("config", "numerical")
+                   for e in index)

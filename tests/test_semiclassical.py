@@ -134,9 +134,10 @@ class TestPearceyFocus2D:
             assert l2 < tol
 
     def test_full_form_reduces_to_branch_near_cusp(self):
-        # the mirror term is a small correction near theta = 0
+        # the mirror term psi~(2 pi - theta) is a small correction near theta = 0
         P = 50.0
-        a = abs(sc.pearcey_focus_2d_full(0.05, 1 / P, P)) ** 2
+        a = abs(sc.pearcey_focus_2d(0.05, 1 / P, P)
+                + sc.pearcey_focus_2d(2.0 * math.pi - 0.05, 1 / P, P)) ** 2
         b = abs(sc.pearcey_focus_2d(0.05, 1 / P, P)) ** 2
         assert a == pytest.approx(b, rel=0.35)
 
@@ -244,11 +245,11 @@ class TestUniformAiry3D:
 
     def test_g2_bounded_and_subdominant_at_fold(self):
         thr = rainbow_angle(4.0)
-        _, _, g1, g2 = sc.uniform_airy_3d_coefficients(thr * (1 - 1e-6), self.tau, self.P)
+        _, _, g1, g2 = sc._ua_coefficients(thr * (1 - 1e-6), self.tau, self.P)
         assert abs(g2) < 0.15 * g1
         # and the g2/g1 weight shrinks with P (vanishing in the
         # asymptotic limit the plain-Airy reduction assumes)
-        _, _, h1, h2 = sc.uniform_airy_3d_coefficients(
+        _, _, h1, h2 = sc._ua_coefficients(
             rainbow_angle(4.0) * (1 - 1e-6), 4.0 / 600.0, 600.0)
         # the weight falls like P^(-1/3): (75/600)^(1/3) = 1/2
         assert abs(h2) / h1 == pytest.approx(0.5 * abs(g2) / g1, rel=0.02)

@@ -197,4 +197,4 @@ class TestClosedFormObservable:
         monkeypatch.setattr(sq, "_observable_in_flight", lambda ens, coupling: lambda t: 1.0)
         ens = kicked_ensemble(5.0, Coupling.DIPOLE, n=10)
         with pytest.raises(ConvergenceError, match="scan budget"):
-            sq._first_minimum(ens, Coupling.DIPOLE, 0.01, 1e-6)
+            sq._first_minimum(ens, Coupling.DIPOLE)
