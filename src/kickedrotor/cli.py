@@ -119,13 +119,11 @@ class ScenarioConfig:
             if self.t_prime is None or self.t_prime < 0:
                 raise ConfigError("field 't_prime': nonnegative time required")
         if self.window:
-            try:
-                lo, hi = (float(v) for v in self.window)
-            except (TypeError, ValueError):
-                raise ConfigError(f"field 'window': expected [lo, hi], got {list(self.window)!r}") from None
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ConfigError(f"field 'window': expected finite lo < hi, got {list(self.window)!r}")
-            self.window = (lo, hi)
+            lo, hi = self.window if len(self.window) == 2 else (None, None)
+            if not (all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+                        for v in (lo, hi)) and lo < hi):
+                raise ConfigError(f"field 'window': expected finite [lo, hi], lo < hi, got {list(self.window)!r}")
+            self.window = (float(lo), float(hi))
         if self.command == "squeeze" and self.kicks < 1:
             raise ConfigError("field 'kicks': must be >= 1")
         if not self.output_path:
@@ -305,11 +303,9 @@ def run(config):
 
     elif cfg.command == "thermal":
         ens = th.sample_ensemble(cfg.particles, cfg.seed, kick_strength=cfg.P_prime)
-        ens = th.kick(ens, _coupling(cfg))
-        ens = th.evolve(ens, cfg.t_prime / cfg.P_prime)
-        prof = th.angular_histogram(ens, cfg.grid_points)
+        prof, O, A = th.kicked_profile(ens, cfg.t_prime / cfg.P_prime, cfg.grid_points,
+                                       _coupling(cfg))
         columns = {"theta": prof.grid, "density": prof.values}
-        O, A = th.orientation_alignment(ens)
         summary.update({"orientation": O, "alignment": A})
 
     elif cfg.command == "semiclassical":
@@ -328,21 +324,16 @@ def run(config):
         if cfg.P_prime is not None:
             trace = sq.classical_accumulative_3d(
                 cfg.particles, cfg.P_prime, cfg.kicks, cfg.seed, _coupling(cfg))
-            columns = {
-                "k": trace.column("k"), "u": trace.column("u"),
-                "w": trace.column("w"), "dtau": trace.column("dtau"),
-                "observable": trace.column("observable"),
-            }
-            obs = trace.column("observable")
+            columns = {c: trace.column(c) for c in ("k", "u", "w", "dtau", "observable")}
+            obs = columns["observable"]
             summary["final_observable"] = float(obs[-1])
             summary["monotone_decreasing"] = bool(np.all(np.diff(obs) < 0))
+            summary["scan_steps_per_kick"] = [r.scan_steps for r in trace.records]
+            summary["newton_iters_per_kick"] = [r.newton_iters for r in trace.records]
         else:
             trace = sq.run_accumulative(cfg.u0, cfg.w0, cfg.kicks)
-            columns = {
-                "k": trace.column("k"), "u": trace.column("u"),
-                "w": trace.column("w"), "dtau": trace.column("dtau"),
-            }
-            k, u = trace.column("k"), trace.column("u")
+            columns = {c: trace.column(c) for c in ("k", "u", "w", "dtau")}
+            k, u = columns["k"], columns["u"]
             m = k >= max(100, cfg.kicks // 10)
             if np.count_nonzero(m) >= 2:
                 summary["loglog_slope"] = float(np.polyfit(np.log(k[m]), np.log(u[m]), 1)[0])
@@ -531,7 +522,10 @@ def main(argv=None):
         if "methods" in kwargs:
             kwargs["methods"] = tuple(kwargs["methods"].split(","))
         if "window" in kwargs:
-            kwargs["window"] = tuple(kwargs["window"].split(","))
+            try:
+                kwargs["window"] = tuple(float(v) for v in args.window.split(","))
+            except ValueError:
+                raise ConfigError(f"field 'window': expected 'lo,hi', got {args.window!r}") from None
         cfg = ScenarioConfig(command=args.command, **kwargs)
         if not cfg.output_path:
             cfg.output_path = _default_out(cfg)

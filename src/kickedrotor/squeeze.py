@@ -12,7 +12,8 @@ large-k flow conserves u^2 + 2wu and drives u ~ k^(-1/2): squeezing
 without saturation.  A Monte Carlo driver applies the same protocol to
 the full classical 3D ensemble; it finds each minimum of the spread from
 the closed-form free flight of `thermal._free_flight`, which `evolve`
-shares, and evolves the ensemble once per kick.
+shares (an angle-addition scan, then Newton on dO/dt or dA/dt), and
+evolves the ensemble once per kick.
 """
 
 from __future__ import annotations
@@ -56,13 +57,14 @@ class SqueezeRecord:
     u: float
     w: float
     dtau: float
-    observable: float | None = None  # O_k or A_k for the Monte Carlo driver
+    observable: float | None = None  # O_k or A_k for the Monte Carlo driver,
+    scan_steps: int | None = None    # and the scan steps and Newton
+    newton_iters: int | None = None  # iterations of its minimum search
 
 
 @dataclass(frozen=True)
 class SqueezeTrace:
     records: tuple
-    kick_strength: float | None = None  # lets callers restore physical time
 
     def column(self, name):
         return np.array([getattr(r, name) for r in self.records], dtype=float)
@@ -116,75 +118,80 @@ def ode_invariant(u, w):
     return u * u + 2.0 * w * u
 
 
-def _observable_in_flight(ensemble, coupling):
-    """O(t) = <1 - cos theta(t)> (dipole) or A(t) = <1 - cos^2 theta(t)>
-    (polarization) of the ensemble in free flight, as a function of t.
-
-    Closed form: the coefficients of `thermal._free_flight` are computed
-    once, and each value of t costs one cos and one sin per particle; it
-    agrees with `orientation_alignment(evolve(ensemble, t))` to rounding.
-    """
-    cos0, _, omega, b = thermal._free_flight(ensemble)
+def _observable_in_flight(flight, coupling):
+    """t -> (F, dF/dt, d2F/dt2) for F = O = <1 - cos theta(t)> (dipole) or
+    A = <1 - cos^2 theta(t)> (polarization) in free flight, in closed form
+    from the `thermal._free_flight` coefficients: x = cos theta =
+    cos0 cos(wt) - b sin(wt), x' = -w (cos0 sin(wt) + b cos(wt)), x'' = -w^2 x.
+    Each t costs one cos and one sin per particle; F agrees with
+    `orientation_alignment(evolve(ensemble, t))` to rounding."""
+    cos0, _, omega, b = flight
     squared = coupling is Coupling.POLARIZATION
 
-    def value_at(t):
-        wt = omega * t
-        c = np.cos(wt)
-        c *= cos0
-        s = np.sin(wt, out=wt)
-        s *= b
-        c -= s
+    def at(t):
+        c, s = np.cos(omega * t), np.sin(omega * t)
+        x, dx = cos0 * c - b * s, -omega * (cos0 * s + b * c)
         if squared:
-            c *= c
-        np.subtract(1.0, c, out=c)
-        return float(np.mean(c))
+            return (float(np.mean(1.0 - x * x)), -2.0 * float(np.mean(x * dx)),
+                    -2.0 * float(np.mean(dx * dx - (omega * x) ** 2)))
+        return float(np.mean(1.0 - x)), -float(np.mean(dx)), float(np.mean(omega * omega * x))
 
-    return value_at
+    return at
 
 
-# P't' step of the scan for the first minimum, and the P't' width to which
-# the golden section then narrows it
-_SCAN_STEP = 0.01
-_REFINE_TOL = 1e-6
+# P't' step and step budget of the scan; P't' step and iteration budget of Newton
+_SCAN_STEP, _SCAN_BUDGET = 0.01, 2_000_000
+_NEWTON_TOL, _NEWTON_BUDGET = 1e-10, 100
 
 
 def _first_minimum(ensemble, coupling):
-    """Time of the first local minimum of O (dipole) or A (polarization)
-    after a kick: scan in steps of P'dt = _SCAN_STEP, then refine by golden
-    section.  Each probe is the closed-form `_observable_in_flight`, so
-    the ensemble is never evolved here."""
+    """(t, scan steps, Newton iterations) for the first local minimum of
+    O (dipole) or A (polarization) after a kick; nothing is evolved here.
+    The scan walks t = k dt until F turns up, advancing (cos wt, sin wt) by
+    angle addition: four multiplies per particle, no transcendental.  Newton
+    on dF/dt = 0 refines its lowest point inside the bracket of the scan,
+    bisecting it whenever a step leaves it or the curvature is not positive.
+    """
     P = ensemble.kick_strength
     dt = _SCAN_STEP / P
-    value_at = _observable_in_flight(ensemble, coupling)
+    cos0, _, omega, b = flight = thermal._free_flight(ensemble)
+    # x = cos theta = Re(q z), q = cos0 + i b, z = exp(i omega t); a step
+    # multiplies z by exp(i omega dt): (C, S) <- (C cd - S sd, S cd + C sd)
+    q, z = cos0 + 1j * b, np.ones(omega.shape, complex)
+    rot, qz = np.exp(1j * (omega * dt)), np.empty_like(z)
 
-    t_prev, f_prev = 0.0, value_at(0.0)
-    t_curr, f_curr = dt, value_at(dt)
-    # walk downhill until the observable turns up
-    n_steps = 1
-    while f_curr <= f_prev:
-        t_prev, f_prev = t_curr, f_curr
-        n_steps += 1
-        t_curr = n_steps * dt
-        f_curr = value_at(t_curr)
-        if n_steps > 2_000_000:
-            raise ConvergenceError("no minimum found within the scan budget")
-    a = max(0.0, t_prev - dt)
-    b = t_curr
-    # golden-section refinement on [a, b]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = value_at(c), value_at(d)
-    while (b - a) > _REFINE_TOL / P:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = value_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = value_at(d)
-    return 0.5 * (a + b)
+    def spread():
+        # n (F - 1), all the scan compares
+        if coupling is Coupling.POLARIZATION:
+            x = np.multiply(q, z, out=qz).real
+            return -np.dot(x, x)
+        return -np.dot(q, z).real
+
+    f_prev = spread()
+    for steps in range(1, _SCAN_BUDGET + 1):  # walk downhill until F turns up
+        z *= rot
+        f_curr = spread()
+        if f_curr > f_prev:
+            break
+        f_prev = f_curr
+    else:
+        raise ConvergenceError("no minimum found within the scan budget")
+
+    at, tol = _observable_in_flight(flight, coupling), _NEWTON_TOL / P
+    lo, hi, t = max(0.0, (steps - 2) * dt), steps * dt, (steps - 1) * dt
+    for iters in range(1, _NEWTON_BUDGET + 1):
+        _, g, h = at(t)
+        if g > 0:
+            hi = t
+        elif g < 0:
+            lo = t
+        step = -g / h if h > 0 else math.inf
+        if not lo <= t + step <= hi:
+            step = 0.5 * (lo + hi) - t
+        t += step
+        if abs(step) <= tol:
+            return t, steps, iters
+    raise ConvergenceError("Newton refinement of the minimum did not converge")
 
 
 def classical_accumulative_3d(n_particles, P_prime, kicks, seed,
@@ -209,17 +216,16 @@ def classical_accumulative_3d(n_particles, P_prime, kicks, seed,
         if P_prime <= 0:
             raise ValueError("P_prime must be positive or inf")
         ens = thermal.sample_ensemble(n_particles, seed, kick_strength=P_prime)
-    idx = 0 if coupling is Coupling.DIPOLE else 1
+    P = ens.kick_strength
     records = []
     for k in range(1, kicks + 1):
         ens = thermal.kick(ens, coupling)
-        t_min = _first_minimum(ens, coupling)
+        t_min, steps, iters = _first_minimum(ens, coupling)
         ens = thermal.evolve(ens, t_min)
-        obs = thermal.orientation_alignment(ens)[idx]
-        c = np.cos(ens.theta)
-        u = float(np.mean((1.0 - c) * 2.0))  # ~ <theta^2> near the pole
-        w = float(np.mean(ens.p_theta ** 2)) / ens.kick_strength
-        records.append(SqueezeRecord(k=k, u=u, w=w,
-                                     dtau=t_min * ens.kick_strength,
-                                     observable=obs))
-    return SqueezeTrace(records=tuple(records), kick_strength=ens.kick_strength)
+        O, A = thermal.orientation_alignment(ens)
+        w = float(np.mean(ens.p_theta ** 2)) / P
+        # u = 2 O = <2 (1 - cos theta)> ~ <theta^2> near the pole
+        records.append(SqueezeRecord(k=k, u=2.0 * O, w=w, dtau=t_min * P,
+                                     observable=A if coupling is Coupling.POLARIZATION else O,
+                                     scan_steps=steps, newton_iters=iters))
+    return SqueezeTrace(records=tuple(records))

@@ -11,10 +11,11 @@ with frequency omega = sqrt(p_theta'^2 + p_phi'^2/sin^2 theta(0)):
 
 (the sign of the second term is fixed by theta_dot = +p_theta').  A kick
 of strength P' adds -P' sin(theta) (dipole) or -P' sin(2 theta)
-(polarization) to p_theta'.
+(polarization) to p_theta'; the azimuth phi enters neither and is not kept.
 
 Sampling uses a counter-based Philox generator keyed by (seed), so an
-ensemble is reproducible regardless of how the work is split afterwards.
+ensemble is reproducible regardless of how the work is split afterwards;
+`kicked_profile` kicks, evolves and histograms it in blocks of BLOCK.
 """
 
 from __future__ import annotations
@@ -32,17 +33,18 @@ __all__ = [
     "sample_ensemble",
     "kick",
     "evolve",
-    "angular_histogram",
+    "kicked_profile",
     "orientation_alignment",
 ]
+
+BLOCK = 2 ** 16  # particles per block of `kicked_profile`
 
 
 @dataclass(frozen=True)
 class ThermalEnsemble:
-    """Particle arrays (theta, phi, p_theta, p_phi) plus kick strength."""
+    """Particle arrays (theta, p_theta, p_phi) plus kick strength."""
 
     theta: np.ndarray
-    phi: np.ndarray
     p_theta: np.ndarray
     p_phi: np.ndarray
     kick_strength: float
@@ -52,9 +54,8 @@ class ThermalEnsemble:
         n = len(self.theta)
         if n < 1:
             raise ValueError("ensemble needs at least one particle")
-        for name in ("phi", "p_theta", "p_phi"):
-            if len(getattr(self, name)) != n:
-                raise ValueError("particle arrays must share one length")
+        if len(self.p_theta) != n or len(self.p_phi) != n:
+            raise ValueError("particle arrays must share one length")
 
     @property
     def n(self):
@@ -68,22 +69,23 @@ class ThermalEnsemble:
 def sample_ensemble(n, seed, kick_strength=1.0, temperature=1.0):
     """Draw n particles from the thermal equilibrium distribution.
 
-    theta ~ sin(theta)/2 on [0, pi], phi uniform, p_theta' standard
-    normal, and p_phi' normal with standard deviation sin(theta) (so the
-    conjugate velocity p_phi'/sin theta is standard normal).
+    theta ~ sin(theta)/2 on [0, pi], p_theta' standard normal, and
+    p_phi' normal with standard deviation sin(theta) (so the conjugate
+    velocity p_phi'/sin theta is standard normal).  The momenta start 2n
+    draws into the stream, after n draws that would give a uniform phi.
     temperature=0 collapses the momentum spread (the P' -> infinity
     limit, where only the product P' t' matters).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random(n)
-    theta = np.arccos(1.0 - 2.0 * u)
-    phi = rng.random(n) * 2.0 * math.pi
+    theta = np.arccos(1.0 - 2.0 * rng.random(n))
+    rng = np.random.Generator(np.random.Philox(key=seed).advance(n // 2))  # 4 draws a step
+    rng.bit_generator.random_raw(2 * (n % 2), output=False)
     scale = math.sqrt(temperature)
     p_theta = rng.standard_normal(n) * scale
     p_phi = rng.standard_normal(n) * np.sin(theta) * scale
-    return ThermalEnsemble(theta=theta, phi=phi, p_theta=p_theta, p_phi=p_phi,
+    return ThermalEnsemble(theta=theta, p_theta=p_theta, p_phi=p_phi,
                            kick_strength=float(kick_strength), seed=int(seed))
 
 
@@ -154,19 +156,31 @@ def evolve(ensemble, dt):
     return replace(ensemble, theta=theta, p_theta=p_theta)
 
 
-def angular_histogram(ensemble, bins):
-    """Histogram of theta, normalized so sum(density * dtheta) = 1.
-
-    This is the plotted f(theta): no 1/sin(theta) weighting, so the
-    isotropic ensemble shows the sin(theta)/2 profile.
+def kicked_profile(ensemble, dt, bins, coupling=Coupling.DIPOLE):
+    """(profile, O, A) after a kick and free flight for dt: the plotted
+    f(theta), normalized so sum(density * dtheta) = 1 with no 1/sin(theta)
+    weighting (the isotropic ensemble shows sin(theta)/2), and
+    `orientation_alignment`.  Blocks of BLOCK particles go through `kick`
+    and `evolve`; counts add exactly, (O, A) differ only in summation order.
     """
     if bins < 2:
         raise ValueError("need at least 2 bins")
-    counts, edges = np.histogram(ensemble.theta, bins=bins, range=(0.0, math.pi))
-    width = edges[1] - edges[0]
+    n, e = ensemble.n, ensemble
+    counts, sums = 0, np.zeros(2)
+    for part in (slice(lo, lo + BLOCK) for lo in range(0, n, BLOCK)):
+        block = replace(e, theta=e.theta[part], p_theta=e.p_theta[part], p_phi=e.p_phi[part])
+        block = evolve(kick(block, coupling), dt)
+        c, edges = np.histogram(block.theta, bins=bins, range=(0.0, math.pi))
+        counts, sums = counts + c, sums + _alignment_sums(block.theta)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    dens = counts / (ensemble.n * width)
-    return DensityProfile(grid=centers, values=dens, geometry="sphere")
+    dens = counts / (n * (edges[1] - edges[0]))
+    O, A = sums / n
+    return DensityProfile(grid=centers, values=dens, geometry="sphere"), float(O), float(A)
+
+
+def _alignment_sums(theta):
+    c = np.cos(theta)  # pairwise sums of 1 - cos theta and 1 - cos^2 theta
+    return np.sum(1.0 - c), np.sum(1.0 - c * c)
 
 
 def orientation_alignment(ensemble):
@@ -175,7 +189,5 @@ def orientation_alignment(ensemble):
     Reductions use pairwise summation (numpy's default), so the result is
     independent of any outer parallel split of the particle arrays.
     """
-    c = np.cos(ensemble.theta)
-    O = float(np.mean(1.0 - c))
-    A = float(np.mean(1.0 - c * c))
-    return O, A
+    O, A = _alignment_sums(ensemble.theta)
+    return float(O / ensemble.n), float(A / ensemble.n)

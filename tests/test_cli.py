@@ -80,6 +80,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"field '{field}'"):
             ScenarioConfig.from_dict({"command": "compare", field: value})
 
+    @pytest.mark.parametrize("window", [["0", True], ["0", 1.0], [0.0, "1"], [False, 1.0],
+                                        [0.0, None]])
+    def test_window_elements_must_be_numbers(self, window):
+        # float() would read ["0", true] as the window [0, 1]
+        c = ScenarioConfig.from_dict({"command": "quantum2d", "P": 10.0, "s": 1.0,
+                                      "window": window, "output_path": "x.csv"})
+        with pytest.raises(ConfigError, match="field 'window'"):
+            c.validate()
+
     def test_compare_method_must_be_a_name(self):
         c = ScenarioConfig(command="compare", P=10.0, s=1.0, methods=("exact", ["airy"]),
                            output_path="x.csv")
@@ -336,6 +345,24 @@ class TestMain:
         assert rc == 0
         side = json.loads((tmp_path / "d.json").read_text())
         assert side["summary"]["monotone_decreasing"] is True
+        for key in ("scan_steps_per_kick", "newton_iters_per_kick"):
+            counts = side["summary"][key]
+            assert len(counts) == 3 and all(isinstance(c, int) and c >= 1 for c in counts)
+        assert (tmp_path / "d.csv").read_text().splitlines()[0] == "k,u,w,dtau,observable"
+
+    def test_window_option_read_as_numbers(self, tmp_path):
+        rc = cli.main(["quantum2d", "--P", "10", "--s", "1", "--grid", "4",
+                       "--window", "0,0.3", "--out", str(tmp_path / "w.csv")])
+        assert rc == 0
+        side = json.loads((tmp_path / "w.json").read_text())
+        assert side["config"]["window"] == [0.0, 0.3]
+
+    def test_window_option_of_words_exit_two(self, tmp_path, capsys):
+        rc = cli.main(["quantum2d", "--P", "10", "--s", "1", "--grid", "4",
+                       "--window", "a,b", "--out", str(tmp_path / "w.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "field 'window'" in err and "Traceback" not in err
 
 
 # Per-field pools for the batch property test: valid values first, then

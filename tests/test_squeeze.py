@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import minimize_scalar
 
@@ -166,24 +167,39 @@ class TestClosedFormObservable:
     @pytest.mark.parametrize("P_prime", [math.inf, 5.0])
     def test_matches_evolved_ensemble(self, P_prime, coupling):
         ens = kicked_ensemble(P_prime, coupling)
-        value_at = sq._observable_in_flight(ens, coupling)
+        at = sq._observable_in_flight(th._free_flight(ens), coupling)
         idx = 0 if coupling is Coupling.DIPOLE else 1
-        for st in (0.0, 0.01, 0.5, 1.773, 3.0, 25.0):
-            t = st / ens.kick_strength
+        for st_ in (0.0, 0.01, 0.5, 1.773, 3.0, 25.0):
+            t = st_ / ens.kick_strength
             ref = th.orientation_alignment(th.evolve(ens, t))[idx]
-            assert value_at(t) == pytest.approx(ref, rel=1e-14, abs=1e-14)
+            assert at(t)[0] == pytest.approx(ref, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("coupling", [Coupling.DIPOLE, Coupling.POLARIZATION])
+    @pytest.mark.parametrize("P_prime", [math.inf, 5.0])
+    def test_derivatives_match_evolved_differences(self, P_prime, coupling):
+        # central differences of O or A of the evolved ensemble
+        ens = kicked_ensemble(P_prime, coupling)
+        at = sq._observable_in_flight(th._free_flight(ens), coupling)
+        idx = 0 if coupling is Coupling.DIPOLE else 1
+        F = lambda t: th.orientation_alignment(th.evolve(ens, t))[idx]
+        for st_ in (0.3, 1.773, 3.0):
+            t, h = st_ / ens.kick_strength, 1e-4 / ens.kick_strength
+            _, d1, d2 = at(t)
+            scale = ens.kick_strength ** 2
+            assert d1 == pytest.approx((F(t + h) - F(t - h)) / (2 * h), rel=1e-6, abs=1e-8 * scale)
+            assert d2 == pytest.approx((F(t + h) - 2 * F(t) + F(t - h)) / h ** 2,
+                                       rel=1e-4, abs=1e-4 * scale)
 
     @pytest.mark.parametrize("coupling", [Coupling.DIPOLE, Coupling.POLARIZATION])
     def test_rest_particle_keeps_theta0(self, coupling):
         ens = th.ThermalEnsemble(
-            theta=np.array([1.0]), phi=np.array([0.0]),
-            p_theta=np.array([0.0]), p_phi=np.array([0.0]),
+            theta=np.array([1.0]), p_theta=np.array([0.0]), p_phi=np.array([0.0]),
             kick_strength=1.0, seed=0)
-        value_at = sq._observable_in_flight(ens, coupling)
+        at = sq._observable_in_flight(th._free_flight(ens), coupling)
         c = math.cos(1.0)
         ref = 1.0 - c if coupling is Coupling.DIPOLE else 1.0 - c * c
         for t in (0.0, 0.3, 7.0):
-            assert value_at(t) == ref
+            assert at(t) == (ref, 0.0, 0.0)
 
     def test_driver_evolves_once_per_kick(self, monkeypatch):
         calls = []
@@ -194,7 +210,42 @@ class TestClosedFormObservable:
         assert [t * 5.0 for t in calls] == list(tr.column("dtau"))
 
     def test_no_minimum_is_a_convergence_error(self, monkeypatch):
-        monkeypatch.setattr(sq, "_observable_in_flight", lambda ens, coupling: lambda t: 1.0)
-        ens = kicked_ensemble(5.0, Coupling.DIPOLE, n=10)
-        with pytest.raises(ConvergenceError, match="scan budget"):
-            sq._first_minimum(ens, Coupling.DIPOLE)
+        # an ensemble at rest has a flat observable: the real scan walks
+        # until its (lowered) step budget runs out
+        monkeypatch.setattr(sq, "_SCAN_BUDGET", 50)
+        ens = th.ThermalEnsemble(
+            theta=np.linspace(0.1, 3.0, 10), p_theta=np.zeros(10), p_phi=np.zeros(10),
+            kick_strength=5.0, seed=0)
+        for coupling in (Coupling.DIPOLE, Coupling.POLARIZATION):
+            with pytest.raises(ConvergenceError, match="scan budget"):
+                sq._first_minimum(ens, coupling)
+
+    def test_records_hold_the_search_counts(self):
+        tr = sq.classical_accumulative_3d(2000, 5.0, 4, seed=8)
+        for r in tr.records:
+            assert r.scan_steps >= 1 and 1 <= r.newton_iters <= sq._NEWTON_BUDGET
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(P_prime=st.sampled_from([math.inf, 0.5, 1.0, 5.0, 10.0]),
+       coupling=st.sampled_from([Coupling.DIPOLE, Coupling.POLARIZATION]),
+       n=st.integers(20, 3000), kicks=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_first_minimum_is_a_stationary_minimum_in_the_bracket(P_prime, coupling, n, kicks, seed):
+    # after a few kicks of the driver's protocol, the search's t* has
+    # dF/dt ~ 0 against the slopes on its scan bracket, and F(t*) is no
+    # larger than F at either end of the bracket
+    if math.isinf(P_prime):
+        ens = th.sample_ensemble(n, seed, kick_strength=1.0, temperature=0.0)
+    else:
+        ens = th.sample_ensemble(n, seed, kick_strength=P_prime)
+    for _ in range(kicks):
+        ens = th.kick(ens, coupling)
+        t, steps, iters = sq._first_minimum(ens, coupling)
+        at = sq._observable_in_flight(th._free_flight(ens), coupling)
+        dt = sq._SCAN_STEP / ens.kick_strength
+        a, b = max(0.0, (steps - 2) * dt), steps * dt
+        (Fa, ga, _), (Fb, gb, _), (Ft, gt, _) = at(a), at(b), at(t)
+        assert a <= t <= b
+        assert abs(gt) <= 1e-9 * max(abs(ga), abs(gb))
+        assert Ft <= min(Fa, Fb) + 1e-15
+        ens = th.evolve(ens, t)

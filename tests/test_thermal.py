@@ -1,10 +1,12 @@
 """Thermal ensembles: sampling moments, free flight against an ODE
-oracle, conservation laws, histograms, determinism."""
+oracle, conservation laws, histograms, the blocked kick-evolve-histogram
+pass, determinism."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from kickedrotor import thermal as th
@@ -48,6 +50,21 @@ class TestSampling:
         assert np.all(e.p_theta == 0.0)
         assert np.all(e.p_phi == 0.0)
 
+    @pytest.mark.parametrize("temperature", [1.0, 0.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 1000, 1001, 1002, 1003, 65537])
+    def test_stream_kept_without_azimuth(self, n, temperature):
+        # a sampler that also draws a uniform azimuth: the stream to keep
+        rng = np.random.Generator(np.random.Philox(key=17))
+        theta = np.arccos(1.0 - 2.0 * rng.random(n))
+        rng.random(n) * 2.0 * math.pi
+        scale = math.sqrt(temperature)
+        p_theta = rng.standard_normal(n) * scale
+        p_phi = rng.standard_normal(n) * np.sin(theta) * scale
+        e = th.sample_ensemble(n, 17, temperature=temperature)
+        assert np.array_equal(e.theta, theta)
+        assert np.array_equal(e.p_theta, p_theta)
+        assert np.array_equal(e.p_phi, p_phi)
+
 
 class TestKick:
     def test_zero_strength_identity(self):
@@ -57,8 +74,7 @@ class TestKick:
 
     def test_momentum_transfer(self):
         e = th.ThermalEnsemble(
-            theta=np.array([math.pi / 2]), phi=np.array([0.0]),
-            p_theta=np.array([0.0]), p_phi=np.array([0.0]),
+            theta=np.array([math.pi / 2]), p_theta=np.array([0.0]), p_phi=np.array([0.0]),
             kick_strength=10.0, seed=0)
         assert th.kick(e).p_theta[0] == pytest.approx(-10.0)
 
@@ -66,13 +82,11 @@ class TestKick:
         e = th.sample_ensemble(50, seed=3, kick_strength=4.0)
         k = th.kick(e)
         assert np.array_equal(k.theta, e.theta)
-        assert np.array_equal(k.phi, e.phi)
         assert np.array_equal(k.p_phi, e.p_phi)
 
     def test_polarization_double_angle(self):
         e = th.ThermalEnsemble(
-            theta=np.array([0.3]), phi=np.array([0.0]),
-            p_theta=np.array([0.0]), p_phi=np.array([0.0]),
+            theta=np.array([0.3]), p_theta=np.array([0.0]), p_phi=np.array([0.0]),
             kick_strength=2.0, seed=0)
         k = th.kick(e, Coupling.POLARIZATION)
         assert k.p_theta[0] == pytest.approx(-2.0 * math.sin(0.6))
@@ -86,8 +100,7 @@ class TestEvolve:
     def test_planar_rotation_when_p_phi_zero(self):
         c = 0.37
         e = th.ThermalEnsemble(
-            theta=np.array([1.0]), phi=np.array([0.0]),
-            p_theta=np.array([c]), p_phi=np.array([0.0]),
+            theta=np.array([1.0]), p_theta=np.array([c]), p_phi=np.array([0.0]),
             kick_strength=1.0, seed=0)
         ev = th.evolve(e, 1.5)
         assert ev.theta[0] == pytest.approx(1.0 + c * 1.5, abs=1e-12)
@@ -97,8 +110,7 @@ class TestEvolve:
         # kicked motionless rotor follows theta(t) = theta0 - P t sin(theta0)
         th0 = 1.1
         e = th.ThermalEnsemble(
-            theta=np.array([th0]), phi=np.array([0.0]),
-            p_theta=np.array([0.0]), p_phi=np.array([0.0]),
+            theta=np.array([th0]), p_theta=np.array([0.0]), p_phi=np.array([0.0]),
             kick_strength=3.0, seed=0)
         ev = th.evolve(th.kick(e), 0.2)
         assert ev.theta[0] == pytest.approx(th0 - 3.0 * 0.2 * math.sin(th0), abs=1e-12)
@@ -107,8 +119,7 @@ class TestEvolve:
         # integrate theta'' = p_phi^2 cos/sin^3 directly
         th0, p0, pphi = 1.1, 0.7, 0.4
         e = th.ThermalEnsemble(
-            theta=np.array([th0]), phi=np.array([0.0]),
-            p_theta=np.array([p0]), p_phi=np.array([pphi]),
+            theta=np.array([th0]), p_theta=np.array([p0]), p_phi=np.array([pphi]),
             kick_strength=1.0, seed=0)
         sol = solve_ivp(
             lambda t, y: [y[1], pphi ** 2 * math.cos(y[0]) / math.sin(y[0]) ** 3],
@@ -129,8 +140,7 @@ class TestEvolve:
     def test_pole_reflection(self):
         # p_phi = 0 particle passing theta = 0 reflects
         e = th.ThermalEnsemble(
-            theta=np.array([0.3]), phi=np.array([0.0]),
-            p_theta=np.array([-1.0]), p_phi=np.array([0.0]),
+            theta=np.array([0.3]), p_theta=np.array([-1.0]), p_phi=np.array([0.0]),
             kick_strength=1.0, seed=0)
         ev = th.evolve(e, 0.5)
         assert ev.theta[0] == pytest.approx(0.2, abs=1e-12)
@@ -142,17 +152,24 @@ class TestEvolve:
         # survive, and a particle with p_theta = p_phi = 0 stays at theta0
         e = th.kick(th.sample_ensemble(1000, seed=6, kick_strength=2.0))
         e.p_theta[0] = e.p_phi[0] = 0.0
-        before = [a.copy() for a in (e.theta, e.phi, e.p_theta, e.p_phi)]
+        before = [a.copy() for a in (e.theta, e.p_theta, e.p_phi)]
         ev = th.evolve(e, 0.8)
-        for a, b in zip((e.theta, e.phi, e.p_theta, e.p_phi), before):
+        for a, b in zip((e.theta, e.p_theta, e.p_phi), before):
             assert np.array_equal(a, b)
         assert ev.theta[0] == e.theta[0] and ev.p_theta[0] == 0.0
         assert not np.array_equal(ev.theta[1:], e.theta[1:])
 
 
+def one_shot_profile(ensemble, dt, bins, coupling):
+    # kick, evolve and histogram the whole ensemble at once
+    ev = th.evolve(th.kick(ensemble, coupling), dt)
+    counts, edges = np.histogram(ev.theta, bins=bins, range=(0.0, math.pi))
+    return counts, edges, th.orientation_alignment(ev)
+
+
 class TestHistogram:
     def test_isotropic_half_sine(self, big_ensemble):
-        prof = th.angular_histogram(big_ensemble, 50)
+        prof, _, _ = th.kicked_profile(big_ensemble, 0.0, 50)
         width = prof.grid[1] - prof.grid[0]
         assert np.sum(prof.values) * width == pytest.approx(1.0, rel=1e-12)
         ref = np.sin(prof.grid) / 2
@@ -163,8 +180,7 @@ class TestHistogram:
     def test_focal_hole_at_strong_kick(self):
         # P' = 10 at P't' = 1: peak near the pole but a hole at theta = 0
         ens = th.sample_ensemble(10 ** 6, seed=42, kick_strength=10.0)
-        ens = th.evolve(th.kick(ens), 0.1)
-        prof = th.angular_histogram(ens, 400)
+        prof, _, _ = th.kicked_profile(ens, 0.1, 400)
         peak_zone = prof.values[prof.grid < 0.3]
         assert prof.values[0] < 0.1 * peak_zone.max()
         assert peak_zone.max() == prof.values.max()
@@ -173,11 +189,9 @@ class TestHistogram:
         # P' = 1 bends the half-sine but produces no focal spike, unlike
         # the strong kick at the same P't'
         weak = th.sample_ensemble(200000, seed=7, kick_strength=1.0)
-        weak = th.evolve(th.kick(weak), 1.0)
         strong = th.sample_ensemble(200000, seed=7, kick_strength=10.0)
-        strong = th.evolve(th.kick(strong), 0.1)
-        prof_w = th.angular_histogram(weak, 50)
-        prof_s = th.angular_histogram(strong, 50)
+        prof_w, _, _ = th.kicked_profile(weak, 1.0, 50)
+        prof_s, _, _ = th.kicked_profile(strong, 0.1, 50)
         equilibrium_peak = 0.5
         assert prof_w.values.max() < 2.0 * equilibrium_peak
         assert prof_s.values.max() > 2.0 * prof_w.values.max()
@@ -185,7 +199,34 @@ class TestHistogram:
     def test_rejects_single_bin(self):
         e = th.sample_ensemble(10, seed=1)
         with pytest.raises(ValueError):
-            th.angular_histogram(e, 1)
+            th.kicked_profile(e, 0.0, 1)
+
+    def test_input_untouched(self):
+        e = th.sample_ensemble(th.BLOCK + 3, seed=8, kick_strength=3.0)
+        before = [a.copy() for a in (e.theta, e.p_theta, e.p_phi)]
+        th.kicked_profile(e, 0.4, 30, Coupling.POLARIZATION)
+        for a, b in zip((e.theta, e.p_theta, e.p_phi), before):
+            assert np.array_equal(a, b)
+
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(n=st.integers(1, 3 * th.BLOCK + 7),
+           P_prime=st.sampled_from([1.0, 5.0, 10.0]),
+           t_prime=st.sampled_from([0.0, 0.3, 1.0, 4.5]),
+           coupling=st.sampled_from([Coupling.DIPOLE, Coupling.POLARIZATION]),
+           bins=st.integers(2, 200))
+    @example(n=1, P_prime=10.0, t_prime=1.0, coupling=Coupling.DIPOLE, bins=7)
+    @example(n=th.BLOCK - 1, P_prime=5.0, t_prime=0.0, coupling=Coupling.POLARIZATION, bins=50)
+    @example(n=th.BLOCK, P_prime=10.0, t_prime=1.0, coupling=Coupling.DIPOLE, bins=200)
+    @example(n=th.BLOCK + 1, P_prime=1.0, t_prime=3.0, coupling=Coupling.POLARIZATION, bins=200)
+    def test_blocked_pass_matches_one_shot(self, n, P_prime, t_prime, coupling, bins):
+        ens = th.sample_ensemble(n, seed=n, kick_strength=P_prime)
+        prof, O, A = th.kicked_profile(ens, t_prime / P_prime, bins, coupling)
+        counts, edges, (O_ref, A_ref) = one_shot_profile(ens, t_prime / P_prime, bins, coupling)
+        width = edges[1] - edges[0]
+        assert np.array_equal(prof.values, counts / (n * width))
+        assert np.array_equal(prof.grid, 0.5 * (edges[:-1] + edges[1:]))
+        assert O == pytest.approx(O_ref, rel=0, abs=1e-15)
+        assert A == pytest.approx(A_ref, rel=0, abs=1e-15)
 
 
 class TestZeroTemperatureDegeneration:
@@ -197,8 +238,7 @@ class TestZeroTemperatureDegeneration:
         s = 2.0
         ens = th.sample_ensemble(10 ** 6, seed=33, kick_strength=1.0,
                                  temperature=0.0)
-        ens = th.evolve(th.kick(ens), s)
-        prof = th.angular_histogram(ens, 100)
+        prof, _, _ = th.kicked_profile(ens, s, 100)
         width = prof.grid[1] - prof.grid[0]
         params = cl.MapParams(s, geometry=cl.Geometry.SPHERE_3D)
         thr = cl.rainbow_angle(s)
@@ -216,7 +256,7 @@ class TestZeroTemperatureDegeneration:
 class TestOrientationAlignment:
     def test_point_mass_at_pole(self):
         e = th.ThermalEnsemble(
-            theta=np.zeros(4), phi=np.zeros(4),
+            theta=np.zeros(4),
             p_theta=np.zeros(4), p_phi=np.zeros(4),
             kick_strength=1.0, seed=0)
         O, A = th.orientation_alignment(e)
