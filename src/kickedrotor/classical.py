@@ -5,7 +5,8 @@ A rotor starting at rest at angle theta0 acquires angular velocity
 dimensionless time tau it sits at theta0 - s sin(theta0) with s = P*tau.
 Everything here works with the single map parameter s: the kick map, its
 multi-branch inversion, the singular ensemble density, and the critical
-angles (rainbow, glory) and times of the resulting catastrophes.
+angles (rainbow, glory) and times of the resulting catastrophes.  The
+inversion of a whole theta array is solved in one _bisect_rows call.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .specfun import _CONTOUR_BLOCK
 
 __all__ = [
     "Coupling",
@@ -81,53 +84,25 @@ def fold_to_sphere(theta):
     return TWO_PI - r if r > math.pi else r
 
 
-def _raw_map(theta0, s, m):
-    return theta0 - s * math.sin(m * theta0)
-
-
-def _raw_deriv(theta0, s, m):
-    return 1.0 - m * s * math.cos(m * theta0)
-
-
 def map_forward(theta0, params):
     """Final angle of a rotor that started at rest at theta0."""
     m = params.harmonic
-    val = _raw_map(theta0, params.s, m)
+    val = theta0 - params.s * math.sin(m * theta0)
     if params.geometry is Geometry.SPHERE_3D:
         return fold_to_sphere(val)
     return val % TWO_PI
 
 
-def _bisect(f, a, b, tol=1e-14, max_iter=200):
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise ValueError("bisection bracket does not straddle a root")
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        if (b - a) < tol:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
 def _bisect_rows(f, a, b, tol=1e-14, max_iter=200):
-    """_bisect on many brackets at once.
+    """Roots of many bracketed functions at once, by bisection.
 
     f maps an array of abscissae, one per row, to the array of its values
-    at them; a and b are the bracket ends (arrays or scalars).  Every row
-    follows _bisect's stopping rule, so each root is the one _bisect
-    returns for that row, and a row that does not straddle a root raises
-    the same ValueError.
+    at them; a and b are the bracket ends (arrays or scalars).  A row whose
+    value is exactly zero at an end returns that end.  Otherwise each row
+    halves its bracket, keeping the half whose ends differ in sign, and
+    returns the midpoint once the bracket is narrower than tol or f is
+    exactly zero there, or after max_iter halvings.  A row whose ends have
+    the same sign raises ValueError.
     """
     fa, fb = f(a), f(b)
     a = np.broadcast_to(a, fa.shape).astype(float)
@@ -140,16 +115,15 @@ def _bisect_rows(f, a, b, tol=1e-14, max_iter=200):
         if not live.any():
             return root
         mid = 0.5 * (a + b)
-        done = live & ((b - a) < tol)
         fm = f(mid)
-        done |= live & (fm == 0.0)
+        done = live & (((b - a) < tol) | (fm == 0.0))
         root = np.where(done, mid, root)
         live &= ~done
-        left = live & (fa * fm < 0)
-        right = live & ~left
+        # rows already done keep halving, unread: their root is stored
+        left = fa * fm < 0
         b = np.where(left, mid, b)
-        a = np.where(right, mid, a)
-        fa = np.where(right, fm, fa)
+        a = np.where(left, a, mid)
+        fa = np.where(left, fa, fm)
     return np.where(live, 0.5 * (a + b), root)
 
 
@@ -169,117 +143,100 @@ def _monotone_breakpoints(s, m, lo, hi):
     return sorted(set(pts))
 
 
-def invert_map(theta, params):
-    """Every initial angle whose trajectory arrives at theta.
+def _branches(theta, params):
+    """Every initial angle arriving at each angle of a 1-D theta array.
 
-    The domain of theta0 is split at the analytic zeros of the map
-    derivative; each monotone piece is bisected.  Planar geometry scans the
-    2*pi*p copies of theta that intersect the map's range; the sphere also
-    matches the reflected targets -theta.
+    Returns (index, root, derivative): one row per branch, sorted by theta
+    index and then by root, with the map derivative at the root.  The
+    domain of theta0 is split at the analytic zeros of the map derivative;
+    each target copy theta + 2 pi k inside the map's range (on the sphere
+    also -theta + 2 pi k) is bracketed on every monotone piece, and the
+    straddling brackets of a block of at most specfun._CONTOUR_BLOCK are
+    solved in one _bisect_rows call.  A piece end where the map hits a
+    target is a root itself; a root within 1e-10 of the previous one is
+    dropped, and at a pole of the sphere every interior root counts
+    twice (it feeds the pole from both azimuthal sides).
     """
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
     s, m = params.s, params.harmonic
     sphere = params.geometry is Geometry.SPHERE_3D
-    lo, hi = (0.0, math.pi) if sphere else (0.0, TWO_PI)
-    pieces = _monotone_breakpoints(s, m, lo, hi)
+    pieces = np.array(_monotone_breakpoints(s, m, 0.0, math.pi if sphere else TWO_PI))
+    g = pieces - s * np.sin(m * pieces)
+    g_min, g_max = g.min() - 1e-12, g.max() + 1e-12
+    base = np.stack([theta, -theta], axis=1) if sphere else theta[:, None]
+    k_lo = np.floor((g_min - base) / TWO_PI)
+    k_hi = np.ceil((g_max - base) / TWO_PI)
+    copies = int(np.max(k_hi - k_lo, initial=0.0)) + 1
+    rows = max(1, _CONTOUR_BLOCK // (base.shape[1] * copies * pieces.size))
+    index, found = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for i in range(0, theta.size, rows):
+        k = k_lo[i:i + rows, :, None] + np.arange(copies)
+        v = base[i:i + rows, :, None] + TWO_PI * k
+        ok = (k <= k_hi[i:i + rows, :, None]) & (g_min <= v) & (v <= g_max)
+        owner = np.broadcast_to(np.arange(i, i + len(v))[:, None, None], v.shape)[ok]
+        v = v[ok]
+        f = g - v[:, None]  # (target, piece end)
+        hit, end = np.nonzero(f == 0.0)
+        tgt, piece = np.nonzero(f[:, :-1] * f[:, 1:] < 0.0)
+        fv = v[tgt]
+        index += [owner[hit], owner[tgt]]
+        found += [pieces[end],
+                  _bisect_rows(lambda t: t - s * np.sin(m * t) - fv, pieces[piece], pieces[piece + 1])]
+    index, roots = np.concatenate(index), np.concatenate(found)
+    order = np.lexsort((roots, index))
+    index, roots = index[order], roots[order]
 
-    g_vals = [_raw_map(p, s, m) for p in pieces]
-    g_min, g_max = min(g_vals) - 1e-12, max(g_vals) + 1e-12
-
-    targets = set()
-    base = [theta, -theta] if sphere else [theta]
-    for t in base:
-        k_lo = int(math.floor((g_min - t) / TWO_PI))
-        k_hi = int(math.ceil((g_max - t) / TWO_PI))
-        for k in range(k_lo, k_hi + 1):
-            v = t + TWO_PI * k
-            if g_min <= v <= g_max:
-                targets.add(v)
-
-    roots = []
-    for v in sorted(targets):
-        f = lambda t, v=v: _raw_map(t, s, m) - v
-        for a, b in zip(pieces[:-1], pieces[1:]):
-            fa, fb = f(a), f(b)
-            if fa == 0.0:
-                roots.append(a)
-            elif fa * fb < 0:
-                roots.append(_bisect(f, a, b))
-        if f(pieces[-1]) == 0.0:
-            roots.append(pieces[-1])
-
-    # de-duplicate roots found at shared piece endpoints
-    roots = sorted(roots)
-    dedup = []
-    for r in roots:
-        if not dedup or abs(r - dedup[-1]) > 1e-10:
-            dedup.append(r)
-    if sphere and (theta < 1e-12 or abs(theta - math.pi) < 1e-12):
-        # at a pole the +theta and -theta arrival targets coincide: every
-        # interior root feeds the pole from both azimuthal sides
-        doubled = []
-        for r in dedup:
-            doubled.append(r)
-            if 1e-9 < r < math.pi - 1e-9:
-                doubled.append(r)
-        dedup = doubled
-    return BranchSet(
-        roots=tuple(dedup),
-        derivatives=tuple(_raw_deriv(r, s, m) for r in dedup),
-    )
+    # a root within 1e-10 of the previous one (twin targets, a fold) is that root
+    keep = (np.diff(index, prepend=-1) != 0) | (np.diff(roots, prepend=-math.inf) > 1e-10)
+    index, roots = index[keep], roots[keep]
+    if sphere:
+        pole = (theta < 1e-12) | (np.abs(theta - math.pi) < 1e-12)
+        twice = 1 + (pole[index] & (roots > 1e-9) & (roots < math.pi - 1e-9))
+        index, roots = np.repeat(index, twice), np.repeat(roots, twice)
+    return index, roots, 1.0 - m * s * np.cos(m * roots)
 
 
-@dataclass(frozen=True)
-class ClassicalDensity:
-    """Density value plus singularity metadata at one angle."""
+def invert_map(theta, params):
+    """Every initial angle whose trajectory arrives at theta (a scalar).
 
-    value: float
-    singular: bool = False
-    # one-sided coefficient c of c*|theta - theta_c|^(-1/2) when singular
-    singular_coefficient: float = 0.0
+    Planar geometry scans the 2*pi*p copies of theta that intersect the
+    map's range; the sphere also matches the reflected targets -theta.
+    """
+    _, roots, der = _branches(np.array([float(theta)]), params)
+    return BranchSet(roots=tuple(roots.tolist()), derivatives=tuple(der.tolist()))
 
 
-def density_classical(theta, params, detailed=False):
+def density_classical(theta, params):
     """Angular density of the initially uniform kicked ensemble.
 
     2D: sum over branches of (1/2pi)/|map derivative|.
     3D: sum of (1/4pi) sin(theta0)/(|map derivative| sin(theta)).
-    Returns +inf at the singular (fold/glory) angles; with detailed=True a
-    ClassicalDensity carrying the fold coefficient is returned instead.
+    Returns +inf at the singular (fold/glory) angles.  theta is a scalar
+    (a float is returned) or an array, solved in one _bisect_rows call.
     """
-    s, m = params.s, params.harmonic
+    theta = np.asarray(theta, dtype=float)
+    flat = theta.ravel()
+    index, t0, der = _branches(flat, params)
     sphere = params.geometry is Geometry.SPHERE_3D
-    branches = invert_map(theta, params)
-    total = 0.0
-    singular = False
-    coeff = 0.0
-    sin_th = math.sin(theta)
-    for t0, der in zip(branches.roots, branches.derivatives):
-        f0 = math.sin(t0) / (4.0 * math.pi) if sphere else 1.0 / TWO_PI
-        if abs(der) < 1e-12:
-            # fold: the coalescing pair gives f0 sqrt(2/|g''|) |dtheta|^(-1/2)
-            singular = True
-            g2 = m * m * s * math.sin(m * t0)
-            if abs(g2) > 1e-14:
-                c = f0 * math.sqrt(2.0 / abs(g2))
-                coeff += c / abs(sin_th) if (sphere and abs(sin_th) > 1e-12) else c
-            continue
-        if sphere and abs(sin_th) < 1e-12:
-            if abs(math.sin(t0)) > 1e-9:
-                # glory: finite flux focused onto the symmetry axis
-                singular = True
-                coeff += f0 / abs(der)
-            else:
-                # polar trajectory staying polar: sin(t0)/sin(theta) -> 1/|der|
-                total += (1.0 / (4.0 * math.pi)) / (der * der)
-            continue
-        total += f0 / abs(der) / (abs(sin_th) if sphere else 1.0)
-    if detailed:
-        return ClassicalDensity(
-            value=math.inf if singular else total,
-            singular=singular,
-            singular_coefficient=coeff,
-        )
-    return math.inf if singular else total
+    sin_th = np.abs(np.sin(flat))[index] if sphere else np.ones(index.size)
+    fold = np.abs(der) < 1e-12
+    # on the axis of the sphere: a glory (finite flux focused onto the
+    # axis) unless the trajectory stays polar, where sin(t0)/sin(theta)
+    # tends to 1/|der|
+    axis = sphere & (sin_th < 1e-12)
+    singular = fold | (axis & (np.abs(np.sin(t0)) > 1e-9))
+    w = np.zeros(t0.size)
+    polar = axis & ~singular
+    w[polar] = (1.0 / (4.0 * math.pi)) / (der[polar] * der[polar])
+    lit = ~fold & ~axis
+    f0 = np.sin(t0[lit]) / (4.0 * math.pi) if sphere else 1.0 / TWO_PI
+    w[lit] = f0 / np.abs(der[lit]) / sin_th[lit]
+    # float even when no branch arrives anywhere (the far pole before the
+    # backward glory forms)
+    total = np.bincount(index, weights=w, minlength=flat.size).astype(float, copy=False)
+    total[np.bincount(index[singular], minlength=flat.size) > 0] = math.inf
+    return float(total[0]) if theta.ndim == 0 else total.reshape(theta.shape)
 
 
 def rainbow_angle(s):
@@ -302,13 +259,10 @@ class GloryAngles:
     s_backward_onset: float  # map strength at which the backward glory forms
 
 
-def _backward_onset():
-    # solve -arccos(1/s) + sqrt(s^2-1) = pi; rainbow ring reaches the far pole
-    f = lambda s: -math.acos(1.0 / s) + math.sqrt(s * s - 1.0) - math.pi
-    return _bisect(f, 1.0 + 1e-9, 20.0)
-
-
-_S_BACKWARD = None
+# map strength at which the backward glory forms: the rainbow ring reaches
+# the far pole, -arccos(1/s) + sqrt(s^2 - 1) = pi
+_S_BACKWARD = float(_bisect_rows(
+    lambda s: -np.arccos(1.0 / s) + np.sqrt(s * s - 1.0) - math.pi, 1.0 + 1e-9, 20.0))
 
 
 def glory_angles(s):
@@ -319,11 +273,8 @@ def glory_angles(s):
     theta0 - s*sin(theta0) = -pi (trajectories landing on the far pole),
     present once s exceeds the onset strength ~4.6.
     """
-    global _S_BACKWARD
     if s < 0:
         raise ValueError("s must be >= 0")
-    if _S_BACKWARD is None:
-        _S_BACKWARD = _backward_onset()
 
     forward = None
     if s >= 1.0:
@@ -331,19 +282,17 @@ def glory_angles(s):
             forward = 0.0
         else:
             # f < 0 just above 0 (slope 1-s), f(pi) = pi > 0
-            f = lambda t: t - s * math.sin(t)
-            forward = _bisect(f, 1e-12, math.pi - 1e-15)
+            forward = float(_bisect_rows(lambda t: t - s * np.sin(t), 1e-12, math.pi - 1e-15))
 
     backward = None
     if s >= _S_BACKWARD:
         tbar = math.acos(1.0 / s)
-        f = lambda t: t - s * math.sin(t) + math.pi
         if s == _S_BACKWARD:
             backward = (tbar, tbar)
         else:
-            b1 = _bisect(f, 1e-12, tbar)
-            b2 = _bisect(f, tbar, math.pi)
-            backward = (b1, b2)
+            b1, b2 = _bisect_rows(lambda t: t - s * np.sin(t) + math.pi,
+                                  np.array([1e-12, tbar]), np.array([tbar, math.pi]))
+            backward = (float(b1), float(b2))
     return GloryAngles(forward=forward, backward=backward,
                        s_backward_onset=_S_BACKWARD)
 

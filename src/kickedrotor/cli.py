@@ -114,8 +114,10 @@ class ScenarioConfig:
                 if not isinstance(m, str) or m not in _METHODS:
                     raise ConfigError(f"field 'methods': {m!r}")
         if self.command == "thermal":
-            if self.P_prime is None or self.P_prime <= 0:
-                raise ConfigError("field 'P_prime': positive kick strength required")
+            # squeeze reads P_prime = inf as zero temperature; here the time
+            # t' = (P't')/P' would be 0, the unkicked ensemble
+            if self.P_prime is None or not 0 < self.P_prime < math.inf:
+                raise ConfigError("field 'P_prime': finite positive kick strength required")
             if self.t_prime is None or self.t_prime < 0:
                 raise ConfigError("field 't_prime': nonnegative time required")
         if self.window:
@@ -216,23 +218,17 @@ def _grid(cfg, three_d):
 
 
 def _exact_density(cfg, grid, three_d):
-    # the exact density on the grid, and the kicked and evolved packet
+    # the exact density profile on the grid, and the kicked and evolved packet
     if not three_d:
         packet = q2.apply_kick(q2.ground_packet(0), q2.KickSpec(cfg.P, _coupling(cfg)))
         packet = q2.free_evolve(packet, cfg.resolved_tau())
-        return q2.density(packet, grid).values, packet
+        return q2.density(packet, grid), packet
     if _coupling(cfg) is Coupling.DIPOLE:
         packet = q3.dipole_kick_ground(cfg.P)
     else:
         packet = q3.polarization_kick_ground(cfg.P)
     packet = q3.free_evolve_3d(packet, cfg.resolved_tau())
-    return q3.density_3d(packet, grid).values, packet
-
-
-def _classical(cfg, grid, tau, P):
-    geom = Geometry.SPHERE_3D if cfg.dim == 3 else Geometry.PLANAR_2D
-    params = MapParams(P * tau, _coupling(cfg), geom)
-    return np.array([density_classical(t, params) for t in grid])
+    return q3.density_3d(packet, grid), packet
 
 
 def _pearcey(cfg, grid, tau, P):
@@ -247,7 +243,7 @@ def _pearcey(cfg, grid, tau, P):
 # methods.  Each evaluator is looked up on its module when called, so a
 # wrapper later installed there sees every call.
 _METHODS = {
-    "exact": (lambda cfg, g, tau, P: _exact_density(cfg, g, cfg.dim == 3)[0], False),
+    "exact": (lambda cfg, g, tau, P: _exact_density(cfg, g, cfg.dim == 3)[0].values, False),
     "pearcey": (_pearcey, True),
     "airy": (lambda cfg, g, tau, P: np.abs(sc.airy_rainbow_2d_full(g, tau, P)) ** 2, True),
     "uniform-airy": (lambda cfg, g, tau, P:
@@ -256,7 +252,8 @@ _METHODS = {
     "ford-wheeler": (lambda cfg, g, tau, P: np.abs(sc.ford_wheeler_glory(g, tau, P)) ** 2, True),
     "planar": (lambda cfg, g, tau, P:
                np.abs(sc.planar_psi(g, tau, P, radius=cfg.radius)) ** 2, False),
-    "classical": (_classical, False),
+    "classical": (lambda cfg, g, tau, P: density_classical(g, MapParams(
+        P * tau, _coupling(cfg), Geometry.SPHERE_3D if cfg.dim == 3 else Geometry.PLANAR_2D)), False),
 }
 
 
@@ -279,10 +276,11 @@ def run(config):
     if cfg.command in ("quantum2d", "quantum3d"):
         three_d = cfg.command == "quantum3d"
         grid = _grid(cfg, three_d)
-        vals, packet = _exact_density(cfg, grid, three_d)
+        prof, packet = _exact_density(cfg, grid, three_d)
+        vals = prof.values
         columns = {"theta": grid, "density": vals}
         if three_d:
-            columns["weighted_density"] = 2.0 * math.pi * np.sin(grid) * vals
+            columns["weighted_density"] = prof.weighted
         summary.update(_peak_summary(grid, vals))
         summary["norm"] = packet.norm()
 

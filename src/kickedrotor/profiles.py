@@ -29,8 +29,3 @@ class DensityProfile:
             raise ValueError("grid and values must have matching shapes")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
-
-    def peak(self):
-        """(theta, value) of the sampled maximum."""
-        i = int(np.argmax(self.values))
-        return float(self.grid[i]), float(self.values[i])

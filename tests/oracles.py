@@ -9,7 +9,14 @@ None of these share code with the package evaluators they check:
 - `p1_contour_oracle`: the rotated-contour Pearcey half-range integral by
   scipy adaptive quadrature;
 - `planar_psi_oracle`: the planar-model wave function with scipy's J_0 and
-  32-node Gauss-Legendre on four times the panels the package once used.
+  32-node Gauss-Legendre on four times the panels the package once used;
+- `bisect_scalar`: one-bracket bisection, the row rule of
+  `classical._bisect_rows` written out for a single scalar function;
+- `invert_map_loop`, `density_classical_loop`: the classical map inversion
+  and ensemble density one angle at a time, bracket by bracket, with
+  `bisect_scalar` and the math module;
+- `box_means`: Gauss-Legendre means of an array function over many boxes,
+  from one call on the nodes of every box.
 
 The series are slow (10-1000 ms a point), so tests call them at a few
 points only.  The double series run out of terms near the corner of
@@ -209,3 +216,99 @@ def planar_psi_oracle(theta, tau, P, radius=2.0):
     integral = np.sum(wt * t * j0(theta * t / tau) * np.exp(1j * (a * t * t + b * t ** 4)))
     pref = cmath.exp(1j * (P + theta * theta / (2.0 * tau))) / (1j * tau * math.sqrt(4.0 * math.pi))
     return complex(pref * integral)
+
+
+def bisect_scalar(f, a, b, tol=1e-14, max_iter=200):
+    """Root of a scalar f on [a, b]: an end where f is exactly zero, else
+    the midpoint once the bracket is narrower than tol or f vanishes there
+    (or after max_iter halvings)."""
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0:
+        raise ValueError("bisection bracket does not straddle a root")
+    for _ in range(max_iter):
+        mid = 0.5 * (a + b)
+        if (b - a) < tol:
+            return mid
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if fa * fm < 0:
+            b, fb = mid, fm
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
+def box_means(f, lo, hi, n=32):
+    """Mean of f over each box [lo[i], hi[i]] by n-node Gauss-Legendre;
+    f is called once, on an array holding the nodes of every box."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    lo, hi = np.asarray(lo, dtype=float)[:, None], np.asarray(hi, dtype=float)[:, None]
+    return 0.5 * (f(0.5 * (lo + hi) + 0.5 * (hi - lo) * x) @ w)
+
+
+def invert_map_loop(theta, params):
+    """Initial angles arriving at one angle theta, one bracket at a time:
+    every target copy +-theta + 2 pi k inside the map's range, on every
+    monotone piece between the zeros of the map derivative.  Roots within
+    1e-10 of the last kept root are merged; at a pole of the sphere every
+    interior root counts twice."""
+    s, m = params.s, params.harmonic
+    sphere = params.geometry.value == "sphere3D"
+    hi = math.pi if sphere else 2 * math.pi
+    pieces = {0.0, hi}
+    if m * s > 1.0:
+        a = math.acos(1.0 / (m * s))
+        for k in range(-1, m + 2):
+            for t in ((a + 2 * math.pi * k) / m, (-a + 2 * math.pi * k) / m):
+                if 0.0 < t < hi:
+                    pieces.add(t)
+    pieces = sorted(pieces)
+    g = lambda t: t - s * math.sin(m * t)
+    g_min, g_max = min(map(g, pieces)) - 1e-12, max(map(g, pieces)) + 1e-12
+    targets = set()
+    for t in ([theta, -theta] if sphere else [theta]):
+        for k in range(math.floor((g_min - t) / (2 * math.pi)), math.ceil((g_max - t) / (2 * math.pi)) + 1):
+            if g_min <= t + 2 * math.pi * k <= g_max:
+                targets.add(t + 2 * math.pi * k)
+    roots = []
+    for v in targets:
+        f = lambda t, v=v: g(t) - v
+        roots += [p for p in pieces if f(p) == 0.0]
+        roots += [bisect_scalar(f, a, b) for a, b in zip(pieces[:-1], pieces[1:]) if f(a) * f(b) < 0]
+    kept = []
+    for r in sorted(roots):
+        if not kept or r - kept[-1] > 1e-10:
+            kept.append(r)
+    if sphere and (theta < 1e-12 or abs(theta - math.pi) < 1e-12):
+        kept = [x for r in kept for x in ([r, r] if 1e-9 < r < math.pi - 1e-9 else [r])]
+    return kept
+
+
+def density_classical_loop(theta, params):
+    """Classical ensemble density at one angle: the sum over branches of
+    (1/2pi)/|g'| on the circle, of sin(t0)/(4pi |g'| sin(theta)) on the
+    sphere; inf at a fold (|g'| < 1e-12) or a glory (an off-axis root
+    arriving on the axis)."""
+    s, m = params.s, params.harmonic
+    sphere = params.geometry.value == "sphere3D"
+    total, singular = 0.0, False
+    sin_th = abs(math.sin(theta))
+    for t0 in invert_map_loop(theta, params):
+        der = 1.0 - m * s * math.cos(m * t0)
+        if abs(der) < 1e-12:
+            singular = True
+        elif sphere and sin_th < 1e-12:
+            if abs(math.sin(t0)) > 1e-9:
+                singular = True
+            else:
+                total += (1.0 / (4.0 * math.pi)) / (der * der)
+        elif sphere:
+            total += math.sin(t0) / (4.0 * math.pi) / abs(der) / sin_th
+        else:
+            total += 1.0 / (2 * math.pi) / abs(der)
+    return math.inf if singular else total

@@ -193,6 +193,18 @@ class TestBatch:
         assert "field 'window'" in index[0]["error"]
         assert (tmp_path / "out" / "good.csv").exists()
 
+    def test_thermal_infinite_kick_fails_its_line_only(self, tmp_path):
+        hot = {"command": "thermal", "P_prime": math.inf, "t_prime": 1.0, "particles": 500,
+               "grid_points": 8, "output_path": "hot.csv"}
+        good = dict(hot, P_prime=5.0, output_path="good.csv")
+        f = tmp_path / "t.jsonl"
+        f.write_text(json.dumps(hot) + "\n" + json.dumps(good) + "\n")
+        envs, index = batch(str(f), str(tmp_path / "out"))
+        assert [e["status"] for e in index] == ["failed", "ok"]
+        assert index[0]["failure"] == "config"
+        assert "field 'P_prime'" in index[0]["error"]
+        assert (tmp_path / "out" / "good.csv").exists()
+
     def test_squeeze_stall_does_not_stop_the_batch(self, tmp_path):
         stall = {"command": "squeeze", "u0": 1e-20, "w0": 1.0, "kicks": 3,
                  "output_path": "stall.csv"}
@@ -349,6 +361,15 @@ class TestMain:
             counts = side["summary"][key]
             assert len(counts) == 3 and all(isinstance(c, int) and c >= 1 for c in counts)
         assert (tmp_path / "d.csv").read_text().splitlines()[0] == "k,u,w,dtau,observable"
+
+    def test_thermal_infinite_kick_exit_two(self, tmp_path, capsys):
+        # t' = (P't')/P' would be 0: the unkicked ensemble, not a T = 0 run
+        rc = cli.main(["thermal", "--Pprime", "inf", "--st", "1", "--particles", "500",
+                       "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "field 'P_prime'" in err and "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_window_option_read_as_numbers(self, tmp_path):
         rc = cli.main(["quantum2d", "--P", "10", "--s", "1", "--grid", "4",

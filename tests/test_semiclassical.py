@@ -9,8 +9,8 @@ import pytest
 from kickedrotor import quantum2d as q2
 from kickedrotor import quantum3d as q3
 from kickedrotor import semiclassical as sc
-from kickedrotor.classical import _bisect, _bisect_rows, rainbow_angle
-from oracles import cusp_3d_series, focal_sum_2d, planar_psi_oracle
+from kickedrotor.classical import _bisect_rows, rainbow_angle
+from oracles import bisect_scalar, cusp_3d_series, focal_sum_2d, planar_psi_oracle
 
 
 def exact_density_2d(P, tau, thetas):
@@ -421,7 +421,7 @@ class TestBisectRows:
         grid = grid[grid < rainbow_angle(s) * (1.0 - 1e-7)]
         for lo, hi in ((1e-14, tbar), (tbar, math.pi)):
             rows = _bisect_rows(lambda t: t - s * np.sin(t) + grid, lo, hi)
-            each = [_bisect(lambda t, th=th: t - s * math.sin(t) + th, lo, hi) for th in grid]
+            each = [bisect_scalar(lambda t, th=th: t - s * math.sin(t) + th, lo, hi) for th in grid]
             assert np.array_equal(rows, each)
 
     def test_quartic_roots_equal_scalar_bisection(self):
@@ -433,7 +433,7 @@ class TestBisectRows:
         cubic = lambda t, sign, th: (P / 6.0) * (t * t * t) + (1.0 / tau - P) * t + sign * th / tau
         for sign, lo, hi in ((-1.0, tg, tg + 3.0), (1.0, tg / math.sqrt(3.0), tg)):
             rows = _bisect_rows(lambda t: cubic(t, sign, grid), lo, hi)
-            each = [_bisect(lambda t, th=th: cubic(t, sign, th), lo, hi) for th in grid]
+            each = [bisect_scalar(lambda t, th=th: cubic(t, sign, th), lo, hi) for th in grid]
             assert np.array_equal(rows, each)
 
     def test_root_at_bracket_end(self):
