@@ -6,13 +6,15 @@ J_1 on arrays, Airy Ai/Ai', the Pearcey integral, and the confluent
 hypergeometric helper 1F1(1/2, 3/2, iz) used by the focal-point
 asymptotics.
 
-Each Pearcey object has one evaluator, the rotated-contour quadrature
-`_p1_contour` of the half-range integral
+Ai/Ai' and each Pearcey object have one evaluator, a contour quadrature
+on the shared Gauss-Legendre kernel `gauss_segment`.  Airy takes straight
+rays from the saddle of exp(t^3/3 - x t) (see `airy`).  Pearcey takes
+`_p1_contour`, the rotated contour of the half-range integral
 P1(x, y) = int_0^inf exp[i(u^4 + x u^2 + y u)] du and of its y-derivative:
 P(x, beta) = P1(x, beta) + P1(x, -beta), and dP1/dy is the same contour
 with the extra factor i u.  1F1(1/2, 3/2, iz) = int_0^1 e^{i z t^2} dt is
-the same Gauss-Legendre kernel on [0, 1] up to |z| = 30 and its
-large-argument expansion beyond.  The runtime needs numpy only.
+the same kernel on [0, 1] up to |z| = 30 and its large-argument expansion
+beyond.  The runtime needs numpy only.
 
 All functions are pure and hold no mutable state, so they are safe to call
 from any number of threads.
@@ -220,156 +222,14 @@ def spherical_jn_array(l_max, x):
 
 
 # ----------------------------------------------------------------------
-# Airy Ai and Ai'
-# ----------------------------------------------------------------------
-
-_AI0 = 0.3550280538878172392600631860041831763980  # Ai(0) = 3^{-2/3}/Gamma(2/3)
-_AIP0 = -0.2588194037928067984051835601892039634793  # Ai'(0) = -3^{-1/3}/Gamma(1/3)
-_AIRY_LO, _AIRY_HI = -60.0, 20.0
-_AIRY_SERIES_NEG = -7.0
-_AIRY_SERIES_POS = 5.5
-
-
-def _airy_u(n):
-    # u_k of the asymptotic expansions (DLMF 9.7.2), k < n
-    u = [1.0]
-    for k in range(1, n):
-        u.append(u[-1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1)))
-    return tuple(u)
-
-
-_AIRY_U = _airy_u(61)
-# v_k = -(6k+1)/(6k-1) u_k, the coefficients of the Ai' expansions
-_AIRY_V = tuple(-u * (6 * k + 1) / (6 * k - 1) if k else 1.0 for k, u in enumerate(_AIRY_U))
-
-
-def _compensated_sum(terms):
-    # Neumaier's compensated sum of a sequence of equal-shape arrays
-    s = terms[0]
-    c = np.zeros_like(s)
-    for term in terms[1:]:
-        t = s + term
-        c += np.where(np.abs(s) >= np.abs(term), (s - t) + term, (term - t) + s)
-        s = t
-    return s + c
-
-
-def _airy_series(x):
-    # Ai = Ai(0) f(x) + Ai'(0) g(x) with
-    #   f = sum c_k x^{3k},   c_k = c_{k-1}/((3k-1)(3k))
-    #   g = sum d_k x^{3k+1}, d_k = d_{k-1}/((3k)(3k+1))
-    #   f' = x^2 sum e_k x^{3k}, e_0 = 1/2, e_k = e_{k-1}(k+1)/(k(3k+2)(3k+3))
-    #   g' = sum h_k x^{3k},   h_0 = 1,   h_k = h_{k-1}/((3k-2)(3k))
-    # A point stops after the first k at which all four terms are below
-    # 1e-21; later terms of a stopped point enter its sums as zeros.
-    x3 = x * x * x
-    tf, tg, te, th = np.ones_like(x), x, np.full_like(x, 0.5), np.ones_like(x)
-    sums = ([tf], [tg], [te], [th])
-    live = np.ones(x.shape, dtype=bool)
-    for k in range(1, 240):
-        tf = tf * (x3 / ((3 * k - 1) * (3 * k)))
-        tg = tg * (x3 / ((3 * k) * (3 * k + 1)))
-        te = te * (x3 * (k + 1) / (k * (3 * k + 2) * (3 * k + 3)))
-        th = th * (x3 / ((3 * k - 2) * (3 * k)))
-        for terms, t in zip(sums, (tf, tg, te, th)):
-            terms.append(np.where(live, t, 0.0))
-        live &= np.maximum(np.maximum(np.abs(tf), np.abs(tg)),
-                           np.maximum(np.abs(te), np.abs(th))) >= 1e-21
-        if not live.any():
-            break
-    else:
-        raise ConvergenceError("airy series did not converge")
-    f, g, fp, gp = (_compensated_sum(terms) for terms in sums)
-    return _AI0 * f + _AIP0 * g, _AI0 * (x * x * fp) + _AIP0 * gp
-
-
-def _truncated_sums(terms, n, shape):
-    # Sums over k < n of the sequences terms(k) = (lead_k, *others_k), each
-    # point stopping before its first k at which |lead_k| grows (optimal
-    # truncation); later terms of a stopped point enter its sums as zeros.
-    cols = []
-    prev = np.full(shape, math.inf)
-    live = np.ones(shape, dtype=bool)
-    for k in range(n):
-        ts = terms(k)
-        live &= ~(np.abs(ts[0]) > prev)
-        if not live.any():
-            break
-        cols.append([np.where(live, t, 0.0) for t in ts])
-        prev = np.abs(cols[-1][0])
-    return [_compensated_sum(seq) for seq in zip(*cols)]
-
-
-def _airy_asymp_pos(x):
-    zeta = (2.0 / 3.0) * x ** 1.5
-
-    def terms(k):
-        # u_k / (-zeta)^k for Ai and v_k / (-zeta)^k for Ai'
-        t = _AIRY_U[k] / zeta ** k * (-1) ** k
-        return t, -t * (6 * k + 1) / (6 * k - 1)
-
-    s_ai, s_aip = _truncated_sums(terms, 61, x.shape)
-    pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi) * x ** 0.25)
-    ai = pref * s_ai
-    aip = -pref * x ** 0.5 * s_aip
-    return ai, aip
-
-
-def _airy_asymp_neg(x):
-    z = -x
-    zeta = (2.0 / 3.0) * z ** 1.5
-
-    def pairs(coef):
-        # (-1)^k coef_2k / zeta^2k and (-1)^k coef_2k+1 / zeta^2k+1
-        return lambda k: ((-1) ** k * coef[2 * k] / zeta ** (2 * k),
-                          (-1) ** k * coef[2 * k + 1] / zeta ** (2 * k + 1))
-
-    se, so = _truncated_sums(pairs(_AIRY_U), 20, z.shape)
-    de, do = _truncated_sums(pairs(_AIRY_V), 20, z.shape)
-    arg = zeta - 0.25 * math.pi
-    cos, sin = np.cos(arg), np.sin(arg)
-    pref = 1.0 / (math.sqrt(math.pi) * z ** 0.25)
-    ai = pref * (cos * se + sin * so)
-    aip = pref * z ** 0.5 * (sin * de - cos * do)
-    return ai, aip
-
-
-def airy(x):
-    """Airy function Ai(x) and its derivative Ai'(x) for -60 <= x <= 20.
-
-    x may be a scalar, which gives the tuple (Ai, Ai') of two floats, or
-    an array of any shape, which gives two arrays of that shape.  Each
-    point takes one of three branches: the Maclaurin series on
-    [-7, 5.5], summed until all four of its term sequences fall below
-    1e-21, and beyond the cuts the asymptotic expansions in
-    zeta = (2/3)|x|^(3/2), exponential for x > 5.5 and oscillatory for
-    x < -7, each truncated before its first growing term.  Truncation is
-    decided point by point, and every sum is a compensated (Neumaier) sum
-    across the array.  An argument outside [-60, 20] (or NaN) anywhere in
-    x raises DomainError.
-    """
-    xa = np.asarray(x, dtype=float)
-    flat = xa.ravel()
-    bad = ~((flat >= _AIRY_LO) & (flat <= _AIRY_HI))
-    if bad.any():
-        raise DomainError(f"airy argument {float(flat[bad][0])} outside [{_AIRY_LO}, {_AIRY_HI}]")
-    ai, aip = np.empty_like(flat), np.empty_like(flat)
-    for rows, branch in (((flat >= _AIRY_SERIES_NEG) & (flat <= _AIRY_SERIES_POS), _airy_series),
-                         (flat > _AIRY_SERIES_POS, _airy_asymp_pos),
-                         (flat < _AIRY_SERIES_NEG, _airy_asymp_neg)):
-        if rows.any():
-            ai[rows], aip[rows] = branch(flat[rows])
-    if xa.ndim == 0:
-        return float(ai[0]), float(aip[0])
-    return ai.reshape(xa.shape), aip.reshape(xa.shape)
-
-
-# ----------------------------------------------------------------------
 # Complex Gauss-Legendre segments (shared oscillatory-quadrature kernel)
 # ----------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _MAX_PANELS = 10**6
+# (row, node) entries evaluated at once by the array quadratures: longer
+# arrays go in row blocks, so the working memory stays under a few MB
+_CONTOUR_BLOCK = 2**15
 
 
 def gauss_segment(f, z0, z1, n_panels):
@@ -392,13 +252,84 @@ def gauss_segment(f, z0, z1, n_panels):
 
 
 # ----------------------------------------------------------------------
+# Airy Ai and Ai' by saddle-point ray quadrature
+# ----------------------------------------------------------------------
+
+_AIRY_LO, _AIRY_HI = -60.0, 20.0
+_AIRY_PANELS, _AIRY_DECAY = 2, 46.0  # panels per ray; -Re(exponent) at a ray's end
+_AIRY_UP, _AIRY_DOWN = cmath.exp(1j * math.pi / 3), cmath.exp(-5j * math.pi / 12)
+_TWO_PI_EXT = np.longdouble("6.283185307179586476925286766559005768")
+
+
+def _airy_ray(t0, d):
+    # int exp(t0 u^2 + u^3/3) (1, -(t0 + u)) du on u = r d, 0 <= r <= R, as
+    # a (2, n) array; R solves a R^2 + b R^3 = DECAY (the exponent's real part
+    # is -a r^2 - b r^3) by Newton from above, so every iterate is a safe end
+    a, b, s = -(t0 * d * d).real, -(d ** 3).real / 3.0, t0[:, None]
+    R = np.full(t0.shape, (_AIRY_DECAY / b) ** (1.0 / 3.0))
+    for _ in range(3):
+        R -= (b * R ** 3 + a * R * R - _AIRY_DECAY) / (3.0 * b * R * R + 2.0 * a * R)
+
+    def f(u):
+        e = np.exp(u * u * (s + u / 3.0))
+        return np.stack([e, -(s + u) * e])
+
+    return gauss_segment(f, np.zeros(R.shape, complex), R * d, _AIRY_PANELS)
+
+
+def _airy_rows(x):
+    # (Ai, Ai') of a 1-D array as a (2, n) array, in blocks of rows of at
+    # most _CONTOUR_BLOCK (row, node) entries, one gauss_segment call per ray
+    rows = _CONTOUR_BLOCK // (_GL_NODES.size * _AIRY_PANELS)
+    if x.size > rows:
+        return np.concatenate([_airy_rows(x[i:i + rows]) for i in range(0, x.size, rows)], axis=1)
+    # zeta = (2/3)|x|^(3/2) in extended precision: rounding zeta = 310
+    # (x = -60) to a double would move e^{-i zeta} by ~1e-13
+    ax = np.abs(x).astype(np.longdouble)
+    zeta, r, neg = 2 * ax * np.sqrt(ax) / 3, np.sqrt(np.abs(x)), x < 0
+    # the sign of x picks the saddle, its factor and the second ray (see airy;
+    # at x >= 0 the mirror of the first); Ai'(-z) = -2 Re[e^{2i pi/3} Ai'(w)]
+    t0 = np.where(neg, r * cmath.exp(1j * math.pi / 6), r)
+    saddle = np.where(neg, np.exp(-1j * np.remainder(zeta, _TWO_PI_EXT).astype(float)),
+                      np.exp(-zeta).astype(float))
+    up = _airy_ray(t0, _AIRY_UP)
+    down = up.conj()
+    down[:, neg] = _airy_ray(t0[neg], _AIRY_DOWN)
+    w = saddle / (2j * math.pi) * (up - down)
+    return np.where(neg, (2.0 * np.array([[_AIRY_UP], [-_AIRY_UP ** 2]]) * w).real, w.real)
+
+
+def airy(x):
+    """Airy function Ai(x) and its derivative Ai'(x) for -60 <= x <= 20.
+
+    x may be a scalar, which gives the tuple (Ai, Ai') of two floats, or
+    an array of any shape, which gives two arrays of that shape.  One
+    evaluator: Ai(x) = (1/2 pi i) int exp(t^3/3 - x t) dt (DLMF 9.5) on
+    straight rays from the saddle t0, where the exponent is -(2/3) x^(3/2)
+    + t0 u^2 + u^3/3 in u = t - t0; Ai' takes the extra factor -(t0 + u).
+    For x >= 0, t0 = sqrt(x) and the rays leave at +-pi/3; for x < 0,
+    Ai(-z) = 2 Re[e^{i pi/3} Ai(z e^{i pi/3})] (DLMF 9.2), rays at pi/3 and
+    -5 pi/12 from t0 = sqrt(z) e^{i pi/6}.  Each ray is two gauss_segment
+    panels.  Against 30-digit mpmath the error is ~1e-15, relative for
+    x >= 0 and absolute below (~1e-13 where np.longdouble is no wider than
+    a double).  An argument outside [-60, 20] (or NaN) raises DomainError.
+    """
+    xa = np.asarray(x, dtype=float)
+    flat = xa.ravel()
+    bad = ~((flat >= _AIRY_LO) & (flat <= _AIRY_HI))
+    if bad.any():
+        raise DomainError(f"airy argument {float(flat[bad][0])} outside [{_AIRY_LO}, {_AIRY_HI}]")
+    ai, aip = _airy_rows(flat)
+    if xa.ndim == 0:
+        return float(ai[0]), float(aip[0])
+    return ai.reshape(xa.shape), aip.reshape(xa.shape)
+
+
+# ----------------------------------------------------------------------
 # Pearcey integral P(x, beta) and the half-range derivative dP1/dy
 # ----------------------------------------------------------------------
 
 _PEARCEY_ARG_MAX = 400.0
-# (y, node) entries evaluated at once: longer y arrays go in row blocks,
-# so the quadrature's working memory stays under a few MB
-_CONTOUR_BLOCK = 2**15
 
 
 def _p1_contour(x, y, power=0):

@@ -27,6 +27,7 @@ import numpy as np
 
 from .classical import Coupling
 from .profiles import DensityProfile
+from .specfun import DomainError
 
 __all__ = [
     "ThermalEnsemble",
@@ -106,9 +107,12 @@ def _free_flight(ensemble):
     sin theta0, so that cos theta(t') = cos theta0 cos(omega t')
     - b sin(omega t').  A particle that does not move (omega = 0, or
     undefined at a pole) gets omega = b = 0 and so keeps theta0.
-    `evolve` and the squeeze driver's minimum search share these.
+    `evolve` and the squeeze driver's minimum search share these.  A
+    |p_theta'| above 1e100 (or NaN) raises DomainError.
     """
     p0 = ensemble.p_theta
+    if not np.all(np.abs(p0) <= 1e100):  # beyond, p0^2 or the squeeze search's omega^2 overflows
+        raise DomainError("|p_theta'| above 1e100 thermal momenta: the free flight would overflow")
     sin0 = np.sin(ensemble.theta)
     omega = np.sqrt(p0 ** 2 + (ensemble.p_phi / sin0) ** 2)
     moving = omega > 0

@@ -6,6 +6,7 @@ None of these share code with the package evaluators they check:
   term-wise y-derivative dP1/dy, summed at 50 digits;
 - `cusp_3d_series`: the 3D cusp wave function from its double series;
 - `focal_sum_2d`: the 2D focal-time (P tau = 1) single sum;
+- `airy_mp`: Ai and Ai' by mpmath at 30 digits, rounded to doubles;
 - `p1_contour_oracle`: the rotated-contour Pearcey half-range integral by
   scipy adaptive quadrature;
 - `planar_psi_oracle`: the planar-model wave function with scipy's J_0 and
@@ -181,6 +182,15 @@ def focal_sum_2d(theta, P, n_terms=200):
     pref = (6.0 * P) ** 0.25 / (2.0 * math.pi * cmath.sqrt(2.0j))
     pref *= cmath.exp(1j * P * (1.0 + theta * theta / 2.0))
     return pref * s
+
+
+def airy_mp(xs):
+    """(Ai, Ai') of each x in xs as two float arrays, from mpmath's airyai
+    at 30 digits (about 2 ms a point)."""
+    with mpmath.workdps(30):
+        vals = [(mpmath.airyai(X), mpmath.airyai(X, derivative=1))
+                for X in (mpmath.mpf(repr(float(x))) for x in xs)]
+    return np.array([[float(a) for a, _ in vals], [float(d) for _, d in vals]])
 
 
 def p1_contour_oracle(x, y, T=12.0, power=0):

@@ -4,10 +4,11 @@ import json
 import math
 import os
 import tempfile
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kickedrotor import cli
 from kickedrotor import quantum2d as q2
@@ -205,6 +206,19 @@ class TestBatch:
         assert "field 'P_prime'" in index[0]["error"]
         assert (tmp_path / "out" / "good.csv").exists()
 
+    def test_thermal_huge_finite_kick_fails_its_line_only(self, tmp_path):
+        huge = {"command": "thermal", "P_prime": 1e300, "t_prime": 1.0, "particles": 500,
+                "grid_points": 8, "output_path": "huge.csv"}
+        good = dict(huge, P_prime=5.0, output_path="good.csv")
+        f = tmp_path / "h.jsonl"
+        f.write_text(json.dumps(huge) + "\n" + json.dumps(good) + "\n")
+        envs, index = batch(str(f), str(tmp_path / "out"))
+        assert [e["status"] for e in index] == ["failed", "ok"]
+        assert index[0]["failure"] == "config"
+        assert index[0]["error"].startswith("DomainError")
+        assert not (tmp_path / "out" / "huge.csv").exists()
+        assert (tmp_path / "out" / "good.csv").exists()
+
     def test_squeeze_stall_does_not_stop_the_batch(self, tmp_path):
         stall = {"command": "squeeze", "u0": 1e-20, "w0": 1.0, "kicks": 3,
                  "output_path": "stall.csv"}
@@ -371,6 +385,20 @@ class TestMain:
         assert "field 'P_prime'" in err and "Traceback" not in err
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["thermal", "--Pprime", "1e300", "--st", "1", "--particles", "1000", "--grid", "8"],
+        ["squeeze", "--Pprime", "1e300", "--particles", "1000", "--kicks", "1"]])
+    def test_huge_finite_kick_exit_two(self, tmp_path, capsys, argv):
+        # the kicked p_theta' would overflow the shared free flight: both
+        # commands stop there, before any numpy warning or scan step
+        t0 = time.perf_counter()
+        rc = cli.main(argv + ["--out", str(tmp_path / "h.csv")])
+        assert rc == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "free flight would overflow" in err and "Traceback" not in err
+        assert not (tmp_path / "h.csv").exists()
+
     def test_window_option_read_as_numbers(self, tmp_path):
         rc = cli.main(["quantum2d", "--P", "10", "--s", "1", "--grid", "4",
                        "--window", "0,0.3", "--out", str(tmp_path / "w.csv")])
@@ -466,3 +494,77 @@ def test_no_batch_run_ends_in_a_traceback(lines):
         assert [e["line"] for e in index] == list(range(1, len(lines) + 1))
         assert all(e["status"] == "ok" or e["failure"] in ("config", "numerical")
                    for e in index)
+
+
+# Single-command property test: one valid argv per command; a drawn run
+# replaces up to three of its option values from per-option pools of valid,
+# zero, negative, NaN, inf and huge values.  Grids have at most 16 points,
+# ensembles at most 1,000 particles, trains at most 3 kicks.
+_ARGV_POOLS = {
+    "--P": ["10", "20", "0", "-1", "nan", "inf"],
+    "--s": ["1", "1.5", "4", "0", "-2", "nan", "inf"],
+    "--grid": ["8", "16", "2", "1", "0"],
+    "--window": ["0.1,0.5", "0.5,3", "-1,1", "0,10", "1,1", "nan,1", "0,inf"],
+    "--coupling": ["dipole", "polarization"],
+    "--dim": ["2", "3"],
+    "--method": ["airy", "uniform-airy", "uniform-bessel", "ford-wheeler", "planar",
+                 "classical", "exact"],
+    "--methods": ["exact,classical", "airy,uniform-airy", "exact", "exact,nope"],
+    "--radius": ["2", "3", "0", "-1", "nan", "inf"],
+    "--Pprime": ["5", "1", "1e300", "inf", "0", "-1", "nan", "1e-300", "-inf"],
+    "--st": ["1", "0", "-1", "nan", "inf", "1e300"],
+    "--particles": ["500", "1000", "1", "0"],
+    "--seed": ["1", "7", "0", "-1"],
+    "--kicks": ["1", "3", "0"],
+    "--u0": ["1", "1e-20", "0", "-1", "nan", "inf"],
+    "--w0": ["1", "0", "-1", "nan"],
+}
+_ARGV_BASES = [
+    ("quantum2d", {"--P": "10", "--s": "1", "--grid": "8", "--coupling": "dipole"}),
+    ("quantum3d", {"--P": "10", "--s": "1.5", "--grid": "8", "--window": "0.1,0.5"}),
+    ("classical", {"--P": "10", "--s": "1.5", "--grid": "8", "--dim": "3",
+                   "--coupling": "dipole"}),
+    ("semiclassical", {"--P": "20", "--s": "1.5", "--grid": "8", "--method": "airy",
+                       "--dim": "2", "--window": "0.5,3"}),
+    ("semiclassical", {"--P": "20", "--s": "4", "--grid": "8", "--method": "uniform-airy",
+                       "--dim": "3", "--radius": "2"}),
+    ("compare", {"--P": "10", "--s": "1", "--grid": "8", "--methods": "exact,classical"}),
+    ("thermal", {"--Pprime": "5", "--st": "1", "--particles": "500", "--grid": "8",
+                 "--seed": "1", "--coupling": "dipole"}),
+    ("squeeze", {"--u0": "1", "--w0": "1", "--kicks": "3"}),
+    ("squeeze", {"--Pprime": "5", "--particles": "500", "--kicks": "2", "--seed": "1",
+                 "--coupling": "dipole"}),
+]
+
+
+def _single_argvs():
+    def drawn(base):
+        command, opts = base
+        names = st.lists(st.sampled_from(sorted(opts)), max_size=3, unique=True)
+        over = names.flatmap(lambda ns: st.fixed_dictionaries(
+            {n: st.sampled_from(_ARGV_POOLS[n]) for n in ns}))
+        # --opt=value, so that argparse reads a value like -inf as a value
+        return over.map(lambda o: [command] + [f"{k}={v}" for k, v in {**opts, **o}.items()])
+    return st.sampled_from(_ARGV_BASES).flatmap(drawn)
+
+
+def _nan_free(v):
+    if isinstance(v, list):
+        return all(_nan_free(x) for x in v)
+    return not (isinstance(v, float) and math.isnan(v))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_single_argvs())
+@example(["thermal", "--Pprime=1e300", "--st=1", "--particles=1000", "--grid=16"])
+@example(["squeeze", "--Pprime=1e300", "--particles=1000", "--kicks=3"])
+@example(["squeeze", "--Pprime=inf", "--particles=1000", "--kicks=3"])
+def test_no_single_command_ends_in_a_traceback(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "r.csv")
+        rc = cli.main(argv + ["--out", out])
+        assert rc in (0, 2, 3)
+        if rc == 0:
+            with open(os.path.join(tmp, "r.json"), encoding="utf-8") as fh:
+                summary = json.load(fh)["summary"]
+            assert summary and all(_nan_free(v) for v in summary.values()), summary

@@ -18,7 +18,7 @@ import scipy.special as sps
 
 import kickedrotor
 from kickedrotor import specfun as sf
-from oracles import p1_contour_oracle, pearcey_series_mp
+from oracles import airy_mp, p1_contour_oracle, pearcey_series_mp
 
 # --- frozen oracle values ---
 # (1/pi) int_0^pi cos(5t - 85 sin t) dt by adaptive quadrature
@@ -123,7 +123,7 @@ class TestAiry:
         assert sf.airy(10.0)[0] < 1e-9
 
     def test_first_maximum_of_ai_squared(self):
-        # golden-section search on the series evaluation
+        # golden-section search on the ray-quadrature evaluation
         phi = (math.sqrt(5) - 1) / 2
         a, b = 0.5, 1.5
         f = lambda x: -sf.airy(-x)[0] ** 2
@@ -147,14 +147,52 @@ class TestAiry:
         assert np.max(np.abs(ai - ai_ref)) < 1e-10
         assert np.max(np.abs(aip - aip_ref)) < 1e-10
 
-    @pytest.mark.parametrize("cut", [-7.0, 5.5])
+    @pytest.mark.parametrize("cut", [-7.0, 0.0, 5.5])
     def test_against_scipy_across_branch_cuts(self, cut):
-        # series and asymptotic points side by side in one array
+        # both sides of a former series/asymptotic cut, or of the x = 0
+        # join of the real and complex saddles, in one array
         xs = cut + np.linspace(-1e-9, 1e-9, 201)
         ai_ref, aip_ref, _, _ = sps.airy(xs)
         ai, aip = sf.airy(xs)
         assert np.max(np.abs(ai - ai_ref)) < 1e-10
         assert np.max(np.abs(aip - aip_ref)) < 1e-10
+
+    # the nonnegative axis, with dense points around the former cut at 5.5
+    # and the x = 0 join of the two saddles
+    _POS = np.concatenate([np.linspace(0.0, 20.0, 81), 5.5 + np.linspace(-0.5, 0.5, 21),
+                           np.linspace(0.0, 0.05, 11)])
+    # the negative axis, dense around the former cut at -7 and below 0
+    _NEG = np.concatenate([np.linspace(-60.0, -0.25, 120), -7.0 + np.linspace(-0.5, 0.5, 21),
+                           -np.geomspace(1e-12, 0.05, 11)])
+
+    def test_relative_error_on_nonnegative_axis(self):
+        ref = airy_mp(self._POS)
+        got = np.array(sf.airy(self._POS))
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+    def test_absolute_error_on_negative_axis(self):
+        ref = airy_mp(self._NEG)
+        got = np.array(sf.airy(self._NEG))
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+    def test_column_longer_than_one_block(self, monkeypatch):
+        # several row blocks, each ray call within _CONTOUR_BLOCK entries,
+        # equal to the scalar calls
+        rows = sf._CONTOUR_BLOCK // (sf._GL_NODES.size * sf._AIRY_PANELS)
+        xs = np.linspace(-60.0, 20.0, 2 * rows + 7)
+        calls = []
+        segment = sf.gauss_segment
+
+        def counted(f, z0, z1, n_panels):
+            calls.append(np.size(z1) * n_panels * sf._GL_NODES.size)
+            return segment(f, z0, z1, n_panels)
+
+        monkeypatch.setattr(sf, "gauss_segment", counted)
+        ai, aip = sf.airy(xs)
+        assert len(calls) >= 3 and max(calls) <= sf._CONTOUR_BLOCK
+        monkeypatch.undo()
+        for i in list(range(0, xs.size, 5)) + [rows - 1, rows, 2 * rows - 1, 2 * rows]:
+            assert (ai[i], aip[i]) == pytest.approx(sf.airy(float(xs[i])), rel=1e-13, abs=1e-300)
 
     def test_array_contract(self):
         xs = np.linspace(-60.0, 20.0, 24).reshape(4, 6)
