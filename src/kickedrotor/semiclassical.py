@@ -202,8 +202,8 @@ def pearcey_cusp_3d(theta, tau, P):
       S(x, beta) = (4/pi) int_0^pi dP1/dy(x, beta cos phi) dphi,
 
     with the 2D cusp variables x, beta.  dP1/dy is evaluated by one array
-    call of the rotated-contour quadrature on all the Gauss-Legendre phi
-    nodes, one 24-node panel per 5 units of beta and at least two.
+    call of the phase-sized rotated contour (`specfun._p1_contour`) on all
+    the Gauss-Legendre phi nodes: a 24-node panel per 5 of beta, at least 2.
     At theta = 0, P*tau = 1 the density is exactly 3P/8.
     """
     if tau <= 0 or P <= 0:

@@ -256,19 +256,19 @@ def gauss_segment(f, z0, z1, n_panels):
 # ----------------------------------------------------------------------
 
 _AIRY_LO, _AIRY_HI = -60.0, 20.0
-_AIRY_PANELS, _AIRY_DECAY = 2, 46.0  # panels per ray; -Re(exponent) at a ray's end
+_AIRY_PANELS, _RAY_DECAY = 2, 46.0  # panels per Airy ray; -Re(exponent) at any saddle ray's end
 _AIRY_UP, _AIRY_DOWN = cmath.exp(1j * math.pi / 3), cmath.exp(-5j * math.pi / 12)
 _TWO_PI_EXT = np.longdouble("6.283185307179586476925286766559005768")
 
 
 def _airy_ray(t0, d):
     # int exp(t0 u^2 + u^3/3) (1, -(t0 + u)) du on u = r d, 0 <= r <= R, as
-    # a (2, n) array; R solves a R^2 + b R^3 = DECAY (the exponent's real part
+    # a (2, n) array; R solves a R^2 + b R^3 = _RAY_DECAY (the exponent's real part
     # is -a r^2 - b r^3) by Newton from above, so every iterate is a safe end
     a, b, s = -(t0 * d * d).real, -(d ** 3).real / 3.0, t0[:, None]
-    R = np.full(t0.shape, (_AIRY_DECAY / b) ** (1.0 / 3.0))
+    R = np.full(t0.shape, (_RAY_DECAY / b) ** (1.0 / 3.0))
     for _ in range(3):
-        R -= (b * R ** 3 + a * R * R - _AIRY_DECAY) / (3.0 * b * R * R + 2.0 * a * R)
+        R -= (b * R ** 3 + a * R * R - _RAY_DECAY) / (3.0 * b * R * R + 2.0 * a * R)
 
     def f(u):
         e = np.exp(u * u * (s + u / 3.0))
@@ -329,7 +329,7 @@ def airy(x):
 # Pearcey integral P(x, beta) and the half-range derivative dP1/dy
 # ----------------------------------------------------------------------
 
-_PEARCEY_ARG_MAX = 400.0
+_PEARCEY_ARG_MAX, _PANEL_PHASE = 400.0, 12.0  # |x|, |beta| bound; rad of phase per panel
 
 
 def _p1_contour(x, y, power=0):
@@ -338,17 +338,21 @@ def _p1_contour(x, y, power=0):
 
     Two-leg contour (DLMF 36.15): the real axis out to R, past every real
     stationary point, then the ray R + t exp(i pi/8) on which the quartic
-    decays.  R, the ray length T and the panel counts are sized from
-    max |y| of each row block; for smaller |y| the longer real leg is still
-    a valid contour.
+    decays.  Each leg takes a 24-node panel per 12 rad of the phase it spans,
+    and the ray ends where Im phase, a quartic in t with positive coefficients,
+    reaches 46 in the block's worst row, y = -max |y| (Newton from above).
     """
     y = np.asarray(y, dtype=float)
     ay = float(np.max(np.abs(y), initial=0.0))
     w8 = cmath.exp(1j * math.pi / 8)
     R = 1.0 + (ay / 4.0) ** (1.0 / 3.0) + math.sqrt(abs(x) / 2.0)
-    T = (60.0 + abs(x) + ay) ** 0.25 + 4.0
-    n1 = max(8, int((R ** 4 + abs(x) * R ** 2 + ay * R) / 3))
-    n2 = max(16, int(4 * R ** 3 + 2 * abs(x) * R + ay))
+    slope = 4.0 * R ** 3 + 2.0 * x * R
+    c1, c2, c3 = ((w8 ** k).imag * c for k, c in enumerate((slope - ay, 6 * R * R + x, 4 * R), 1))
+    T = min(_RAY_DECAY / c1, (_RAY_DECAY / c2) ** 0.5, (_RAY_DECAY / c3) ** (1 / 3), _RAY_DECAY ** 0.25)
+    for _ in range(3):
+        T -= ((((T + c3) * T + c2) * T + c1) * T - _RAY_DECAY) / (((4 * T + 3 * c3) * T + 2 * c2) * T + c1)
+    n1 = max(2, math.ceil((R ** 4 + abs(x) * R ** 2 + ay * R) / _PANEL_PHASE))
+    n2 = max(2, math.ceil(((abs(slope) + ay) * T + _RAY_DECAY) / _PANEL_PHASE))
     rows = max(1, _CONTOUR_BLOCK // (_GL_NODES.size * (n1 + n2)))
     if y.size > rows:
         return np.concatenate([_p1_contour(x, y[i:i + rows], power)

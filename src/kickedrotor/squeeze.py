@@ -10,10 +10,9 @@ mixed moment) and waiting for the next minimum gives the exact recurrence
 with the wait Delta tau_k = u_k/(u_k + w_k) in kick-scaled time.  The
 large-k flow conserves u^2 + 2wu and drives u ~ k^(-1/2): squeezing
 without saturation.  A Monte Carlo driver applies the same protocol to
-the full classical 3D ensemble; it finds each minimum of the spread from
-the closed-form free flight of `thermal._free_flight`, which `evolve`
-shares (an angle-addition scan, then Newton on dO/dt or dA/dt), and
-evolves the ensemble once per kick.
+the full classical 3D ensemble; it finds each minimum of the spread on the
+closed-form free flight `thermal._free_flight` (an angle-addition scan, then
+Newton on dO/dt or dA/dt) and flies the ensemble there, once per kick.
 """
 
 from __future__ import annotations
@@ -144,9 +143,9 @@ _SCAN_STEP, _SCAN_BUDGET = 0.01, 2_000_000
 _NEWTON_TOL, _NEWTON_BUDGET = 1e-10, 100
 
 
-def _first_minimum(ensemble, coupling):
+def _first_minimum(ensemble, coupling, flight):
     """(t, scan steps, Newton iterations) for the first local minimum of
-    O (dipole) or A (polarization) after a kick; nothing is evolved here.
+    O (dipole) or A (polarization) on a kicked ensemble's free flight.
     The scan walks t = k dt until F turns up, advancing (cos wt, sin wt) by
     angle addition: four multiplies per particle, no transcendental.  Newton
     on dF/dt = 0 refines its lowest point inside the bracket of the scan,
@@ -154,7 +153,7 @@ def _first_minimum(ensemble, coupling):
     """
     P = ensemble.kick_strength
     dt = _SCAN_STEP / P
-    cos0, _, omega, b = flight = thermal._free_flight(ensemble)
+    cos0, _, omega, b = flight
     # x = cos theta = Re(q z), q = cos0 + i b, z = exp(i omega t); a step
     # multiplies z by exp(i omega dt): (C, S) <- (C cd - S sd, S cd + C sd)
     q, z = cos0 + 1j * b, np.ones(omega.shape, complex)
@@ -201,9 +200,8 @@ def classical_accumulative_3d(n_particles, P_prime, kicks, seed,
     Each cycle kicks the ensemble, then advances to the first local
     minimum of the orientation factor O (dipole) or alignment factor A
     (polarization) and records it; the next kick fires at that instant.
-    The minimum search evaluates O or A in closed form from the
-    free-flight coefficients of `thermal._free_flight`, so each cycle
-    calls `thermal.evolve` once, to the minimum it found.
+    The minimum search evaluates O or A in closed form from the coefficients
+    of `thermal._free_flight`, and the ensemble flies on them to the minimum.
     P_prime = inf means zero initial temperature (only P't' matters, so
     the kick strength is set to 1 and time is reported as P't').
     """
@@ -219,9 +217,10 @@ def classical_accumulative_3d(n_particles, P_prime, kicks, seed,
     P = ens.kick_strength
     records = []
     for k in range(1, kicks + 1):
-        ens = thermal.kick(ens, coupling)
-        t_min, steps, iters = _first_minimum(ens, coupling)
-        ens = thermal.evolve(ens, t_min)
+        ens, sin0 = thermal._kick(ens, coupling)
+        flight = thermal._free_flight(ens, sin0)
+        t_min, steps, iters = _first_minimum(ens, coupling, flight)
+        ens = thermal._fly(ens, flight, t_min) if t_min else ens
         O, A = thermal.orientation_alignment(ens)
         w = float(np.mean(ens.p_theta ** 2)) / P
         # u = 2 O = <2 (1 - cos theta)> ~ <theta^2> near the pole

@@ -92,28 +92,30 @@ def sample_ensemble(n, seed, kick_strength=1.0, temperature=1.0):
 
 def kick(ensemble, coupling=Coupling.DIPOLE):
     """Instantaneous kick at the current positions: only p_theta changes."""
-    P = ensemble.kick_strength
-    if coupling is Coupling.POLARIZATION:
-        dp = -P * np.sin(2.0 * ensemble.theta)
-    else:
-        dp = -P * np.sin(ensemble.theta)
-    return replace(ensemble, p_theta=ensemble.p_theta + dp)
+    return _kick(ensemble, coupling)[0]
 
 
-def _free_flight(ensemble):
+def _kick(ensemble, coupling):
+    # (`kick`, the dipole kick's sin theta or None), for `_free_flight` to reuse
+    sin0 = None if coupling is Coupling.POLARIZATION else np.sin(ensemble.theta)
+    dp = np.sin(2.0 * ensemble.theta) if sin0 is None else sin0
+    return replace(ensemble, p_theta=ensemble.p_theta - ensemble.kick_strength * dp), sin0
+
+
+def _free_flight(ensemble, sin0=None):
     """Per-particle coefficients of the free flight, fixed until the next kick.
 
     Returns (cos theta0, sin theta0, omega, b) with b = (p_theta'/omega)
     sin theta0, so that cos theta(t') = cos theta0 cos(omega t')
     - b sin(omega t').  A particle that does not move (omega = 0, or
     undefined at a pole) gets omega = b = 0 and so keeps theta0.
-    `evolve` and the squeeze driver's minimum search share these.  A
-    |p_theta'| above 1e100 (or NaN) raises DomainError.
+    `_fly` and the squeeze driver's search share these; sin0 is sin theta0
+    if given.  A |p_theta'| above 1e100 (or NaN) raises DomainError.
     """
     p0 = ensemble.p_theta
     if not np.all(np.abs(p0) <= 1e100):  # beyond, p0^2 or the squeeze search's omega^2 overflows
         raise DomainError("|p_theta'| above 1e100 thermal momenta: the free flight would overflow")
-    sin0 = np.sin(ensemble.theta)
+    sin0 = np.sin(ensemble.theta) if sin0 is None else sin0
     omega = np.sqrt(p0 ** 2 + (ensemble.p_phi / sin0) ** 2)
     moving = omega > 0
     omega[~moving] = 0.0  # NaN where theta0 sits exactly on a pole
@@ -134,9 +136,13 @@ def evolve(ensemble, dt):
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    if dt == 0:
-        return ensemble
-    cos0, sin0, omega, b = _free_flight(ensemble)
+    return _fly(ensemble, _free_flight(ensemble), dt) if dt else ensemble
+
+
+def _fly(ensemble, flight, dt):
+    # `evolve` for dt > 0 on the `_free_flight` coefficients of the ensemble
+    cos0, sin0, omega, b = flight
+    del flight
     wt = omega * dt
     cw = np.cos(wt)
     sw = np.sin(wt, out=wt)
@@ -165,7 +171,7 @@ def kicked_profile(ensemble, dt, bins, coupling=Coupling.DIPOLE):
     f(theta), normalized so sum(density * dtheta) = 1 with no 1/sin(theta)
     weighting (the isotropic ensemble shows sin(theta)/2), and
     `orientation_alignment`.  Blocks of BLOCK particles go through `kick`
-    and `evolve`; counts add exactly, (O, A) differ only in summation order.
+    and `evolve`, sharing sin theta; counts add exactly, (O, A) up to sum order.
     """
     if bins < 2:
         raise ValueError("need at least 2 bins")
@@ -173,7 +179,8 @@ def kicked_profile(ensemble, dt, bins, coupling=Coupling.DIPOLE):
     counts, sums = 0, np.zeros(2)
     for part in (slice(lo, lo + BLOCK) for lo in range(0, n, BLOCK)):
         block = replace(e, theta=e.theta[part], p_theta=e.p_theta[part], p_phi=e.p_phi[part])
-        block = evolve(kick(block, coupling), dt)
+        block, sin0 = _kick(block, coupling)
+        block = _fly(block, _free_flight(block, sin0), dt) if dt else block
         c, edges = np.histogram(block.theta, bins=bins, range=(0.0, math.pi))
         counts, sums = counts + c, sums + _alignment_sums(block.theta)
     centers = 0.5 * (edges[:-1] + edges[1:])

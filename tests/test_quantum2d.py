@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import jv
 
@@ -195,3 +196,16 @@ class TestPropagatorOracle:
             exact = q2.density(p, np.array([th])).values[0]
             oracle = abs(_line_propagator_psi(th, tau, P)) ** 2
             assert exact == pytest.approx(oracle, abs=1e-6)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(P=st.floats(0.0, 200.0), coupling=st.sampled_from(list(Coupling)),
+       dtau=st.floats(-50.0, 50.0), n_max=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_kick_and_evolve_preserve_norm(P, coupling, dtau, n_max, seed):
+    # a random normalized packet, kicked and then evolved freely
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(2 * n_max + 1) + 1j * rng.standard_normal(2 * n_max + 1)
+    packet = q2.FourierPacket2D(n_max=n_max, coeffs=c / np.linalg.norm(c))
+    kicked = q2.apply_kick(packet, q2.KickSpec(P, coupling))
+    assert abs(kicked.norm() - 1.0) < 1e-12
+    assert abs(q2.free_evolve(kicked, dtau).norm() - 1.0) < 1e-12

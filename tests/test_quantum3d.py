@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_legendre, spherical_jn
 
@@ -201,3 +202,11 @@ class TestDensity3D:
         p = q3.dipole_kick_ground(5.0)
         with pytest.raises(ValueError):
             q3.density_3d(p, np.array([-0.2]))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(P=st.floats(0.0, 200.0), polarization=st.booleans(), dtau=st.floats(-50.0, 50.0))
+def test_kick_and_evolve_preserve_norm(P, polarization, dtau):
+    kicked = (q3.polarization_kick_ground if polarization else q3.dipole_kick_ground)(P)
+    assert abs(kicked.norm() - 1.0) < 1e-12
+    assert abs(q3.free_evolve_3d(kicked, dtau).norm() - 1.0) < 1e-12

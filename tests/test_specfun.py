@@ -15,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings, strategies as st
 
 import kickedrotor
 from kickedrotor import specfun as sf
@@ -286,10 +287,55 @@ class TestPearcey:
             oracle = p1_contour_oracle(x, abs(b)) + p1_contour_oracle(x, -abs(b))
             assert abs(mine - oracle) < 1e-7
 
+    @pytest.mark.parametrize("power", [0, 1])
+    @pytest.mark.parametrize("x,y", [(-400.0, 400.0), (400.0, -400.0)])
+    def test_domain_corners_against_contour_oracle(self, x, y, power):
+        # corners of |x|, |y| <= 400, where the real leg carries 3e5 rad
+        oracle = p1_contour_oracle(x, y, power=power)
+        assert abs(complex(sf._p1_contour(x, y, power)) - oracle) <= 1e-10
+
     def test_p1_decomposition(self):
         for (x, y) in [(1.0, 2.0), (0.0, 0.0), (3.0, -5.0), (-6.0, 4.0)]:
             lhs = p1(x, y) + p1(x, -y)
             assert abs(lhs - sf.pearcey(x, y)) < 1e-10
+
+
+_PEARCEY_ARG = st.floats(-400.0, 400.0)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(x=_PEARCEY_ARG, beta=_PEARCEY_ARG)
+def test_pearcey_even_and_sum_of_half_ranges(x, beta):
+    # bit for bit: pearcey drops the sign of beta, and two separate
+    # half-range calls at +-y size their contours from the same |y|
+    p, q = sf.pearcey(x, beta), sf.pearcey(x, -beta)
+    assert (p.real, p.imag) == (q.real, q.imag)
+    assert p == p1(x, beta) + p1(x, -beta)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(x=_PEARCEY_ARG, y=_PEARCEY_ARG, power=st.sampled_from([0, 1]))
+def test_contour_sizing_has_converged(x, y, power):
+    # half the phase per panel and a ray that ends at e^-60 move the value
+    # by rounding on the phase R^4 + |x| R^2 + |y| R of the real leg only
+    R = 1.0 + (abs(y) / 4.0) ** (1.0 / 3.0) + math.sqrt(abs(x) / 2.0)
+    phase = max(1.0, R ** 4 + abs(x) * R * R + abs(y) * R)
+    panels = []
+    segment = sf.gauss_segment
+
+    def counted(f, z0, z1, n_panels):
+        panels.append(n_panels)
+        return segment(f, z0, z1, n_panels)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sf, "gauss_segment", counted)
+        value = complex(sf._p1_contour(x, y, power))
+        mp.setattr(sf, "_PANEL_PHASE", 6.0)
+        mp.setattr(sf, "_RAY_DECAY", 60.0)
+        finer = complex(sf._p1_contour(x, y, power))
+    (leg, ray), (leg_fine, ray_fine) = panels[:2], panels[2:]
+    assert leg_fine >= leg and ray_fine > ray
+    assert abs(finer - value) <= 1e-15 * phase
 
 
 class TestPearceyHalfDy:

@@ -202,12 +202,17 @@ class TestClosedFormObservable:
             assert at(t) == (ref, 0.0, 0.0)
 
     def test_driver_evolves_once_per_kick(self, monkeypatch):
-        calls = []
-        real = th.evolve
-        monkeypatch.setattr(th, "evolve", lambda ens, dt: calls.append(dt) or real(ens, dt))
+        # one free flight per kick, shared by the search and the step to
+        # the minimum it found
+        calls, flights = [], []
+        fly, free_flight = th._fly, th._free_flight
+        monkeypatch.setattr(th, "_fly", lambda ens, f, dt: calls.append((f, dt)) or fly(ens, f, dt))
+        monkeypatch.setattr(th, "_free_flight",
+                            lambda *a: flights.append(free_flight(*a)) or flights[-1])
         tr = sq.classical_accumulative_3d(2000, 5.0, 4, seed=8)
-        assert len(calls) == 4
-        assert [t * 5.0 for t in calls] == list(tr.column("dtau"))
+        assert len(calls) == len(flights) == 4
+        assert all(f is g for (f, _), g in zip(calls, flights))
+        assert [dt * 5.0 for _, dt in calls] == list(tr.column("dtau"))
 
     def test_no_minimum_is_a_convergence_error(self, monkeypatch):
         # an ensemble at rest has a flat observable: the real scan walks
@@ -218,7 +223,7 @@ class TestClosedFormObservable:
             kick_strength=5.0, seed=0)
         for coupling in (Coupling.DIPOLE, Coupling.POLARIZATION):
             with pytest.raises(ConvergenceError, match="scan budget"):
-                sq._first_minimum(ens, coupling)
+                sq._first_minimum(ens, coupling, th._free_flight(ens))
 
     def test_records_hold_the_search_counts(self):
         tr = sq.classical_accumulative_3d(2000, 5.0, 4, seed=8)
@@ -240,8 +245,9 @@ def test_first_minimum_is_a_stationary_minimum_in_the_bracket(P_prime, coupling,
         ens = th.sample_ensemble(n, seed, kick_strength=P_prime)
     for _ in range(kicks):
         ens = th.kick(ens, coupling)
-        t, steps, iters = sq._first_minimum(ens, coupling)
-        at = sq._observable_in_flight(th._free_flight(ens), coupling)
+        flight = th._free_flight(ens)
+        t, steps, iters = sq._first_minimum(ens, coupling, flight)
+        at = sq._observable_in_flight(flight, coupling)
         dt = sq._SCAN_STEP / ens.kick_strength
         a, b = max(0.0, (steps - 2) * dt), steps * dt
         (Fa, ga, _), (Fb, gb, _), (Ft, gt, _) = at(a), at(b), at(t)
