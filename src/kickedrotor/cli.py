@@ -163,15 +163,11 @@ class ResultEnvelope:
 
     def csv_text(self):
         names = list(self.columns)
-        arrays = [np.asarray(self.columns[n]) for n in names]
-        n_rows = len(arrays[0])
-        for a in arrays:
-            if len(a) != n_rows:
-                raise ValueError("column lengths differ")
-        lines = [",".join(names)]
-        for i in range(n_rows):
-            lines.append(",".join(f"{float(a[i]):.15g}" for a in arrays))
-        return "\n".join(lines) + "\n"
+        cells = [list(map("{:.15g}".format, np.asarray(self.columns[n], dtype=float).tolist()))
+                 for n in names]
+        if any(len(col) != len(cells[0]) for col in cells):
+            raise ValueError("column lengths differ")
+        return "\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n"
 
     def sidecar(self):
         return {
@@ -300,8 +296,8 @@ def run(config):
         summary["focal_time"] = focal_times(cfg.P, _coupling(cfg))
 
     elif cfg.command == "thermal":
-        ens = th.sample_ensemble(cfg.particles, cfg.seed, kick_strength=cfg.P_prime)
-        prof, O, A = th.kicked_profile(ens, cfg.t_prime / cfg.P_prime, cfg.grid_points,
+        blocks = th.sample_blocks(cfg.particles, cfg.seed, kick_strength=cfg.P_prime)
+        prof, O, A = th.kicked_profile(blocks, cfg.t_prime / cfg.P_prime, cfg.grid_points,
                                        _coupling(cfg))
         columns = {"theta": prof.grid, "density": prof.values}
         summary.update({"orientation": O, "alignment": A})

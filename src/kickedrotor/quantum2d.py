@@ -164,10 +164,13 @@ def free_evolve(packet, dtau):
 
 
 def wavefunction(packet, grid):
-    """Psi(theta) on the given angles, by direct coefficient summation."""
+    """Psi(theta) on the given angles, by direct coefficient summation over
+    z^k = exp(i k theta): one running product in k > 0, conjugated for k < 0."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    phases = np.exp(1j * np.outer(grid, packet.orders))
-    return phases @ packet.coeffs / math.sqrt(2.0 * math.pi)
+    n, c = packet.n_max, packet.coeffs
+    zk = np.cumprod(np.broadcast_to(np.exp(1j * grid)[:, None], (grid.size, n)), axis=1)
+    psi = c[n] + zk @ c[n + 1:] + (zk @ c[:n][::-1].conj()).conj()
+    return psi / math.sqrt(2.0 * math.pi)
 
 
 def density(packet, grid, check_norm=False):

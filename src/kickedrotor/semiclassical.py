@@ -26,7 +26,6 @@ import cmath
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +56,6 @@ __all__ = [
     "uniform_bessel_glory",
     "ford_wheeler_glory",
     "glory_angle_planar",
-    "stationary_points_3d",
-    "StationaryPointSet3D",
     "annotate_validity",
 ]
 
@@ -492,81 +489,6 @@ def ford_wheeler_glory(theta, tau, P):
         1j * (P + theta * theta / (2.0 * tau)
               + 0.5 * (1.0 / tau - P) * tg * tg + P * tg ** 4 / 24.0))
     return _as_psi(phase * amp / (1j * math.sqrt(2.0 * tau)))
-
-
-# ----------------------------------------------------------------------
-# Stationary points of the quartic planar phase
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StationaryPointSet3D:
-    """Real stationary points of the quartic phase at one final angle.
-
-    theta01 lives on the phi0 = 0 azimuth; theta02 (near the glory angle)
-    and theta03 (the direct polar branch) on phi0 = pi.  Entries are None
-    where the corresponding branch has no real root.
-    """
-
-    theta01: float | None
-    theta02: float | None
-    theta03: float | None
-    phases: tuple
-
-
-def _real_cubic_roots(c3, c1, c0):
-    roots = np.roots([c3, 0.0, c1, c0])
-    out = []
-    for r in roots:
-        if abs(r.imag) < 1e-9 * max(1.0, abs(r.real)):
-            x = r.real
-            # two Newton polishing steps
-            for _ in range(2):
-                fx = c3 * x ** 3 + c1 * x + c0
-                dfx = 3.0 * c3 * x * x + c1
-                if dfx != 0.0:
-                    x -= fx / dfx
-            out.append(x)
-    return sorted(out)
-
-
-def stationary_points_3d(theta, tau, P):
-    """Classified real roots of P t^3/6 + (1/tau - P) t -+ theta/tau = 0."""
-    if tau <= 0 or P <= 0:
-        raise ValueError("stationary_points_3d requires tau, P > 0")
-    s = P * tau
-    c3 = P / 6.0
-    c1 = 1.0 / tau - P
-    # phi0 = 0 branch: constant -theta/tau; keep positive roots
-    r0 = [r for r in _real_cubic_roots(c3, c1, -theta / tau) if r >= -1e-12]
-    # phi0 = pi branch: constant +theta/tau
-    rpi = [r for r in _real_cubic_roots(c3, c1, theta / tau) if r >= -1e-12]
-
-    theta01 = theta02 = theta03 = None
-    if s > 1.0:
-        tg = glory_angle_planar(tau, P)
-        if r0:
-            theta01 = max(r0)
-        if theta == 0.0:
-            # the glory pair merges at tg; the direct branch sits at the pole
-            theta01 = tg
-            theta02 = tg
-            theta03 = 0.0
-        else:
-            pos = sorted(r for r in rpi if r > 1e-12)
-            if len(pos) == 2:
-                theta03, theta02 = pos
-            elif len(pos) == 1:
-                theta03 = pos[0]
-    else:
-        if r0:
-            theta01 = max(r0)
-    phases = tuple(
-        _quartic_phase(t, theta, tau, P, sgn)
-        for t, sgn in ((theta01, -1.0), (theta02, 1.0), (theta03, 1.0))
-        if t is not None
-    )
-    return StationaryPointSet3D(theta01=theta01, theta02=theta02,
-                                theta03=theta03, phases=phases)
 
 
 # ----------------------------------------------------------------------

@@ -361,7 +361,13 @@ def _p1_contour(x, y, power=0):
     def f(u):
         return (1j * u) ** power * np.exp(1j * (u ** 4 + x * u ** 2 + y[..., None] * u))
 
-    return gauss_segment(f, 0.0 + 0.0j, R + 0.0j, n1) + gauss_segment(f, R + 0.0j, R + T * w8, n2)
+    def leg(z0, z1, n):
+        # a single row's leg longer than the block goes in k equal pieces
+        k = -(-n // max(1, _CONTOUR_BLOCK // (_GL_NODES.size * y.size)))
+        ends = np.linspace(z0, z1, k + 1) if k > 1 else (z0, z1)
+        return sum(gauss_segment(f, a, b, -(-n // k)) for a, b in zip(ends[:-1], ends[1:]))
+
+    return leg(0.0 + 0.0j, R + 0.0j, n1) + leg(R + 0.0j, R + T * w8, n2)
 
 
 def pearcey(x, beta):

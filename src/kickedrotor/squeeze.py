@@ -11,8 +11,9 @@ with the wait Delta tau_k = u_k/(u_k + w_k) in kick-scaled time.  The
 large-k flow conserves u^2 + 2wu and drives u ~ k^(-1/2): squeezing
 without saturation.  A Monte Carlo driver applies the same protocol to
 the full classical 3D ensemble; it finds each minimum of the spread on the
-closed-form free flight `thermal._free_flight` (an angle-addition scan, then
-Newton on dO/dt or dA/dt) and flies the ensemble there, once per kick.
+closed-form free flight `thermal._free_flight` of the carried (cos theta0,
+sin theta0) (an angle-addition scan, then Newton on dO/dt or dA/dt) and
+flies the ensemble there, once per kick.
 """
 
 from __future__ import annotations
@@ -217,8 +218,8 @@ def classical_accumulative_3d(n_particles, P_prime, kicks, seed,
     P = ens.kick_strength
     records = []
     for k in range(1, kicks + 1):
-        ens, sin0 = thermal._kick(ens, coupling)
-        flight = thermal._free_flight(ens, sin0)
+        ens = thermal.kick(ens, coupling)
+        flight = thermal._free_flight(ens)
         t_min, steps, iters = _first_minimum(ens, coupling, flight)
         ens = thermal._fly(ens, flight, t_min) if t_min else ens
         O, A = thermal.orientation_alignment(ens)

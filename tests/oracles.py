@@ -18,6 +18,13 @@ None of these share code with the package evaluators they check:
   `bisect_scalar` and the math module;
 - `box_means`: Gauss-Legendre means of an array function over many boxes,
   from one call on the nodes of every box.
+- `wavefunction_direct`: the planar Fourier sum one exponential per
+  (order, point), each phase n theta formed exactly;
+- `ensemble_at`: a thermal ensemble at given angles, through np.cos and
+  np.sin.
+- `stationary_points_3d`: the classified real stationary points of the
+  quartic planar phase, a paper construction only tests use (built on the
+  package's quartic phase and planar glory angle).
 
 The series are slow (10-1000 ms a point), so tests call them at a few
 points only.  The double series run out of terms near the corner of
@@ -27,13 +34,16 @@ ConvergenceError there.
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import j0
 
+from kickedrotor.semiclassical import _quartic_phase, glory_angle_planar
 from kickedrotor.specfun import ConvergenceError
+from kickedrotor.thermal import ThermalEnsemble
 
 _MP_DPS = 50
 
@@ -344,3 +354,99 @@ def density_classical_loop(theta, params):
         else:
             total += 1.0 / (2 * math.pi) / abs(der)
     return math.inf if singular else total
+
+
+def wavefunction_direct(coeffs, grid):
+    """(2 pi)^(-1/2) sum_n c_n exp(i n theta), n in [-n_max, n_max], one
+    exponential per (order, point).  theta = hi + lo with hi on a 2^-40
+    grid, so n hi is exact for |theta| < 8 and |n| < 2^10, and
+    exp(i n theta) = exp(i n hi) exp(i n lo) does not carry the rounding
+    of n theta (up to 3e-13 rad at n = 479 in double precision)."""
+    grid = np.asarray(grid, dtype=float)
+    hi = np.round(grid * 2.0 ** 40) / 2.0 ** 40
+    lo = grid - hi
+    n_max = (len(coeffs) - 1) // 2
+    psi = np.zeros(grid.shape, dtype=complex)
+    for n, c in zip(range(-n_max, n_max + 1), coeffs):
+        psi += c * np.exp(1j * n * hi) * np.exp(1j * n * lo)
+    return psi / math.sqrt(2.0 * math.pi)
+
+
+def ensemble_at(theta, p_theta, p_phi, kick_strength=1.0):
+    """ThermalEnsemble of particles at the angles theta."""
+    theta = np.asarray(theta, dtype=float)
+    return ThermalEnsemble(cos_theta=np.cos(theta), sin_theta=np.sin(theta),
+                           p_theta=np.asarray(p_theta, dtype=float),
+                           p_phi=np.asarray(p_phi, dtype=float),
+                           kick_strength=kick_strength, seed=0)
+
+
+@dataclass(frozen=True)
+class StationaryPointSet3D:
+    """Real stationary points of the quartic phase at one final angle.
+
+    theta01 lives on the phi0 = 0 azimuth; theta02 (near the glory angle)
+    and theta03 (the direct polar branch) on phi0 = pi.  Entries are None
+    where the corresponding branch has no real root.
+    """
+
+    theta01: float | None
+    theta02: float | None
+    theta03: float | None
+    phases: tuple
+
+
+def _real_cubic_roots(c3, c1, c0):
+    roots = np.roots([c3, 0.0, c1, c0])
+    out = []
+    for r in roots:
+        if abs(r.imag) < 1e-9 * max(1.0, abs(r.real)):
+            x = r.real
+            # two Newton polishing steps
+            for _ in range(2):
+                fx = c3 * x ** 3 + c1 * x + c0
+                dfx = 3.0 * c3 * x * x + c1
+                if dfx != 0.0:
+                    x -= fx / dfx
+            out.append(x)
+    return sorted(out)
+
+
+def stationary_points_3d(theta, tau, P):
+    """Classified real roots of P t^3/6 + (1/tau - P) t -+ theta/tau = 0."""
+    if tau <= 0 or P <= 0:
+        raise ValueError("stationary_points_3d requires tau, P > 0")
+    s = P * tau
+    c3 = P / 6.0
+    c1 = 1.0 / tau - P
+    # phi0 = 0 branch: constant -theta/tau; keep positive roots
+    r0 = [r for r in _real_cubic_roots(c3, c1, -theta / tau) if r >= -1e-12]
+    # phi0 = pi branch: constant +theta/tau
+    rpi = [r for r in _real_cubic_roots(c3, c1, theta / tau) if r >= -1e-12]
+
+    theta01 = theta02 = theta03 = None
+    if s > 1.0:
+        tg = glory_angle_planar(tau, P)
+        if r0:
+            theta01 = max(r0)
+        if theta == 0.0:
+            # the glory pair merges at tg; the direct branch sits at the pole
+            theta01 = tg
+            theta02 = tg
+            theta03 = 0.0
+        else:
+            pos = sorted(r for r in rpi if r > 1e-12)
+            if len(pos) == 2:
+                theta03, theta02 = pos
+            elif len(pos) == 1:
+                theta03 = pos[0]
+    else:
+        if r0:
+            theta01 = max(r0)
+    phases = tuple(
+        _quartic_phase(t, theta, tau, P, sgn)
+        for t, sgn in ((theta01, -1.0), (theta02, 1.0), (theta03, 1.0))
+        if t is not None
+    )
+    return StationaryPointSet3D(theta01=theta01, theta02=theta02,
+                                theta03=theta03, phases=phases)

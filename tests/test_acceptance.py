@@ -209,8 +209,8 @@ def test_criterion_09_classical_quantum_correspondence():
 
 def test_criterion_10_thermal_hole():
     t0 = time.perf_counter()
-    ens = th.sample_ensemble(10 ** 6, seed=11, kick_strength=10.0)
-    prof, _, _ = th.kicked_profile(ens, 0.1, 400)  # P't' = 1
+    blocks = th.sample_blocks(10 ** 6, seed=11, kick_strength=10.0)
+    prof, _, _ = th.kicked_profile(blocks, 0.1, 400)  # P't' = 1
     peak_zone = prof.values[prof.grid < 0.3]
     elapsed = time.perf_counter() - t0
     ok = (prof.values[0] < 0.10 * peak_zone.max()

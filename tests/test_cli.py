@@ -158,6 +158,18 @@ class TestOutputFiles:
         first_value = env.csv_text().split("\n")[1].split(",")[1]
         assert len(first_value.replace(".", "").replace("-", "").lstrip("0")) >= 14
 
+    def test_columns_formatted_as_cell_by_cell(self, tmp_path):
+        # one format pass per column gives the text of formatting each cell
+        columns = {"k": np.arange(4), "x": np.array([-0.0, 1e-300, np.nan, 1.0 / 3.0]),
+                   "y": [math.inf, -2.5, 7, 1e16]}
+        env = cli.ResultEnvelope(config=cfg_2d(tmp_path), columns=columns, summary={})
+        rows = [",".join(f"{float(c[i]):.15g}" for c in columns.values()) for i in range(4)]
+        assert env.csv_text() == "\n".join(["k,x,y"] + rows) + "\n"
+        ragged = cli.ResultEnvelope(config=cfg_2d(tmp_path), summary={},
+                                    columns={"a": np.zeros(3), "b": np.zeros(2)})
+        with pytest.raises(ValueError, match="column lengths differ"):
+            ragged.csv_text()
+
 
 class TestBatch:
     def test_empty_file(self, tmp_path):

@@ -11,6 +11,7 @@ from scipy.special import jv
 
 from kickedrotor import quantum2d as q2
 from kickedrotor.classical import Coupling
+from oracles import wavefunction_direct
 
 TWO_PI = 2.0 * math.pi
 
@@ -185,6 +186,25 @@ def _line_propagator_psi(theta, tau, P, n_periods=16):
 
     tail = -boundary(W, 1) + boundary(-W, 1) + boundary(W, 2) - boundary(-W, 2)
     return (I + tail) / (2 * math.pi * np.sqrt(1j * tau))
+
+
+class TestWavefunction:
+    @pytest.mark.parametrize("points", [1, 1200])
+    @pytest.mark.parametrize("n_max,P", [(0, None), (1, None), (141, 85.0), (479, 400.0)])
+    def test_matches_direct_sum(self, n_max, P, points):
+        # random coefficients weigh every order alike; a kicked packet at
+        # P' = 85 (400) fills n_max = 141 (479) as fig06 does
+        rng = np.random.default_rng(n_max)
+        c = rng.standard_normal(2 * n_max + 1) + 1j * rng.standard_normal(2 * n_max + 1)
+        packets = [q2.FourierPacket2D(n_max=n_max, coeffs=c / np.linalg.norm(c))]
+        if P is not None:
+            packets.append(q2.free_evolve(kicked_ground(P), 0.7 / P))
+        grid = np.linspace(0.0, TWO_PI, points, endpoint=False) if points > 1 else np.array([2.5])
+        for packet in packets:
+            assert packet.n_max == n_max
+            ref = wavefunction_direct(packet.coeffs, grid)
+            got = q2.wavefunction(packet, grid)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestPropagatorOracle:

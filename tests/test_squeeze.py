@@ -13,6 +13,7 @@ from kickedrotor import squeeze as sq
 from kickedrotor import thermal as th
 from kickedrotor.classical import Coupling
 from kickedrotor.specfun import ConvergenceError
+from oracles import ensemble_at
 
 
 class TestKickCycle:
@@ -192,9 +193,7 @@ class TestClosedFormObservable:
 
     @pytest.mark.parametrize("coupling", [Coupling.DIPOLE, Coupling.POLARIZATION])
     def test_rest_particle_keeps_theta0(self, coupling):
-        ens = th.ThermalEnsemble(
-            theta=np.array([1.0]), p_theta=np.array([0.0]), p_phi=np.array([0.0]),
-            kick_strength=1.0, seed=0)
+        ens = ensemble_at([1.0], [0.0], [0.0])
         at = sq._observable_in_flight(th._free_flight(ens), coupling)
         c = math.cos(1.0)
         ref = 1.0 - c if coupling is Coupling.DIPOLE else 1.0 - c * c
@@ -218,9 +217,7 @@ class TestClosedFormObservable:
         # an ensemble at rest has a flat observable: the real scan walks
         # until its (lowered) step budget runs out
         monkeypatch.setattr(sq, "_SCAN_BUDGET", 50)
-        ens = th.ThermalEnsemble(
-            theta=np.linspace(0.1, 3.0, 10), p_theta=np.zeros(10), p_phi=np.zeros(10),
-            kick_strength=5.0, seed=0)
+        ens = ensemble_at(np.linspace(0.1, 3.0, 10), np.zeros(10), np.zeros(10), 5.0)
         for coupling in (Coupling.DIPOLE, Coupling.POLARIZATION):
             with pytest.raises(ConvergenceError, match="scan budget"):
                 sq._first_minimum(ens, coupling, th._free_flight(ens))

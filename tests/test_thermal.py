@@ -1,6 +1,6 @@
-"""Thermal ensembles: sampling moments, free flight against an ODE
-oracle, conservation laws, histograms, the blocked kick-evolve-histogram
-pass, determinism."""
+"""Thermal ensembles: sampling moments and stream, free flight against an
+ODE oracle, conservation laws, histograms, the streamed
+kick-evolve-histogram pass, determinism."""
 
 import math
 
@@ -11,6 +11,7 @@ from scipy.integrate import solve_ivp
 
 from kickedrotor import thermal as th
 from kickedrotor.classical import Coupling
+from oracles import ensemble_at
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,7 @@ class TestSampling:
 
     def test_unit_thermal_variance(self, big_ensemble):
         assert np.mean(big_ensemble.p_theta ** 2) == pytest.approx(1.0, abs=0.01)
-        ratio = big_ensemble.p_phi / np.sin(big_ensemble.theta)
+        ratio = big_ensemble.p_phi / big_ensemble.sin_theta
         assert np.mean(ratio ** 2) == pytest.approx(1.0, abs=0.01)
 
     def test_theta_marginal_matches_half_sine(self, big_ensemble):
@@ -40,10 +41,10 @@ class TestSampling:
     def test_determinism(self):
         a = th.sample_ensemble(1000, seed=5)
         b = th.sample_ensemble(1000, seed=5)
-        assert np.array_equal(a.theta, b.theta)
+        assert np.array_equal(a.cos_theta, b.cos_theta)
         assert np.array_equal(a.p_phi, b.p_phi)
         c = th.sample_ensemble(1000, seed=6)
-        assert not np.array_equal(a.theta, c.theta)
+        assert not np.array_equal(a.cos_theta, c.cos_theta)
 
     def test_zero_temperature(self):
         e = th.sample_ensemble(100, seed=1, temperature=0.0)
@@ -55,15 +56,29 @@ class TestSampling:
     def test_stream_kept_without_azimuth(self, n, temperature):
         # a sampler that also draws a uniform azimuth: the stream to keep
         rng = np.random.Generator(np.random.Philox(key=17))
-        theta = np.arccos(1.0 - 2.0 * rng.random(n))
+        u = rng.random(n)
         rng.random(n) * 2.0 * math.pi
         scale = math.sqrt(temperature)
         p_theta = rng.standard_normal(n) * scale
-        p_phi = rng.standard_normal(n) * np.sin(theta) * scale
+        normals = rng.standard_normal(n)
         e = th.sample_ensemble(n, 17, temperature=temperature)
-        assert np.array_equal(e.theta, theta)
+        assert np.array_equal(e.cos_theta, 1.0 - 2.0 * u)
+        assert np.array_equal(e.sin_theta, 2.0 * np.sqrt(u * (1.0 - u)))
         assert np.array_equal(e.p_theta, p_theta)
-        assert np.array_equal(e.p_phi, p_phi)
+        assert np.array_equal(e.p_phi, normals * e.sin_theta * scale)
+        # the angle a sampler of theta itself drew, to a few ulp
+        theta = np.arccos(1.0 - 2.0 * u)
+        assert np.all(np.abs(e.theta - theta) <= 4 * np.spacing(theta))
+
+    @pytest.mark.parametrize("n", [1, th.BLOCK - 1, th.BLOCK, th.BLOCK + 1, 2 * th.BLOCK + 5])
+    def test_ensemble_is_the_concatenated_blocks(self, n):
+        blocks = list(th.sample_blocks(n, 23, kick_strength=3.0, temperature=0.5))
+        assert [b.n for b in blocks] == [min(th.BLOCK, n - lo) for lo in range(0, n, th.BLOCK)]
+        e = th.sample_ensemble(n, 23, kick_strength=3.0, temperature=0.5)
+        for name in ("cos_theta", "sin_theta", "p_theta", "p_phi"):
+            assert np.array_equal(getattr(e, name),
+                                  np.concatenate([getattr(b, name) for b in blocks]))
+        assert all((b.kick_strength, b.seed) == (3.0, 23) for b in blocks)
 
 
 class TestKick:
@@ -73,21 +88,17 @@ class TestKick:
         assert np.array_equal(k.p_theta, e.p_theta)
 
     def test_momentum_transfer(self):
-        e = th.ThermalEnsemble(
-            theta=np.array([math.pi / 2]), p_theta=np.array([0.0]), p_phi=np.array([0.0]),
-            kick_strength=10.0, seed=0)
+        e = ensemble_at([math.pi / 2], [0.0], [0.0], kick_strength=10.0)
         assert th.kick(e).p_theta[0] == pytest.approx(-10.0)
 
     def test_positions_unchanged(self):
         e = th.sample_ensemble(50, seed=3, kick_strength=4.0)
         k = th.kick(e)
-        assert np.array_equal(k.theta, e.theta)
+        assert k.cos_theta is e.cos_theta and k.sin_theta is e.sin_theta
         assert np.array_equal(k.p_phi, e.p_phi)
 
     def test_polarization_double_angle(self):
-        e = th.ThermalEnsemble(
-            theta=np.array([0.3]), p_theta=np.array([0.0]), p_phi=np.array([0.0]),
-            kick_strength=2.0, seed=0)
+        e = ensemble_at([0.3], [0.0], [0.0], kick_strength=2.0)
         k = th.kick(e, Coupling.POLARIZATION)
         assert k.p_theta[0] == pytest.approx(-2.0 * math.sin(0.6))
 
@@ -99,9 +110,7 @@ class TestEvolve:
 
     def test_planar_rotation_when_p_phi_zero(self):
         c = 0.37
-        e = th.ThermalEnsemble(
-            theta=np.array([1.0]), p_theta=np.array([c]), p_phi=np.array([0.0]),
-            kick_strength=1.0, seed=0)
+        e = ensemble_at([1.0], [c], [0.0])
         ev = th.evolve(e, 1.5)
         assert ev.theta[0] == pytest.approx(1.0 + c * 1.5, abs=1e-12)
         assert ev.p_theta[0] == pytest.approx(c, abs=1e-12)
@@ -109,18 +118,14 @@ class TestEvolve:
     def test_zero_temperature_map(self):
         # kicked motionless rotor follows theta(t) = theta0 - P t sin(theta0)
         th0 = 1.1
-        e = th.ThermalEnsemble(
-            theta=np.array([th0]), p_theta=np.array([0.0]), p_phi=np.array([0.0]),
-            kick_strength=3.0, seed=0)
+        e = ensemble_at([th0], [0.0], [0.0], kick_strength=3.0)
         ev = th.evolve(th.kick(e), 0.2)
         assert ev.theta[0] == pytest.approx(th0 - 3.0 * 0.2 * math.sin(th0), abs=1e-12)
 
     def test_against_ode_oracle(self):
         # integrate theta'' = p_phi^2 cos/sin^3 directly
         th0, p0, pphi = 1.1, 0.7, 0.4
-        e = th.ThermalEnsemble(
-            theta=np.array([th0]), p_theta=np.array([p0]), p_phi=np.array([pphi]),
-            kick_strength=1.0, seed=0)
+        e = ensemble_at([th0], [p0], [pphi])
         sol = solve_ivp(
             lambda t, y: [y[1], pphi ** 2 * math.cos(y[0]) / math.sin(y[0]) ** 3],
             (0.0, 2.0), [th0, p0], rtol=1e-11, atol=1e-13, dense_output=True)
@@ -139,9 +144,7 @@ class TestEvolve:
 
     def test_pole_reflection(self):
         # p_phi = 0 particle passing theta = 0 reflects
-        e = th.ThermalEnsemble(
-            theta=np.array([0.3]), p_theta=np.array([-1.0]), p_phi=np.array([0.0]),
-            kick_strength=1.0, seed=0)
+        e = ensemble_at([0.3], [-1.0], [0.0])
         ev = th.evolve(e, 0.5)
         assert ev.theta[0] == pytest.approx(0.2, abs=1e-12)
         assert ev.p_theta[0] == pytest.approx(1.0, abs=1e-12)
@@ -152,12 +155,13 @@ class TestEvolve:
         # survive, and a particle with p_theta = p_phi = 0 stays at theta0
         e = th.kick(th.sample_ensemble(1000, seed=6, kick_strength=2.0))
         e.p_theta[0] = e.p_phi[0] = 0.0
-        before = [a.copy() for a in (e.theta, e.p_theta, e.p_phi)]
+        arrays = (e.cos_theta, e.sin_theta, e.p_theta, e.p_phi)
+        before = [a.copy() for a in arrays]
         ev = th.evolve(e, 0.8)
-        for a, b in zip((e.theta, e.p_theta, e.p_phi), before):
+        for a, b in zip(arrays, before):
             assert np.array_equal(a, b)
-        assert ev.theta[0] == e.theta[0] and ev.p_theta[0] == 0.0
-        assert not np.array_equal(ev.theta[1:], e.theta[1:])
+        assert (ev.cos_theta[0], ev.sin_theta[0], ev.p_theta[0]) == (e.cos_theta[0], e.sin_theta[0], 0.0)
+        assert not np.array_equal(ev.cos_theta[1:], e.cos_theta[1:])
 
 
 def one_shot_profile(ensemble, dt, bins, coupling):
@@ -169,7 +173,7 @@ def one_shot_profile(ensemble, dt, bins, coupling):
 
 class TestHistogram:
     def test_isotropic_half_sine(self, big_ensemble):
-        prof, _, _ = th.kicked_profile(big_ensemble, 0.0, 50)
+        prof, _, _ = th.kicked_profile([big_ensemble], 0.0, 50)
         width = prof.grid[1] - prof.grid[0]
         assert np.sum(prof.values) * width == pytest.approx(1.0, rel=1e-12)
         ref = np.sin(prof.grid) / 2
@@ -179,8 +183,8 @@ class TestHistogram:
 
     def test_focal_hole_at_strong_kick(self):
         # P' = 10 at P't' = 1: peak near the pole but a hole at theta = 0
-        ens = th.sample_ensemble(10 ** 6, seed=42, kick_strength=10.0)
-        prof, _, _ = th.kicked_profile(ens, 0.1, 400)
+        prof, _, _ = th.kicked_profile(th.sample_blocks(10 ** 6, seed=42, kick_strength=10.0),
+                                       0.1, 400)
         peak_zone = prof.values[prof.grid < 0.3]
         assert prof.values[0] < 0.1 * peak_zone.max()
         assert peak_zone.max() == prof.values.max()
@@ -188,8 +192,8 @@ class TestHistogram:
     def test_weak_kick_near_equilibrium(self):
         # P' = 1 bends the half-sine but produces no focal spike, unlike
         # the strong kick at the same P't'
-        weak = th.sample_ensemble(200000, seed=7, kick_strength=1.0)
-        strong = th.sample_ensemble(200000, seed=7, kick_strength=10.0)
+        weak = th.sample_blocks(200000, seed=7, kick_strength=1.0)
+        strong = th.sample_blocks(200000, seed=7, kick_strength=10.0)
         prof_w, _, _ = th.kicked_profile(weak, 1.0, 50)
         prof_s, _, _ = th.kicked_profile(strong, 0.1, 50)
         equilibrium_peak = 0.5
@@ -197,15 +201,19 @@ class TestHistogram:
         assert prof_s.values.max() > 2.0 * prof_w.values.max()
 
     def test_rejects_single_bin(self):
-        e = th.sample_ensemble(10, seed=1)
         with pytest.raises(ValueError):
-            th.kicked_profile(e, 0.0, 1)
+            th.kicked_profile(th.sample_blocks(10, seed=1), 0.0, 1)
+
+    def test_rejects_no_blocks(self):
+        with pytest.raises(ValueError, match="no particles"):
+            th.kicked_profile(iter(()), 0.1, 10)
 
     def test_input_untouched(self):
         e = th.sample_ensemble(th.BLOCK + 3, seed=8, kick_strength=3.0)
-        before = [a.copy() for a in (e.theta, e.p_theta, e.p_phi)]
-        th.kicked_profile(e, 0.4, 30, Coupling.POLARIZATION)
-        for a, b in zip((e.theta, e.p_theta, e.p_phi), before):
+        arrays = (e.cos_theta, e.sin_theta, e.p_theta, e.p_phi)
+        before = [a.copy() for a in arrays]
+        th.kicked_profile([e], 0.4, 30, Coupling.POLARIZATION)
+        for a, b in zip(arrays, before):
             assert np.array_equal(a, b)
 
     @settings(derandomize=True, deadline=None, max_examples=12)
@@ -220,13 +228,28 @@ class TestHistogram:
     @example(n=th.BLOCK + 1, P_prime=1.0, t_prime=3.0, coupling=Coupling.POLARIZATION, bins=200)
     def test_blocked_pass_matches_one_shot(self, n, P_prime, t_prime, coupling, bins):
         ens = th.sample_ensemble(n, seed=n, kick_strength=P_prime)
-        prof, O, A = th.kicked_profile(ens, t_prime / P_prime, bins, coupling)
+        blocks = th.sample_blocks(n, seed=n, kick_strength=P_prime)
+        prof, O, A = th.kicked_profile(blocks, t_prime / P_prime, bins, coupling)
         counts, edges, (O_ref, A_ref) = one_shot_profile(ens, t_prime / P_prime, bins, coupling)
         width = edges[1] - edges[0]
         assert np.array_equal(prof.values, counts / (n * width))
         assert np.array_equal(prof.grid, 0.5 * (edges[:-1] + edges[1:]))
         assert O == pytest.approx(O_ref, rel=0, abs=1e-15)
         assert A == pytest.approx(A_ref, rel=0, abs=1e-15)
+
+
+    @pytest.mark.parametrize("coupling", [Coupling.DIPOLE, Coupling.POLARIZATION])
+    @pytest.mark.parametrize("n", [1, th.BLOCK, th.BLOCK + 1])
+    def test_streamed_profile_matches_one_shot(self, n, coupling):
+        # the streamed blocks against the whole ensemble kicked, flown and
+        # histogrammed at once: counts exact, (O, A) up to sum order
+        dt = 0.13
+        prof, O, A = th.kicked_profile(th.sample_blocks(n, 77, kick_strength=6.0), dt, 90, coupling)
+        counts, edges, (O_ref, A_ref) = one_shot_profile(
+            th.sample_ensemble(n, 77, kick_strength=6.0), dt, 90, coupling)
+        assert np.array_equal(prof.values, counts / (n * (edges[1] - edges[0])))
+        assert O == pytest.approx(O_ref, rel=1e-15, abs=0)
+        assert A == pytest.approx(A_ref, rel=1e-15, abs=0)
 
 
 class TestZeroTemperatureDegeneration:
@@ -236,9 +259,8 @@ class TestZeroTemperatureDegeneration:
         from kickedrotor import classical as cl
         from oracles import box_means
         s = 2.0
-        ens = th.sample_ensemble(10 ** 6, seed=33, kick_strength=1.0,
-                                 temperature=0.0)
-        prof, _, _ = th.kicked_profile(ens, s, 100)
+        blocks = th.sample_blocks(10 ** 6, seed=33, kick_strength=1.0, temperature=0.0)
+        prof, _, _ = th.kicked_profile(blocks, s, 100)
         width = prof.grid[1] - prof.grid[0]
         params = cl.MapParams(s, geometry=cl.Geometry.SPHERE_3D)
         thr = cl.rainbow_angle(s)
@@ -253,10 +275,7 @@ class TestZeroTemperatureDegeneration:
 
 class TestOrientationAlignment:
     def test_point_mass_at_pole(self):
-        e = th.ThermalEnsemble(
-            theta=np.zeros(4),
-            p_theta=np.zeros(4), p_phi=np.zeros(4),
-            kick_strength=1.0, seed=0)
+        e = ensemble_at(np.zeros(4), np.zeros(4), np.zeros(4))
         O, A = th.orientation_alignment(e)
         assert O == 0.0 and A == 0.0
 
