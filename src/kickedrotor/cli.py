@@ -1,9 +1,15 @@
 """Command-line front end: scenario configs, dispatch, CSV/JSON output.
 
-Every run writes a CSV (header row, 15 significant digits, UTF-8, LF) and
-a JSON sidecar holding the exact config, version, runtime and summary
-scalars, so any output file can be reproduced from its sidecar alone.
-`batch` executes a JSON-lines file of scenarios, isolating failures.
+One table, `_COMMANDS`, maps each command to its runner, which turns a
+validated config into CSV columns and summary scalars; `validate` and `run`
+read it, and `build_parser` gives each command a subparser.  Every run
+writes a CSV (header row, 15 significant digits, UTF-8, LF) and a JSON
+sidecar holding the exact config, version, runtime and summary scalars, so
+any output file can be reproduced from its sidecar alone.  `batch` executes
+a JSON-lines file of scenarios, isolating failures.  Command-line defaults
+that differ from a batch line's (the field defaults, in parentheses):
+`classical --dim` 3 (2), `thermal --grid` 200 (400), `squeeze --kicks`
+1000 (10), `semiclassical --method` pearcey (exact).
 """
 
 from __future__ import annotations
@@ -32,10 +38,6 @@ __all__ = ["ScenarioConfig", "ResultEnvelope", "ConfigError", "run", "batch", "m
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_COMMANDS = ("quantum2d", "quantum3d", "classical", "thermal", "semiclassical",
-             "squeeze", "compare")
-
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; names the offending field."""
@@ -101,7 +103,7 @@ class ScenarioConfig:
             raise ConfigError(f"field 'dim': must be 2 or 3, got {self.dim}")
         if self.coupling not in ("dipole", "polarization"):
             raise ConfigError(f"field 'coupling': {self.coupling!r}")
-        if self.command in ("quantum2d", "quantum3d", "classical", "semiclassical", "compare"):
+        if _COMMANDS[self.command][1]:
             if self.P is None or self.P <= 0:
                 raise ConfigError("field 'P': positive kick strength required")
             self.resolved_tau()
@@ -199,31 +201,20 @@ def write_envelope(env):
 # dispatch
 # ----------------------------------------------------------------------
 
-def _coupling(cfg):
-    return Coupling.DIPOLE if cfg.coupling == "dipole" else Coupling.POLARIZATION
-
-
 def _grid(cfg, three_d):
-    if cfg.window:
-        lo, hi = cfg.window
-    else:
-        lo, hi = (0.0, math.pi) if three_d else (0.0, 2.0 * math.pi)
-    if three_d or cfg.window:
-        return np.linspace(lo, hi, cfg.grid_points)
-    return np.linspace(lo, hi, cfg.grid_points, endpoint=False)
+    # the window, or the sphere's [0, pi] or the circle's [0, 2 pi) (no endpoint)
+    lo, hi = cfg.window or (0.0, math.pi if three_d else 2.0 * math.pi)
+    return np.linspace(lo, hi, cfg.grid_points, endpoint=three_d or bool(cfg.window))
 
 
 def _exact_density(cfg, grid, three_d):
     # the exact density profile on the grid, and the kicked and evolved packet
     if not three_d:
-        packet = q2.apply_kick(q2.ground_packet(0), q2.KickSpec(cfg.P, _coupling(cfg)))
+        packet = q2.apply_kick(q2.ground_packet(0), q2.KickSpec(cfg.P, Coupling(cfg.coupling)))
         packet = q2.free_evolve(packet, cfg.resolved_tau())
         return q2.density(packet, grid), packet
-    if _coupling(cfg) is Coupling.DIPOLE:
-        packet = q3.dipole_kick_ground(cfg.P)
-    else:
-        packet = q3.polarization_kick_ground(cfg.P)
-    packet = q3.free_evolve_3d(packet, cfg.resolved_tau())
+    kick = q3.dipole_kick_ground if cfg.coupling == "dipole" else q3.polarization_kick_ground
+    packet = q3.free_evolve_3d(kick(cfg.P), cfg.resolved_tau())
     return q3.density_3d(packet, grid), packet
 
 
@@ -249,110 +240,119 @@ _METHODS = {
     "planar": (lambda cfg, g, tau, P:
                np.abs(sc.planar_psi(g, tau, P, radius=cfg.radius)) ** 2, False),
     "classical": (lambda cfg, g, tau, P: density_classical(g, MapParams(
-        P * tau, _coupling(cfg), Geometry.SPHERE_3D if cfg.dim == 3 else Geometry.PLANAR_2D)), False),
+        P * tau, Coupling(cfg.coupling), Geometry.SPHERE_3D if cfg.dim == 3 else Geometry.PLANAR_2D)), False),
 }
 
 
 def _method_density(cfg, method, grid):
-    density, _ = _METHODS[method]
-    return density(cfg, grid, cfg.resolved_tau(), cfg.P)
+    return _METHODS[method][0](cfg, grid, cfg.resolved_tau(), cfg.P)
 
 
 def _peak_summary(grid, vals):
-    i = int(np.argmax(vals))
-    return {"peak_theta": float(grid[i]), "peak_value": float(vals[i])}
+    # the first angle within 1e-12 of the max, so that rounding does not
+    # choose between the mirror peaks of a symmetric density
+    top = vals[int(np.argmax(vals))]
+    i = int(np.argmax(np.isclose(vals, top, rtol=1e-12, atol=0.0, equal_nan=True)))
+    return {"peak_theta": float(grid[i]), "peak_value": float(top)}
+
+
+def _quantum(cfg):
+    three_d = cfg.command == "quantum3d"
+    grid = _grid(cfg, three_d)
+    prof, packet = _exact_density(cfg, grid, three_d)
+    columns = {"theta": grid, "density": prof.values}
+    if three_d:
+        columns["weighted_density"] = prof.weighted
+    return columns, {**_peak_summary(grid, prof.values), "norm": packet.norm()}
+
+
+def _classical(cfg):
+    grid = _grid(cfg, cfg.dim == 3)
+    vals = _method_density(cfg, "classical", grid)
+    s = cfg.P * cfg.resolved_tau()
+    summary = {"s": s}
+    if s >= 1:
+        summary["rainbow_angle"] = rainbow_angle(s)
+        g = glory_angles(s)
+        if g.forward is not None:
+            summary["glory_angle"] = g.forward
+    summary["focal_time"] = focal_times(cfg.P, Coupling(cfg.coupling))
+    return {"theta": grid, "density": np.where(np.isfinite(vals), vals, np.nan)}, summary
+
+
+def _thermal(cfg):
+    blocks = th.sample_blocks(cfg.particles, cfg.seed, kick_strength=cfg.P_prime)
+    prof, O, A = th.kicked_profile(blocks, cfg.t_prime / cfg.P_prime, cfg.grid_points,
+                                   Coupling(cfg.coupling))
+    return {"theta": prof.grid, "density": prof.values}, {"orientation": O, "alignment": A}
+
+
+def _semiclassical(cfg):
+    three_d = cfg.dim == 3
+    grid = _grid(cfg, three_d)
+    vals = _method_density(cfg, cfg.method, grid)
+    summary = _peak_summary(grid, vals)
+    if _METHODS[cfg.method][1]:
+        mid = 0.5 * (grid[0] + grid[-1])
+        # sc.annotate_validity names the 3D cusp "pearcey3d"
+        key = "pearcey3d" if cfg.method == "pearcey" and three_d else cfg.method
+        summary["validity"] = sc.annotate_validity(key, mid, cfg.resolved_tau(), cfg.P).value
+    return {"theta": grid, "density": vals}, summary
+
+
+def _squeeze(cfg):
+    if cfg.P_prime is None:
+        trace = sq.run_accumulative(cfg.u0, cfg.w0, cfg.kicks)
+        columns = {c: trace.column(c) for c in ("k", "u", "w", "dtau")}
+        k, u = columns["k"], columns["u"]
+        m = k >= max(100, cfg.kicks // 10)
+        summary = {}
+        if np.count_nonzero(m) >= 2:
+            summary["loglog_slope"] = float(np.polyfit(np.log(k[m]), np.log(u[m]), 1)[0])
+        summary["final_u"] = float(u[-1])
+        return columns, summary
+    trace = sq.classical_accumulative_3d(
+        cfg.particles, cfg.P_prime, cfg.kicks, cfg.seed, Coupling(cfg.coupling))
+    columns = {c: trace.column(c) for c in ("k", "u", "w", "dtau", "observable")}
+    obs = columns["observable"]
+    return columns, {"final_observable": float(obs[-1]),
+                     "monotone_decreasing": bool(np.all(np.diff(obs) < 0)),
+                     "scan_steps_per_kick": [r.scan_steps for r in trace.records],
+                     "newton_iters_per_kick": [r.newton_iters for r in trace.records]}
+
+
+def _compare(cfg):
+    grid = _grid(cfg, cfg.dim == 3)
+    vals = {m: _method_density(cfg, m, grid) for m in cfg.methods}
+    columns = {"theta": grid, **{f"density_{m.replace('-', '_')}": v for m, v in vals.items()}}
+    ref, summary = cfg.methods[0], {}
+    for m in cfg.methods[1:]:
+        denom = np.maximum(np.abs(vals[ref]), 1e-300)
+        ok = np.isfinite(vals[ref]) & np.isfinite(vals[m])
+        gap = np.max(np.abs(vals[m][ok] - vals[ref][ok]) / denom[ok])
+        summary[f"max_rel_gap_{ref}_{m}"] = float(gap)
+    return columns, {**summary, **_peak_summary(grid, vals[ref])}
+
+
+# command -> (runner, whether it needs P and tau (or s)); a runner takes a
+# validated config and returns (columns, summary).  The keys are the valid
+# commands; each also has a subparser in build_parser.
+_COMMANDS = {
+    "quantum2d": (_quantum, True),
+    "quantum3d": (_quantum, True),
+    "classical": (_classical, True),
+    "thermal": (_thermal, False),
+    "semiclassical": (_semiclassical, True),
+    "squeeze": (_squeeze, False),
+    "compare": (_compare, True),
+}
 
 
 def run(config):
     """Execute one scenario and return its ResultEnvelope (not yet written)."""
     cfg = config.validate()
     t0 = time.perf_counter()
-    summary = {}
-
-    if cfg.command in ("quantum2d", "quantum3d"):
-        three_d = cfg.command == "quantum3d"
-        grid = _grid(cfg, three_d)
-        prof, packet = _exact_density(cfg, grid, three_d)
-        vals = prof.values
-        columns = {"theta": grid, "density": vals}
-        if three_d:
-            columns["weighted_density"] = prof.weighted
-        summary.update(_peak_summary(grid, vals))
-        summary["norm"] = packet.norm()
-
-    elif cfg.command == "classical":
-        three_d = cfg.dim == 3
-        grid = _grid(cfg, three_d)
-        vals = _method_density(cfg, "classical", grid)
-        finite = np.where(np.isfinite(vals), vals, np.nan)
-        columns = {"theta": grid, "density": finite}
-        s = cfg.P * cfg.resolved_tau()
-        summary["s"] = s
-        if s >= 1:
-            summary["rainbow_angle"] = rainbow_angle(s)
-            g = glory_angles(s)
-            if g.forward is not None:
-                summary["glory_angle"] = g.forward
-        summary["focal_time"] = focal_times(cfg.P, _coupling(cfg))
-
-    elif cfg.command == "thermal":
-        blocks = th.sample_blocks(cfg.particles, cfg.seed, kick_strength=cfg.P_prime)
-        prof, O, A = th.kicked_profile(blocks, cfg.t_prime / cfg.P_prime, cfg.grid_points,
-                                       _coupling(cfg))
-        columns = {"theta": prof.grid, "density": prof.values}
-        summary.update({"orientation": O, "alignment": A})
-
-    elif cfg.command == "semiclassical":
-        three_d = cfg.dim == 3
-        grid = _grid(cfg, three_d)
-        vals = _method_density(cfg, cfg.method, grid)
-        columns = {"theta": grid, "density": vals}
-        summary.update(_peak_summary(grid, vals))
-        if _METHODS[cfg.method][1]:
-            mid = 0.5 * (grid[0] + grid[-1])
-            # sc.annotate_validity names the 3D cusp "pearcey3d"
-            key = "pearcey3d" if cfg.method == "pearcey" and three_d else cfg.method
-            summary["validity"] = sc.annotate_validity(key, mid, cfg.resolved_tau(), cfg.P).value
-
-    elif cfg.command == "squeeze":
-        if cfg.P_prime is not None:
-            trace = sq.classical_accumulative_3d(
-                cfg.particles, cfg.P_prime, cfg.kicks, cfg.seed, _coupling(cfg))
-            columns = {c: trace.column(c) for c in ("k", "u", "w", "dtau", "observable")}
-            obs = columns["observable"]
-            summary["final_observable"] = float(obs[-1])
-            summary["monotone_decreasing"] = bool(np.all(np.diff(obs) < 0))
-            summary["scan_steps_per_kick"] = [r.scan_steps for r in trace.records]
-            summary["newton_iters_per_kick"] = [r.newton_iters for r in trace.records]
-        else:
-            trace = sq.run_accumulative(cfg.u0, cfg.w0, cfg.kicks)
-            columns = {c: trace.column(c) for c in ("k", "u", "w", "dtau")}
-            k, u = columns["k"], columns["u"]
-            m = k >= max(100, cfg.kicks // 10)
-            if np.count_nonzero(m) >= 2:
-                summary["loglog_slope"] = float(np.polyfit(np.log(k[m]), np.log(u[m]), 1)[0])
-            summary["final_u"] = float(u[-1])
-
-    elif cfg.command == "compare":
-        three_d = cfg.dim == 3
-        grid = _grid(cfg, three_d)
-        columns = {"theta": grid}
-        vals = {}
-        for m in cfg.methods:
-            v = _method_density(cfg, m, grid)
-            columns[f"density_{m.replace('-', '_')}"] = v
-            vals[m] = v
-        ref = cfg.methods[0]
-        for m in cfg.methods[1:]:
-            denom = np.maximum(np.abs(vals[ref]), 1e-300)
-            ok = np.isfinite(vals[ref]) & np.isfinite(vals[m])
-            gap = np.max(np.abs(vals[m][ok] - vals[ref][ok]) / denom[ok])
-            summary[f"max_rel_gap_{ref}_{m}"] = float(gap)
-        summary.update(_peak_summary(grid, vals[ref]))
-
-    else:  # pragma: no cover - guarded by validate
-        raise ConfigError(f"field 'command': {cfg.command!r}")
-
+    columns, summary = _COMMANDS[cfg.command][0](cfg)
     return ResultEnvelope(config=cfg, columns=columns, summary=summary,
                           runtime_ms=(time.perf_counter() - t0) * 1e3)
 
@@ -419,15 +419,20 @@ def batch(config_path, out_dir=None):
 # ----------------------------------------------------------------------
 
 def _add_common(p, need_P=True):
+    # need_P: P and tau (or s) on a theta grid; otherwise the Monte Carlo
+    # ensemble's size and seed
     if need_P:
         p.add_argument("--P", type=float, required=True, help="kick strength")
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--s", type=float, help="map strength s = P*tau")
         g.add_argument("--tau", type=float, help="delay after the kick")
+        p.add_argument("--grid", type=int, default=400, dest="grid_points")
+        p.add_argument("--window", type=str, default=None,
+                       help="theta window 'lo,hi' (default: full domain)")
+    else:
+        p.add_argument("--particles", type=int, default=100000)
+        p.add_argument("--seed", type=int, default=1)
     p.add_argument("--coupling", choices=("dipole", "polarization"), default="dipole")
-    p.add_argument("--grid", type=int, default=400, dest="grid_points")
-    p.add_argument("--window", type=str, default=None,
-                   help="theta window 'lo,hi' (default: full domain)")
     p.add_argument("--out", type=str, default=None, dest="output_path")
 
 
@@ -454,25 +459,19 @@ def build_parser():
                    help="planar-model disc radius")
 
     p = sub.add_parser("thermal", help="thermal Monte Carlo histogram")
+    _add_common(p, need_P=False)
     p.add_argument("--Pprime", type=float, required=True, dest="P_prime")
     p.add_argument("--st", type=float, required=True, dest="t_prime",
                    help="elapsed time as P'*t'")
-    p.add_argument("--particles", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--coupling", choices=("dipole", "polarization"), default="dipole")
     p.add_argument("--grid", type=int, default=200, dest="grid_points")
-    p.add_argument("--out", type=str, default=None, dest="output_path")
 
     p = sub.add_parser("squeeze", help="accumulative squeezing traces")
+    _add_common(p, need_P=False)
     p.add_argument("--kicks", type=int, default=1000)
     p.add_argument("--u0", type=float, default=1.0)
     p.add_argument("--w0", type=float, default=1.0)
     p.add_argument("--Pprime", type=float, default=None, dest="P_prime",
                    help="run the classical Monte Carlo driver (inf = T=0)")
-    p.add_argument("--particles", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--coupling", choices=("dipole", "polarization"), default="dipole")
-    p.add_argument("--out", type=str, default=None, dest="output_path")
 
     p = sub.add_parser("compare", help="overlay several methods on one grid")
     _add_common(p)
@@ -511,8 +510,7 @@ def main(argv=None):
                 return EXIT_NUMERICAL
             return EXIT_CONFIG if failed else EXIT_OK
 
-        kwargs = {k: v for k, v in vars(args).items() if v is not None}
-        kwargs.pop("command")
+        kwargs = {k: v for k, v in vars(args).items() if v is not None and k != "command"}
         if "methods" in kwargs:
             kwargs["methods"] = tuple(kwargs["methods"].split(","))
         if "window" in kwargs:

@@ -38,7 +38,6 @@ from .specfun import (
     bessel_j0,
     bessel_j1,
     gauss_segment,
-    hyp1f1_focus,
     pearcey,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "DISC_RADIUS",
     "Validity",
     "planar_psi",
-    "focal_density_closed_form",
     "focal_density_asymptotic",
     "pearcey_focus_2d",
     "pearcey_cusp_3d",
@@ -116,17 +114,6 @@ def _planar_rows(theta, tau, P, L):
     I = gauss_segment(f, 0.0, L, n_pan)
     pref = np.exp(1j * (P + theta * theta / (2.0 * tau))) / (1j * tau * math.sqrt(4.0 * math.pi))
     return pref * I
-
-
-def focal_density_closed_form(P, radius=DISC_RADIUS):
-    """|psi(0, 1/P)|^2 of the planar model, via the confluent
-    hypergeometric closed form I = (P L^2/2) 1F1(1/2, 3/2, i P L^4/24)."""
-    if P <= 0:
-        raise ValueError("P must be > 0")
-    L = float(radius)
-    z = P * L ** 4 / 24.0
-    I = (P * L * L / 2.0) * hyp1f1_focus(z)
-    return abs(I) ** 2 / (4.0 * math.pi)
 
 
 def focal_density_asymptotic(P, radius=DISC_RADIUS):

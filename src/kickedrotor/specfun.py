@@ -2,9 +2,7 @@
 
 Everything the other modules need lives here: integer-order Bessel J_n
 and spherical Bessel j_l (as arrays of all orders up to a maximum), J_0 and
-J_1 on arrays, Airy Ai/Ai', the Pearcey integral, and the confluent
-hypergeometric helper 1F1(1/2, 3/2, iz) used by the focal-point
-asymptotics.
+J_1 on arrays, Airy Ai/Ai' and the Pearcey integral.
 
 Ai/Ai' and each Pearcey object have one evaluator, a contour quadrature
 on the shared Gauss-Legendre kernel `gauss_segment`.  Airy takes straight
@@ -12,9 +10,7 @@ rays from the saddle of exp(t^3/3 - x t) (see `airy`).  Pearcey takes
 `_p1_contour`, the rotated contour of the half-range integral
 P1(x, y) = int_0^inf exp[i(u^4 + x u^2 + y u)] du and of its y-derivative:
 P(x, beta) = P1(x, beta) + P1(x, -beta), and dP1/dy is the same contour
-with the extra factor i u.  1F1(1/2, 3/2, iz) = int_0^1 e^{i z t^2} dt is
-the same kernel on [0, 1] up to |z| = 30 and its large-argument expansion
-beyond.  The runtime needs numpy only.
+with the extra factor i u.  The runtime needs numpy only.
 
 All functions are pure and hold no mutable state, so they are safe to call
 from any number of threads.
@@ -36,7 +32,6 @@ __all__ = [
     "spherical_jn_array",
     "airy",
     "pearcey",
-    "hyp1f1_focus",
     "gauss_segment",
 ]
 
@@ -385,43 +380,3 @@ def pearcey(x, beta):
     if abs(x) > _PEARCEY_ARG_MAX or beta > _PEARCEY_ARG_MAX:
         raise DomainError("pearcey argument beyond supported range")
     return complex(np.sum(_p1_contour(x, [beta, -beta])))
-
-
-# ----------------------------------------------------------------------
-# 1F1(1/2, 3/2, iz)
-# ----------------------------------------------------------------------
-
-_HYP_QUADRATURE_MAX = 30.0
-
-
-def hyp1f1_focus(z):
-    """Confluent hypergeometric 1F1(1/2, 3/2, i z) for real z.
-
-    For |z| <= 30 it is the integral int_0^1 e^{i z t^2} dt by Gauss
-    quadrature with about z/4 + 2 panels; beyond that the large-argument
-    form (1/2)sqrt(pi/z) e^{i pi/4} + e^{iz}/(2iz) * sum_s (1/2)_s / (iz)^s,
-    whose first piece is exact and whose second carries the asymptotic
-    correction series.
-    """
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError("hyp1f1_focus requires finite z")
-    if z < 0:
-        return hyp1f1_focus(-z).conjugate()
-    if z == 0.0:
-        return 1.0 + 0.0j
-    if z <= _HYP_QUADRATURE_MAX:
-        return complex(gauss_segment(lambda t: np.exp(1j * z * t * t), 0.0, 1.0, int(z / 4) + 2))
-    lead = 0.5 * math.sqrt(math.pi / z) * cmath.exp(1j * math.pi / 4)
-    corr = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    prev = math.inf
-    for s in range(0, 25):
-        if s > 0:
-            term *= (s - 0.5) / (1j * z)
-        if abs(term) > prev:
-            break
-        corr += term
-        prev = abs(term)
-    tail = cmath.exp(1j * z) / (2j * z) * corr
-    return lead + tail

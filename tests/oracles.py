@@ -25,6 +25,9 @@ None of these share code with the package evaluators they check:
 - `stationary_points_3d`: the classified real stationary points of the
   quartic planar phase, a paper construction only tests use (built on the
   package's quartic phase and planar glory angle).
+- `hyp1f1_focus`, `focal_density_closed_form`: 1F1(1/2, 3/2, iz) and the
+  planar model's focal density in its 1F1 closed form, paper constructions
+  only tests use (built on the package's `gauss_segment`).
 
 The series are slow (10-1000 ms a point), so tests call them at a few
 points only.  The double series run out of terms near the corner of
@@ -41,8 +44,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import j0
 
-from kickedrotor.semiclassical import _quartic_phase, glory_angle_planar
-from kickedrotor.specfun import ConvergenceError
+from kickedrotor.semiclassical import DISC_RADIUS, _quartic_phase, glory_angle_planar
+from kickedrotor.specfun import ConvergenceError, DomainError, gauss_segment
 from kickedrotor.thermal import ThermalEnsemble
 
 _MP_DPS = 50
@@ -450,3 +453,50 @@ def stationary_points_3d(theta, tau, P):
     )
     return StationaryPointSet3D(theta01=theta01, theta02=theta02,
                                 theta03=theta03, phases=phases)
+
+
+_HYP_QUADRATURE_MAX = 30.0
+
+
+def hyp1f1_focus(z):
+    """Confluent hypergeometric 1F1(1/2, 3/2, i z) for real z.
+
+    For |z| <= 30 it is the integral int_0^1 e^{i z t^2} dt by Gauss
+    quadrature with about z/4 + 2 panels; beyond that the large-argument
+    form (1/2)sqrt(pi/z) e^{i pi/4} + e^{iz}/(2iz) * sum_s (1/2)_s / (iz)^s,
+    whose first piece is exact and whose second carries the asymptotic
+    correction series.
+    """
+    z = float(z)
+    if not math.isfinite(z):
+        raise DomainError("hyp1f1_focus requires finite z")
+    if z < 0:
+        return hyp1f1_focus(-z).conjugate()
+    if z == 0.0:
+        return 1.0 + 0.0j
+    if z <= _HYP_QUADRATURE_MAX:
+        return complex(gauss_segment(lambda t: np.exp(1j * z * t * t), 0.0, 1.0, int(z / 4) + 2))
+    lead = 0.5 * math.sqrt(math.pi / z) * cmath.exp(1j * math.pi / 4)
+    corr = 0.0 + 0.0j
+    term = 1.0 + 0.0j
+    prev = math.inf
+    for s in range(0, 25):
+        if s > 0:
+            term *= (s - 0.5) / (1j * z)
+        if abs(term) > prev:
+            break
+        corr += term
+        prev = abs(term)
+    tail = cmath.exp(1j * z) / (2j * z) * corr
+    return lead + tail
+
+
+def focal_density_closed_form(P, radius=DISC_RADIUS):
+    """|psi(0, 1/P)|^2 of the planar model, via the confluent
+    hypergeometric closed form I = (P L^2/2) 1F1(1/2, 3/2, i P L^4/24)."""
+    if P <= 0:
+        raise ValueError("P must be > 0")
+    L = float(radius)
+    z = P * L ** 4 / 24.0
+    I = (P * L * L / 2.0) * hyp1f1_focus(z)
+    return abs(I) ** 2 / (4.0 * math.pi)

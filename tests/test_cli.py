@@ -1,5 +1,6 @@
 """CLI: dispatch, CSV/JSON round-trips, batch semantics, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -13,6 +14,14 @@ from hypothesis import example, given, settings, strategies as st
 from kickedrotor import cli
 from kickedrotor import quantum2d as q2
 from kickedrotor.cli import ConfigError, ScenarioConfig, batch, run, write_envelope
+
+
+_COOKBOOK = os.path.join(os.path.dirname(__file__), os.pardir, "cookbook", "figures.jsonl")
+
+
+def cookbook_lines():
+    with open(_COOKBOOK, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip() and not line.startswith("#")]
 
 
 def cfg_2d(tmp_path, **kw):
@@ -33,7 +42,7 @@ class TestConfig:
             c.validate()
 
     def test_unknown_command(self):
-        with pytest.raises(ConfigError, match="command"):
+        with pytest.raises(ConfigError, match="field 'command'"):
             ScenarioConfig(command="zap", output_path="x.csv").validate()
 
     def test_grid_minimum(self):
@@ -97,7 +106,42 @@ class TestConfig:
             c.validate()
 
 
+class TestRegistry:
+    def test_subparsers_are_the_table_and_batch(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(cli._COMMANDS) | {"batch"}
+
+    def test_every_cookbook_line_validates(self):
+        # parse and check only, no physics: guards the table and the config
+        # fields against a rename that the cookbook would trip over
+        lines = cookbook_lines()
+        assert lines
+        for d in lines:
+            assert ScenarioConfig.from_dict(d).validate().command in cli._COMMANDS
+
+
 class TestRun:
+    def test_peak_is_the_first_point_near_the_max(self):
+        grid = np.arange(5.0)
+        top = 1.0 + 4e-16
+        summary = cli._peak_summary(grid, np.array([0.0, 1.0, 0.5, top, 0.0]))
+        assert summary == {"peak_theta": 1.0, "peak_value": top}
+        # an infinite or NaN maximum keeps its first point
+        for bad in (math.inf, math.nan):
+            summary = cli._peak_summary(grid, np.array([0.0, 1.0, bad, bad, 0.0]))
+            assert summary["peak_theta"] == 2.0
+
+    @pytest.mark.parametrize("name", ["fig06h", "fig10a"])
+    def test_mirror_peak_reported_below_pi(self, tmp_path, name):
+        # both 2D densities are symmetric about theta = pi, so their twin
+        # maxima differ by rounding only; the one below pi is reported
+        d = next(d for d in cookbook_lines() if d["output_path"].startswith(name))
+        env = run(ScenarioConfig.from_dict(dict(d, output_path=str(tmp_path / "p.csv"))))
+        vals = env.columns["density" if d["command"] == "quantum2d" else "density_exact"]
+        assert env.summary["peak_theta"] <= math.pi
+        assert env.summary["peak_value"] == np.max(vals)
+
     def test_quantum2d_focal_summary(self, tmp_path):
         env = run(cfg_2d(tmp_path, P=85.0))
         assert env.summary["peak_theta"] == pytest.approx(0.0)

@@ -10,8 +10,8 @@ from kickedrotor import quantum2d as q2
 from kickedrotor import quantum3d as q3
 from kickedrotor import semiclassical as sc
 from kickedrotor.classical import _bisect_rows, rainbow_angle
-from oracles import (bisect_scalar, cusp_3d_series, focal_sum_2d, planar_psi_oracle,
-                     stationary_points_3d)
+from oracles import (bisect_scalar, cusp_3d_series, focal_density_closed_form, focal_sum_2d,
+                     planar_psi_oracle, stationary_points_3d)
 
 
 def exact_density_2d(P, tau, thetas):
@@ -29,7 +29,7 @@ class TestPlanarPsi:
         # the disc-model focus admits the exact 1F1 closed form
         for P in (50.0, 200.0):
             quadrature = abs(sc.planar_psi(0.0, 1.0 / P, P)) ** 2
-            closed = sc.focal_density_closed_form(P)
+            closed = focal_density_closed_form(P)
             assert quadrature == pytest.approx(closed, rel=1e-6)
 
     def test_focal_point_asymptotic_bracket(self):

