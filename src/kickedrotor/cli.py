@@ -218,20 +218,14 @@ def _exact_density(cfg, grid, three_d):
     return q3.density_3d(packet, grid), packet
 
 
-def _pearcey(cfg, grid, tau, P):
-    # the 2D cusp, or with dim 3 the 3D one; each point sizes its own
-    # contour, since one sized by a column's largest |beta| would cost more
-    psi = sc.pearcey_cusp_3d if cfg.dim == 3 else sc.pearcey_focus_2d
-    return np.abs(np.array([psi(t, tau, P) for t in grid])) ** 2
-
-
 # method -> (density(cfg, grid, tau, P), whether `semiclassical` tags the
 # run with its sc.annotate_validity window); the keys are the valid
 # methods.  Each evaluator is looked up on its module when called, so a
 # wrapper later installed there sees every call.
 _METHODS = {
     "exact": (lambda cfg, g, tau, P: _exact_density(cfg, g, cfg.dim == 3)[0].values, False),
-    "pearcey": (_pearcey, True),
+    "pearcey": (lambda cfg, g, tau, P: np.abs(
+        (sc.pearcey_cusp_3d if cfg.dim == 3 else sc.pearcey_focus_2d)(g, tau, P)) ** 2, True),
     "airy": (lambda cfg, g, tau, P: np.abs(sc.airy_rainbow_2d_full(g, tau, P)) ** 2, True),
     "uniform-airy": (lambda cfg, g, tau, P:
                      np.abs(sc.uniform_airy_3d(np.maximum(g, 1e-9), tau, P)) ** 2, True),

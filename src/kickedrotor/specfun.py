@@ -10,7 +10,10 @@ rays from the saddle of exp(t^3/3 - x t) (see `airy`).  Pearcey takes
 `_p1_contour`, the rotated contour of the half-range integral
 P1(x, y) = int_0^inf exp[i(u^4 + x u^2 + y u)] du and of its y-derivative:
 P(x, beta) = P1(x, beta) + P1(x, -beta), and dP1/dy is the same contour
-with the extra factor i u.  The runtime needs numpy only.
+with the extra factor i u.  Along a column of fixed x, `_p1_chebyshev`
+interpolates that contour in y from samples of it: a proxy whose
+truncation is measured, not a second evaluator.  The runtime needs numpy
+only.
 
 All functions are pure and hold no mutable state, so they are safe to call
 from any number of threads.
@@ -358,25 +361,111 @@ def _p1_contour(x, y, power=0):
 
     def leg(z0, z1, n):
         # a single row's leg longer than the block goes in k equal pieces
-        k = -(-n // max(1, _CONTOUR_BLOCK // (_GL_NODES.size * y.size)))
+        k = -(-n // max(1, _CONTOUR_BLOCK // (_GL_NODES.size * max(1, y.size))))
         ends = np.linspace(z0, z1, k + 1) if k > 1 else (z0, z1)
         return sum(gauss_segment(f, a, b, -(-n // k)) for a, b in zip(ends[:-1], ends[1:]))
 
     return leg(0.0 + 0.0j, R + 0.0j, n1) + leg(R + 0.0j, R + T * w8, n2)
 
 
+def _pearcey_args(x, beta):
+    # x as a float, |beta| as an array and its largest entry, checked
+    # against the supported domain |x|, |beta| <= 400 (NaN fails too)
+    x, beta = float(x), np.abs(np.asarray(beta, dtype=float))
+    top = float(np.max(beta, initial=0.0))
+    if not (math.isfinite(x) and math.isfinite(top)):
+        raise DomainError("pearcey requires finite arguments")
+    if abs(x) > _PEARCEY_ARG_MAX or top > _PEARCEY_ARG_MAX:
+        raise DomainError("pearcey argument beyond supported range")
+    return x, beta, top
+
+
 def pearcey(x, beta):
     """Pearcey integral P(x, beta) = int exp[i(u^4 + x u^2 + beta u)] du.
 
     Evaluated as P(x, beta) = P1(x, beta) + P1(x, -beta) by one call of the
-    rotated-contour quadrature, for |x|, |beta| <= 400.  Even in beta; the
-    sign is canonicalized before evaluation so pearcey(x, b) ==
-    pearcey(x, -b) bit for bit.
+    rotated-contour quadrature, for |x|, |beta| <= 400.  beta may be a
+    scalar (complex result) or an array of any shape (complex array of that
+    shape): the contour of the call is sized by the largest |beta|.  Even
+    in beta; the sign is canonicalized before evaluation so pearcey(x, b)
+    == pearcey(x, -b) bit for bit.
     """
-    x = float(x)
-    beta = abs(float(beta))
-    if not (math.isfinite(x) and math.isfinite(beta)):
-        raise DomainError("pearcey requires finite arguments")
-    if abs(x) > _PEARCEY_ARG_MAX or beta > _PEARCEY_ARG_MAX:
-        raise DomainError("pearcey argument beyond supported range")
-    return complex(np.sum(_p1_contour(x, [beta, -beta])))
+    x, beta, _ = _pearcey_args(x, beta)
+    half = _p1_contour(x, np.concatenate([beta.ravel(), -beta.ravel()]))
+    out = (half[:beta.size] + half[beta.size:]).reshape(beta.shape)
+    return complex(out) if out.ndim == 0 else out
+
+
+# ----------------------------------------------------------------------
+# Chebyshev proxy of the contour along y
+# ----------------------------------------------------------------------
+
+# first and last degree, number of trailing coefficients tested, and their
+# bound relative to the largest.  The contour's own coefficient noise is
+# 1e-15 at |y| <= 17 and x near 0, 1e-14 at x = 0, |y| = 100, and 2.5e-13
+# at x = |y| = 100, where nothing below N = 4096 is accepted; the cosine sum
+# costs N^2 (0.17 s at N = 4096), so the doubling stops there
+_CHEB_START, _CHEB_MAX, _CHEB_TAIL, _CHEB_CHOP = 32, 4096, 8, 1e-13
+
+
+def _cosine_sum(f):
+    # Chebyshev coefficients of the values f at the n + 1 points cos(pi k/n):
+    # c_j = (2/n) sum_k'' f_k cos(pi j k/n), first and last halved, in row
+    # blocks of at most _CONTOUR_BLOCK entries; the cosines come from one
+    # table of 2n angles, indexed by j k mod 2n.  Summed without BLAS,
+    # whose threads make these small products slower, not faster
+    n = f.size - 1
+    w = f.copy()
+    w[[0, -1]] *= 0.5
+    table = np.cos(np.pi / n * np.arange(2 * n))
+    k = np.arange(n + 1)
+    rows = max(1, _CONTOUR_BLOCK // (n + 1))
+    c = np.concatenate([(table[np.outer(k[i:i + rows], k) % (2 * n)] * w).sum(axis=1)
+                        for i in range(0, n + 1, rows)]) * (2.0 / n)
+    c[[0, -1]] *= 0.5
+    return c
+
+
+def _p1_chebyshev(x, top, power, max_rows):
+    """Chebyshev coefficients c_0 .. c_N of y -> _p1_contour(x, y, power)
+    on [-top, top], or None where they would take max_rows contour rows.
+
+    Samples at the N + 1 second-kind points top cos(pi k/N), N = 32, 64,
+    ..., 4096: each doubling keeps the old samples and contours only the N
+    new odd points.  N is accepted once the trailing 8 coefficients are
+    within 1e-13 of the largest (the chopping rule of Aurentz & Trefethen,
+    ACM TOMS 43, 2017); P1 and dP1/dy are entire in y.  N is tried only
+    while 2N < max_rows, the rows of the caller's direct path: an accepted
+    proxy takes at most half of them, a rejected one adds at most half.
+    None also for top = 0, and where N = 4096 is not accepted.
+    """
+    n, f = _CHEB_START, None
+    while top > 0 and 2 * n < max_rows and n <= _CHEB_MAX:
+        if f is None:
+            f = _p1_contour(x, top * np.cos(np.pi / n * np.arange(n + 1)), power)
+        else:
+            g = np.empty(n + 1, dtype=complex)
+            g[::2] = f
+            g[1::2] = _p1_contour(x, top * np.cos(np.pi / n * np.arange(1, n, 2)), power)
+            f = g
+        c = _cosine_sum(f)
+        if np.max(np.abs(c[-_CHEB_TAIL:])) <= _CHEB_CHOP * np.max(np.abs(c)):
+            return c
+        n *= 2
+    return None
+
+
+def _chebyshev_even(c, t):
+    # the even part (f(t) + f(-t))/2 of f = sum_k c_k T_k on a real array t
+    # in [-1, 1]: sum_m c_2m T_m(s), s = 2t^2 - 1, as T_2m = T_m(T_2), by
+    # Clenshaw's recurrence (DLMF 3.11(ii)), in place but for one
+    # temporary a step
+    c, s = c[::2], 2.0 * t * t - 1.0
+    b1, b2 = np.zeros(t.shape, dtype=complex), np.zeros(t.shape, dtype=complex)
+    s2 = 2.0 * s
+    for ck in c[:0:-1]:
+        b2 *= -1.0
+        b2 += s2 * b1
+        b2 += ck
+        b1, b2 = b2, b1
+    return c[0] + s * b1 - b2

@@ -379,6 +379,18 @@ class TestMain:
         err = capsys.readouterr().err
         assert "double precision" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("dim", ["2", "3"])
+    def test_cusp_window_beyond_domain_exit_two(self, tmp_path, capsys, dim):
+        # theta = 50 at P = 50, s = 1 is beta = 2,080, beyond the Pearcey
+        # domain: a DomainError before any contour is sampled
+        rc = cli.main(["semiclassical", "--method", "pearcey", "--dim", dim, "--P", "50",
+                       "--s", "1", "--grid", "5", "--window", "0,50",
+                       "--out", str(tmp_path / "c.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "beyond supported range" in err and "Traceback" not in err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_runtime_error_exit_three(self, tmp_path, monkeypatch, capsys):
         def truncated(cfg):
             raise q2.TruncationError("edge coefficient above tolerance")

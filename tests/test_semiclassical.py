@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kickedrotor import quantum2d as q2
 from kickedrotor import quantum3d as q3
 from kickedrotor import semiclassical as sc
 from kickedrotor.classical import _bisect_rows, rainbow_angle
-from oracles import (bisect_scalar, cusp_3d_series, focal_density_closed_form, focal_sum_2d,
-                     planar_psi_oracle, stationary_points_3d)
+from kickedrotor.specfun import ConvergenceError, DomainError
+from oracles import (bessoid_oracle, bisect_scalar, cusp_3d_series, focal_density_closed_form,
+                     focal_sum_2d, planar_psi_oracle, stationary_points_3d)
 
 
 def exact_density_2d(P, tau, thetas):
@@ -129,7 +131,7 @@ class TestPearceyFocus2D:
         grid = np.linspace(0.0, 0.4, 60)
         for fac, tol in ((1.0, 0.05), (1.1, 0.05), (1.2, 0.10)):
             tau = fac / P
-            mine = np.array([abs(sc.pearcey_focus_2d(t, tau, P)) ** 2 for t in grid])
+            mine = np.abs(sc.pearcey_focus_2d(grid, tau, P)) ** 2
             exact = exact_density_2d(P, tau, grid)
             l2 = math.sqrt(np.sum((mine - exact) ** 2) / np.sum(exact ** 2))
             assert l2 < tol
@@ -165,7 +167,7 @@ class TestPearceyCusp3D:
         P = 50.0
         tau = fac / P
         grid = np.linspace(0.0, 0.3, 40)
-        mine = np.array([abs(sc.pearcey_cusp_3d(t, tau, P)) ** 2 for t in grid])
+        mine = np.abs(sc.pearcey_cusp_3d(grid, tau, P)) ** 2
         exact = exact_density_3d(P, tau, grid)
         l2 = math.sqrt(np.sum((mine - exact) ** 2) / np.sum(exact ** 2))
         assert l2 < tol
@@ -175,7 +177,7 @@ class TestPearceyCusp3D:
         for fac in (1.2, 1.4):
             tau = fac / P
             grid = np.linspace(0.0, 0.3, 16)
-            mine = np.array([abs(sc.pearcey_cusp_3d(t, tau, P)) ** 2 for t in grid])
+            mine = np.abs(sc.pearcey_cusp_3d(grid, tau, P)) ** 2
             parent = np.abs(sc.planar_psi(grid, tau, P, radius=math.pi)) ** 2
             l2 = math.sqrt(np.sum((mine - parent) ** 2) / np.sum(parent ** 2))
             assert l2 < 0.02
@@ -185,10 +187,146 @@ class TestPearceyCusp3D:
         P = 50.0
         for fac in (1.1, 1.2, 1.4):
             tau = fac / P
-            d0 = abs(sc.pearcey_cusp_3d(0.0, tau, P)) ** 2
-            d1 = abs(sc.pearcey_cusp_3d(0.02, tau, P)) ** 2
-            d2 = abs(sc.pearcey_cusp_3d(0.05, tau, P)) ** 2
+            d0, d1, d2 = np.abs(sc.pearcey_cusp_3d(np.array([0.0, 0.02, 0.05]), tau, P)) ** 2
             assert d0 > d1 > d2
+
+
+# the fig08 (2D) and fig09 (3D) cookbook columns: (dim, s, theta window),
+# P = 50, 400 points each
+CUSP_COLUMNS = [(2, s, 0.4) for s in (1.0, 1.1, 1.2, 1.4)] + [(3, s, 0.3) for s in (1.0, 1.1, 1.2, 1.4)]
+CUSP_FORMS = {2: sc.pearcey_focus_2d, 3: sc.pearcey_cusp_3d}
+
+
+def cusp_prefactor_3d(theta, tau, P):
+    # psi / S of pearcey_cusp_3d
+    return -math.sqrt(6.0 / P) / (4.0 * math.sqrt(math.pi) * tau) * np.exp(1j * (P + theta ** 2 / (2.0 * tau)))
+
+
+@pytest.fixture
+def proxies(monkeypatch):
+    # the coefficient arrays (or None, the direct path) that the cusp
+    # evaluators get from specfun._p1_chebyshev, one per call
+    seen = []
+    chebyshev = sc._p1_chebyshev
+
+    def spy(*args):
+        seen.append(chebyshev(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(sc, "_p1_chebyshev", spy)
+    return seen
+
+
+class TestCuspColumns:
+    @pytest.mark.parametrize("dim,s,width", CUSP_COLUMNS)
+    def test_cookbook_column_matches_scalar_calls(self, dim, s, width, proxies):
+        # every 10th point; the column goes through the proxy at N = 64,
+        # its trailing 8 coefficients within 1e-13 of the largest
+        P, tau = 50.0, s / 50.0
+        form = CUSP_FORMS[dim]
+        grid = np.linspace(0.0, width, 400)
+        col = form(grid, tau, P)
+        c = proxies[0]
+        assert c.size == 65
+        assert np.max(np.abs(c[-8:])) <= 1e-13 * np.max(np.abs(c))
+        each = np.array([form(t, tau, P) for t in grid[::10]])
+        assert all(p is None for p in proxies[1:])
+        assert np.max(np.abs(col[::10] - each)) < 1e-13 * np.max(np.abs(col))
+
+    @pytest.mark.parametrize("dim,n,width", [(2, 5, 0.3), (2, 20, 0.3), (3, 2, 0.25)])
+    def test_short_column_takes_direct_path(self, dim, n, width, proxies):
+        # 2 contour rows a point in 2D, 48 phi nodes a point in 3D at
+        # B <= 10: the proxy would not be cheaper (3D tries N = 32 first)
+        P, tau = 50.0, 1.2 / 50.0
+        form = CUSP_FORMS[dim]
+        grid = np.linspace(0.02, width, n)
+        col = form(grid, tau, P)
+        each = np.array([form(t, tau, P) for t in grid])
+        assert all(p is None for p in proxies)
+        assert np.max(np.abs(col - each)) < 1e-13 * np.max(np.abs(col))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_scalar_zero_d_empty_and_shape(self, dim):
+        P, tau = 50.0, 1.1 / 50.0
+        form = CUSP_FORMS[dim]
+        assert type(form(0.1, tau, P)) is complex
+        assert type(form(np.array(0.1), tau, P)) is complex
+        assert form(np.array(0.1), tau, P) == form(0.1, tau, P)
+        empty = form(np.array([]), tau, P)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        grid = np.linspace(0.0, 0.3, 12)
+        vals = form(grid.reshape(3, 4), tau, P)
+        assert vals.shape == (3, 4) and vals.dtype == complex
+        assert np.array_equal(vals.ravel(), form(grid, tau, P))
+
+    def test_focal_values_inside_a_column(self):
+        # theta = 0 is the first point of a 400-point column at P tau = 1
+        P = 50.0
+        d2 = np.abs(sc.pearcey_focus_2d(np.linspace(0.0, 0.4, 400), 1.0 / P, P)) ** 2
+        d3 = np.abs(sc.pearcey_cusp_3d(np.linspace(0.0, 0.3, 400), 1.0 / P, P)) ** 2
+        assert d2[0] == pytest.approx(sc.focal_peak_2d(P), rel=1e-12)
+        assert d3[0] == pytest.approx(sc.focal_peak_3d(P), rel=1e-12)
+
+    @settings(max_examples=10, derandomize=True, deadline=None, database=None)
+    @given(dim=st.sampled_from([2, 3]), s=st.floats(1.0, 1.4), width=st.floats(0.05, 0.4),
+           n=st.integers(2, 120), cut=st.floats(0.0, 1.0))
+    def test_split_column_moves_no_value(self, dim, s, width, n, cut):
+        # each half sizes its own proxy (or takes the direct path)
+        P, tau = 50.0, s / 50.0
+        form = CUSP_FORMS[dim]
+        grid = np.linspace(0.0, width, n)
+        k = 1 + int(cut * (n - 2))
+        whole = form(grid, tau, P)
+        halves = np.concatenate([form(grid[:k], tau, P), form(grid[k:], tau, P)])
+        assert np.max(np.abs(whole - halves)) <= 1e-13 * np.max(np.abs(whole))
+
+    def test_wide_3d_column_near_beta_100(self, proxies):
+        # B = 100.6: the proxy takes N = 512 and stays finite
+        P, tau = 50.0, 1.2 / 50.0
+        grid = np.linspace(0.0, 2.9, 200)
+        col = sc.pearcey_cusp_3d(grid, tau, P)
+        assert proxies[0].size == 513
+        assert np.all(np.isfinite(col))
+        idx = [0, 77, 199]
+        each = np.array([sc.pearcey_cusp_3d(grid[i], tau, P) for i in idx])
+        assert np.max(np.abs(col[idx] - each)) < 1e-13 * np.max(np.abs(col))
+
+    @pytest.mark.parametrize("s", [1.0, 1.1, 1.2, 1.4])
+    def test_fig09_column_against_bessoid_oracle(self, s):
+        # every 10th point; the oracle's own cancellation error reaches
+        # ~1e-13 of the column max at s = 1.4
+        P, tau = 50.0, s / 50.0
+        grid = np.linspace(0.0, 0.3, 400)
+        col = sc.pearcey_cusp_3d(grid, tau, P)
+        x = math.sqrt(6.0 / P) * (1.0 / tau - P)
+        beta = math.sqrt(2.0) * (grid[::10] / tau) * (6.0 / P) ** 0.25
+        ref = cusp_prefactor_3d(grid[::10], tau, P) * bessoid_oracle(x, beta)
+        assert np.max(np.abs(col[::10] - ref)) < 3e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 50.0])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_out_of_domain_theta_raises(self, dim, bad):
+        # at P = 50, tau = 1/50, theta = 50 gives beta = 2,080 > 400
+        form = CUSP_FORMS[dim]
+        with pytest.raises(DomainError):
+            form(bad, 1.0 / 50.0, 50.0)
+        with pytest.raises(DomainError):
+            form(np.array([0.0, 0.1, bad]), 1.0 / 50.0, 50.0)
+
+
+def test_bessoid_oracle_against_series():
+    # two independent oracles of the 3D cusp
+    P = 50.0
+    for s, theta in ((1.0, 0.12), (1.2, 0.3), (1.4, 0.05)):
+        tau = s / P
+        x = math.sqrt(6.0 / P) * (1.0 / tau - P)
+        beta = math.sqrt(2.0) * (theta / tau) * (6.0 / P) ** 0.25
+        ref = cusp_3d_series(theta, tau, P)
+        mine = cusp_prefactor_3d(theta, tau, P) * bessoid_oracle(x, beta)[0]
+        assert abs(mine - ref) < 1e-13 * abs(ref)
+    # beyond moderate x, beta the ray's terms cancel past 1e4: refused
+    with pytest.raises(ConvergenceError):
+        bessoid_oracle(-5.0, 20.0)
 
 
 class TestAiryRainbow2D:

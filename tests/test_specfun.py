@@ -335,6 +335,45 @@ def test_pearcey_even_and_sum_of_half_ranges(x, beta):
     assert p == p1(x, beta) + p1(x, -beta)
 
 
+def test_pearcey_array_matches_scalar_calls():
+    # one contour, sized by the largest |beta|, for the whole array
+    beta = np.array([[0.0, 3.0, -7.5], [12.0, -0.5, 20.0]])
+    vals = sf.pearcey(-4.0, beta)
+    assert vals.shape == beta.shape and vals.dtype == complex
+    each = np.array([[sf.pearcey(-4.0, b) for b in row] for row in beta])
+    assert np.max(np.abs(vals - each)) < 1e-13 * np.max(np.abs(each))
+    empty = sf.pearcey(-4.0, np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    with pytest.raises(sf.DomainError):
+        sf.pearcey(-4.0, np.array([1.0, math.nan]))
+
+
+def test_chebyshev_helpers_on_a_polynomial():
+    # f = T_3 + 2i T_4 - 1/2 at the 9 second-kind points: the cosine sum
+    # gives its coefficients, and the even part is 2i T_4 - 1/2
+    n = 8
+    cheb_t = lambda k, t: np.cos(k * np.arccos(t))
+    t = np.cos(np.pi / n * np.arange(n + 1))
+    c = sf._cosine_sum(cheb_t(3, t) + 2j * cheb_t(4, t) - 0.5)
+    expected = np.zeros(n + 1, dtype=complex)
+    expected[[0, 3, 4]] = -0.5, 1.0, 2j
+    assert np.max(np.abs(c - expected)) < 1e-15
+    s = np.linspace(-1.0, 1.0, 7)
+    assert np.max(np.abs(sf._chebyshev_even(c, s) - (2j * cheb_t(4, s) - 0.5))) < 1e-14
+
+
+def test_p1_chebyshev_proxy_and_budget():
+    # twice the proxy's even part is P(x, beta); no proxy when 2N = 64 would
+    # reach the row budget, or on [-0, 0]
+    c = sf._p1_chebyshev(-3.0, 15.0, 0, 10**6)
+    assert c.size == 65
+    beta = np.linspace(0.0, 15.0, 31)
+    direct = sf.pearcey(-3.0, beta)
+    assert np.max(np.abs(2.0 * sf._chebyshev_even(c, beta / 15.0) - direct)) < 1e-13 * np.max(np.abs(direct))
+    assert sf._p1_chebyshev(-3.0, 15.0, 0, 64) is None
+    assert sf._p1_chebyshev(-3.0, 0.0, 0, 10**6) is None
+
+
 @settings(max_examples=12, derandomize=True, deadline=None, database=None)
 @given(x=_PEARCEY_ARG, y=_PEARCEY_ARG, power=st.sampled_from([0, 1]))
 def test_contour_sizing_has_converged(x, y, power):
