@@ -25,7 +25,7 @@ import numpy as np
 
 from .classical import Coupling
 from . import thermal
-from .specfun import ConvergenceError
+from .specfun import ConvergenceError, sincos
 
 __all__ = [
     "MomentState",
@@ -123,13 +123,13 @@ def _observable_in_flight(flight, coupling):
     A = <1 - cos^2 theta(t)> (polarization) in free flight, in closed form
     from the `thermal._free_flight` coefficients: x = cos theta =
     cos0 cos(wt) - b sin(wt), x' = -w (cos0 sin(wt) + b cos(wt)), x'' = -w^2 x.
-    Each t costs one cos and one sin per particle; F agrees with
+    Each t costs one tangent per particle (`specfun.sincos`); F agrees with
     `orientation_alignment(evolve(ensemble, t))` to rounding."""
     cos0, _, omega, b = flight
     squared = coupling is Coupling.POLARIZATION
 
     def at(t):
-        c, s = np.cos(omega * t), np.sin(omega * t)
+        s, c = sincos(omega * t)
         x, dx = cos0 * c - b * s, -omega * (cos0 * s + b * c)
         if squared:
             return (float(np.mean(1.0 - x * x)), -2.0 * float(np.mean(x * dx)),
@@ -158,7 +158,8 @@ def _first_minimum(ensemble, coupling, flight):
     # x = cos theta = Re(q z), q = cos0 + i b, z = exp(i omega t); a step
     # multiplies z by exp(i omega dt): (C, S) <- (C cd - S sd, S cd + C sd)
     q, z = cos0 + 1j * b, np.ones(omega.shape, complex)
-    rot, qz = np.exp(1j * (omega * dt)), np.empty_like(z)
+    sd, cd = sincos(omega * dt)
+    rot, qz = cd + 1j * sd, np.empty_like(z)
 
     def spread():
         # n (F - 1), all the scan compares

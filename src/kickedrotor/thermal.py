@@ -28,7 +28,7 @@ import numpy as np
 
 from .classical import Coupling
 from .profiles import DensityProfile
-from .specfun import DomainError
+from .specfun import DomainError, sincos
 
 __all__ = [
     "ThermalEnsemble",
@@ -142,9 +142,9 @@ def evolve(ensemble, dt):
     coefficients of `_free_flight`; sin(theta) is recovered from the
     energy invariant and p_theta from the analytic time derivative, which
     also makes passage through a pole (possible only for p_phi = 0)
-    reflect the momentum automatically.  Each transcendental is computed
-    once per particle, and the large temporaries are freed as soon as
-    they are used.
+    reflect the momentum automatically.  The rotation takes one tangent
+    per particle (`specfun.sincos`), and the large temporaries are freed
+    as soon as they are used.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
@@ -155,9 +155,7 @@ def _fly(ensemble, flight, dt):
     # `evolve` for dt > 0 on the `_free_flight` coefficients of the ensemble
     cos0, sin0, omega, b = flight
     del flight
-    wt = omega * dt
-    cw = np.cos(wt)
-    sw = np.sin(wt, out=wt)
+    sw, cw = sincos(omega * dt)
     c = np.clip(cos0 * cw - b * sw, -1.0, 1.0)
     del b
     # g = -d(cos theta)/dt, used to recover sin(theta) and the momentum sign

@@ -9,6 +9,7 @@ None of these share code with the package evaluators they check:
   integral, a ray quadrature with scipy's complex J_0;
 - `focal_sum_2d`: the 2D focal-time (P tau = 1) single sum;
 - `airy_mp`: Ai and Ai' by mpmath at 30 digits, rounded to doubles;
+- `sincos_mp`: sin and cos by mpmath at 50 digits, rounded to doubles;
 - `p1_contour_oracle`: the rotated-contour Pearcey half-range integral by
   scipy adaptive quadrature on pieces of about 20 rad of phase;
 - `planar_psi_oracle`: the planar-model wave function with scipy's J_0 and
@@ -24,6 +25,8 @@ None of these share code with the package evaluators they check:
   (order, point), each phase n theta formed exactly;
 - `ensemble_at`: a thermal ensemble at given angles, through np.cos and
   np.sin.
+- `evolve_libm`: the closed-form free flight of `thermal.evolve` written
+  out whole, its rotation through np.cos and np.sin.
 - `stationary_points_3d`: the classified real stationary points of the
   quartic planar phase, a paper construction only tests use (built on the
   package's quartic phase and planar glory angle).
@@ -39,7 +42,7 @@ ConvergenceError there.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
@@ -243,6 +246,14 @@ def airy_mp(xs):
     return np.array([[float(a) for a, _ in vals], [float(d) for _, d in vals]])
 
 
+def sincos_mp(xs):
+    """(sin x, cos x) of each x in xs as two float arrays, from mpmath at
+    50 digits (its argument reduction keeps them at 1e300 too)."""
+    with mpmath.workdps(_MP_DPS):
+        vals = [(mpmath.sin(X), mpmath.cos(X)) for X in map(mpmath.mpf, np.asarray(xs, dtype=float).tolist())]
+    return np.array([[float(s) for s, _ in vals], [float(c) for _, c in vals]])
+
+
 def p1_contour_oracle(x, y, T=12.0, power=0):
     """Rotated-contour quadrature of int_0^inf (iu)^power e^{i(u^4+xu^2+yu)} du,
     via scipy: real axis to beyond the stationary points, then the pi/8
@@ -419,6 +430,26 @@ def ensemble_at(theta, p_theta, p_phi, kick_strength=1.0):
                            p_theta=np.asarray(p_theta, dtype=float),
                            p_phi=np.asarray(p_phi, dtype=float),
                            kick_strength=kick_strength, seed=0)
+
+
+def evolve_libm(ensemble, dt):
+    """Free flight for dt > 0 of every particle: cos theta(t) = cos theta0
+    cos(wt) - b sin(wt), b = (p_theta/w) sin theta0, sin theta from the
+    energy invariant and p_theta = -(d cos theta/dt)/sin theta, with w and
+    its sine and cosine from np.sqrt, np.cos and np.sin.  A particle with
+    w = 0, or NaN on a pole, keeps its state."""
+    c0, s0, p0, pphi = ensemble.cos_theta, ensemble.sin_theta, ensemble.p_theta, ensemble.p_phi
+    omega = np.sqrt(p0 ** 2 + (pphi / s0) ** 2)
+    moving = omega > 0
+    w = np.where(moving, omega, 1.0)
+    b = p0 / w * s0
+    cw, sw = np.cos(w * dt), np.sin(w * dt)
+    c = np.clip(c0 * cw - b * sw, -1.0, 1.0)
+    g = w * c0 * sw + p0 * s0 * cw
+    s = np.sqrt(g * g + pphi ** 2) / w
+    p = np.where(s > 1e-300, g / np.where(s > 1e-300, s, 1.0), -p0)
+    return replace(ensemble, cos_theta=np.where(moving, c, c0), sin_theta=np.where(moving, s, s0),
+                   p_theta=np.where(moving, p, p0))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from kickedrotor import quantum2d as q2
 from kickedrotor import quantum3d as q3
 from kickedrotor import semiclassical as sc
+from kickedrotor import specfun as sf
 from kickedrotor.classical import _bisect_rows, rainbow_angle
 from kickedrotor.specfun import ConvergenceError, DomainError
 from oracles import (bessoid_oracle, bisect_scalar, cusp_3d_series, focal_density_closed_form,
@@ -232,6 +233,22 @@ class TestCuspColumns:
         each = np.array([form(t, tau, P) for t in grid[::10]])
         assert all(p is None for p in proxies[1:])
         assert np.max(np.abs(col[::10] - each)) < 1e-13 * np.max(np.abs(col))
+
+    @pytest.mark.parametrize("n", [400, 5])
+    @pytest.mark.parametrize("dim,s,width", CUSP_COLUMNS)
+    def test_plateau_rule_keeps_cusp_columns(self, dim, s, width, n, proxies, monkeypatch):
+        # the cookbook columns (400 points) and the 5-point columns of the
+        # benchmark's cusp workload (spacing width/5, offset half a step)
+        # keep their N (64 at 400 points, see above) and every value bit for
+        # bit without the plateau bound
+        P, tau = 50.0, s / 50.0
+        form = CUSP_FORMS[dim]
+        grid = np.linspace(0.0, width, 400) if n == 400 else (np.arange(5) + 0.5) * (width / 5)
+        col = form(grid, tau, P)
+        monkeypatch.setattr(sf, "_CHEB_PLATEAU", 0.0)
+        assert np.array_equal(form(grid, tau, P), col)
+        new, old = proxies
+        assert (new is None and old is None) or np.array_equal(new, old)
 
     @pytest.mark.parametrize("dim,n,width", [(2, 5, 0.3), (2, 20, 0.3), (3, 2, 0.25)])
     def test_short_column_takes_direct_path(self, dim, n, width, proxies):

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import kickedrotor
 from kickedrotor import specfun as sf
-from oracles import airy_mp, hyp1f1_focus, p1_contour_oracle, pearcey_series_mp
+from oracles import airy_mp, hyp1f1_focus, p1_contour_oracle, pearcey_series_mp, sincos_mp
 
 # --- frozen oracle values ---
 # (1/pi) int_0^pi cos(5t - 85 sin t) dt by adaptive quadrature
@@ -33,6 +33,46 @@ PEARCEY_11_ORACLE = 1.207586451141857 + 0.6015340860570983j
 DP1_12_ORACLE = -0.13553650455293442 - 0.06930232086140939j
 # direct series summation of 1F1(1/2, 3/2, 5i)
 HYP_5_ORACLE = 0.1840996497350341 + 0.2611597996730183j
+
+
+def _sincos_arguments():
+    # near k pi/2 (the double nearest and its neighbours, |k| <= 200), the
+    # edges +-0, subnormals, 1e15, 1e300, uniform on [-10, 10] and
+    # log-uniform over 1e-300 .. 1e300 with either sign: 3,014 arguments
+    rng = np.random.default_rng(14)
+    near = np.arange(-200, 201) * (np.pi / 2)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, 1e15, -1e15, 1e300, -1e300,
+             np.finfo(float).max]
+    return np.concatenate([near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf),
+                           edges, rng.uniform(-10.0, 10.0, 1000),
+                           rng.choice([-1.0, 1.0], 800) * 10.0 ** rng.uniform(-300, 300, 800)])
+
+
+class TestSincos:
+    def test_against_mpmath(self):
+        x = _sincos_arguments()
+        s, c = sf.sincos(x)
+        ref_s, ref_c = sincos_mp(x)
+        assert np.max(np.abs(s - ref_s)) <= 2.3e-16
+        assert np.max(np.abs(c - ref_c)) <= 2.3e-16
+        assert np.all(np.abs(s - ref_s) <= 4 * np.spacing(np.abs(ref_s)))
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_matches_libm_and_parity(self, x):
+        s, c = sf.sincos(np.array([x, -x]))
+        assert abs(s[0] - np.sin(x)) <= 2.3e-16 and abs(c[0] - np.cos(x)) <= 2.3e-16
+        assert s[1] == -s[0] and c[1] == c[0]
+
+    def test_nan_and_inf(self):
+        s, c = sf.sincos(np.array([math.nan]))
+        assert np.isnan(s[0]) and np.isnan(c[0])
+        for x in (math.inf, -math.inf):
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                np.sin(np.array([x]))
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                s, c = sf.sincos(np.array([x]))
+            assert np.isnan(s[0]) and np.isnan(c[0])
 
 
 class TestBesselJ:
@@ -372,6 +412,21 @@ def test_p1_chebyshev_proxy_and_budget():
     assert np.max(np.abs(2.0 * sf._chebyshev_even(c, beta / 15.0) - direct)) < 1e-13 * np.max(np.abs(direct))
     assert sf._p1_chebyshev(-3.0, 15.0, 0, 64) is None
     assert sf._p1_chebyshev(-3.0, 0.0, 0, 10**6) is None
+
+
+def test_p1_chebyshev_accepts_the_noise_plateau():
+    # at x = 100, B = 60 the trailing coefficients fall to 4.6e-13 of the
+    # largest at N = 64 and stall at 2.9e-13 at N = 128, where the plateau
+    # bound accepts (at B = 100: 4.3e-13, 1.7e-13, 1.4e-13 for N = 128,
+    # 256, 512, accepted at 512 after 3.3 s of sampling).  The direct
+    # contour's own noise there is 2.0e-12 of max |P| (panels of 12
+    # against 6 rad), and the proxy stays inside it
+    c = sf._p1_chebyshev(100.0, 60.0, 0, 10**6)
+    assert c.size == 129
+    assert 1e-13 < np.max(np.abs(c[-8:])) / np.max(np.abs(c)) <= 1e-12
+    beta = np.linspace(0.0, 60.0, 41)
+    direct = sf.pearcey(100.0, beta)
+    assert np.max(np.abs(2.0 * sf._chebyshev_even(c, beta / 60.0) - direct)) < 5e-12 * np.max(np.abs(direct))
 
 
 @settings(max_examples=12, derandomize=True, deadline=None, database=None)

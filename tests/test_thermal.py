@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 
 from kickedrotor import thermal as th
 from kickedrotor.classical import Coupling
-from oracles import ensemble_at
+from oracles import ensemble_at, evolve_libm
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +169,32 @@ def one_shot_profile(ensemble, dt, bins, coupling):
     ev = th.evolve(th.kick(ensemble, coupling), dt)
     counts, edges = np.histogram(ev.theta, bins=bins, range=(0.0, math.pi))
     return counts, edges, th.orientation_alignment(ev)
+
+
+@pytest.mark.parametrize("P_prime,t_prime", [(1.0, 1.0), (1.0, 4.5), (10.0, 1.0), (10.0, 4.5), (math.inf, 1.0)])
+@pytest.mark.parametrize("coupling", [Coupling.DIPOLE, Coupling.POLARIZATION])
+def test_flight_against_libm_oracle(P_prime, t_prime, coupling, monkeypatch):
+    # 2^17 particles, flown by the half-angle tangent and by np.cos and
+    # np.sin; P' = inf is the zero-temperature ensemble at unit kick.
+    # p_theta = g/sin theta divides the rounding of g, of order omega, by
+    # sin theta: near a pole both sides sit ~1e-12 from a 40-digit flight
+    n, zero_t = 2 ** 17, math.isinf(P_prime)
+    P = 1.0 if zero_t else P_prime
+    ens = th.sample_ensemble(n, 31, kick_strength=P, temperature=0.0 if zero_t else 1.0)
+    kicked, dt = th.kick(ens, coupling), t_prime / P
+    got, ref = th.evolve(kicked, dt), evolve_libm(kicked, dt)
+    assert np.max(np.abs(got.cos_theta - ref.cos_theta)) <= 1e-15
+    assert np.max(np.abs(got.sin_theta - ref.sin_theta)) <= 1e-15
+    gap, big = np.abs(got.p_theta - ref.p_theta), np.max(np.abs(ref.p_theta))
+    omega = np.hypot(kicked.p_theta, kicked.p_phi / kicked.sin_theta)
+    assert np.all(gap <= 4 * 2.0 ** -52 * np.maximum(omega, np.abs(ref.p_theta)) / ref.sin_theta)
+    assert np.max(gap[ref.sin_theta > 0.01]) <= 1e-13 * big
+    prof, O, A = th.kicked_profile([ens], dt, 200, coupling)
+    monkeypatch.setattr(th, "evolve", evolve_libm)
+    prof_ref, O_ref, A_ref = th.kicked_profile([ens], dt, 200, coupling)
+    assert np.array_equal(prof.values, prof_ref.values)
+    assert O == pytest.approx(O_ref, rel=1e-14, abs=0)
+    assert A == pytest.approx(A_ref, rel=1e-14, abs=0)
 
 
 class TestHistogram:
