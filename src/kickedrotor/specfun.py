@@ -422,9 +422,10 @@ def pearcey(x, beta):
 # ----------------------------------------------------------------------
 
 # first and last degree, number of trailing coefficients tested, and their
-# bound relative to the largest, decayed or plateaued.  The contour's own
-# coefficient noise is 1e-15 at |y| <= 17 and x near 0, 1e-14 at x = 0,
-# |y| = 100, and 1.4e-13 at x = |y| = 100 (plateau, N = 512); the cosine
+# bound relative to the largest coefficient (decayed) or sample (plateaued).
+# The contour's own coefficient noise is 1e-15 at |y| <= 17 and x near 0,
+# 1e-14 at x = 0, |y| = 100, and 1.4e-13 at x = |y| = 100 (plateau, N = 512;
+# 8e-13 of the largest dP1/dy sample); the cosine
 # sum costs N^2 (0.17 s at N = 4096), so the doubling stops there
 _CHEB_START, _CHEB_MAX, _CHEB_TAIL, _CHEB_CHOP, _CHEB_PLATEAU = 32, 4096, 8, 1e-13, 1e-12
 
@@ -457,7 +458,7 @@ def _p1_chebyshev(x, top, power, max_rows):
     within 1e-13 of the largest (the chopping rule of Aurentz & Trefethen,
     ACM TOMS 43, 2017; P1 and dP1/dy are entire in y), or, on the plateau
     of the contour's noise, above half their size at N/2 and within 1e-12
-    of the largest.  N is tried only
+    of the largest |sample|.  N is tried only
     while 2N < max_rows, the rows of the caller's direct path: an accepted
     proxy takes at most half of them, a rejected one adds at most half.
     None also for top = 0, and where N = 4096 is not accepted.
@@ -472,8 +473,9 @@ def _p1_chebyshev(x, top, power, max_rows):
             g[1::2] = _p1_contour(x, top * np.cos(np.pi / n * np.arange(1, n, 2)), power)
             f = g
         c = _cosine_sum(f)
-        tail, big = np.max(np.abs(c[-_CHEB_TAIL:])), np.max(np.abs(c))
-        if tail <= _CHEB_CHOP * big or (2.0 * tail > last and tail <= _CHEB_PLATEAU * big):
+        tail = np.max(np.abs(c[-_CHEB_TAIL:]))
+        if tail <= _CHEB_CHOP * np.max(np.abs(c)) or (
+                2.0 * tail > last and tail <= _CHEB_PLATEAU * np.max(np.abs(f))):
             return c
         n, last = 2 * n, tail
     return None

@@ -13,7 +13,7 @@ with frequency omega = sqrt(p_theta'^2 + p_phi'^2/sin^2 theta(0)):
 of strength P' adds -P' sin(theta) (dipole) or -P' sin(2 theta)
 (polarization) to p_theta'.  The azimuth phi enters neither and is not
 kept; theta enters only through (cos theta, sin theta), the pair an
-ensemble carries, and is formed itself only for the histogram.
+ensemble carries; the histogram flies cos theta alone, binning its arccos.
 
 Sampling uses a counter-based Philox generator keyed by (seed), so an
 ensemble is reproducible however it is split; `sample_blocks` streams it.
@@ -40,7 +40,7 @@ __all__ = [
     "orientation_alignment",
 ]
 
-BLOCK = 2 ** 16  # particles per block of `sample_blocks`
+BLOCK = 2 ** 14  # particles per block of `sample_blocks`: its temporaries fit in L2
 _ARRAYS = ("cos_theta", "sin_theta", "p_theta", "p_phi")
 
 
@@ -91,13 +91,16 @@ def sample_blocks(n, seed, kick_strength=1.0, temperature=1.0):
     normal = np.random.Generator(np.random.Philox(key=seed).advance(n // 2))  # 4 draws a step
     normal.bit_generator.random_raw(2 * (n % 2), output=False)
     scale = math.sqrt(temperature)
-    p_theta = normal.standard_normal(n) * scale
+    p_theta = normal.standard_normal(n)
+    p_theta *= scale
     for lo in range(0, n, BLOCK):
         u = uniform.random(min(BLOCK, n - lo))
         s = np.multiply(u, 1.0 - u)  # u (1 - u), made sin theta in place
         np.multiply(np.sqrt(s, out=s), 2.0, out=s)
-        yield ThermalEnsemble(1.0 - 2.0 * u, s, p_theta[lo:lo + u.size],
-                              normal.standard_normal(u.size) * s * scale,
+        p_phi = normal.standard_normal(u.size)
+        p_phi *= s
+        p_phi *= scale
+        yield ThermalEnsemble(1.0 - 2.0 * u, s, p_theta[lo:lo + u.size], p_phi,
                               float(kick_strength), int(seed))
 
 
@@ -151,13 +154,19 @@ def evolve(ensemble, dt):
     return _fly(ensemble, _free_flight(ensemble), dt) if dt else ensemble
 
 
+def _flown_cos(flight, dt):
+    # (cos theta(dt), sin(omega dt), cos(omega dt)) on the `_free_flight`
+    # coefficients; a particle at rest keeps cos theta0 exactly
+    cos0, _, omega, b = flight
+    sw, cw = sincos(omega * dt)
+    return np.clip(cos0 * cw - b * sw, -1.0, 1.0), sw, cw
+
+
 def _fly(ensemble, flight, dt):
     # `evolve` for dt > 0 on the `_free_flight` coefficients of the ensemble
-    cos0, sin0, omega, b = flight
-    del flight
-    sw, cw = sincos(omega * dt)
-    c = np.clip(cos0 * cw - b * sw, -1.0, 1.0)
-    del b
+    c, sw, cw = _flown_cos(flight, dt)
+    cos0, sin0, omega, _ = flight
+    del flight  # and with it b
     # g = -d(cos theta)/dt, used to recover sin(theta) and the momentum sign
     g = omega * cos0 * sw + ensemble.p_theta * sin0 * cw
     del cos0, sin0, cw, sw
@@ -182,20 +191,33 @@ def kicked_profile(blocks, dt, bins, coupling=Coupling.DIPOLE):
     the plotted f(theta), normalized so sum(density * dtheta) = 1 with no
     1/sin(theta) weighting (the isotropic ensemble shows sin(theta)/2), and
     `orientation_alignment`.  Counts add exactly, (O, A) up to sum order.
+    Only cos theta is flown, and arccos(cos theta) binned as np.histogram does.
     """
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
+    if bins < 2 or dt < 0:
+        raise ValueError("need at least 2 bins and dt >= 0")
+    edges = np.linspace(0.0, math.pi, bins + 1)
     n, counts, sums = 0, 0, np.zeros(2)
     for block in blocks:
-        block = evolve(kick(block, coupling), dt)
-        c, edges = np.histogram(block.theta, bins=bins, range=(0.0, math.pi))
-        n, counts, sums = n + block.n, counts + c, sums + _alignment_sums(block.cos_theta)
+        c = _flown_cos(_free_flight(kick(block, coupling)), dt)[0] if dt else block.cos_theta
+        sums += _alignment_sums(c)
+        n, counts = n + block.n, counts + _bin_counts(np.arccos(c), edges)
     if not n:
         raise ValueError("no particles to histogram")
     centers = 0.5 * (edges[:-1] + edges[1:])
     dens = counts / (n * (edges[1] - edges[0]))
     O, A = sums / n
     return DensityProfile(grid=centers, values=dens, geometry="sphere"), float(O), float(A)
+
+
+def _bin_counts(theta, edges):
+    # np.histogram(theta, edges.size - 1, range=(0, pi))[0] by its own rule for
+    # theta in [0, pi]: floor(theta bins/pi) but pi in the last bin, one step to the edges
+    bins = edges.size - 1
+    k = np.multiply(theta, bins / math.pi).astype(np.intp)
+    np.minimum(k, bins - 1, out=k)
+    k -= theta < edges[k]
+    k += (theta >= edges[k + 1]) & (k != bins - 1)
+    return np.bincount(k, minlength=bins)
 
 
 def _alignment_sums(c):

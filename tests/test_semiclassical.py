@@ -250,6 +250,23 @@ class TestCuspColumns:
         new, old = proxies
         assert (new is None and old is None) or np.array_equal(new, old)
 
+    def test_dp1_plateau_proxy_matches_direct(self, proxies, monkeypatch):
+        # x = B = 60 (P = 6, tau = 1/66, beta = 60): the dP1/dy proxy's
+        # trailing coefficients stall at 3.4e-12 of the largest from N = 64
+        # on, but at 8.6e-13 of the sampled max |dP1/dy|, which the plateau
+        # bound is judged against, so N = 128 is accepted (against N = 1024
+        # by the largest coefficient).  The direct value moves by 2.9e-12 of
+        # itself between 12- and 6-rad contour panels; the proxy is 3.6e-12
+        # from it
+        P, tau = 6.0, 1.0 / 66.0
+        theta = 60.0 / (math.sqrt(2.0) * 66.0)
+        psi = sc.pearcey_cusp_3d(theta, tau, P)
+        c, = proxies
+        assert c.size == 129 and np.max(np.abs(c[-8:])) > 1e-12 * np.max(np.abs(c))
+        monkeypatch.setattr(sc, "_p1_chebyshev", lambda *args: None)
+        direct = sc.pearcey_cusp_3d(theta, tau, P)
+        assert abs(psi - direct) < 1e-11 * abs(direct)
+
     @pytest.mark.parametrize("dim,n,width", [(2, 5, 0.3), (2, 20, 0.3), (3, 2, 0.25)])
     def test_short_column_takes_direct_path(self, dim, n, width, proxies):
         # 2 contour rows a point in 2D, 48 phi nodes a point in 3D at

@@ -3,6 +3,7 @@ ODE oracle, conservation laws, histograms, the streamed
 kick-evolve-histogram pass, determinism."""
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -70,7 +71,9 @@ class TestSampling:
         theta = np.arccos(1.0 - 2.0 * u)
         assert np.all(np.abs(e.theta - theta) <= 4 * np.spacing(theta))
 
-    @pytest.mark.parametrize("n", [1, th.BLOCK - 1, th.BLOCK, th.BLOCK + 1, 2 * th.BLOCK + 5])
+    # block boundaries at BLOCK and at 2^16, a multiple of it
+    @pytest.mark.parametrize("n", [1, th.BLOCK - 1, th.BLOCK, th.BLOCK + 1, 2 * th.BLOCK + 5,
+                                   2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17 + 5])
     def test_ensemble_is_the_concatenated_blocks(self, n):
         blocks = list(th.sample_blocks(n, 23, kick_strength=3.0, temperature=0.5))
         assert [b.n for b in blocks] == [min(th.BLOCK, n - lo) for lo in range(0, n, th.BLOCK)]
@@ -173,7 +176,7 @@ def one_shot_profile(ensemble, dt, bins, coupling):
 
 @pytest.mark.parametrize("P_prime,t_prime", [(1.0, 1.0), (1.0, 4.5), (10.0, 1.0), (10.0, 4.5), (math.inf, 1.0)])
 @pytest.mark.parametrize("coupling", [Coupling.DIPOLE, Coupling.POLARIZATION])
-def test_flight_against_libm_oracle(P_prime, t_prime, coupling, monkeypatch):
+def test_flight_against_libm_oracle(P_prime, t_prime, coupling):
     # 2^17 particles, flown by the half-angle tangent and by np.cos and
     # np.sin; P' = inf is the zero-temperature ensemble at unit kick.
     # p_theta = g/sin theta divides the rounding of g, of order omega, by
@@ -189,10 +192,12 @@ def test_flight_against_libm_oracle(P_prime, t_prime, coupling, monkeypatch):
     omega = np.hypot(kicked.p_theta, kicked.p_phi / kicked.sin_theta)
     assert np.all(gap <= 4 * 2.0 ** -52 * np.maximum(omega, np.abs(ref.p_theta)) / ref.sin_theta)
     assert np.max(gap[ref.sin_theta > 0.01]) <= 1e-13 * big
+    # the histogram pass flies cos theta alone and bins arccos(cos theta):
+    # against np.histogram of the libm flight's theta = arctan2(sin, cos)
     prof, O, A = th.kicked_profile([ens], dt, 200, coupling)
-    monkeypatch.setattr(th, "evolve", evolve_libm)
-    prof_ref, O_ref, A_ref = th.kicked_profile([ens], dt, 200, coupling)
-    assert np.array_equal(prof.values, prof_ref.values)
+    counts, edges = np.histogram(ref.theta, bins=200, range=(0.0, math.pi))
+    O_ref, A_ref = th.orientation_alignment(ref)
+    assert np.array_equal(prof.values, counts / (n * (edges[1] - edges[0])))
     assert O == pytest.approx(O_ref, rel=1e-14, abs=0)
     assert A == pytest.approx(A_ref, rel=1e-14, abs=0)
 
@@ -242,6 +247,32 @@ class TestHistogram:
         for a, b in zip(arrays, before):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("bins", [2, 7, 90, 200, 400])
+    def test_bin_rule_is_numpy_histogram_at_the_edges(self, bins):
+        # theta on every edge, one ulp either side of it, and at 0 and pi
+        edges = np.linspace(0.0, math.pi, bins + 1)
+        theta = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 4.0),
+                                [0.0, math.pi]])
+        theta = theta[(theta >= 0.0) & (theta <= math.pi)]
+        counts = th._bin_counts(theta, edges)
+        assert np.array_equal(counts, np.histogram(theta, bins, range=(0.0, math.pi))[0])
+        assert counts.sum() == theta.size
+
+    @pytest.mark.parametrize("dt", [0.0, 0.7])
+    def test_particles_on_the_poles(self, dt):
+        # zero temperature, u = 0 and u = 1 (cos theta = +-1, sin theta = 0,
+        # p = 0): the kick leaves them at rest, in the first and last bins.
+        # Their p_phi/sin theta is 0/0, the NaN `_free_flight` maps to rest,
+        # and numpy warns of it once a flight is made
+        e = th.sample_ensemble(1000, seed=12, kick_strength=2.0, temperature=0.0)
+        e.cos_theta[:3], e.cos_theta[3:5], e.sin_theta[:5] = 1.0, -1.0, 0.0
+        with pytest.warns(RuntimeWarning, match="invalid value") if dt else nullcontext():
+            prof, O, A = th.kicked_profile([e], dt, 90)
+            counts, edges, (O_ref, A_ref) = one_shot_profile(e, dt, 90, Coupling.DIPOLE)
+        assert np.array_equal(prof.values, counts / (e.n * (edges[1] - edges[0])))
+        assert counts[0] >= 3 and counts[-1] >= 2
+        assert (O, A) == (O_ref, A_ref)
+
     @settings(derandomize=True, deadline=None, max_examples=12)
     @given(n=st.integers(1, 3 * th.BLOCK + 7),
            P_prime=st.sampled_from([1.0, 5.0, 10.0]),
@@ -265,7 +296,7 @@ class TestHistogram:
 
 
     @pytest.mark.parametrize("coupling", [Coupling.DIPOLE, Coupling.POLARIZATION])
-    @pytest.mark.parametrize("n", [1, th.BLOCK, th.BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, th.BLOCK, th.BLOCK + 1, 2 ** 16, 2 ** 16 + 1])
     def test_streamed_profile_matches_one_shot(self, n, coupling):
         # the streamed blocks against the whole ensemble kicked, flown and
         # histogrammed at once: counts exact, (O, A) up to sum order
