@@ -6,7 +6,7 @@ and spherical Bessel j_l (as arrays of all orders up to a maximum), J_0 and
 J_1 on arrays, Airy Ai/Ai' and the Pearcey integral.
 
 Ai/Ai' and each Pearcey object have one evaluator, a contour quadrature
-on the shared Gauss-Legendre kernel `gauss_segment`.  Airy takes straight
+on the shared Gauss-Legendre panels of `gauss_segment`.  Airy takes straight
 rays from the saddle of exp(t^3/3 - x t) (see `airy`).  Pearcey takes
 `_p1_contour`, the rotated contour of the half-range integral
 P1(x, y) = int_0^inf exp[i(u^4 + x u^2 + y u)] du and of its y-derivative:
@@ -249,15 +249,11 @@ _MAX_PANELS = 10**6
 # (row, node) entries evaluated at once by the array quadratures: longer
 # arrays go in row blocks, so the working memory stays under a few MB
 _CONTOUR_BLOCK = 2**15
+_CONTOUR_PIECE = 2**13  # nodes per Pearcey leg piece: einsum rounds a longer row by the rows beside it
 
 
-def gauss_segment(f, z0, z1, n_panels):
-    """Composite 24-point Gauss-Legendre of f along the straight segment
-    z0 -> z1 (complex endpoints allowed).  f must accept an ndarray of
-    nodes; if it returns an array, its last axis runs over the nodes and
-    is the axis summed.  z0 and z1 may also be arrays of one shape, one
-    segment per entry: f then gets the nodes on a new last axis after the
-    endpoints' axes, and the result has the endpoints' shape."""
+def _gl_panels(z0, z1, n_panels):
+    # gauss_segment's panels on z0 -> z1: the integral of f is sum(w f(u)) half dz
     if n_panels > _MAX_PANELS:
         raise ConvergenceError(f"panel budget exceeded ({n_panels} > {_MAX_PANELS})")
     z0 = np.asarray(z0)
@@ -267,7 +263,20 @@ def gauss_segment(f, z0, z1, n_panels):
     half = 0.5 * (edges[1] - edges[0])
     t = (mid + half * _GL_NODES[None, :]).ravel()
     w = np.broadcast_to(_GL_WEIGHTS, (n_panels, _GL_NODES.size)).ravel()
-    return np.sum(w * f(z0[..., None] + t * dz[..., None]), axis=-1) * half * dz
+    return z0[..., None] + t * dz[..., None], w, half, dz
+
+
+def gauss_segment(f, z0, z1, n_panels):
+    """Composite 24-point Gauss-Legendre of f along the straight segment
+    z0 -> z1 (complex endpoints allowed).  f must accept an ndarray of
+    nodes; if it returns an array, its last axis runs over the nodes and
+    is the axis summed.  z0 and z1 may also be arrays of one shape, one
+    segment per entry: f then gets the nodes on a new last axis after the
+    endpoints' axes, and the result has the endpoints' shape."""
+    u, w, half, dz = _gl_panels(z0, z1, n_panels)
+    fu = f(u)
+    del u  # the nodes go before the weighted sum: it is the peak of a call
+    return np.sum(w * fu, axis=-1) * half * dz
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +368,13 @@ def _p1_contour(x, y, power=0):
     stationary point, then the ray R + t exp(i pi/8) on which the quartic
     decays.  Each leg takes a 24-node panel per 12 rad of the phase it spans,
     and the ray ends where Im phase, a quartic in t with positive coefficients,
-    reaches 46 in the block's worst row, y = -max |y| (Newton from above).
+    reaches 46 in the worst row, y = -max |y| (Newton from above); all rows
+    share it.  Each leg piece of at most _CONTOUR_PIECE nodes is laid once
+    and swept in blocks of _CONTOUR_BLOCK (row, node) entries, in real
+    arithmetic: exp(i phase) = e^-D (cos Phi + i sin Phi), Phi = y Re u +
+    Re b, D = y Im u + Im b, b = u^4 + x u^2 (`sincos`; np.exp on the ray
+    only), each row reduced against the weights by np.einsum, not BLAS, so
+    its value does not depend on the rows beside it.
     """
     y = np.asarray(y, dtype=float)
     ay = float(np.max(np.abs(y), initial=0.0))
@@ -372,21 +387,29 @@ def _p1_contour(x, y, power=0):
         T -= ((((T + c3) * T + c2) * T + c1) * T - _RAY_DECAY) / (((4 * T + 3 * c3) * T + 2 * c2) * T + c1)
     n1 = max(2, math.ceil((R ** 4 + abs(x) * R ** 2 + ay * R) / _PANEL_PHASE))
     n2 = max(2, math.ceil(((abs(slope) + ay) * T + _RAY_DECAY) / _PANEL_PHASE))
-    rows = max(1, _CONTOUR_BLOCK // (_GL_NODES.size * (n1 + n2)))
-    if y.size > rows:
-        return np.concatenate([_p1_contour(x, y[i:i + rows], power)
-                               for i in range(0, y.size, rows)])
-
-    def f(u):
-        return (1j * u) ** power * np.exp(1j * (u ** 4 + x * u ** 2 + y[..., None] * u))
-
-    def leg(z0, z1, n):
-        # a single row's leg longer than the block goes in k equal pieces
-        k = -(-n // max(1, _CONTOUR_BLOCK // (_GL_NODES.size * max(1, y.size))))
-        ends = np.linspace(z0, z1, k + 1) if k > 1 else (z0, z1)
-        return sum(gauss_segment(f, a, b, -(-n // k)) for a, b in zip(ends[:-1], ends[1:]))
-
-    return leg(0.0 + 0.0j, R + 0.0j, n1) + leg(R + 0.0j, R + T * w8, n2)
+    ys, out = y.ravel(), np.zeros(y.size, dtype=complex)
+    for z0, z1, n in ((0.0 + 0.0j, R + 0.0j, n1), (R + 0.0j, R + T * w8, n2)):
+        k = -(-n // (_CONTOUR_PIECE // _GL_NODES.size))
+        for j in range(k):
+            u, w, half, dz = _gl_panels(z0 + (z1 - z0) * j / k, z0 + (z1 - z0) * (j + 1) / k, -(-n // k))
+            base = u * u * (u * u + x)
+            c = w * (1j * u) ** power * half * dz
+            ur, nui, br, nbi, cr, ci = (np.ascontiguousarray(v) for v in
+                                        (u.real, -u.imag, base.real, -base.imag, c.real, c.imag))
+            np.remainder(br, 2.0 * math.pi, out=br)  # exact: Phi rounds at |y u| + 2 pi
+            rows = max(1, _CONTOUR_BLOCK // u.size)
+            for i in range(0, ys.size, rows):
+                phi = np.multiply.outer(ys[i:i + rows], ur)
+                phi += br
+                sin, cos = sincos(phi)
+                if dz.imag:
+                    d = np.multiply.outer(ys[i:i + rows], nui)
+                    np.exp(np.add(d, nbi, out=d), out=d)
+                    sin *= d
+                    cos *= d
+                out.real[i:i + rows] += np.einsum("...j,j->...", cos, cr) - np.einsum("...j,j->...", sin, ci)
+                out.imag[i:i + rows] += np.einsum("...j,j->...", cos, ci) + np.einsum("...j,j->...", sin, cr)
+    return out.reshape(y.shape)
 
 
 def _pearcey_args(x, beta):

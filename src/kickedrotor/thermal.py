@@ -115,7 +115,8 @@ def kick(ensemble, coupling=Coupling.DIPOLE):
     """Instantaneous kick at the current positions: only p_theta changes."""
     s = ensemble.sin_theta
     dp = 2.0 * s * ensemble.cos_theta if coupling is Coupling.POLARIZATION else s
-    return replace(ensemble, p_theta=ensemble.p_theta - ensemble.kick_strength * dp)
+    return ThermalEnsemble(ensemble.cos_theta, s, ensemble.p_theta - ensemble.kick_strength * dp,
+                           ensemble.p_phi, ensemble.kick_strength, ensemble.seed)
 
 
 def _free_flight(ensemble):
@@ -131,7 +132,8 @@ def _free_flight(ensemble):
     p0, sin0 = ensemble.p_theta, ensemble.sin_theta
     if not np.all(np.abs(p0) <= 1e100):  # beyond, p0^2 or the squeeze search's omega^2 overflows
         raise DomainError("|p_theta'| above 1e100 thermal momenta: the free flight would overflow")
-    omega = np.sqrt(p0 ** 2 + (ensemble.p_phi / sin0) ** 2)
+    with np.errstate(invalid="ignore"):  # 0/0 on a pole, mapped to rest below
+        omega = np.sqrt(p0 ** 2 + (ensemble.p_phi / sin0) ** 2)
     moving = omega > 0
     omega[~moving] = 0.0  # NaN where theta0 sits exactly on a pole
     b = p0 / np.where(moving, omega, 1.0) * sin0
@@ -159,7 +161,8 @@ def _flown_cos(flight, dt):
     # coefficients; a particle at rest keeps cos theta0 exactly
     cos0, _, omega, b = flight
     sw, cw = sincos(omega * dt)
-    return np.clip(cos0 * cw - b * sw, -1.0, 1.0), sw, cw
+    c = cos0 * cw - b * sw
+    return np.minimum(np.maximum(c, -1.0, out=c), 1.0, out=c), sw, cw
 
 
 def _fly(ensemble, flight, dt):
@@ -222,7 +225,7 @@ def _bin_counts(theta, edges):
 
 def _alignment_sums(c):
     # pairwise sums of 1 - cos theta and 1 - cos^2 theta
-    return np.sum(1.0 - c), np.sum(1.0 - c * c)
+    return (1.0 - c).sum(), (1.0 - c * c).sum()
 
 
 def orientation_alignment(ensemble):

@@ -12,6 +12,9 @@ None of these share code with the package evaluators they check:
 - `sincos_mp`: sin and cos by mpmath at 50 digits, rounded to doubles;
 - `p1_contour_oracle`: the rotated-contour Pearcey half-range integral by
   scipy adaptive quadrature on pieces of about 20 rad of phase;
+- `p1_contour_complex`: the same integral on the package's own contour and
+  panels (through `gauss_segment`), one complex exp per node where the
+  package works in real arithmetic;
 - `planar_psi_oracle`: the planar-model wave function with scipy's J_0 and
   32-node Gauss-Legendre on four times the panels the package once used;
 - `bisect_scalar`: one-bracket bisection, the row rule of
@@ -568,3 +571,29 @@ def focal_density_closed_form(P, radius=DISC_RADIUS):
     z = P * L ** 4 / 24.0
     I = (P * L * L / 2.0) * hyp1f1_focus(z)
     return abs(I) ** 2 / (4.0 * math.pi)
+
+
+def p1_contour_complex(x, y, power=0, panel_phase=12.0):
+    """int_0^inf (iu)^power exp[i(u^4 + x u^2 + y u)] du for one y on the
+    rotated contour of `specfun._p1_contour`, sized for that y alone, with
+    the integrand taken as one complex exp per node on `gauss_segment`: the
+    real axis to R, then the pi/8 ray to where Im phase reaches 46 at
+    y = -|y|, a 24-node panel per panel_phase rad, each leg in pieces of at
+    most 2^15 nodes."""
+    w8, ay = cmath.exp(1j * math.pi / 8), abs(y)
+    R = 1.0 + (ay / 4.0) ** (1.0 / 3.0) + math.sqrt(abs(x) / 2.0)
+    slope = 4.0 * R ** 3 + 2.0 * x * R
+    c1, c2, c3 = ((w8 ** k).imag * c for k, c in enumerate((slope - ay, 6 * R * R + x, 4 * R), 1))
+    T = min(46.0 / c1, (46.0 / c2) ** 0.5, (46.0 / c3) ** (1 / 3), 46.0 ** 0.25)
+    for _ in range(3):
+        T -= ((((T + c3) * T + c2) * T + c1) * T - 46.0) / (((4 * T + 3 * c3) * T + 2 * c2) * T + c1)
+    n1 = max(2, math.ceil((R ** 4 + abs(x) * R ** 2 + ay * R) / panel_phase))
+    n2 = max(2, math.ceil(((abs(slope) + ay) * T + 46.0) / panel_phase))
+    f = lambda u: (1j * u) ** power * np.exp(1j * (u ** 4 + x * u ** 2 + y * u))
+
+    def leg(z0, z1, n):
+        k = -(-n // (2 ** 15 // 24))
+        ends = np.linspace(z0, z1, k + 1)
+        return sum(gauss_segment(f, a, b, -(-n // k)) for a, b in zip(ends[:-1], ends[1:]))
+
+    return complex(leg(0.0 + 0.0j, R + 0.0j, n1) + leg(R + 0.0j, R + T * w8, n2))

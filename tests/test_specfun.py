@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 import kickedrotor
 from kickedrotor import specfun as sf
-from oracles import airy_mp, hyp1f1_focus, p1_contour_oracle, pearcey_series_mp, sincos_mp
+from oracles import (airy_mp, hyp1f1_focus, p1_contour_complex, p1_contour_oracle,
+                     pearcey_series_mp, sincos_mp)
 
 # --- frozen oracle values ---
 # (1/pi) int_0^pi cos(5t - 85 sin t) dt by adaptive quadrature
@@ -340,13 +341,13 @@ class TestPearcey:
         # pieces of at most _CONTOUR_BLOCK nodes, so the temporaries stay
         # a few MB (61 MB as one call per leg)
         nodes = []
-        segment = sf.gauss_segment
+        layout = sf._gl_panels
 
-        def counted(f, z0, z1, n_panels):
+        def counted(z0, z1, n_panels):
             nodes.append(n_panels * sf._GL_NODES.size)
-            return segment(f, z0, z1, n_panels)
+            return layout(z0, z1, n_panels)
 
-        monkeypatch.setattr(sf, "gauss_segment", counted)
+        monkeypatch.setattr(sf, "_gl_panels", counted)
         tracemalloc.start()
         try:
             sf.pearcey(400.0, 400.0)
@@ -429,23 +430,30 @@ def test_p1_chebyshev_accepts_the_noise_plateau():
     assert np.max(np.abs(2.0 * sf._chebyshev_even(c, beta / 60.0) - direct)) < 5e-12 * np.max(np.abs(direct))
 
 
+def _contour_phase(x, y):
+    # R^4 + |x| R^2 + |y| R, the phase the contour's real leg spans for this
+    # |y|: the 12- against 6-rad panel noise stays within 1e-15 of it
+    # (asserted below)
+    R = 1.0 + (abs(y) / 4.0) ** (1.0 / 3.0) + math.sqrt(abs(x) / 2.0)
+    return max(1.0, R ** 4 + abs(x) * R * R + abs(y) * R)
+
+
 @settings(max_examples=12, derandomize=True, deadline=None, database=None)
 @given(x=_PEARCEY_ARG, y=_PEARCEY_ARG, power=st.sampled_from([0, 1]))
 def test_contour_sizing_has_converged(x, y, power):
     # half the phase per panel and a ray that ends at e^-60 move the value
     # by rounding on the phase R^4 + |x| R^2 + |y| R of the real leg only
     # panels are summed per leg: a long leg goes in several pieces
-    R = 1.0 + (abs(y) / 4.0) ** (1.0 / 3.0) + math.sqrt(abs(x) / 2.0)
-    phase = max(1.0, R ** 4 + abs(x) * R * R + abs(y) * R)
+    phase = _contour_phase(x, y)
     panels = []  # [real leg, ray] per call
-    segment = sf.gauss_segment
+    layout = sf._gl_panels
 
-    def counted(f, z0, z1, n_panels):
+    def counted(z0, z1, n_panels):
         panels[-1][complex(z1).imag > 0] += n_panels
-        return segment(f, z0, z1, n_panels)
+        return layout(z0, z1, n_panels)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sf, "gauss_segment", counted)
+        mp.setattr(sf, "_gl_panels", counted)
         panels.append([0, 0])
         value = complex(sf._p1_contour(x, y, power))
         mp.setattr(sf, "_PANEL_PHASE", 6.0)
@@ -455,6 +463,37 @@ def test_contour_sizing_has_converged(x, y, power):
     (leg, ray), (leg_fine, ray_fine) = panels
     assert leg_fine >= leg and ray_fine > ray
     assert abs(finer - value) <= 1e-15 * phase
+
+
+_SWEEP_Y = np.array([0.0, 10.0, -10.0, 60.0, -60.0, 400.0, -400.0])
+
+
+@pytest.mark.parametrize("power", [0, 1])
+@pytest.mark.parametrize("x", [-400.0, -100.0, 0.0, 100.0, 400.0])
+def test_contour_against_complex_exp_oracle(x, power):
+    # the real-arithmetic integrand (one contour for the whole row array,
+    # sized by |y| = 400) against one complex exp per node (a contour per y)
+    got = sf._p1_contour(x, _SWEEP_Y, power)
+    want = np.array([p1_contour_complex(x, y, power) for y in _SWEEP_Y])
+    assert np.all(np.abs(got - want) <= 1e-15 * _contour_phase(x, 400.0))
+
+
+@pytest.mark.parametrize("x,y,power", [(100.0, -60.0, 1), (-100.0, 10.0, 0), (0.0, 400.0, 0)])
+def test_contour_sweep_points_against_scipy(x, y, power):
+    got = complex(sf._p1_contour(x, y, power))
+    assert abs(got - p1_contour_oracle(x, y, power=power)) <= 1e-15 * _contour_phase(x, y)
+
+
+@pytest.mark.parametrize("x,top,power", [(0.0, 10.0, 0), (-3.0, 15.0, 1), (40.0, 40.0, 0),
+                                         (100.0, 60.0, 1), (-100.0, 300.0, 0)])
+def test_contour_row_is_independent_of_its_neighbours(x, top, power):
+    # bit for bit: |y| = top alone (0-d or one row), as the pair pearcey
+    # forms, and as the first and last rows of a 65-row Chebyshev sample
+    block = sf._p1_contour(x, top * np.cos(np.pi / 64 * np.arange(65)), power)
+    pair = sf._p1_contour(x, np.array([top, -top]), power)
+    for k, y in ((0, top), (1, -top)):
+        alone = (sf._p1_contour(x, y, power), sf._p1_contour(x, np.array([y]), power)[0])
+        assert {complex(v) for v in (*alone, pair[k], block[-k])} == {complex(alone[0])}
 
 
 class TestPearceyHalfDy:
