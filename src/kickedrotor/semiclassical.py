@@ -33,13 +33,10 @@ from .classical import _bisect_rows, rainbow_angle
 from .specfun import (
     _CONTOUR_BLOCK,
     _GL_NODES,
-    _chebyshev_even,
-    _p1_chebyshev,
-    _p1_contour,
-    _pearcey_args,
     airy,
     bessel_j0,
     bessel_j1,
+    bessoid,
     gauss_segment,
     pearcey,
 )
@@ -141,11 +138,11 @@ def focal_density_asymptotic(P, radius=DISC_RADIUS):
 # ----------------------------------------------------------------------
 
 def _cusp_variables(theta, tau, P):
-    # x, and |beta| on a theta array with its largest entry, checked against
-    # the Pearcey domain before any contour is sampled
+    # the Pearcey arguments x and beta of a theta array; specfun checks them
+    # against its domain before any contour is sampled
     x = math.sqrt(6.0 / P) * (1.0 / tau - P)
     beta = math.sqrt(2.0) * (theta / tau) * (6.0 / P) ** 0.25
-    return _pearcey_args(x, beta)
+    return x, beta
 
 
 def pearcey_focus_2d(theta, tau, P):
@@ -159,21 +156,14 @@ def pearcey_focus_2d(theta, tau, P):
     symmetrized form carries an unreliable far-tail phase).
 
     theta may be a scalar (complex result) or an array of any shape
-    (complex array of that shape).  Along a column x is fixed, so
-    Pearcey(x, beta) = P1(x, beta) + P1(x, -beta), twice the even part of
-    y -> P1(x, y), comes from its Chebyshev proxy on [-B, B], B the
-    column's largest |beta| (`specfun._p1_chebyshev`, Clenshaw at beta),
-    wherever the proxy needs fewer contour rows than the 2 per point of the
-    direct path; a short column (one point, or a few) takes
-    `specfun.pearcey` in one call.  A theta whose x or beta is non-finite
-    or beyond 400 raises DomainError.
+    (complex array of that shape), one `specfun.pearcey` call at the
+    column's fixed x.  A theta whose x or beta is non-finite or beyond 400
+    raises DomainError.
     """
     if tau <= 0 or P <= 0:
         raise ValueError("pearcey_focus_2d requires tau, P > 0")
     theta = np.asarray(theta, dtype=float)
-    x, beta, top = _cusp_variables(theta, tau, P)
-    c = _p1_chebyshev(x, top, 0, 2 * beta.size)
-    p = pearcey(x, beta) if c is None else 2.0 * _chebyshev_even(c, beta / top)
+    p = pearcey(*_cusp_variables(theta, tau, P))
     pref = (1.0 / (math.pi * cmath.sqrt(2.0j * tau))) * (6.0 / P) ** 0.25
     return _as_psi(pref * np.exp(1j * (theta * theta / (2.0 * tau) + P)) * p)
 
@@ -192,9 +182,6 @@ def focal_tail_2d(theta):
 # Pearcey focusing, 3D
 # ----------------------------------------------------------------------
 
-_PHI_PANEL_BETA = 5.0  # units of beta per 24-node panel of the azimuthal quadrature
-
-
 def pearcey_cusp_3d(theta, tau, P):
     """3D cusp wave function from the azimuthally integrated Pearcey
     derivative,
@@ -202,44 +189,19 @@ def pearcey_cusp_3d(theta, tau, P):
       psi = -(6/P)^(1/2) e^{i(P + theta^2/2tau)} / (4 sqrt(pi) tau) * S(x, beta),
       S(x, beta) = (4/pi) int_0^pi dP1/dy(x, beta cos phi) dphi,
 
-    with the 2D cusp variables x, beta.  theta may be a scalar (complex
-    result) or an array of any shape (complex array of that shape).  The
-    phi integral is one gauss_segment call on a block of the column (a
-    24-node panel per 5 of B, the column's largest |beta|, at least 2).  Its
-    integrand comes from a Chebyshev proxy of y -> dP1/dy(x, y) on [-B, B]
-    (`specfun._p1_chebyshev`) wherever the proxy needs fewer contour rows
-    than the points x phi nodes of the direct path: Clenshaw at every
-    beta cos phi gives the proxy's even part in y, as the odd part
-    integrates to zero over [0, pi].  Otherwise, as for a single point,
-    dP1/dy comes from one `specfun._p1_contour` call on all the nodes.  At
-    theta = 0, P*tau = 1 the density is exactly 3P/8.  A theta whose x or
-    beta is non-finite or beyond 400 raises DomainError, before any
-    sampling.
+    with the 2D cusp variables x, beta; S is the Bessoid integral, one
+    `specfun.bessoid` call for the whole theta array.  theta may be a
+    scalar (complex result) or an array of any shape (complex array of that
+    shape).  At theta = 0, P*tau = 1 the density is exactly 3P/8.  A theta
+    whose x or beta is non-finite or beyond 400 raises DomainError, before
+    any sampling.
     """
     if tau <= 0 or P <= 0:
         raise ValueError("pearcey_cusp_3d requires tau, P > 0")
     theta = np.asarray(theta, dtype=float)
-    x, beta, top = _cusp_variables(theta, tau, P)
-    n_panels = max(2, math.ceil(top / _PHI_PANEL_BETA))
-    c = _p1_chebyshev(x, top, 1, beta.size * _GL_NODES.size * n_panels)
-    if c is None:
-        dp1 = lambda y: _p1_contour(x, y.ravel(), power=1).reshape(y.shape)
-    else:
-        dp1 = lambda y: _chebyshev_even(c, y / top)
-    s = _azimuthal_rows(dp1, beta.ravel(), n_panels).reshape(beta.shape)
+    s = bessoid(*_cusp_variables(theta, tau, P))
     pref = -math.sqrt(6.0 / P) / (4.0 * math.sqrt(math.pi) * tau)
     return _as_psi(pref * np.exp(1j * (P + theta * theta / (2.0 * tau))) * s)
-
-
-def _azimuthal_rows(dp1, beta, n_panels):
-    # S = (4/pi) int_0^pi dp1(beta cos phi) dphi on a 1-D beta, in row blocks
-    # of at most _CONTOUR_BLOCK (beta, node) entries, one gauss_segment call each
-    rows = max(1, _CONTOUR_BLOCK // (_GL_NODES.size * n_panels))
-    if beta.size > rows:
-        return np.concatenate([_azimuthal_rows(dp1, beta[i:i + rows], n_panels)
-                               for i in range(0, beta.size, rows)])
-    return (4.0 / math.pi) * gauss_segment(
-        lambda phi: dp1(beta[:, None] * np.cos(phi.real)), 0.0, math.pi, n_panels)
 
 
 def focal_peak_3d(P):

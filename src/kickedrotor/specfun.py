@@ -3,18 +3,19 @@
 Everything the other modules need lives here: sin and cos from one SIMD
 tangent (`sincos`, absolute error <= 2.3e-16), integer-order Bessel J_n
 and spherical Bessel j_l (as arrays of all orders up to a maximum), J_0 and
-J_1 on arrays, Airy Ai/Ai' and the Pearcey integral.
+J_1 on arrays, Airy Ai/Ai', the Pearcey integral and the Bessoid integral.
 
 Ai/Ai' and each Pearcey object have one evaluator, a contour quadrature
 on the shared Gauss-Legendre panels of `gauss_segment`.  Airy takes straight
 rays from the saddle of exp(t^3/3 - x t) (see `airy`).  Pearcey takes
 `_p1_contour`, the rotated contour of the half-range integral
 P1(x, y) = int_0^inf exp[i(u^4 + x u^2 + y u)] du and of its y-derivative:
-P(x, beta) = P1(x, beta) + P1(x, -beta), and dP1/dy is the same contour
-with the extra factor i u.  Along a column of fixed x, `_p1_chebyshev`
-interpolates that contour in y from samples of it: a proxy whose
-truncation is measured, not a second evaluator.  The runtime needs numpy
-only.
+P(x, beta) = P1(x, beta) + P1(x, -beta), and dP1/dy, the same contour with
+the extra factor i u, gives the Bessoid S(x, beta) of the 3D cusp.  Along a
+column of fixed x, `_p1_chebyshev` interpolates the contour in y from
+samples of it (coefficients by one FFT), and `pearcey` and `bessoid` take
+that wherever it needs fewer contour rows: a proxy whose truncation is
+measured, not a second evaluator.  The runtime needs numpy only.
 
 All functions are pure and hold no mutable state, so they are safe to call
 from any number of threads.
@@ -37,6 +38,7 @@ __all__ = [
     "spherical_jn_array",
     "airy",
     "pearcey",
+    "bessoid",
     "gauss_segment",
 ]
 
@@ -418,26 +420,67 @@ def _pearcey_args(x, beta):
     x, beta = float(x), np.abs(np.asarray(beta, dtype=float))
     top = float(np.max(beta, initial=0.0))
     if not (math.isfinite(x) and math.isfinite(top)):
-        raise DomainError("pearcey requires finite arguments")
+        raise DomainError("Pearcey arguments must be finite")
     if abs(x) > _PEARCEY_ARG_MAX or top > _PEARCEY_ARG_MAX:
-        raise DomainError("pearcey argument beyond supported range")
+        raise DomainError("Pearcey argument beyond supported range")
     return x, beta, top
+
+
+def _p1_column(x, top, power, direct_rows):
+    # y -> _p1_contour(x, y, power) on [-top, top], or the even part of its
+    # Chebyshev proxy where that needs fewer contour rows than direct_rows
+    c = _p1_chebyshev(x, top, power, direct_rows)
+    if c is None:
+        return lambda y: _p1_contour(x, y, power)
+    return lambda y: _chebyshev_even(c, y / top)
 
 
 def pearcey(x, beta):
     """Pearcey integral P(x, beta) = int exp[i(u^4 + x u^2 + beta u)] du.
 
-    Evaluated as P(x, beta) = P1(x, beta) + P1(x, -beta) by one call of the
-    rotated-contour quadrature, for |x|, |beta| <= 400.  beta may be a
-    scalar (complex result) or an array of any shape (complex array of that
-    shape): the contour of the call is sized by the largest |beta|.  Even
-    in beta; the sign is canonicalized before evaluation so pearcey(x, b)
-    == pearcey(x, -b) bit for bit.
+    Evaluated as P(x, beta) = P1(x, beta) + P1(x, -beta) for |x|, |beta|
+    <= 400 (DomainError beyond, and for NaN or inf) by one contour call
+    sized by B, the largest |beta|, or by the Chebyshev proxy of P1 on
+    [-B, B] where that needs fewer than the contour's 2 rows per point.
+    beta may be a scalar (complex result) or an array of any shape
+    (complex array of that shape).  Even in beta; the sign is canonicalized
+    before evaluation so pearcey(x, b) == pearcey(x, -b) bit for bit.
     """
-    x, beta, _ = _pearcey_args(x, beta)
-    half = _p1_contour(x, np.concatenate([beta.ravel(), -beta.ravel()]))
+    x, beta, top = _pearcey_args(x, beta)
+    half = _p1_column(x, top, 0, 2 * beta.size)(np.concatenate([beta.ravel(), -beta.ravel()]))
     out = (half[:beta.size] + half[beta.size:]).reshape(beta.shape)
     return complex(out) if out.ndim == 0 else out
+
+
+_PHI_PANEL_BETA = 5.0  # units of beta per 24-node panel of the azimuthal quadrature
+
+
+def bessoid(x, beta):
+    """Bessoid integral S(x, beta) = (4/pi) int_0^pi dP1/dy(x, beta cos phi) dphi
+    (Kirk, Connor, Curran & Hobbs, J. Phys. A 33, 4797 (2000)) of the 3D
+    cusp; its domain, DomainError and scalar or array beta are as in `pearcey`.
+
+    The phi integral takes a 24-node panel per 5 of B, the largest |beta|
+    (at least 2), and dP1/dy at its nodes comes from one contour call or,
+    where that needs fewer rows, from the even part of the Chebyshev proxy
+    on [-B, B] (the odd part integrates to zero over [0, pi]).
+    """
+    x, beta, top = _pearcey_args(x, beta)
+    n_panels = max(2, math.ceil(top / _PHI_PANEL_BETA))
+    dp1 = _p1_column(x, top, 1, beta.size * _GL_NODES.size * n_panels)
+    s = _azimuthal_rows(dp1, beta.ravel(), n_panels).reshape(beta.shape)
+    return complex(s) if s.ndim == 0 else s
+
+
+def _azimuthal_rows(dp1, beta, n_panels):
+    # S = (4/pi) int_0^pi dp1(beta cos phi) dphi on a 1-D beta, in row blocks
+    # of at most _CONTOUR_BLOCK (beta, node) entries, one gauss_segment call each
+    rows = max(1, _CONTOUR_BLOCK // (_GL_NODES.size * n_panels))
+    if beta.size > rows:
+        return np.concatenate([_azimuthal_rows(dp1, beta[i:i + rows], n_panels)
+                               for i in range(0, beta.size, rows)])
+    return (4.0 / math.pi) * gauss_segment(
+        lambda phi: dp1(beta[:, None] * np.cos(phi.real)), 0.0, math.pi, n_panels)
 
 
 # ----------------------------------------------------------------------
@@ -448,25 +491,18 @@ def pearcey(x, beta):
 # bound relative to the largest coefficient (decayed) or sample (plateaued).
 # The contour's own coefficient noise is 1e-15 at |y| <= 17 and x near 0,
 # 1e-14 at x = 0, |y| = 100, and 1.4e-13 at x = |y| = 100 (plateau, N = 512;
-# 8e-13 of the largest dP1/dy sample); the cosine
-# sum costs N^2 (0.17 s at N = 4096), so the doubling stops there
+# 8e-13 of the largest dP1/dy sample).  The doubling stops at N = 4096 for
+# its contour rows (2.4-3.1 s at x = 100, B = 60, power 1), not for the FFT
 _CHEB_START, _CHEB_MAX, _CHEB_TAIL, _CHEB_CHOP, _CHEB_PLATEAU = 32, 4096, 8, 1e-13, 1e-12
 
 
 def _cosine_sum(f):
     # Chebyshev coefficients of the values f at the n + 1 points cos(pi k/n):
-    # c_j = (2/n) sum_k'' f_k cos(pi j k/n), first and last halved, in row
-    # blocks of at most _CONTOUR_BLOCK entries; the cosines come from one
-    # table of 2n angles, indexed by j k mod 2n.  Summed without BLAS,
-    # whose threads make these small products slower, not faster
+    # c_j = (2/n) sum_k'' f_k cos(pi j k/n), first and last halved, a DCT-I,
+    # as one FFT of the even extension f_0 .. f_n, f_{n-1} .. f_1 (Trefethen,
+    # Approximation Theory and Approximation Practice, SIAM 2013, ch. 3)
     n = f.size - 1
-    w = f.copy()
-    w[[0, -1]] *= 0.5
-    table = np.cos(np.pi / n * np.arange(2 * n))
-    k = np.arange(n + 1)
-    rows = max(1, _CONTOUR_BLOCK // (n + 1))
-    c = np.concatenate([(table[np.outer(k[i:i + rows], k) % (2 * n)] * w).sum(axis=1)
-                        for i in range(0, n + 1, rows)]) * (2.0 / n)
+    c = np.fft.fft(np.concatenate([f, f[-2:0:-1]]))[:n + 1] / n
     c[[0, -1]] *= 0.5
     return c
 

@@ -203,21 +203,6 @@ def cusp_prefactor_3d(theta, tau, P):
     return -math.sqrt(6.0 / P) / (4.0 * math.sqrt(math.pi) * tau) * np.exp(1j * (P + theta ** 2 / (2.0 * tau)))
 
 
-@pytest.fixture
-def proxies(monkeypatch):
-    # the coefficient arrays (or None, the direct path) that the cusp
-    # evaluators get from specfun._p1_chebyshev, one per call
-    seen = []
-    chebyshev = sc._p1_chebyshev
-
-    def spy(*args):
-        seen.append(chebyshev(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(sc, "_p1_chebyshev", spy)
-    return seen
-
-
 class TestCuspColumns:
     @pytest.mark.parametrize("dim,s,width", CUSP_COLUMNS)
     def test_cookbook_column_matches_scalar_calls(self, dim, s, width, proxies):
@@ -263,7 +248,7 @@ class TestCuspColumns:
         psi = sc.pearcey_cusp_3d(theta, tau, P)
         c, = proxies
         assert c.size == 129 and np.max(np.abs(c[-8:])) > 1e-12 * np.max(np.abs(c))
-        monkeypatch.setattr(sc, "_p1_chebyshev", lambda *args: None)
+        monkeypatch.setattr(sf, "_p1_chebyshev", lambda *args: None)
         direct = sc.pearcey_cusp_3d(theta, tau, P)
         assert abs(psi - direct) < 1e-11 * abs(direct)
 

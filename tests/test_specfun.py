@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import kickedrotor
 from kickedrotor import specfun as sf
-from oracles import (airy_mp, hyp1f1_focus, p1_contour_complex, p1_contour_oracle,
+from oracles import (airy_mp, bessoid_oracle, hyp1f1_focus, p1_contour_complex, p1_contour_oracle,
                      pearcey_series_mp, sincos_mp)
 
 # --- frozen oracle values ---
@@ -376,23 +376,58 @@ def test_pearcey_even_and_sum_of_half_ranges(x, beta):
     assert p == p1(x, beta) + p1(x, -beta)
 
 
-def test_pearcey_array_matches_scalar_calls():
-    # one contour, sized by the largest |beta|, for the whole array
+@pytest.mark.parametrize("fn", [sf.pearcey, sf.bessoid], ids=["pearcey", "bessoid"])
+def test_pearcey_array_matches_scalar_calls(fn):
+    # one call for the whole array, its contour or proxy sized by the
+    # largest |beta|; a scalar or 0-d beta gives a complex
     beta = np.array([[0.0, 3.0, -7.5], [12.0, -0.5, 20.0]])
-    vals = sf.pearcey(-4.0, beta)
+    vals = fn(-4.0, beta)
     assert vals.shape == beta.shape and vals.dtype == complex
-    each = np.array([[sf.pearcey(-4.0, b) for b in row] for row in beta])
+    each = np.array([[fn(-4.0, b) for b in row] for row in beta])
     assert np.max(np.abs(vals - each)) < 1e-13 * np.max(np.abs(each))
-    empty = sf.pearcey(-4.0, np.array([]))
+    assert type(fn(-4.0, 3.0)) is complex and fn(-4.0, np.array(3.0)) == fn(-4.0, 3.0)
+    empty = fn(-4.0, np.array([]))
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
     with pytest.raises(sf.DomainError):
-        sf.pearcey(-4.0, np.array([1.0, math.nan]))
+        fn(-4.0, np.array([1.0, math.nan]))
+    for x, b in ((-4.0, math.inf), (-4.0, -400.5), (math.nan, 1.0), (math.inf, 1.0), (400.5, 1.0)):
+        with pytest.raises(sf.DomainError):
+            fn(x, np.array([1.0, b]))
 
 
-def test_chebyshev_helpers_on_a_polynomial():
-    # f = T_3 + 2i T_4 - 1/2 at the 9 second-kind points: the cosine sum
+def test_pearcey_long_array_takes_the_proxy(proxies):
+    # 65 points are 130 contour rows, more than the 2 x 64 that the N = 64
+    # proxy accepted at (-3, B = 15) costs (test_p1_chebyshev_proxy_and_budget)
+    beta = np.linspace(-15.0, 15.0, 65)
+    vals = sf.pearcey(-3.0, beta)
+    assert proxies[0].size == 65
+    halves = sf._p1_contour(-3.0, beta) + sf._p1_contour(-3.0, -beta)
+    assert np.max(np.abs(vals - halves)) < 1e-13 * np.max(np.abs(halves))
+
+
+# the fig09 x = sqrt(6/P)(1/tau - P) at P = 50, s = 1.0, 1.1, 1.2, 1.4, with
+# the window's largest beta, and x = -6 inside the oracle's cancellation limit
+_BESSOID_COLUMNS = [(math.sqrt(0.12) * (50.0 / s - 50.0), 0.3 * math.sqrt(2.0) * (50.0 / s) * 0.12 ** 0.25)
+                    for s in (1.0, 1.1, 1.2, 1.4)] + [(-6.0, 5.0)]
+
+
+@pytest.mark.parametrize("x,top", _BESSOID_COLUMNS)
+def test_bessoid_against_oracle(x, top, proxies):
+    # 41 points take the Chebyshev proxy of dP1/dy, one point at beta <= 10
+    # (48 phi nodes) the contour; the oracle's own cancellation error
+    # reaches ~1e-13 of max |S| at x = -5
+    for beta in (np.linspace(0.0, top, 41), np.array([0.6 * top])):
+        got = sf.bessoid(x, beta)
+        ref = bessoid_oracle(x, beta)
+        assert np.max(np.abs(got - ref)) < 3e-13 * np.max(np.abs(ref))
+    long, short = proxies
+    assert long is not None and short is None
+
+
+@pytest.mark.parametrize("n", [8, 64, 4096])
+def test_chebyshev_helpers_on_a_polynomial(n):
+    # f = T_3 + 2i T_4 - 1/2 at the n + 1 second-kind points: the cosine sum
     # gives its coefficients, and the even part is 2i T_4 - 1/2
-    n = 8
     cheb_t = lambda k, t: np.cos(k * np.arccos(t))
     t = np.cos(np.pi / n * np.arange(n + 1))
     c = sf._cosine_sum(cheb_t(3, t) + 2j * cheb_t(4, t) - 0.5)
@@ -401,6 +436,13 @@ def test_chebyshev_helpers_on_a_polynomial():
     assert np.max(np.abs(c - expected)) < 1e-15
     s = np.linspace(-1.0, 1.0, 7)
     assert np.max(np.abs(sf._chebyshev_even(c, s) - (2j * cheb_t(4, s) - 0.5))) < 1e-14
+    # random complex coefficients of degree n, summed by numpy's chebval in
+    # long double at the points in long double (the double-precision sum
+    # alone is 1.6e-12 off at n = 4096), are recovered by the FFT
+    a = [1.0, 1j] @ np.random.default_rng(n).standard_normal((2, n + 1))
+    k = np.arange(n + 1, dtype=np.longdouble)
+    f = np.polynomial.chebyshev.chebval(np.cos(np.arccos(np.longdouble(-1.0)) / n * k), a.astype(np.clongdouble))
+    assert np.max(np.abs(sf._cosine_sum(f.astype(complex)) - a)) < 1e-14 * np.max(np.abs(a))
 
 
 def test_p1_chebyshev_proxy_and_budget():
@@ -426,7 +468,7 @@ def test_p1_chebyshev_accepts_the_noise_plateau():
     assert c.size == 129
     assert 1e-13 < np.max(np.abs(c[-8:])) / np.max(np.abs(c)) <= 1e-12
     beta = np.linspace(0.0, 60.0, 41)
-    direct = sf.pearcey(100.0, beta)
+    direct = sf._p1_contour(100.0, beta, 0) + sf._p1_contour(100.0, -beta, 0)
     assert np.max(np.abs(2.0 * sf._chebyshev_even(c, beta / 60.0) - direct)) < 5e-12 * np.max(np.abs(direct))
 
 
