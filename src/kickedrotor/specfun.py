@@ -11,11 +11,12 @@ rays from the saddle of exp(t^3/3 - x t) (see `airy`).  Pearcey takes
 `_p1_contour`, the rotated contour of the half-range integral
 P1(x, y) = int_0^inf exp[i(u^4 + x u^2 + y u)] du and of its y-derivative:
 P(x, beta) = P1(x, beta) + P1(x, -beta), and dP1/dy, the same contour with
-the extra factor i u, gives the Bessoid S(x, beta) of the 3D cusp.  Along a
-column of fixed x, `_p1_chebyshev` interpolates the contour in y from
-samples of it (coefficients by one FFT), and `pearcey` and `bessoid` take
-that wherever it needs fewer contour rows: a proxy whose truncation is
-measured, not a second evaluator.  The runtime needs numpy only.
+the extra factor i u, gives the Bessoid S(x, beta) of the 3D cusp by the
+midpoint rule in phi; both are sized by the phase.  Along a column of fixed
+x, `_p1_chebyshev` interpolates the contour in y from samples of it
+(coefficients by one FFT), and `pearcey` and `bessoid` take that wherever
+it needs fewer contour rows: a proxy whose truncation is measured, not a
+second evaluator.  The runtime needs numpy only.
 
 All functions are pure and hold no mutable state, so they are safe to call
 from any number of threads.
@@ -366,22 +367,29 @@ def _p1_contour(x, y, power=0):
     """int_0^inf (iu)^power exp[i(u^4 + x u^2 + y u)] du for an array of y:
     P1(x, y) at power 0, dP1/dy at power 1.
 
-    Two-leg contour (DLMF 36.15): the real axis out to R, past every real
-    stationary point, then the ray R + t exp(i pi/8) on which the quartic
-    decays.  Each leg takes a 24-node panel per 12 rad of the phase it spans,
-    and the ray ends where Im phase, a quartic in t with positive coefficients,
-    reaches 46 in the worst row, y = -max |y| (Newton from above); all rows
-    share it.  Each leg piece of at most _CONTOUR_PIECE nodes is laid once
-    and swept in blocks of _CONTOUR_BLOCK (row, node) entries, in real
-    arithmetic: exp(i phase) = e^-D (cos Phi + i sin Phi), Phi = y Re u +
+    Two-leg contour (DLMF 36.15): the real axis out to R, then the ray
+    R + t exp(i pi/8).  R is the least R >= 1 with phi' = 4R^3 + 2xR - B >=
+    B/2 + 1 and 6R^2 + x >= 1 in the worst row, y = -B (B = max |y|), the
+    cubic by Newton from above from 1 + (B/4)^(1/3) + sqrt(|x|/2).  Every
+    Taylor coefficient of Im phase along the ray is then positive in every
+    row, so |exp(i phase)| <= 1 there, and no real stationary point lies
+    past R, where phi' only grows.  Each leg takes a 24-node panel per 12
+    rad of the phase it spans, and the ray ends where Im phase, a quartic in
+    t, reaches 46 in the worst row (Newton from above); all rows share it.
+    Each leg piece of at most _CONTOUR_PIECE nodes is laid once (the real
+    leg in real arithmetic) and swept in blocks of _CONTOUR_BLOCK (row,
+    node) entries: exp(i phase) = e^-D (cos Phi + i sin Phi), Phi = y Re u +
     Re b, D = y Im u + Im b, b = u^4 + x u^2 (`sincos`; np.exp on the ray
-    only), each row reduced against the weights by np.einsum, not BLAS, so
-    its value does not depend on the rows beside it.
+    only), each row reduced by np.einsum, not BLAS, so its value does not
+    depend on the rows beside it.
     """
     y = np.asarray(y, dtype=float)
-    ay = float(np.max(np.abs(y), initial=0.0))
+    ay = float(np.abs(y).max(initial=0.0))
     w8 = cmath.exp(1j * math.pi / 8)
     R = 1.0 + (ay / 4.0) ** (1.0 / 3.0) + math.sqrt(abs(x) / 2.0)
+    for _ in range(6):
+        R -= (4.0 * R ** 3 + 2.0 * x * R - 1.5 * ay - 1.0) / (12.0 * R * R + 2.0 * x)
+    R = max(1.0, math.sqrt(max(0.0, (1.0 - x) / 6.0)), R)
     slope = 4.0 * R ** 3 + 2.0 * x * R
     c1, c2, c3 = ((w8 ** k).imag * c for k, c in enumerate((slope - ay, 6 * R * R + x, 4 * R), 1))
     T = min(_RAY_DECAY / c1, (_RAY_DECAY / c2) ** 0.5, (_RAY_DECAY / c3) ** (1 / 3), _RAY_DECAY ** 0.25)
@@ -390,14 +398,13 @@ def _p1_contour(x, y, power=0):
     n1 = max(2, math.ceil((R ** 4 + abs(x) * R ** 2 + ay * R) / _PANEL_PHASE))
     n2 = max(2, math.ceil(((abs(slope) + ay) * T + _RAY_DECAY) / _PANEL_PHASE))
     ys, out = y.ravel(), np.zeros(y.size, dtype=complex)
-    for z0, z1, n in ((0.0 + 0.0j, R + 0.0j, n1), (R + 0.0j, R + T * w8, n2)):
+    for z0, z1, n in ((0.0, R, n1), (R + 0.0j, R + T * w8, n2)):
         k = -(-n // (_CONTOUR_PIECE // _GL_NODES.size))
         for j in range(k):
             u, w, half, dz = _gl_panels(z0 + (z1 - z0) * j / k, z0 + (z1 - z0) * (j + 1) / k, -(-n // k))
             base = u * u * (u * u + x)
-            c = w * (1j * u) ** power * half * dz
-            ur, nui, br, nbi, cr, ci = (np.ascontiguousarray(v) for v in
-                                        (u.real, -u.imag, base.real, -base.imag, c.real, c.imag))
+            c = (w * (1j * u) if power else w) * half * dz
+            ur, br, cr, ci = (np.ascontiguousarray(v) for v in (u.real, base.real, c.real, c.imag))
             np.remainder(br, 2.0 * math.pi, out=br)  # exact: Phi rounds at |y u| + 2 pi
             rows = max(1, _CONTOUR_BLOCK // u.size)
             for i in range(0, ys.size, rows):
@@ -405,8 +412,8 @@ def _p1_contour(x, y, power=0):
                 phi += br
                 sin, cos = sincos(phi)
                 if dz.imag:
-                    d = np.multiply.outer(ys[i:i + rows], nui)
-                    np.exp(np.add(d, nbi, out=d), out=d)
+                    d = np.multiply.outer(-ys[i:i + rows], u.imag)
+                    np.exp(np.subtract(d, base.imag, out=d), out=d)
                     sin *= d
                     cos *= d
                 out.real[i:i + rows] += np.einsum("...j,j->...", cos, cr) - np.einsum("...j,j->...", sin, ci)
@@ -427,12 +434,12 @@ def _pearcey_args(x, beta):
 
 
 def _p1_column(x, top, power, direct_rows):
-    # y -> _p1_contour(x, y, power) on [-top, top], or the even part of its
-    # Chebyshev proxy where that needs fewer contour rows than direct_rows
+    # (f, n): y -> _p1_contour(x, y, power) on [-top, top] (n = 0), or the even part
+    # of its degree-n Chebyshev proxy where that needs fewer contour rows than direct_rows
     c = _p1_chebyshev(x, top, power, direct_rows)
     if c is None:
-        return lambda y: _p1_contour(x, y, power)
-    return lambda y: _chebyshev_even(c, y / top)
+        return (lambda y: _p1_contour(x, y, power)), 0
+    return (lambda y: _chebyshev_even(c, y / top)), c.size - 1
 
 
 def pearcey(x, beta):
@@ -447,12 +454,9 @@ def pearcey(x, beta):
     before evaluation so pearcey(x, b) == pearcey(x, -b) bit for bit.
     """
     x, beta, top = _pearcey_args(x, beta)
-    half = _p1_column(x, top, 0, 2 * beta.size)(np.concatenate([beta.ravel(), -beta.ravel()]))
+    half = _p1_column(x, top, 0, 2 * beta.size)[0](np.concatenate([beta.ravel(), -beta.ravel()]))
     out = (half[:beta.size] + half[beta.size:]).reshape(beta.shape)
     return complex(out) if out.ndim == 0 else out
-
-
-_PHI_PANEL_BETA = 5.0  # units of beta per 24-node panel of the azimuthal quadrature
 
 
 def bessoid(x, beta):
@@ -460,27 +464,25 @@ def bessoid(x, beta):
     (Kirk, Connor, Curran & Hobbs, J. Phys. A 33, 4797 (2000)) of the 3D
     cusp; its domain, DomainError and scalar or array beta are as in `pearcey`.
 
-    The phi integral takes a 24-node panel per 5 of B, the largest |beta|
-    (at least 2), and dP1/dy at its nodes comes from one contour call or,
-    where that needs fewer rows, from the even part of the Chebyshev proxy
-    on [-B, B] (the odd part integrates to zero over [0, pi]).
+    The integrand is even and periodic in phi: the midpoint rule phi_k =
+    (k + 1/2) pi/M converges geometrically (Trefethen & Weideman, SIAM Rev.
+    56, 385 (2014)), with M = ceil(BR/2 + 3 (BR)^(1/3) + 8) on the contour
+    for the rate BR of dP1/dy in phi (B = max |beta|, R = 1 + (B/4)^(1/3) +
+    sqrt(|x|/2)), or exact with M = N/2 + 1 on the even part of the degree-N
+    Chebyshev proxy on [-B, B], where that needs fewer contour rows.
     """
     x, beta, top = _pearcey_args(x, beta)
-    n_panels = max(2, math.ceil(top / _PHI_PANEL_BETA))
-    dp1 = _p1_column(x, top, 1, beta.size * _GL_NODES.size * n_panels)
-    s = _azimuthal_rows(dp1, beta.ravel(), n_panels).reshape(beta.shape)
+    bandwidth = top * (1.0 + (top / 4.0) ** (1.0 / 3.0) + math.sqrt(abs(x) / 2.0))
+    m = math.ceil(bandwidth / 2.0 + 3.0 * bandwidth ** (1.0 / 3.0) + 8.0)
+    dp1, n = _p1_column(x, top, 1, beta.size * m)
+    m = n // 2 + 1 if n else m
+    cos_phi = np.cos((np.arange(m) + 0.5) * (math.pi / m))
+    b, s = beta.ravel(), np.empty(beta.size, dtype=complex)
+    rows = max(1, _CONTOUR_BLOCK // m)
+    for i in range(0, b.size, rows):
+        s[i:i + rows] = dp1(np.multiply.outer(b[i:i + rows], cos_phi)).sum(axis=-1)
+    s = (4.0 / m * s).reshape(beta.shape)
     return complex(s) if s.ndim == 0 else s
-
-
-def _azimuthal_rows(dp1, beta, n_panels):
-    # S = (4/pi) int_0^pi dp1(beta cos phi) dphi on a 1-D beta, in row blocks
-    # of at most _CONTOUR_BLOCK (beta, node) entries, one gauss_segment call each
-    rows = max(1, _CONTOUR_BLOCK // (_GL_NODES.size * n_panels))
-    if beta.size > rows:
-        return np.concatenate([_azimuthal_rows(dp1, beta[i:i + rows], n_panels)
-                               for i in range(0, beta.size, rows)])
-    return (4.0 / math.pi) * gauss_segment(
-        lambda phi: dp1(beta[:, None] * np.cos(phi.real)), 0.0, math.pi, n_panels)
 
 
 # ----------------------------------------------------------------------
@@ -488,12 +490,12 @@ def _azimuthal_rows(dp1, beta, n_panels):
 # ----------------------------------------------------------------------
 
 # first and last degree, number of trailing coefficients tested, and their
-# bound relative to the largest coefficient (decayed) or sample (plateaued).
-# The contour's own coefficient noise is 1e-15 at |y| <= 17 and x near 0,
-# 1e-14 at x = 0, |y| = 100, and 1.4e-13 at x = |y| = 100 (plateau, N = 512;
-# 8e-13 of the largest dP1/dy sample).  The doubling stops at N = 4096 for
-# its contour rows (2.4-3.1 s at x = 100, B = 60, power 1), not for the FFT
-_CHEB_START, _CHEB_MAX, _CHEB_TAIL, _CHEB_CHOP, _CHEB_PLATEAU = 32, 4096, 8, 1e-13, 1e-12
+# bound relative to the largest coefficient.  For -100 <= x <= 400 and
+# B <= 400 the trailing coefficients fall to 2e-16 .. 9e-14 of the largest
+# at both powers; N runs up to 4096 at x = -100, B = 400 (1.4 s), the
+# bandwidth of the integral itself.  The doubling stops at N = 4096 for its
+# contour rows, not for the FFT
+_CHEB_START, _CHEB_MAX, _CHEB_TAIL, _CHEB_CHOP = 32, 4096, 8, 1e-13
 
 
 def _cosine_sum(f):
@@ -515,14 +517,12 @@ def _p1_chebyshev(x, top, power, max_rows):
     ..., 4096: each doubling keeps the old samples and contours only the N
     new odd points.  N is accepted once the trailing 8 coefficients are
     within 1e-13 of the largest (the chopping rule of Aurentz & Trefethen,
-    ACM TOMS 43, 2017; P1 and dP1/dy are entire in y), or, on the plateau
-    of the contour's noise, above half their size at N/2 and within 1e-12
-    of the largest |sample|.  N is tried only
-    while 2N < max_rows, the rows of the caller's direct path: an accepted
-    proxy takes at most half of them, a rejected one adds at most half.
-    None also for top = 0, and where N = 4096 is not accepted.
+    ACM TOMS 43, 2017; P1 and dP1/dy are entire in y).  N is tried only while
+    2N < max_rows, the rows of the caller's direct path: an accepted proxy
+    takes at most half of them, a rejected one adds at most half.  None also
+    for top = 0, and where N = 4096 is not accepted.
     """
-    n, f, last = _CHEB_START, None, math.inf
+    n, f = _CHEB_START, None
     while top > 0 and 2 * n < max_rows and n <= _CHEB_MAX:
         if f is None:
             f = _p1_contour(x, top * np.cos(np.pi / n * np.arange(n + 1)), power)
@@ -532,11 +532,9 @@ def _p1_chebyshev(x, top, power, max_rows):
             g[1::2] = _p1_contour(x, top * np.cos(np.pi / n * np.arange(1, n, 2)), power)
             f = g
         c = _cosine_sum(f)
-        tail = np.max(np.abs(c[-_CHEB_TAIL:]))
-        if tail <= _CHEB_CHOP * np.max(np.abs(c)) or (
-                2.0 * tail > last and tail <= _CHEB_PLATEAU * np.max(np.abs(f))):
+        if np.max(np.abs(c[-_CHEB_TAIL:])) <= _CHEB_CHOP * np.max(np.abs(c)):
             return c
-        n, last = 2 * n, tail
+        n *= 2
     return None
 
 

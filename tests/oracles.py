@@ -12,9 +12,11 @@ None of these share code with the package evaluators they check:
 - `sincos_mp`: sin and cos by mpmath at 50 digits, rounded to doubles;
 - `p1_contour_oracle`: the rotated-contour Pearcey half-range integral by
   scipy adaptive quadrature on pieces of about 20 rad of phase;
-- `p1_contour_complex`: the same integral on the package's own contour and
-  panels (through `gauss_segment`), one complex exp per node where the
-  package works in real arithmetic;
+- `p1_contour_complex`: the same integral on the package's contour shape
+  and panels (through `gauss_segment`) but a deliberately longer real leg,
+  one complex exp per node where the package works in real arithmetic;
+- `bessoid_contour_oracle`: the Bessoid integral on a two-leg contour of
+  its own with scipy's J_0, for every |x|, |beta| <= 400;
 - `planar_psi_oracle`: the planar-model wave function with scipy's J_0 and
   32-node Gauss-Legendre on four times the panels the package once used;
 - `bisect_scalar`: one-bracket bisection, the row rule of
@@ -211,6 +213,47 @@ def bessoid_oracle(x, beta):
     if 4 * np.max(np.abs(f).sum(axis=-1)) > _BESSOID_CANCELLATION * np.max(np.abs(s)):
         raise ConvergenceError("bessoid_oracle: cancellation beyond its tolerance")
     return s
+
+
+def bessoid_contour_oracle(x, beta, panel_phase=6.0):
+    """(S, A) for an array of beta at one x: the Bessoid integral
+    S(x, beta) = 4i int_0^inf u J_0(beta u) e^{i(u^4 + x u^2)} du and
+    A = 4 int |u J_0(beta u) e^{i(u^4 + x u^2)}| |du|, the scale its
+    rounding error is judged against where |S| is small (x >= 100).
+
+    Two legs, so that no term blows up at any |x|, |beta| <= 400: the real
+    axis out to R = 2 + (B/4)^(1/3) + sqrt(|x|/2) (B = max |beta|), past
+    every stationary point, then the ray R + t e^{i pi/8}, on which
+    |J_0(beta u)| <= e^{B Im u}, out to where Im(u^4 + x u^2) - B Im u
+    passes 60.  32-node Gauss-Legendre panels of about panel_phase rad of
+    a bound on the phase (u^4 + |x| u^2 + B u on the axis; on the ray the
+    moduli of its Taylor coefficients at R, plus B t), scipy's J_0 on the
+    axis and its complex jv on the ray.  About 0.1-0.3 s a call of up to 9
+    beta at |x| = 400.
+    """
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    B = float(np.max(np.abs(beta), initial=0.0))
+    w8 = cmath.exp(1j * math.pi / 8)
+    R = 2.0 + (B / 4.0) ** (1 / 3) + math.sqrt(abs(x) / 2.0)
+    decay = lambda t: ((R + t * w8) ** 4 + x * (R + t * w8) ** 2).imag - B * t * w8.imag
+    T = 1e-4
+    while decay(T) <= 60.0:
+        T *= 1.25
+    a1, a2 = abs(4 * R ** 3 + 2 * x * R) + B, abs(6 * R * R + x)
+    t, w = _BESSOID_GL
+    s, a = np.zeros(beta.size, dtype=complex), np.zeros(beta.size)
+    for z0, dz, phase, bessel in ((0.0, R, R ** 4 + abs(x) * R * R + B * R, j0),
+                                  (R, T * w8, a1 * T + a2 * T * T + 4 * R * T ** 3 + T ** 4,
+                                   lambda z: jv(0, z))):
+        n = math.ceil(phase / panel_phase)
+        for p0 in range(0, n, 2048):
+            k = np.arange(p0, min(n, p0 + 2048))
+            u = z0 + ((k[:, None] + 0.5 + 0.5 * t) / n).ravel() * dz
+            f = 4.0 * u * np.exp(1j * (u ** 4 + x * u ** 2)) * (np.tile(w, k.size) * (0.5 / n) * dz)
+            f = f * bessel(beta[:, None] * u)
+            s += 1j * f.sum(axis=-1)
+            a += np.abs(f).sum(axis=-1)
+    return s, a
 
 
 def focal_sum_2d(theta, P, n_terms=200):
@@ -575,11 +618,15 @@ def focal_density_closed_form(P, radius=DISC_RADIUS):
 
 def p1_contour_complex(x, y, power=0, panel_phase=12.0):
     """int_0^inf (iu)^power exp[i(u^4 + x u^2 + y u)] du for one y on the
-    rotated contour of `specfun._p1_contour`, sized for that y alone, with
-    the integrand taken as one complex exp per node on `gauss_segment`: the
-    real axis to R, then the pi/8 ray to where Im phase reaches 46 at
+    two-leg contour shape of `specfun._p1_contour`, sized for that y alone,
+    with the integrand taken as one complex exp per node on `gauss_segment`:
+    the real axis to R, then the pi/8 ray to where Im phase reaches 46 at
     y = -|y|, a 24-node panel per panel_phase rad, each leg in pieces of at
-    most 2^15 nodes."""
+    most 2^15 nodes.  R = 1 + (|y|/4)^(1/3) + sqrt(|x|/2) is deliberately
+    wider than the runtime's R, which ends the real leg where the phase
+    turns to decay: the two contours share no nodes, so this stays an
+    independent check (at x = 400 its real leg spans 3e5 rad against the
+    runtime's 800)."""
     w8, ay = cmath.exp(1j * math.pi / 8), abs(y)
     R = 1.0 + (ay / 4.0) ** (1.0 / 3.0) + math.sqrt(abs(x) / 2.0)
     slope = 4.0 * R ** 3 + 2.0 * x * R

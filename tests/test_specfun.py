@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 import kickedrotor
 from kickedrotor import specfun as sf
-from oracles import (airy_mp, bessoid_oracle, hyp1f1_focus, p1_contour_complex, p1_contour_oracle,
-                     pearcey_series_mp, sincos_mp)
+from oracles import (airy_mp, bessoid_contour_oracle, bessoid_oracle, hyp1f1_focus, p1_contour_complex,
+                     p1_contour_oracle, pearcey_series_mp, sincos_mp)
 
 # --- frozen oracle values ---
 # (1/pi) int_0^pi cos(5t - 85 sin t) dt by adaptive quadrature
@@ -337,9 +337,9 @@ class TestPearcey:
         assert abs(complex(sf._p1_contour(x, y, power)) - oracle) <= 1e-10
 
     def test_long_row_in_bounded_pieces(self, monkeypatch):
-        # one row at the domain corner is ~26,500 panels: its legs go in
-        # pieces of at most _CONTOUR_BLOCK nodes, so the temporaries stay
-        # a few MB (61 MB as one call per leg)
+        # one row at the domain corner x = -400 is ~11,200 panels: its legs
+        # go in pieces of at most _CONTOUR_BLOCK nodes, so the temporaries
+        # stay a few MB
         nodes = []
         layout = sf._gl_panels
 
@@ -350,7 +350,7 @@ class TestPearcey:
         monkeypatch.setattr(sf, "_gl_panels", counted)
         tracemalloc.start()
         try:
-            sf.pearcey(400.0, 400.0)
+            sf.pearcey(-400.0, 400.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -414,14 +414,38 @@ _BESSOID_COLUMNS = [(math.sqrt(0.12) * (50.0 / s - 50.0), 0.3 * math.sqrt(2.0) *
 @pytest.mark.parametrize("x,top", _BESSOID_COLUMNS)
 def test_bessoid_against_oracle(x, top, proxies):
     # 41 points take the Chebyshev proxy of dP1/dy, one point at beta <= 10
-    # (48 phi nodes) the contour; the oracle's own cancellation error
-    # reaches ~1e-13 of max |S| at x = -5
+    # (a midpoint rule of 21-26 phi nodes) the contour; the oracle's own
+    # cancellation error reaches ~1e-13 of max |S| at x = -5
     for beta in (np.linspace(0.0, top, 41), np.array([0.6 * top])):
         got = sf.bessoid(x, beta)
         ref = bessoid_oracle(x, beta)
         assert np.max(np.abs(got - ref)) < 3e-13 * np.max(np.abs(ref))
     long, short = proxies
     assert long is not None and short is None
+
+
+# (x, B, points) from x in {-400, -100, -31.3, -10, 0, 10, 100, 400} x B in
+# {10, 100, 400}: points beta = B, ..., 0, few where the contour's rows are
+# long (about 10,000 panels each at x = -400), and one point at the corners,
+# where the phi rule's direct path runs
+_BESSOID_EDGES = [(-400.0, 10.0, 1), (-100.0, 100.0, 1), (-31.3, 10.0, 9), (-31.3, 100.0, 9),
+                  (-10.0, 400.0, 1), (0.0, 100.0, 9), (10.0, 100.0, 9), (100.0, 100.0, 9),
+                  (100.0, 400.0, 3), (400.0, 10.0, 3), (400.0, 400.0, 1)]
+
+
+@pytest.mark.parametrize("x,top,points", _BESSOID_EDGES)
+def test_bessoid_at_the_domain_edges(x, top, points):
+    # against the two-leg oracle, which reaches every |x|, |beta| <= 400:
+    # within 5e-11 of max |S| for x <= 10 (the oracle's own 6- against 3-rad
+    # panel gap is up to 5e-12 there), and for x >= 100, where |S| is 9e-5
+    # to 6e-6 of the integral of |integrand|, within 1e3 eps of that integral
+    beta = top * np.linspace(1.0, 0.0, points)
+    got = sf.bessoid(x, beta)
+    ref, scale = bessoid_contour_oracle(x, beta)
+    if x <= 10.0:
+        assert np.max(np.abs(got - ref)) <= 5e-11 * np.max(np.abs(ref))
+    else:
+        assert np.all(np.abs(got - ref) <= 1e3 * np.finfo(float).eps * scale)
 
 
 @pytest.mark.parametrize("n", [8, 64, 4096])
@@ -458,24 +482,58 @@ def test_p1_chebyshev_proxy_and_budget():
 
 
 def test_p1_chebyshev_accepts_the_noise_plateau():
-    # at x = 100, B = 60 the trailing coefficients fall to 4.6e-13 of the
-    # largest at N = 64 and stall at 2.9e-13 at N = 128, where the plateau
-    # bound accepts (at B = 100: 4.3e-13, 1.7e-13, 1.4e-13 for N = 128,
-    # 256, 512, accepted at 512 after 3.3 s of sampling).  The direct
-    # contour's own noise there is 2.0e-12 of max |P| (panels of 12
-    # against 6 rad), and the proxy stays inside it
+    # at x = 100, B = 60 the contour once carried a coefficient noise
+    # plateau at 2.9e-13 of the largest, which N = 128 was accepted on; the
+    # real leg now ends where the phase turns to decay, and the trailing
+    # coefficients fall to 1e-15 of the largest by N = 64, so the chop
+    # rule alone accepts it.  The proxy is 4e-15 of max |P| from the
+    # direct contour
     c = sf._p1_chebyshev(100.0, 60.0, 0, 10**6)
-    assert c.size == 129
-    assert 1e-13 < np.max(np.abs(c[-8:])) / np.max(np.abs(c)) <= 1e-12
+    assert c.size == 65
+    assert np.max(np.abs(c[-8:])) <= 1e-13 * np.max(np.abs(c))
     beta = np.linspace(0.0, 60.0, 41)
     direct = sf._p1_contour(100.0, beta, 0) + sf._p1_contour(100.0, -beta, 0)
     assert np.max(np.abs(2.0 * sf._chebyshev_even(c, beta / 60.0) - direct)) < 5e-12 * np.max(np.abs(direct))
 
 
+def test_real_leg_ends_where_the_phase_turns_to_decay(monkeypatch):
+    # at (400, 400) the worst row's phase decays along the ray from R = 1,
+    # so the real leg takes 67 panels (26,472 while it ran out to
+    # 1 + (B/4)^(1/3) + sqrt(|x|/2))
+    panels = []
+    layout = sf._gl_panels
+
+    def counted(z0, z1, n_panels):
+        if complex(z1).imag == 0:
+            panels.append(n_panels)
+        return layout(z0, z1, n_panels)
+
+    monkeypatch.setattr(sf, "_gl_panels", counted)
+    sf._p1_contour(400.0, 400.0, 0)
+    assert 0 < sum(panels) <= 100
+
+
+# (x, B): the degree N at which the chop rule alone accepts the proxy of P1
+# and of dP1/dy on [-B, B] (the same N at both powers)
+_CHOPPED = {(-100.0, 100.0): 1024, (-31.3, 100.0): 512, (-10.0, 10.0): 64, (10.0, 100.0): 256,
+            (100.0, 100.0): 128, (100.0, 400.0): 512, (400.0, 100.0): 64, (400.0, 400.0): 256}
+
+
+@pytest.mark.parametrize("x,top", list(_CHOPPED))
+def test_p1_chebyshev_is_chopped_across_the_domain(x, top):
+    for power in (0, 1):
+        c = sf._p1_chebyshev(x, top, power, 10**7)
+        assert c.size - 1 == _CHOPPED[x, top]
+        assert np.max(np.abs(c[-8:])) <= 1e-13 * np.max(np.abs(c))
+
+
 def _contour_phase(x, y):
-    # R^4 + |x| R^2 + |y| R, the phase the contour's real leg spans for this
-    # |y|: the 12- against 6-rad panel noise stays within 1e-15 of it
-    # (asserted below)
+    # R^4 + |x| R^2 + |y| R for R = 1 + (|y|/4)^(1/3) + sqrt(|x|/2): the
+    # phase of a real leg deliberately wider than the runtime's, which ends
+    # where the phase turns to decay.  It is the contour the oracles take
+    # (p1_contour_oracle, p1_contour_complex), so the bounds below hold for
+    # either contour's rounding (the runtime's own 12- against 6-rad panel
+    # noise stays within 1e-15 of it, asserted below)
     R = 1.0 + (abs(y) / 4.0) ** (1.0 / 3.0) + math.sqrt(abs(x) / 2.0)
     return max(1.0, R ** 4 + abs(x) * R * R + abs(y) * R)
 
