@@ -125,28 +125,23 @@ def _jacobi_anger_kernel(order, z):
 def apply_kick(packet, kick):
     """Apply exp(iP cos theta) or exp(iP cos^2 theta) to the packet.
 
-    Dipole:       c_n <- sum_m i^(n-m) J_{n-m}(P) c_m
-    Polarization: c_n <- e^{iP/2} sum_k i^k J_k(P/2) c_{n-2k}
-    The truncation order grows by the kick margin; norm is preserved.
+    Dipole:       c_n <- sum_k i^k J_k(P) c_{n-k}
+    Polarization: c_n <- e^{iP/2} sum_k i^k J_k(P/2) c_{n-2k},
+    as cos^2 theta = (1 + cos 2 theta)/2: the dipole kernel at P/2 on every
+    second harmonic.  The truncation order grows by the kick margin; norm
+    is preserved.
     """
     P = kick.strength
     if P == 0.0:
         return packet
-
-    if kick.coupling is Coupling.DIPOLE:
-        margin = kick_order_margin(P)
-        c, n_max = _padded(packet, margin)
-        kernel = _jacobi_anger_kernel(margin, P)
-        new = np.convolve(c, kernel)[margin:-margin]
-    else:
-        half = kick_order_margin(P / 2.0)
-        margin = 2 * half
-        c, n_max = _padded(packet, margin)
-        kernel2 = _jacobi_anger_kernel(half, P / 2.0)
-        # harmonics step by 2: c_n <- sum_k K_k c_{n-2k}
-        kernel = np.zeros(2 * margin + 1, dtype=complex)
-        kernel[::2] = kernel2
-        new = np.exp(1j * P / 2.0) * np.convolve(c, kernel)[margin:-margin]
+    step = 1 if kick.coupling is Coupling.DIPOLE else 2
+    z = P / step
+    order = kick_order_margin(z)
+    margin = step * order
+    c, n_max = _padded(packet, margin)
+    kernel = np.zeros(2 * margin + 1, dtype=complex)
+    kernel[::step] = _jacobi_anger_kernel(order, z)
+    new = np.exp(1j * (P - z)) * np.convolve(c, kernel)[margin:-margin]
 
     out = FourierPacket2D(n_max=n_max, coeffs=new, time=packet.time)
     if abs(out.norm() - 1.0) > NORM_TOL and abs(packet.norm() - 1.0) < NORM_TOL:

@@ -4,7 +4,7 @@ A vertically polarized kick preserves m = 0, so the state is a sum over
 spherical harmonics Y_l^0 with energies l(l+1)/2.  The dipole kick on the
 ground state populates c_l = i^l sqrt(2l+1) j_l(P); the polarization kick
 needs the Legendre re-expansion P_l(cos 2 theta) = sum_L d_{L,l} P_L(cos
-theta), built once by recurrence and cached.
+theta), built by recurrence on each call.
 
 The free phase is exp(-i l(l+1) tau / 2) with the same sign as the 2D
 rotor; the opposite sign is equivalent to kicking with -P and would focus
@@ -106,56 +106,38 @@ class RecurrenceTable:
         return self.d.shape[1] - 1
 
 
-def _n_matrix_element(L, Lp):
-    # <P_L | x^2 | P_Lp> with the 2/(2L+1) normalization kept in
-    if Lp == L:
-        diag = (L + 1) ** 2 / (2 * L + 3.0) + (L * L / (2 * L - 1.0) if L > 0 else 0.0)
-        return 2.0 / (2 * L + 1) ** 2 * diag
-    if Lp == L + 2:
-        return 2.0 * (L + 1) * (L + 2) / ((2 * L + 1.0) * (2 * L + 3.0) * (2 * L + 5.0))
-    if Lp == L - 2:
-        return 2.0 * L * (L - 1) / ((2 * L - 3.0) * (2 * L - 1.0) * (2 * L + 1.0))
-    return 0.0
-
-
-_TABLE_CACHE = {}  # L_max -> RecurrenceTable, in insertion order
-_TABLE_CACHE_MAX = 32
-
-
 def build_recurrence(L_max):
-    """Legendre re-expansion table, computed once per L_max and cached
-    (the last _TABLE_CACHE_MAX sizes built are kept).
+    """Legendre re-expansion table, built column by column.
 
-    Column l+1 follows from columns l and l-1:
+    Column l+1 follows from columns l and l-1 as one array step over even L:
       d_{L,l+1} = (2l+1)(2L+1)/(l+1) sum_{L'} d_{L',l} N_{L,L'}
-                  - (2l+1)/(l+1) d_{L,l} - l/(l+1) d_{L,l-1}
-    seeded by P_0 -> 1 and P_1(2x^2-1) = 2x^2 - 1 = (4 P_2 - P_0)/3.
+                  - (2l+1)/(l+1) d_{L,l} - l/(l+1) d_{L,l-1},
+    where N_{L,L'} = <P_L | x^2 | P_L'> (with the 2/(2L+1) normalization
+    kept) is nonzero only for L' = L-2, L, L+2; it is seeded by P_0 -> 1 and
+    P_1(2x^2-1) = 2x^2 - 1 = (4 P_2 - P_0)/3.  Nothing is cached: L_max = 170
+    takes about 1 ms.
     """
     if L_max < 2 or L_max % 2:
         raise ValueError("L_max must be even and >= 2")
-    if L_max in _TABLE_CACHE:
-        return _TABLE_CACHE[L_max]
     l_max = L_max // 2
-    d = np.zeros((L_max + 1, l_max + 1))
-    d[0, 0] = 1.0
-    if l_max >= 1:
-        d[0, 1] = -1.0 / 3.0
-        d[2, 1] = 4.0 / 3.0
+    L = np.arange(0, L_max + 1, 2)
+    # the diagonals L' = L-2, L, L+2 of N_{L,L'}
+    lower = 2.0 * L * (L - 1) / ((2 * L - 3.0) * (2 * L - 1.0) * (2 * L + 1.0))
+    diag = 2.0 / (2 * L + 1) ** 2 * ((L + 1) ** 2 / (2 * L + 3.0) + L * L / (2 * L - 1.0))
+    upper = 2.0 * (L + 1) * (L + 2) / ((2 * L + 1.0) * (2 * L + 3.0) * (2 * L + 5.0))
+    # row l holds column l of d on even L, between one zero on either side
+    cols = np.zeros((l_max + 1, L.size + 2))
+    cols[0, 1] = 1.0
+    cols[1, 1:3] = -1.0 / 3.0, 4.0 / 3.0
     for l in range(1, l_max):
-        for L in range(0, min(L_max, 2 * l + 2) + 1, 2):
-            acc = 0.0
-            for Lp in (L - 2, L, L + 2):
-                if 0 <= Lp <= L_max and d[Lp, l] != 0.0:
-                    acc += d[Lp, l] * _n_matrix_element(L, Lp)
-            d[L, l + 1] = ((2 * l + 1.0) * (2 * L + 1.0) / (l + 1.0) * acc
-                           - (2 * l + 1.0) / (l + 1.0) * d[L, l]
-                           - l / (l + 1.0) * d[L, l - 1])
-    table = RecurrenceTable(d=d)
+        prev, c = cols[l - 1, 1:-1], cols[l]
+        acc = c[:-2] * lower + c[1:-1] * diag + c[2:] * upper
+        cols[l + 1, 1:-1] = ((2 * l + 1.0) * (2 * L + 1.0) / (l + 1.0) * acc
+                             - (2 * l + 1.0) / (l + 1.0) * c[1:-1] - l / (l + 1.0) * prev)
+    d = np.zeros((L_max + 1, l_max + 1))
+    d[::2] = cols[:, 1:-1].T
     d.setflags(write=False)
-    _TABLE_CACHE[L_max] = table
-    if len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
-        del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
-    return table
+    return RecurrenceTable(d=d)
 
 
 def polarization_kick_ground(P, l_max=None):
@@ -184,8 +166,8 @@ def polarization_kick_ground(P, l_max=None):
     jm = spherical_jn_array(table.l_max, P / 2.0)
     weights = _I_POW[m % 4] * (2 * m + 1.0) * jm
     c = np.zeros(l_max + 1, dtype=complex)
-    for L in range(0, L_max + 1, 2):
-        c[L] = np.exp(1j * P / 2.0) / math.sqrt(2.0 * L + 1.0) * np.sum(weights * table.d[L, :])
+    L = np.arange(0, L_max + 1, 2)
+    c[:L_max + 1:2] = np.exp(1j * P / 2.0) / np.sqrt(2.0 * L + 1.0) * np.sum(weights * table.d[::2], axis=1)
     packet = LegendrePacket3D(l_max=l_max, coeffs=c, time=0.0)
     if abs(packet.norm() - 1.0) > 1e-8:
         raise TruncationError("polarization kick coefficients lost norm")
@@ -211,21 +193,20 @@ def wavefunction_3d(packet, grid):
 
 
 def density_3d(packet, grid, check_norm=False):
-    """|psi(theta)|^2 plus the solid-angle-weighted 2 pi sin(theta)|psi|^2."""
+    """|psi(theta)|^2 plus the solid-angle-weighted 2 pi sin(theta)|psi|^2.
+
+    With check_norm=True the norm is verified to be 1 within 1e-8 on any
+    grid (ResolutionError otherwise).
+    """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if np.any(grid < -1e-12) or np.any(grid > math.pi + 1e-12):
         raise ValueError("3D grid angles must lie in [0, pi]")
     vals = np.abs(wavefunction_3d(packet, grid)) ** 2
     weighted = 2.0 * math.pi * np.sin(grid) * vals
     if check_norm:
-        if grid.size < 4 * packet.l_max:
-            raise ResolutionError(
-                f"normalization check needs >= {4 * packet.l_max} uniform points")
-        dth = np.diff(grid)
-        if grid.size > 1 and (np.max(dth) - np.min(dth)) > 1e-9 * np.max(dth):
-            raise ResolutionError("normalization check needs a uniform grid")
         # |psi|^2 is a polynomial of degree 2 l_max in cos(theta), so
-        # Gauss-Legendre in x = cos(theta) evaluates the norm exactly
+        # Gauss-Legendre in x = cos(theta) evaluates the norm exactly on its
+        # own nodes, whatever the grid
         x, w = np.polynomial.legendre.leggauss(packet.l_max + 2)
         total = float(2.0 * math.pi
                       * np.sum(w * np.abs(wavefunction_3d(packet, np.arccos(x))) ** 2))

@@ -72,7 +72,7 @@ def sincos(x):
 
 
 # ----------------------------------------------------------------------
-# Bessel J_n by Miller's backward recurrence
+# Bessel J_n and spherical j_l by Miller's backward recurrence
 # ----------------------------------------------------------------------
 
 _BESSEL_N_LIMIT = 10**6
@@ -86,25 +86,18 @@ def _miller_start(n, x):
     return int(math.ceil(max(n, turn))) + 30
 
 
-def bessel_jn_array(n_max, x):
-    """J_0(x) .. J_{n_max}(x) by backward recurrence, normalized by the
-    sum rule J_0 + 2*sum_k J_{2k} = 1."""
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    if abs(x) > _BESSEL_X_LIMIT or n_max > _BESSEL_N_LIMIT:
-        raise DomainError("bessel_jn_array argument out of range")
-    ax = abs(x)
+def _miller(n_max, x, half):
+    # f_0 .. f_{n_max} proportional to J_k(x) (half = 0) or to the spherical
+    # j_k(x) (half = 1), x > 0, by f_{k-1} = (2k + half)/x f_k - f_{k+1} down
+    # from an even start far above the turning point (DLMF 10.74(iii)),
+    # rescaled before it overflows; and f_0 + 2 sum_k f_{2k} over every
+    # order passed, the normalization of J_k (sum rule)
+    m = _miller_start(n_max, x)
+    m += m % 2
     out = np.zeros(n_max + 1)
-    if ax < 1e-300:
-        out[0] = 1.0
-        return out
-    m = _miller_start(n_max, ax)
-    if m % 2:
-        m += 1
-    jp, j = 0.0, 1e-300
-    even_sum = 0.0  # accumulates J_0 + 2*sum J_2k before normalization
+    jp, j, even_sum = 0.0, 1e-300, 0.0
     for k in range(m, 0, -1):
-        jm = (2.0 * k / ax) * j - jp
+        jm = (2.0 * k + half) / x * j - jp
         jp, j = j, jm
         if abs(j) > 1e250:
             j *= 1e-250
@@ -115,10 +108,43 @@ def bessel_jn_array(n_max, x):
             out[k - 1] = j
         if (k - 1) % 2 == 0:
             even_sum += 2.0 * j if k - 1 else j
+    return out, even_sum
+
+
+def bessel_jn_array(n_max, x):
+    """J_0(x) .. J_{n_max}(x) by Miller's backward recurrence, normalized by
+    the sum rule J_0 + 2*sum_k J_{2k} = 1."""
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    if abs(x) > _BESSEL_X_LIMIT or n_max > _BESSEL_N_LIMIT:
+        raise DomainError("bessel_jn_array argument out of range")
+    if abs(x) < 1e-300:
+        out = np.zeros(n_max + 1)
+        out[0] = 1.0
+        return out
+    out, even_sum = _miller(n_max, abs(x), 0)
     out /= even_sum
     if x < 0:
         out[1::2] *= -1.0
     return out
+
+
+def spherical_jn_array(l_max, x):
+    """j_0(x) .. j_{l_max}(x) by Miller's backward recurrence, anchored on
+    whichever of j_0 = sin(x)/x and j_1 is farther from a zero."""
+    if l_max < 0:
+        raise DomainError("l_max must be >= 0")
+    if x < 0:
+        raise DomainError("x must be >= 0")
+    if x < 1e-12:
+        out = np.zeros(l_max + 1)
+        out[0] = 1.0
+        return out
+    j0 = math.sin(x) / x
+    j1 = j0 / x - math.cos(x) / x
+    out = _miller(max(l_max, 1), x, 1)[0]
+    out *= j0 / out[0] if abs(j0) >= abs(j1) else j1 / out[1]
+    return out[:l_max + 1]
 
 
 # Vectorized J0/J1 for oscillatory quadratures: power series below the
@@ -197,50 +223,6 @@ def bessel_j1(x):
     Power series in x^2 by Horner's rule below |x| = 12, Hankel
     asymptotic expansion above."""
     return _bessel_01(x, 1, _J1_SERIES, _P1, _Q1)
-
-
-# ----------------------------------------------------------------------
-# Spherical Bessel j_l by downward recurrence, normalized at j_0
-# ----------------------------------------------------------------------
-
-def spherical_jn_array(l_max, x):
-    """j_0(x) .. j_{l_max}(x); downward recurrence anchored at sin(x)/x."""
-    if l_max < 0:
-        raise DomainError("l_max must be >= 0")
-    if x < 0:
-        raise DomainError("x must be >= 0")
-    out = np.zeros(l_max + 1)
-    if x < 1e-12:
-        out[0] = 1.0
-        return out
-    j0 = math.sin(x) / x
-    j1 = j0 / x - math.cos(x) / x
-    out[0] = j0
-    if l_max == 0:
-        return out
-    if x > l_max:
-        # all orders oscillatory, upward is stable
-        out[1] = j1
-        for l in range(1, l_max):
-            out[l + 1] = (2 * l + 1) / x * out[l] - out[l - 1]
-        return out
-    m = _miller_start(l_max, x)
-    jp, j = 0.0, 1e-300
-    for k in range(m, 0, -1):
-        jm = (2.0 * k + 1.0) / x * j - jp
-        jp, j = j, jm
-        if abs(j) > 1e250:
-            j *= 1e-250
-            jp *= 1e-250
-            out *= 1e-250
-        if k - 1 <= l_max:
-            out[k - 1] = j
-    # anchor on whichever of j0, j1 is farther from a zero
-    if abs(j0) >= abs(j1):
-        out *= j0 / out[0]
-    else:
-        out *= j1 / out[1]
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -489,13 +471,13 @@ def bessoid(x, beta):
 # Chebyshev proxy of the contour along y
 # ----------------------------------------------------------------------
 
-# first and last degree, number of trailing coefficients tested, and their
-# bound relative to the largest coefficient.  For -100 <= x <= 400 and
-# B <= 400 the trailing coefficients fall to 2e-16 .. 9e-14 of the largest
-# at both powers; N runs up to 4096 at x = -100, B = 400 (1.4 s), the
-# bandwidth of the integral itself.  The doubling stops at N = 4096 for its
-# contour rows, not for the FFT
-_CHEB_START, _CHEB_MAX, _CHEB_TAIL, _CHEB_CHOP = 32, 4096, 8, 1e-13
+# first degree, number of trailing coefficients tested, and their bound
+# relative to the largest coefficient.  For -100 <= x <= 400 and B <= 400
+# the trailing coefficients fall to 2e-16 .. 9e-14 of the largest at both
+# powers; N runs up to 4096 at x = -100, B = 400 (1.4 s) and to 8192 at
+# x = -141, B = 336 (3.1 s), the bandwidth of the integral itself.  Only
+# the caller's row budget stops the doubling
+_CHEB_START, _CHEB_TAIL, _CHEB_CHOP = 32, 8, 1e-13
 
 
 def _cosine_sum(f):
@@ -514,16 +496,16 @@ def _p1_chebyshev(x, top, power, max_rows):
     on [-top, top], or None where they would take max_rows contour rows.
 
     Samples at the N + 1 second-kind points top cos(pi k/N), N = 32, 64,
-    ..., 4096: each doubling keeps the old samples and contours only the N
+    128, ...: each doubling keeps the old samples and contours only the N
     new odd points.  N is accepted once the trailing 8 coefficients are
     within 1e-13 of the largest (the chopping rule of Aurentz & Trefethen,
     ACM TOMS 43, 2017; P1 and dP1/dy are entire in y).  N is tried only while
     2N < max_rows, the rows of the caller's direct path: an accepted proxy
     takes at most half of them, a rejected one adds at most half.  None also
-    for top = 0, and where N = 4096 is not accepted.
+    for top = 0.
     """
     n, f = _CHEB_START, None
-    while top > 0 and 2 * n < max_rows and n <= _CHEB_MAX:
+    while top > 0 and 2 * n < max_rows:
         if f is None:
             f = _p1_contour(x, top * np.cos(np.pi / n * np.arange(n + 1)), power)
         else:

@@ -47,19 +47,21 @@ class TestRecurrenceTable:
             rhs = sum(t.d[L, l] * eval_legendre(L, x) for L in range(0, 2 * l + 1, 2))
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
-    def test_cached_and_immutable(self):
+    @pytest.mark.parametrize("L_max", [8, 60, 220])
+    def test_gauss_legendre_projection_oracle(self, L_max):
+        # d[L, l] = (2L+1)/2 int_{-1}^{1} P_L(x) P_l(2x^2 - 1) dx: the
+        # integrand has degree L + 2l <= 2 L_max, which L_max + 2 nodes
+        # integrate exactly
+        x, w = np.polynomial.legendre.leggauss(L_max + 2)
+        L = np.arange(L_max + 1)[:, None]
+        l = np.arange(L_max // 2 + 1)[:, None]
+        oracle = (2 * L + 1) / 2.0 * ((w * eval_legendre(L, x)) @ eval_legendre(l, 2 * x * x - 1).T)
+        assert np.max(np.abs(q3.build_recurrence(L_max).d - oracle)) < 1e-11
+
+    def test_immutable(self):
         a = q3.build_recurrence(20)
-        b = q3.build_recurrence(20)
-        assert a is b
         with pytest.raises(ValueError):
             a.d[0, 0] = 2.0
-
-    def test_cache_is_bounded(self):
-        sizes = range(2, 2 * (q3._TABLE_CACHE_MAX + 10) + 1, 2)
-        for L_max in sizes:
-            q3.build_recurrence(L_max)
-        assert len(q3._TABLE_CACHE) == q3._TABLE_CACHE_MAX
-        assert sizes[-1] in q3._TABLE_CACHE
 
     def test_rejects_odd_lmax(self):
         with pytest.raises(ValueError):
@@ -197,6 +199,16 @@ class TestDensity3D:
         p = q3.free_evolve_3d(q3.dipole_kick_ground(P), 2.0 / P)
         grid = np.linspace(0, math.pi, 4 * p.l_max + 9)
         q3.density_3d(p, grid, check_norm=True)
+
+    def test_norm_check_reads_no_grid(self):
+        # the check is Gauss-Legendre on its own nodes: a coarse non-uniform
+        # grid passes, a packet whose norm is 1.0201 does not
+        p = q3.free_evolve_3d(q3.polarization_kick_ground(75.0), 2.0 / 75.0)
+        grid = np.array([0.0, 0.1, 0.5, 2.0, math.pi])
+        q3.density_3d(p, grid, check_norm=True)
+        off = q3.LegendrePacket3D(l_max=p.l_max, coeffs=1.01 * p.coeffs, time=p.time)
+        with pytest.raises(q3.ResolutionError, match="integrates"):
+            q3.density_3d(off, grid, check_norm=True)
 
     def test_rejects_out_of_range_grid(self):
         p = q3.dipole_kick_ground(5.0)

@@ -155,6 +155,17 @@ class TestSphericalJ:
         with pytest.raises(sf.DomainError):
             sf.spherical_jn_array(-1, 1.0)
 
+    @pytest.mark.parametrize("x", [1e-6, 9.82836333277001, 300.5, 1000.0])
+    def test_backward_recurrence_on_either_side_of_the_turning_point(self, x):
+        # one backward recurrence for every x, also past the turning point
+        # x > l_max, against sqrt(pi/2x) J_{l+1/2}(x) at 40 digits
+        import mpmath
+        l = np.r_[0:6, 60:300:40, 299, 300]
+        with mpmath.workdps(40):
+            ref = [float(mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(x)))
+                         * mpmath.besselj(k + mpmath.mpf(1) / 2, x)) for k in l]
+        assert np.max(np.abs(sf.spherical_jn_array(300, x)[l] - ref)) < 1e-15
+
 
 class TestAiry:
     def test_value_at_zero(self):
@@ -479,6 +490,19 @@ def test_p1_chebyshev_proxy_and_budget():
     assert np.max(np.abs(2.0 * sf._chebyshev_even(c, beta / 15.0) - direct)) < 1e-13 * np.max(np.abs(direct))
     assert sf._p1_chebyshev(-3.0, 15.0, 0, 64) is None
     assert sf._p1_chebyshev(-3.0, 0.0, 0, 10**6) is None
+
+
+def test_p1_chebyshev_doubles_until_the_row_budget(monkeypatch):
+    # y -> 1 + exp(5000 i y/top) needs N = 8192 (its trailing coefficients
+    # are 4e-2 of the largest at N = 4096, 7e-15 at 8192; the 1 lifts the
+    # largest coefficient above the rounding of the 5000-rad phase):
+    # accepted when 2N is below the caller's rows, None once it is not
+    monkeypatch.setattr(sf, "_p1_contour", lambda x, y, power=0: 1.0 + np.exp(5000j * y / 8.0))
+    c = sf._p1_chebyshev(0.0, 8.0, 0, 2 * 8192 + 1)
+    assert c.size == 8193
+    t = np.linspace(-1.0, 1.0, 11)
+    assert np.max(np.abs(np.polynomial.chebyshev.chebval(t, c) - 1.0 - np.exp(5000j * t))) < 1e-11
+    assert sf._p1_chebyshev(0.0, 8.0, 0, 2 * 8192) is None
 
 
 def test_p1_chebyshev_accepts_the_noise_plateau():
