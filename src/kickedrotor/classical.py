@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _CONTOUR_BLOCK
+from .specfun import _row_slices
 
 __all__ = [
     "Coupling",
@@ -67,10 +67,9 @@ class MapParams:
 
 @dataclass(frozen=True)
 class BranchSet:
-    """All initial angles mapping to one final angle, with map Jacobians."""
+    """All initial angles mapping to one final angle."""
 
     roots: tuple
-    derivatives: tuple  # d theta / d theta0 at each root
 
     def __len__(self):
         return len(self.roots)
@@ -93,16 +92,19 @@ def map_forward(theta0, params):
     return val % TWO_PI
 
 
-def _bisect_rows(f, a, b, tol=1e-14, max_iter=200):
+_BISECT_TOL, _BISECT_MAX = 1e-14, 200  # bracket width at which _bisect_rows stops; most halvings
+
+
+def _bisect_rows(f, a, b):
     """Roots of many bracketed functions at once, by bisection.
 
     f maps an array of abscissae, one per row, to the array of its values
     at them; a and b are the bracket ends (arrays or scalars).  A row whose
     value is exactly zero at an end returns that end.  Otherwise each row
     halves its bracket, keeping the half whose ends differ in sign, and
-    returns the midpoint once the bracket is narrower than tol or f is
-    exactly zero there, or after max_iter halvings.  A row whose ends have
-    the same sign raises ValueError.
+    returns the midpoint once the bracket is narrower than _BISECT_TOL or
+    f is exactly zero there, or after _BISECT_MAX halvings.  A row whose
+    ends have the same sign raises ValueError.
     """
     fa, fb = f(a), f(b)
     a = np.broadcast_to(a, fa.shape).astype(float)
@@ -111,12 +113,12 @@ def _bisect_rows(f, a, b, tol=1e-14, max_iter=200):
     live = (fa != 0.0) & (fb != 0.0)
     if np.any(live & (fa * fb > 0)):
         raise ValueError("bisection bracket does not straddle a root")
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX):
         if not live.any():
             return root
         mid = 0.5 * (a + b)
         fm = f(mid)
-        done = live & (((b - a) < tol) | (fm == 0.0))
+        done = live & (((b - a) < _BISECT_TOL) | (fm == 0.0))
         root = np.where(done, mid, root)
         live &= ~done
         # rows already done keep halving, unread: their root is stored
@@ -151,11 +153,11 @@ def _branches(theta, params):
     domain of theta0 is split at the analytic zeros of the map derivative;
     each target copy theta + 2 pi k inside the map's range (on the sphere
     also -theta + 2 pi k) is bracketed on every monotone piece, and the
-    straddling brackets of a block of at most specfun._CONTOUR_BLOCK are
-    solved in one _bisect_rows call.  A piece end where the map hits a
-    target is a root itself; a root within 1e-10 of the previous one is
-    dropped, and at a pole of the sphere every interior root counts
-    twice (it feeds the pole from both azimuthal sides).
+    straddling brackets of each block of `specfun._row_slices` are solved
+    in one _bisect_rows call.  A piece end where the map hits a target is
+    a root itself; a root within 1e-10 of the previous one is dropped, and
+    at a pole of the sphere every interior root counts twice (it feeds the
+    pole from both azimuthal sides).
     """
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta must be finite")
@@ -168,13 +170,12 @@ def _branches(theta, params):
     k_lo = np.floor((g_min - base) / TWO_PI)
     k_hi = np.ceil((g_max - base) / TWO_PI)
     copies = int(np.max(k_hi - k_lo, initial=0.0)) + 1
-    rows = max(1, _CONTOUR_BLOCK // (base.shape[1] * copies * pieces.size))
     index, found = [np.zeros(0, dtype=int)], [np.zeros(0)]
-    for i in range(0, theta.size, rows):
-        k = k_lo[i:i + rows, :, None] + np.arange(copies)
-        v = base[i:i + rows, :, None] + TWO_PI * k
-        ok = (k <= k_hi[i:i + rows, :, None]) & (g_min <= v) & (v <= g_max)
-        owner = np.broadcast_to(np.arange(i, i + len(v))[:, None, None], v.shape)[ok]
+    for rows in _row_slices(theta.size, base.shape[1] * copies * pieces.size):
+        k = k_lo[rows, :, None] + np.arange(copies)
+        v = base[rows, :, None] + TWO_PI * k
+        ok = (k <= k_hi[rows, :, None]) & (g_min <= v) & (v <= g_max)
+        owner = np.broadcast_to(np.arange(rows.start, rows.stop)[:, None, None], v.shape)[ok]
         v = v[ok]
         f = g - v[:, None]  # (target, piece end)
         hit, end = np.nonzero(f == 0.0)
@@ -203,8 +204,8 @@ def invert_map(theta, params):
     Planar geometry scans the 2*pi*p copies of theta that intersect the
     map's range; the sphere also matches the reflected targets -theta.
     """
-    _, roots, der = _branches(np.array([float(theta)]), params)
-    return BranchSet(roots=tuple(roots.tolist()), derivatives=tuple(der.tolist()))
+    _, roots, _ = _branches(np.array([float(theta)]), params)
+    return BranchSet(roots=tuple(roots.tolist()))
 
 
 def density_classical(theta, params):

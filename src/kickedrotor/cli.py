@@ -211,7 +211,7 @@ def _exact_density(cfg, grid, three_d):
     # the exact density profile on the grid, and the kicked and evolved
     # packet, whose norm and edge coefficients are checked
     if not three_d:
-        packet = q2.apply_kick(q2.ground_packet(0), q2.KickSpec(cfg.P, Coupling(cfg.coupling)))
+        packet = q2.apply_kick(q2.ground_packet(), q2.KickSpec(cfg.P, Coupling(cfg.coupling)))
         packet = q2.free_evolve(packet, cfg.resolved_tau()).check()
         return q2.density(packet, grid), packet
     kick = q3.dipole_kick_ground if cfg.coupling == "dipole" else q3.polarization_kick_ground

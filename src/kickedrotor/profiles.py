@@ -11,7 +11,7 @@ __all__ = ["DensityProfile"]
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Angular density sampled on a grid, with the geometry it lives on.
+    """Angular density sampled on a grid.
 
     On the sphere, `weighted` carries 2 pi sin(theta) |psi|^2 (the
     solid-angle density whose theta-integral is 1).
@@ -19,7 +19,6 @@ class DensityProfile:
 
     grid: np.ndarray
     values: np.ndarray
-    geometry: str  # "circle" or "sphere"
     weighted: np.ndarray | None = None
 
     def __post_init__(self):

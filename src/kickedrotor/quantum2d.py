@@ -23,7 +23,6 @@ __all__ = [
     "FourierPacket2D",
     "KickSpec",
     "TruncationError",
-    "ResolutionError",
     "ground_packet",
     "apply_kick",
     "free_evolve",
@@ -39,11 +38,8 @@ TAIL_TOL = 1e-12
 
 
 class TruncationError(RuntimeError):
-    """Post-kick coefficients carry weight beyond the truncation order."""
-
-
-class ResolutionError(ValueError):
-    """Grid too coarse for the requested normalization check."""
+    """A packet's coefficients carry weight beyond the truncation order, or
+    its norm is off 1: a numerical fault, not a configuration one."""
 
 
 def kick_order_margin(P):
@@ -86,20 +82,24 @@ class FourierPacket2D:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
     def check(self):
-        if abs(self.norm() - 1.0) > NORM_TOL:
-            raise ValueError(f"packet norm {self.norm()} deviates from 1")
-        if self.n_max > 0 and max(abs(self.coeffs[0]), abs(self.coeffs[-1])) >= TAIL_TOL:
-            raise TruncationError("edge coefficients exceed the truncation floor")
-        return self
+        return _check_packet(self, (self.coeffs[0], self.coeffs[-1]))
 
 
-def ground_packet(n_max=32):
-    """Rotational ground state: c_0 = 1, uniform density 1/(2 pi)."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    c = np.zeros(2 * n_max + 1, dtype=complex)
-    c[n_max] = 1.0
-    return FourierPacket2D(n_max=n_max, coeffs=c, time=0.0)
+def _check_packet(packet, edge):
+    # the packet, once its norm is 1 within NORM_TOL and its edge
+    # coefficients (unless it has only one) are below TAIL_TOL; both faults
+    # are numerical, so both raise TruncationError
+    norm = packet.norm()
+    if abs(norm - 1.0) > NORM_TOL:
+        raise TruncationError(f"packet norm {norm} deviates from 1")
+    if packet.coeffs.size > 1 and max(map(abs, edge)) >= TAIL_TOL:
+        raise TruncationError("edge coefficients exceed the truncation floor")
+    return packet
+
+
+def ground_packet():
+    """Rotational ground state: c_0 = 1 alone, uniform density 1/(2 pi)."""
+    return FourierPacket2D(n_max=0, coeffs=np.ones(1, dtype=complex), time=0.0)
 
 
 def _padded(packet, extra):
@@ -168,23 +168,7 @@ def wavefunction(packet, grid):
     return psi / math.sqrt(2.0 * math.pi)
 
 
-def density(packet, grid, check_norm=False):
-    """|Psi|^2 on the grid.
-
-    With check_norm=True the grid must be uniform on [0, 2 pi) with at
-    least 4*n_max points; the trapezoidal integral is then verified to be
-    1 within 1e-8.
-    """
+def density(packet, grid):
+    """|Psi|^2 on the grid (the packet's own norm is checked by `check`)."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    vals = np.abs(wavefunction(packet, grid)) ** 2
-    if check_norm:
-        if grid.size < 4 * packet.n_max:
-            raise ResolutionError(
-                f"normalization check needs >= {4 * packet.n_max} uniform points")
-        dth = np.diff(grid)
-        if grid.size > 1 and (np.max(dth) - np.min(dth)) > 1e-9 * np.max(dth):
-            raise ResolutionError("normalization check needs a uniform grid")
-        total = np.sum(vals) * (grid[1] - grid[0])
-        if abs(total - 1.0) > 1e-8:
-            raise ResolutionError(f"density integrates to {total}, not 1")
-    return DensityProfile(grid=grid, values=vals, geometry="circle")
+    return DensityProfile(grid=grid, values=np.abs(wavefunction(packet, grid)) ** 2)

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import DensityProfile
-from .quantum2d import _I_POW, NORM_TOL, TAIL_TOL, ResolutionError, TruncationError, kick_order_margin
+from .quantum2d import _I_POW, TruncationError, _check_packet, kick_order_margin
 from .specfun import spherical_jn_array
 
 __all__ = [
     "LegendrePacket3D",
-    "RecurrenceTable",
     "dipole_kick_ground",
     "build_recurrence",
     "polarization_kick_ground",
@@ -60,22 +59,15 @@ class LegendrePacket3D:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
     def check(self):
-        if abs(self.norm() - 1.0) > NORM_TOL:
-            raise ValueError(f"packet norm {self.norm()} deviates from 1")
-        if self.l_max > 0 and abs(self.coeffs[-1]) >= TAIL_TOL:
-            raise TruncationError("top coefficient exceeds the truncation floor")
-        return self
+        return _check_packet(self, (self.coeffs[-1],))
 
 
-def dipole_kick_ground(P, l_max=None):
-    """Ground state kicked by exp(iP cos theta): c_l = i^l sqrt(2l+1) j_l(P)."""
+def dipole_kick_ground(P):
+    """Ground state kicked by exp(iP cos theta): c_l = i^l sqrt(2l+1) j_l(P),
+    up to l_max = kick_order_margin(P)."""
     if P < 0:
         raise ValueError("P must be >= 0")
-    need = kick_order_margin(P)
-    if l_max is None:
-        l_max = need
-    if l_max < need:
-        raise ValueError(f"l_max must be at least {need} for P={P}")
+    l_max = kick_order_margin(P)
     l = np.arange(l_max + 1)
     jl = spherical_jn_array(l_max, P)
     c = _I_POW[l % 4] * np.sqrt(2 * l + 1.0) * jl
@@ -88,26 +80,10 @@ def dipole_kick_ground(P, l_max=None):
     return packet
 
 
-@dataclass(frozen=True)
-class RecurrenceTable:
-    """d[L, l] with P_l(2x^2 - 1) = sum_L d[L, l] P_L(x).
-
-    Only even L contribute; every column sums to 1 because P_L(1) = 1.
-    """
-
-    d: np.ndarray
-
-    @property
-    def L_max(self):
-        return self.d.shape[0] - 1
-
-    @property
-    def l_max(self):
-        return self.d.shape[1] - 1
-
-
 def build_recurrence(L_max):
-    """Legendre re-expansion table, built column by column.
+    """Legendre re-expansion table: the read-only array d[L, l], L <= L_max,
+    l <= L_max/2, with P_l(2x^2 - 1) = sum_L d[L, l] P_L(x).  Only even L
+    contribute; every column sums to 1 because P_L(1) = 1.
 
     Column l+1 follows from columns l and l-1 as one array step over even L:
       d_{L,l+1} = (2l+1)(2L+1)/(l+1) sum_{L'} d_{L',l} N_{L,L'}
@@ -137,38 +113,32 @@ def build_recurrence(L_max):
     d = np.zeros((L_max + 1, l_max + 1))
     d[::2] = cols[:, 1:-1].T
     d.setflags(write=False)
-    return RecurrenceTable(d=d)
+    return d
 
 
-def polarization_kick_ground(P, l_max=None):
+def polarization_kick_ground(P):
     """Ground state kicked by exp(iP cos^2 theta); even harmonics only.
 
     The coefficient of Y_{2l}^0 is
       e^{iP/2} (4l+1)^{-1/2} sum_m i^m (2m+1) j_m(P/2) d_{2l, m};
     the (2m+1) weight comes from the plane-wave expansion of
     exp(i(P/2) cos 2 theta) and is required for the projection rule
-    <Y_{2l}| e^{iP cos^2} |Y_0> to hold.
+    <Y_{2l}| e^{iP cos^2} |Y_0> to hold.  Up to l_max = 2
+    kick_order_margin(P/2); at P = 0 this is c_0 = 1 and every other
+    coefficient exactly 0.
     """
     if P < 0:
         raise ValueError("P must be >= 0")
-    if P == 0.0:
-        c = np.zeros((l_max if l_max is not None else 8) + 1, dtype=complex)
-        c[0] = 1.0
-        return LegendrePacket3D(l_max=len(c) - 1, coeffs=c, time=0.0)
     half = kick_order_margin(P / 2.0)
     L_max = 2 * half
-    if l_max is None:
-        l_max = L_max
-    if l_max < L_max:
-        raise ValueError(f"l_max must be at least {L_max} for P={P}")
-    table = build_recurrence(L_max)
-    m = np.arange(table.l_max + 1)
-    jm = spherical_jn_array(table.l_max, P / 2.0)
+    d = build_recurrence(L_max)
+    m = np.arange(half + 1)
+    jm = spherical_jn_array(half, P / 2.0)
     weights = _I_POW[m % 4] * (2 * m + 1.0) * jm
-    c = np.zeros(l_max + 1, dtype=complex)
+    c = np.zeros(L_max + 1, dtype=complex)
     L = np.arange(0, L_max + 1, 2)
-    c[:L_max + 1:2] = np.exp(1j * P / 2.0) / np.sqrt(2.0 * L + 1.0) * np.sum(weights * table.d[::2], axis=1)
-    packet = LegendrePacket3D(l_max=l_max, coeffs=c, time=0.0)
+    c[::2] = np.exp(1j * P / 2.0) / np.sqrt(2.0 * L + 1.0) * np.sum(weights * d[::2], axis=1)
+    packet = LegendrePacket3D(l_max=L_max, coeffs=c, time=0.0)
     if abs(packet.norm() - 1.0) > 1e-8:
         raise TruncationError("polarization kick coefficients lost norm")
     return packet
@@ -192,24 +162,11 @@ def wavefunction_3d(packet, grid):
     return np.polynomial.legendre.legval(np.cos(grid), ph)
 
 
-def density_3d(packet, grid, check_norm=False):
-    """|psi(theta)|^2 plus the solid-angle-weighted 2 pi sin(theta)|psi|^2.
-
-    With check_norm=True the norm is verified to be 1 within 1e-8 on any
-    grid (ResolutionError otherwise).
-    """
+def density_3d(packet, grid):
+    """|psi(theta)|^2 plus the solid-angle-weighted 2 pi sin(theta)|psi|^2
+    (the packet's own norm is checked by `check`)."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if np.any(grid < -1e-12) or np.any(grid > math.pi + 1e-12):
         raise ValueError("3D grid angles must lie in [0, pi]")
     vals = np.abs(wavefunction_3d(packet, grid)) ** 2
-    weighted = 2.0 * math.pi * np.sin(grid) * vals
-    if check_norm:
-        # |psi|^2 is a polynomial of degree 2 l_max in cos(theta), so
-        # Gauss-Legendre in x = cos(theta) evaluates the norm exactly on its
-        # own nodes, whatever the grid
-        x, w = np.polynomial.legendre.leggauss(packet.l_max + 2)
-        total = float(2.0 * math.pi
-                      * np.sum(w * np.abs(wavefunction_3d(packet, np.arccos(x))) ** 2))
-        if abs(total - 1.0) > 1e-8:
-            raise ResolutionError(f"weighted density integrates to {total}, not 1")
-    return DensityProfile(grid=grid, values=vals, geometry="sphere", weighted=weighted)
+    return DensityProfile(grid=grid, values=vals, weighted=2.0 * math.pi * np.sin(grid) * vals)

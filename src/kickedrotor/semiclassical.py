@@ -31,8 +31,7 @@ import numpy as np
 
 from .classical import _bisect_rows, rainbow_angle
 from .specfun import (
-    _CONTOUR_BLOCK,
-    _GL_NODES,
+    _row_slices,
     airy,
     bessel_j0,
     bessel_j1,
@@ -77,13 +76,13 @@ def planar_psi(theta, tau, P, radius=DISC_RADIUS):
     a = (1/tau - P)/2, by Gauss-Legendre quadrature.
 
     theta may be a scalar (complex result) or an array of any shape
-    (complex array of that shape).  Long arrays go in row blocks of at
-    most specfun._CONTOUR_BLOCK (theta, node) entries; each block bounds
-    its phase slope with its own max |theta| and gives every 24-node panel
-    at most 12 rad of it, at least 6 panels.  On the fig07 and fig12
-    windows it agrees with an independent oracle (scipy's J_0, 32-node
-    panels at 4x the density) within 2.4e-11 of the largest |psi|, as
-    closely as 3-rad panels do: bessel_j0's own ~1e-11 error sets the gap.
+    (complex array of that shape).  Long arrays go in the row blocks of
+    specfun._row_slices; each block bounds its phase slope with its own
+    max |theta| and gives every 24-node panel at most 12 rad of it, at
+    least 6 panels.  On the fig07 and fig12 windows it agrees with an
+    independent oracle (scipy's J_0, 32-node panels at 4x the density)
+    within 2.4e-11 of the largest |psi|, as closely as 3-rad panels do:
+    bessel_j0's own ~1e-11 error sets the gap.
 
     radius is the disc radius; the default 2 matches the disc of area
     4*pi.  For late times (P*tau >~ 3) the glory ring migrates past
@@ -103,10 +102,9 @@ def _planar_rows(theta, tau, P, L):
     b = P / 24.0
     slope = 2.0 * abs(a) * L + 4.0 * b * L ** 3 + float(np.max(np.abs(theta), initial=0.0)) / tau
     n_pan = max(6, int(slope * L / 12.0))
-    rows = max(1, _CONTOUR_BLOCK // (_GL_NODES.size * n_pan))
-    if theta.size > rows:
-        return np.concatenate([_planar_rows(theta[i:i + rows], tau, P, L)
-                               for i in range(0, theta.size, rows)])
+    blocks = _row_slices(theta.size, 24 * n_pan)  # 24 nodes per gauss_segment panel
+    if len(blocks) > 1:
+        return np.concatenate([_planar_rows(theta[rows], tau, P, L) for rows in blocks])
 
     def f(t):
         return t * np.exp(1j * (a * t * t + b * t ** 4)) * bessel_j0((theta / tau)[:, None] * t)

@@ -151,16 +151,16 @@ def spherical_jn_array(l_max, x):
 # crossover, Hankel asymptotic expansion above.  Absolute accuracy ~1e-10,
 # which is ample for the 1e-8 quadrature targets they feed.
 
-_J_SERIES_CUT = 12.0
+_J_SERIES_CUT, _HANKEL_TERMS = 12.0, 12
 
 
-def _hankel_coeffs(nu, n_terms=12):
-    # a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k)
+def _hankel_coeffs(nu):
+    # a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k), k < _HANKEL_TERMS
     a = [1.0]
-    for k in range(1, n_terms):
+    for k in range(1, _HANKEL_TERMS):
         a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (k * 8.0))
-    pc = [(-1.0) ** k * a[2 * k] for k in range((n_terms + 1) // 2)]
-    qc = [(-1.0) ** k * a[2 * k + 1] for k in range(n_terms // 2)]
+    pc = [(-1.0) ** k * a[2 * k] for k in range((_HANKEL_TERMS + 1) // 2)]
+    qc = [(-1.0) ** k * a[2 * k + 1] for k in range(_HANKEL_TERMS // 2)]
     return tuple(pc), tuple(qc)
 
 
@@ -237,6 +237,14 @@ _CONTOUR_BLOCK = 2**15
 _CONTOUR_PIECE = 2**13  # nodes per Pearcey leg piece: einsum rounds a longer row by the rows beside it
 
 
+def _row_slices(n_rows, width):
+    # the row blocks of an array quadrature over n_rows rows of width (row,
+    # node) entries each: slices of range(n_rows) of _CONTOUR_BLOCK // width
+    # rows (at least one), the last one shorter
+    rows = max(1, _CONTOUR_BLOCK // width)
+    return [slice(i, min(i + rows, n_rows)) for i in range(0, n_rows, rows)]
+
+
 def _gl_panels(z0, z1, n_panels):
     # gauss_segment's panels on z0 -> z1: the integral of f is sum(w f(u)) half dz
     if n_panels > _MAX_PANELS:
@@ -291,11 +299,11 @@ def _airy_ray(t0, d):
 
 
 def _airy_rows(x):
-    # (Ai, Ai') of a 1-D array as a (2, n) array, in blocks of rows of at
-    # most _CONTOUR_BLOCK (row, node) entries, one gauss_segment call per ray
-    rows = _CONTOUR_BLOCK // (_GL_NODES.size * _AIRY_PANELS)
-    if x.size > rows:
-        return np.concatenate([_airy_rows(x[i:i + rows]) for i in range(0, x.size, rows)], axis=1)
+    # (Ai, Ai') of a 1-D array as a (2, n) array, in the row blocks of
+    # _row_slices, one gauss_segment call per ray
+    blocks = _row_slices(x.size, _GL_NODES.size * _AIRY_PANELS)
+    if len(blocks) > 1:
+        return np.concatenate([_airy_rows(x[rows]) for rows in blocks], axis=1)
     # zeta = (2/3)|x|^(3/2) in extended precision: rounding zeta = 310
     # (x = -60) to a double would move e^{-i zeta} by ~1e-13
     ax = np.abs(x).astype(np.longdouble)
@@ -388,18 +396,17 @@ def _p1_contour(x, y, power=0):
             c = (w * (1j * u) if power else w) * half * dz
             ur, br, cr, ci = (np.ascontiguousarray(v) for v in (u.real, base.real, c.real, c.imag))
             np.remainder(br, 2.0 * math.pi, out=br)  # exact: Phi rounds at |y u| + 2 pi
-            rows = max(1, _CONTOUR_BLOCK // u.size)
-            for i in range(0, ys.size, rows):
-                phi = np.multiply.outer(ys[i:i + rows], ur)
+            for rows in _row_slices(ys.size, u.size):
+                phi = np.multiply.outer(ys[rows], ur)
                 phi += br
                 sin, cos = sincos(phi)
                 if dz.imag:
-                    d = np.multiply.outer(-ys[i:i + rows], u.imag)
+                    d = np.multiply.outer(-ys[rows], u.imag)
                     np.exp(np.subtract(d, base.imag, out=d), out=d)
                     sin *= d
                     cos *= d
-                out.real[i:i + rows] += np.einsum("...j,j->...", cos, cr) - np.einsum("...j,j->...", sin, ci)
-                out.imag[i:i + rows] += np.einsum("...j,j->...", cos, ci) + np.einsum("...j,j->...", sin, cr)
+                out.real[rows] += np.einsum("...j,j->...", cos, cr) - np.einsum("...j,j->...", sin, ci)
+                out.imag[rows] += np.einsum("...j,j->...", cos, ci) + np.einsum("...j,j->...", sin, cr)
     return out.reshape(y.shape)
 
 
@@ -460,9 +467,8 @@ def bessoid(x, beta):
     m = n // 2 + 1 if n else m
     cos_phi = np.cos((np.arange(m) + 0.5) * (math.pi / m))
     b, s = beta.ravel(), np.empty(beta.size, dtype=complex)
-    rows = max(1, _CONTOUR_BLOCK // m)
-    for i in range(0, b.size, rows):
-        s[i:i + rows] = dp1(np.multiply.outer(b[i:i + rows], cos_phi)).sum(axis=-1)
+    for rows in _row_slices(b.size, m):
+        s[rows] = dp1(np.multiply.outer(b[rows], cos_phi)).sum(axis=-1)
     s = (4.0 / m * s).reshape(beta.shape)
     return complex(s) if s.ndim == 0 else s
 

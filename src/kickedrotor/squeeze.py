@@ -44,7 +44,6 @@ class MomentState:
 
     u: float
     w: float
-    mixed_zero: bool = True  # the kick is applied at extreme squeezing
 
     def __post_init__(self):
         if self.u <= 0 or self.w <= 0:
@@ -70,17 +69,16 @@ class SqueezeTrace:
         return np.array([getattr(r, name) for r in self.records], dtype=float)
 
 
-def kick_cycle(state, P=1.0):
-    """One kick at minimal spread plus free flight to the next minimum.
+def kick_cycle(state):
+    """One kick at minimal spread (vanishing mixed moment) plus free flight
+    to the next minimum.
 
     Returns (new_state, dtau) with dtau = u/(u + w) in kick-scaled time
     (multiply by 1/P for the physical delay at kick strength P).
     """
-    if not state.mixed_zero:
-        raise ValueError("kick_cycle requires the mixed moment to vanish")
     u, w = state.u, state.w
     dtau = u / (u + w)
-    new = MomentState(u=u - u * u / (u + w), w=w + u, mixed_zero=True)
+    new = MomentState(u=u - u * u / (u + w), w=w + u)
     return new, dtau
 
 

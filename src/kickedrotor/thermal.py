@@ -53,7 +53,6 @@ class ThermalEnsemble:
     p_theta: np.ndarray
     p_phi: np.ndarray
     kick_strength: float
-    seed: int
 
     def __post_init__(self):
         if len(self.cos_theta) < 1:
@@ -100,8 +99,7 @@ def sample_blocks(n, seed, kick_strength=1.0, temperature=1.0):
         p_phi = normal.standard_normal(u.size)
         p_phi *= s
         p_phi *= scale
-        yield ThermalEnsemble(1.0 - 2.0 * u, s, p_theta[lo:lo + u.size], p_phi,
-                              float(kick_strength), int(seed))
+        yield ThermalEnsemble(1.0 - 2.0 * u, s, p_theta[lo:lo + u.size], p_phi, float(kick_strength))
 
 
 def sample_ensemble(n, seed, kick_strength=1.0, temperature=1.0):
@@ -115,8 +113,7 @@ def kick(ensemble, coupling=Coupling.DIPOLE):
     """Instantaneous kick at the current positions: only p_theta changes."""
     s = ensemble.sin_theta
     dp = 2.0 * s * ensemble.cos_theta if coupling is Coupling.POLARIZATION else s
-    return ThermalEnsemble(ensemble.cos_theta, s, ensemble.p_theta - ensemble.kick_strength * dp,
-                           ensemble.p_phi, ensemble.kick_strength, ensemble.seed)
+    return replace(ensemble, p_theta=ensemble.p_theta - ensemble.kick_strength * dp)
 
 
 def _free_flight(ensemble):
@@ -209,7 +206,7 @@ def kicked_profile(blocks, dt, bins, coupling=Coupling.DIPOLE):
     centers = 0.5 * (edges[:-1] + edges[1:])
     dens = counts / (n * (edges[1] - edges[0]))
     O, A = sums / n
-    return DensityProfile(grid=centers, values=dens, geometry="sphere"), float(O), float(A)
+    return DensityProfile(grid=centers, values=dens), float(O), float(A)
 
 
 def _bin_counts(theta, edges):

@@ -469,13 +469,29 @@ def wavefunction_direct(coeffs, grid):
     return psi / math.sqrt(2.0 * math.pi)
 
 
+def circle_norm(values):
+    """Trapezoid sum of a density sampled at N uniform angles 2 pi k/N on
+    [0, 2 pi): exact for a trigonometric polynomial of degree below N, so
+    for |psi|^2 of a Fourier packet once N > 2 n_max."""
+    return float(np.sum(values) * (2.0 * math.pi / len(values)))
+
+
+def sphere_norm(density, l_max):
+    """2 pi int_0^pi density(theta) sin(theta) dtheta as Gauss-Legendre in
+    x = cos(theta) on l_max + 2 nodes: exact for a density that is a
+    polynomial of degree 2 l_max in x, such as |psi|^2 of a packet over
+    Y_l^0, l <= l_max.  density maps an array of angles to its values."""
+    x, w = np.polynomial.legendre.leggauss(l_max + 2)
+    return float(2.0 * math.pi * np.sum(w * density(np.arccos(x))))
+
+
 def ensemble_at(theta, p_theta, p_phi, kick_strength=1.0):
     """ThermalEnsemble of particles at the angles theta."""
     theta = np.asarray(theta, dtype=float)
     return ThermalEnsemble(cos_theta=np.cos(theta), sin_theta=np.sin(theta),
                            p_theta=np.asarray(p_theta, dtype=float),
                            p_phi=np.asarray(p_phi, dtype=float),
-                           kick_strength=kick_strength, seed=0)
+                           kick_strength=kick_strength)
 
 
 def evolve_libm(ensemble, dt):

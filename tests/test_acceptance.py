@@ -29,7 +29,7 @@ def report(num, label, ok, detail=""):
 
 
 def kicked_2d(P, tau):
-    p = q2.apply_kick(q2.ground_packet(0), q2.KickSpec(P))
+    p = q2.apply_kick(q2.ground_packet(), q2.KickSpec(P))
     return q2.free_evolve(p, tau)
 
 
@@ -155,8 +155,8 @@ def test_criterion_07_norm_and_revivals():
 def test_criterion_08_recurrence_and_polarization():
     from scipy.special import eval_legendre
     table = q3.build_recurrence(220)
-    rows_ok = np.max(np.abs(table.d[:, :101].sum(axis=0) - 1.0)) < 1e-10
-    odd_ok = np.max(np.abs(table.d[1::2, :])) < 1e-10
+    rows_ok = np.max(np.abs(table[:, :101].sum(axis=0) - 1.0)) < 1e-10
+    odd_ok = np.max(np.abs(table[1::2, :])) < 1e-10
     proj_ok = True
     worst = 0.0
     for P in (5.0, 12.0, 20.0):

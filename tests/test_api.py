@@ -16,8 +16,9 @@ import pytest
 import kickedrotor
 from kickedrotor import cli
 
-MODULES = ["classical", "cli", "profiles", "quantum2d", "quantum3d", "semiclassical",
-           "specfun", "squeeze", "thermal"]
+# every module of the package, so that a new one cannot skip the check
+MODULES = [info.name.removeprefix("kickedrotor.")
+           for info in pkgutil.walk_packages(kickedrotor.__path__, "kickedrotor.")]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from kickedrotor import classical as cl
 from kickedrotor import cli
+from kickedrotor import specfun as sf
 from oracles import box_means, density_classical_loop, invert_map_loop
 
 SPHERE = cl.Geometry.SPHERE_3D
@@ -237,7 +238,7 @@ class TestDensityProperties:
         for t in theta:
             assert list(cl.invert_map(t, p).roots) == invert_map_loop(t, p)
         # several blocks per column: the blocks must not mix angles
-        with mock.patch.object(cl, "_CONTOUR_BLOCK", 512):
+        with mock.patch.object(sf, "_CONTOUR_BLOCK", 512):
             assert np.array_equal(cl.density_classical(grid, p), column)
 
     @pytest.mark.parametrize("line", [
@@ -272,7 +273,7 @@ class TestDensityProperties:
         monkeypatch.setattr(cl, "_bisect_rows",
                             lambda f, a, b: rows.append(np.size(a)) or bisect_rows(f, a, b))
         total = total_probability(p, 100)  # 4 arcs of 100 nodes: a 400-point column
-        assert len(rows) > 1 and max(rows) <= cl._CONTOUR_BLOCK
+        assert len(rows) > 1 and max(rows) <= sf._CONTOUR_BLOCK
         assert total == pytest.approx(1.0, abs=1e-8)
 
 

@@ -402,23 +402,27 @@ class TestMain:
         assert "TruncationError" in capsys.readouterr().err
 
     def test_untruncated_exact_packet_exit_three(self, tmp_path, monkeypatch, capsys):
-        # a kick that leaves 1e-6 on its top coefficient fails the packet's
-        # own edge check: exit 3 alone, a "numerical" failure in a batch
-        def leaky(P):
-            c = np.zeros(41, dtype=complex)
-            c[0], c[-1] = math.sqrt(1.0 - 1e-12), 1e-6
-            return q3.LegendrePacket3D(l_max=40, coeffs=c)
-        monkeypatch.setattr(q3, "dipole_kick_ground", leaky)
-        rc = cli.main(["quantum3d", "--P", "20", "--s", "1", "--grid", "8",
-                       "--out", str(tmp_path / "q.csv")])
-        assert rc == 3
-        assert "TruncationError" in capsys.readouterr().err
-        assert not (tmp_path / "q.csv").exists()
-        f = tmp_path / "b.jsonl"
-        f.write_text(json.dumps({"command": "quantum3d", "P": 20.0, "s": 1.0, "grid_points": 8,
-                                 "output_path": "q.csv"}) + "\n")
-        _, index = batch(str(f), str(tmp_path / "out"))
-        assert index[0]["failure"] == "numerical" and "TruncationError" in index[0]["error"]
+        # a kick that leaves 1e-6 on its top coefficient, or one whose packet
+        # has norm 1.0201, fails the packet's own check: exit 3 alone, a
+        # "numerical" failure in a batch
+        for top, norm, fault in ((1e-6, math.sqrt(1.0 - 1e-12), "truncation floor"),
+                                 (0.0, 1.01, "norm 1.0201")):
+            def leaky(P):
+                c = np.zeros(41, dtype=complex)
+                c[0], c[-1] = norm, top
+                return q3.LegendrePacket3D(l_max=40, coeffs=c)
+            monkeypatch.setattr(q3, "dipole_kick_ground", leaky)
+            rc = cli.main(["quantum3d", "--P", "20", "--s", "1", "--grid", "8",
+                           "--out", str(tmp_path / "q.csv")])
+            assert rc == 3
+            err = capsys.readouterr().err
+            assert "TruncationError" in err and fault in err
+            assert not (tmp_path / "q.csv").exists()
+            f = tmp_path / "b.jsonl"
+            f.write_text(json.dumps({"command": "quantum3d", "P": 20.0, "s": 1.0, "grid_points": 8,
+                                     "output_path": "q.csv"}) + "\n")
+            _, index = batch(str(f), str(tmp_path / fault))
+            assert index[0]["failure"] == "numerical" and "TruncationError" in index[0]["error"]
 
     def test_batch_exit_codes(self, tmp_path, monkeypatch):
         good = {"command": "quantum2d", "P": 20.0, "s": 1.0, "grid_points": 16,

@@ -11,27 +11,27 @@ from scipy.special import jv
 
 from kickedrotor import quantum2d as q2
 from kickedrotor.classical import Coupling
-from oracles import wavefunction_direct
+from oracles import circle_norm, wavefunction_direct
 
 TWO_PI = 2.0 * math.pi
 
 
 def kicked_ground(P, coupling=Coupling.DIPOLE):
-    return q2.apply_kick(q2.ground_packet(0), q2.KickSpec(P, coupling))
+    return q2.apply_kick(q2.ground_packet(), q2.KickSpec(P, coupling))
 
 
 class TestGroundPacket:
     def test_normalized(self):
-        g = q2.ground_packet(64)
+        g = q2.ground_packet()
         assert g.norm() == 1.0
 
     def test_uniform_density(self):
-        g = q2.ground_packet(16)
+        g = q2.ground_packet()
         d = q2.density(g, np.linspace(0, TWO_PI, 200, endpoint=False))
         assert np.allclose(d.values, 1.0 / TWO_PI, atol=1e-14)
 
     def test_stationary_under_free_evolution(self):
-        g = q2.ground_packet(8)
+        g = q2.ground_packet()
         ev = q2.free_evolve(g, 3.7)
         d0 = q2.density(g, np.linspace(0, TWO_PI, 64, endpoint=False)).values
         d1 = q2.density(ev, np.linspace(0, TWO_PI, 64, endpoint=False)).values
@@ -48,7 +48,7 @@ class TestApplyKick:
         assert np.max(np.abs(packet.coeffs - expected)) < 1e-12
 
     def test_zero_strength_is_identity(self):
-        g = q2.ground_packet(12)
+        g = q2.ground_packet()
         assert q2.apply_kick(g, q2.KickSpec(0.0)) is g
 
     def test_kick_is_pure_phase_at_time_zero(self):
@@ -116,12 +116,7 @@ class TestDensity:
     def test_norm_check_passes_on_fine_grid(self):
         p = q2.free_evolve(kicked_ground(20.0), 0.4)
         grid = np.linspace(0, TWO_PI, 4 * p.n_max + 8, endpoint=False)
-        q2.density(p, grid, check_norm=True)
-
-    def test_norm_check_rejects_coarse_grid(self):
-        p = kicked_ground(20.0)
-        with pytest.raises(q2.ResolutionError):
-            q2.density(p, np.linspace(0, TWO_PI, 16, endpoint=False), check_norm=True)
+        assert abs(circle_norm(q2.density(p, grid).values) - 1.0) < 1e-8
 
     def test_two_symmetric_rainbow_maxima(self):
         # P = 85 at P tau = 2: maxima straddle +-theta_r(2)
@@ -145,7 +140,8 @@ class TestDensity:
         P = 85.0
         p = q2.free_evolve(kicked_ground(P), 1.0 / P + q2.REVIVAL_PERIOD / 2)
         grid = np.linspace(0, TWO_PI, 4 * p.n_max + 8, endpoint=False)
-        d = q2.density(p, grid, check_norm=True)
+        d = q2.density(p, grid)
+        assert abs(circle_norm(d.values) - 1.0) < 1e-8
         assert d.values.max() > 3.0 * d.values.mean()
         sym = np.abs(d.values[1:] - d.values[1:][::-1])
         assert np.max(sym) < 1e-9

@@ -10,41 +10,40 @@ from scipy.integrate import quad
 from scipy.special import eval_legendre, spherical_jn
 
 from kickedrotor import quantum3d as q3
+from oracles import sphere_norm
 
 FOUR_PI = 4.0 * math.pi
 
 
 class TestRecurrenceTable:
     def test_column_zero(self):
-        t = q3.build_recurrence(40)
-        assert t.d[0, 0] == 1.0
-        assert np.max(np.abs(t.d[1:, 0])) == 0.0
+        d = q3.build_recurrence(40)
+        assert d[0, 0] == 1.0
+        assert np.max(np.abs(d[1:, 0])) == 0.0
 
     def test_column_sums_are_one(self):
-        t = q3.build_recurrence(220)
-        sums = t.d.sum(axis=0)
+        sums = q3.build_recurrence(220).sum(axis=0)
         assert np.max(np.abs(sums - 1.0)) < 1e-10
 
     def test_odd_rows_vanish(self):
-        t = q3.build_recurrence(220)
-        assert np.max(np.abs(t.d[1::2, :])) == 0.0
+        assert np.max(np.abs(q3.build_recurrence(220)[1::2, :])) == 0.0
 
     def test_hand_columns(self):
         # P_1(2x^2-1) = (4 P_2 - P_0)/3; P_2(2x^2-1) = (48 P_4 - 20 P_2 + 7 P_0)/35
-        t = q3.build_recurrence(8)
-        assert t.d[0, 1] == pytest.approx(-1 / 3)
-        assert t.d[2, 1] == pytest.approx(4 / 3)
-        assert t.d[0, 2] == pytest.approx(7 / 35)
-        assert t.d[2, 2] == pytest.approx(-20 / 35)
-        assert t.d[4, 2] == pytest.approx(48 / 35)
+        d = q3.build_recurrence(8)
+        assert d[0, 1] == pytest.approx(-1 / 3)
+        assert d[2, 1] == pytest.approx(4 / 3)
+        assert d[0, 2] == pytest.approx(7 / 35)
+        assert d[2, 2] == pytest.approx(-20 / 35)
+        assert d[4, 2] == pytest.approx(48 / 35)
 
     def test_reexpansion_identity(self):
         # P_l(2x^2 - 1) = sum_L d[L, l] P_L(x) pointwise
-        t = q3.build_recurrence(60)
+        d = q3.build_recurrence(60)
         x = np.linspace(-1, 1, 101)
         for l in (3, 10, 25):
             lhs = eval_legendre(l, 2 * x * x - 1)
-            rhs = sum(t.d[L, l] * eval_legendre(L, x) for L in range(0, 2 * l + 1, 2))
+            rhs = sum(d[L, l] * eval_legendre(L, x) for L in range(0, 2 * l + 1, 2))
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     @pytest.mark.parametrize("L_max", [8, 60, 220])
@@ -56,12 +55,12 @@ class TestRecurrenceTable:
         L = np.arange(L_max + 1)[:, None]
         l = np.arange(L_max // 2 + 1)[:, None]
         oracle = (2 * L + 1) / 2.0 * ((w * eval_legendre(L, x)) @ eval_legendre(l, 2 * x * x - 1).T)
-        assert np.max(np.abs(q3.build_recurrence(L_max).d - oracle)) < 1e-11
+        assert np.max(np.abs(q3.build_recurrence(L_max) - oracle)) < 1e-11
 
     def test_immutable(self):
-        a = q3.build_recurrence(20)
+        d = q3.build_recurrence(20)
         with pytest.raises(ValueError):
-            a.d[0, 0] = 2.0
+            d[0, 0] = 2.0
 
     def test_rejects_odd_lmax(self):
         with pytest.raises(ValueError):
@@ -70,7 +69,7 @@ class TestRecurrenceTable:
 
 class TestDipoleKick:
     def test_zero_strength(self):
-        p = q3.dipole_kick_ground(0.0, l_max=20)
+        p = q3.dipole_kick_ground(0.0)
         assert p.coeffs[0] == 1.0
         assert np.max(np.abs(p.coeffs[1:])) == 0.0
 
@@ -111,8 +110,9 @@ class TestDipoleKick:
 
 class TestPolarizationKick:
     def test_zero_strength(self):
-        p = q3.polarization_kick_ground(0.0, l_max=10)
+        p = q3.polarization_kick_ground(0.0)
         assert p.coeffs[0] == 1.0
+        assert np.max(np.abs(p.coeffs[1:])) == 0.0
 
     def test_even_harmonics_only(self):
         p = q3.polarization_kick_ground(20.0)
@@ -190,25 +190,27 @@ class TestFreeEvolve3D:
 
 class TestDensity3D:
     def test_ground_state_uniform(self):
-        p = q3.polarization_kick_ground(0.0, l_max=8)
+        p = q3.polarization_kick_ground(0.0)
         d = q3.density_3d(p, np.linspace(0, math.pi, 50))
         assert np.allclose(d.values, 1.0 / FOUR_PI, atol=1e-14)
 
     def test_weighted_normalization(self):
         P = 75.0
         p = q3.free_evolve_3d(q3.dipole_kick_ground(P), 2.0 / P)
-        grid = np.linspace(0, math.pi, 4 * p.l_max + 9)
-        q3.density_3d(p, grid, check_norm=True)
+        norm = sphere_norm(lambda th: q3.density_3d(p, th).values, p.l_max)
+        assert abs(norm - 1.0) < 1e-8
 
     def test_norm_check_reads_no_grid(self):
-        # the check is Gauss-Legendre on its own nodes: a coarse non-uniform
-        # grid passes, a packet whose norm is 1.0201 does not
+        # the density integrates to 1 (Gauss-Legendre on the oracle's own
+        # nodes), and the packet's Parseval check, which reads no grid,
+        # rejects a packet whose norm is 1.0201 as a numerical fault
         p = q3.free_evolve_3d(q3.polarization_kick_ground(75.0), 2.0 / 75.0)
-        grid = np.array([0.0, 0.1, 0.5, 2.0, math.pi])
-        q3.density_3d(p, grid, check_norm=True)
+        norm = sphere_norm(lambda th: q3.density_3d(p, th).values, p.l_max)
+        assert abs(norm - 1.0) < 1e-8
+        assert p.check() is p
         off = q3.LegendrePacket3D(l_max=p.l_max, coeffs=1.01 * p.coeffs, time=p.time)
-        with pytest.raises(q3.ResolutionError, match="integrates"):
-            q3.density_3d(off, grid, check_norm=True)
+        with pytest.raises(q3.TruncationError, match="norm 1.0201"):
+            off.check()
 
     def test_rejects_out_of_range_grid(self):
         p = q3.dipole_kick_ground(5.0)

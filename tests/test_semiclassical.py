@@ -18,7 +18,7 @@ from oracles import (bessoid_oracle, bisect_scalar, cusp_3d_series, focal_densit
 
 
 def exact_density_2d(P, tau, thetas):
-    p = q2.free_evolve(q2.apply_kick(q2.ground_packet(0), q2.KickSpec(P)), tau)
+    p = q2.free_evolve(q2.apply_kick(q2.ground_packet(), q2.KickSpec(P)), tau)
     return q2.density(p, np.asarray(thetas, dtype=float)).values
 
 

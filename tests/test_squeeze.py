@@ -40,10 +40,6 @@ class TestKickCycle:
         with pytest.raises(ValueError, match="double precision"):
             sq.run_accumulative(1e-20, 1.0, 3)
 
-    def test_requires_minimal_spread(self):
-        with pytest.raises(ValueError):
-            sq.kick_cycle(sq.MomentState(1.0, 1.0, mixed_zero=False))
-
 
 class TestRunAccumulative:
     def test_single_kick_matches_cycle(self):
