@@ -128,6 +128,8 @@ class ScenarioConfig:
                         for v in (lo, hi)) and lo < hi):
                 raise ConfigError(f"field 'window': expected finite [lo, hi], lo < hi, got {list(self.window)!r}")
             self.window = (float(lo), float(hi))
+        if self.radius <= 0:
+            raise ConfigError("field 'radius': positive disc radius required")
         if self.command == "squeeze" and self.kicks < 1:
             raise ConfigError("field 'kicks': must be >= 1")
         if not self.output_path:

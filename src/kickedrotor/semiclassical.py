@@ -31,6 +31,8 @@ import numpy as np
 
 from .classical import _bisect_rows, rainbow_angle
 from .specfun import (
+    _MAX_PANELS,
+    ConvergenceError,
     _row_slices,
     airy,
     bessel_j0,
@@ -77,39 +79,48 @@ def planar_psi(theta, tau, P, radius=DISC_RADIUS):
 
     theta may be a scalar (complex result) or an array of any shape
     (complex array of that shape).  Long arrays go in the row blocks of
-    specfun._row_slices; each block bounds its phase slope with its own
-    max |theta| and gives every 24-node panel at most 12 rad of it, at
-    least 6 panels.  On the fig07 and fig12 windows it agrees with an
-    independent oracle (scipy's J_0, 32-node panels at 4x the density)
-    within 2.4e-11 of the largest |psi|, as closely as 3-rad panels do:
-    bessel_j0's own ~1e-11 error sets the gap.
+    specfun._row_slices, whose rows share panels that split the block's
+    phase budget Phi(L) evenly, Phi(t) = int_0^t (|2as + P s^3/6| +
+    max|theta|/tau) ds: at most 12 rad to a 24-node panel, at least 6
+    panels.  On the fig07 and fig12 windows it agrees with an independent
+    oracle (scipy's J_0, 32-node panels) within 1e-14 of the largest |psi|.
 
-    radius is the disc radius; the default 2 matches the disc of area
-    4*pi.  For late times (P*tau >~ 3) the glory ring migrates past
-    radius 2 and a larger radius is needed for the ring physics to be
-    inside the integration domain.
+    radius is the disc radius L > 0 (ValueError otherwise); the default 2
+    matches the disc of area 4*pi.  For late times (P*tau >~ 3) the glory
+    ring migrates past radius 2 and a larger radius is needed for the ring
+    physics to be inside the integration domain.  A budget beyond
+    specfun's panel limit raises ConvergenceError.
     """
     if tau <= 0:
         raise ValueError("planar_psi requires tau > 0")
+    if not 0 < radius < math.inf:
+        raise ValueError("planar_psi requires a finite radius > 0")
     theta = np.asarray(theta, dtype=float)
     out = _planar_rows(theta.ravel(), tau, P, float(radius)).reshape(theta.shape)
     return complex(out) if out.ndim == 0 else out
 
 
 def _planar_rows(theta, tau, P, L):
-    # psi on a 1-D theta array, one block of rows per quadrature call
+    # psi on a 1-D theta array, one gauss_segment call per block of rows, one segment per
+    # panel; Phi on 4097 points (the phase's variation between them, plus the J_0 rate)
+    # inverted at equal steps gives the edges
     a = 0.5 * (1.0 / tau - P)
     b = P / 24.0
-    slope = 2.0 * abs(a) * L + 4.0 * b * L ** 3 + float(np.max(np.abs(theta), initial=0.0)) / tau
-    n_pan = max(6, int(slope * L / 12.0))
+    s = np.linspace(0.0, L, 4097)
+    phi = np.abs(np.diff(s * s * (a + b * s * s))).cumsum()
+    phi = np.concatenate([[0.0], phi]) + s * (float(np.max(np.abs(theta), initial=0.0)) / tau)
+    n_pan = max(6, math.ceil(phi[-1] / 12.0))
+    if n_pan > _MAX_PANELS:
+        raise ConvergenceError(f"panel budget exceeded ({n_pan} > {_MAX_PANELS})")
     blocks = _row_slices(theta.size, 24 * n_pan)  # 24 nodes per gauss_segment panel
     if len(blocks) > 1:
         return np.concatenate([_planar_rows(theta[rows], tau, P, L) for rows in blocks])
+    edges = np.interp(np.linspace(0.0, phi[-1], n_pan + 1), phi, s)
 
     def f(t):
-        return t * np.exp(1j * (a * t * t + b * t ** 4)) * bessel_j0((theta / tau)[:, None] * t)
+        return t * np.exp(1j * (a * t * t + b * t ** 4)) * bessel_j0((theta / tau)[:, None, None] * t)
 
-    I = gauss_segment(f, 0.0, L, n_pan)
+    I = gauss_segment(f, edges[:-1], edges[1:], 1).sum(axis=-1)
     pref = np.exp(1j * (P + theta * theta / (2.0 * tau))) / (1j * tau * math.sqrt(4.0 * math.pi))
     return pref * I
 

@@ -9,6 +9,7 @@ None of these share code with the package evaluators they check:
   integral, a ray quadrature with scipy's complex J_0;
 - `focal_sum_2d`: the 2D focal-time (P tau = 1) single sum;
 - `airy_mp`: Ai and Ai' by mpmath at 30 digits, rounded to doubles;
+- `bessel_j_mp`: J_0 or J_1 by mpmath at 30 digits, rounded to doubles;
 - `sincos_mp`: sin and cos by mpmath at 50 digits, rounded to doubles;
 - `p1_contour_oracle`: the rotated-contour Pearcey half-range integral by
   scipy adaptive quadrature on pieces of about 20 rad of phase;
@@ -290,6 +291,13 @@ def airy_mp(xs):
         vals = [(mpmath.airyai(X), mpmath.airyai(X, derivative=1))
                 for X in (mpmath.mpf(repr(float(x))) for x in xs)]
     return np.array([[float(a) for a, _ in vals], [float(d) for _, d in vals]])
+
+
+def bessel_j_mp(n, xs):
+    """J_n(x) of each x in xs as a float array, from mpmath's besselj at 30
+    digits (about 0.1 ms a point for |x| <= 1e4)."""
+    with mpmath.workdps(30):
+        return np.array([float(mpmath.besselj(n, X)) for X in map(mpmath.mpf, np.asarray(xs, dtype=float).tolist())])
 
 
 def sincos_mp(xs):

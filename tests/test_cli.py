@@ -276,6 +276,19 @@ class TestBatch:
         assert not (tmp_path / "out" / "huge.csv").exists()
         assert (tmp_path / "out" / "good.csv").exists()
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_nonpositive_radius_fails_its_line_only(self, tmp_path, radius):
+        bad = {"command": "semiclassical", "method": "planar", "dim": 3, "P": 50.0, "s": 2.0,
+               "grid_points": 8, "radius": radius, "output_path": "bad.csv"}
+        good = dict(bad, radius=2.0, output_path="good.csv")
+        f = tmp_path / "r.jsonl"
+        f.write_text(json.dumps(bad) + "\n" + json.dumps(good) + "\n")
+        envs, index = batch(str(f), str(tmp_path / "out"))
+        assert [e["status"] for e in index] == ["failed", "ok"]
+        assert index[0]["failure"] == "config"
+        assert "field 'radius'" in index[0]["error"]
+        assert not (tmp_path / "out" / "bad.csv").exists()
+
     def test_squeeze_stall_does_not_stop_the_batch(self, tmp_path):
         stall = {"command": "squeeze", "u0": 1e-20, "w0": 1.0, "kicks": 3,
                  "output_path": "stall.csv"}
@@ -368,6 +381,17 @@ class TestMain:
         assert rc == 2
         assert "field 'window'" in capsys.readouterr().err
         assert not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize("radius", ["0", "-1"])
+    def test_nonpositive_radius_exit_two(self, tmp_path, capsys, radius):
+        # the disc [0, L] needs L > 0: 0 would give an all-zero column and
+        # -1 an integral run backwards
+        rc = cli.main(["semiclassical", "--method", "planar", "--dim", "3", "--P", "50", "--s", "2",
+                       f"--radius={radius}", "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "field 'radius'" in err and "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_missing_batch_file_exit_two(self, tmp_path, capsys):
         assert cli.main(["batch", str(tmp_path / "missing.jsonl")]) == 2

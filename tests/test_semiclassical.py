@@ -73,13 +73,51 @@ class TestPlanarPsi:
         (75.0, 4.0, math.pi, (0.0, 0.8)),
     ])
     def test_against_independent_oracle(self, P, s, radius, window):
-        # fig07 and fig12 parameters; scipy J_0 and 32-node panels at 4x
-        # the density; the measured gap is ~1e-11, set by bessel_j0
+        # fig07 and fig12 parameters; scipy J_0 and 32-node panels; the
+        # measured gap is at most 7.6e-15 of the largest |psi|
         tau = s / P
         grid = np.linspace(*window, 41)
         mine = sc.planar_psi(grid, tau, P, radius=radius)
         ref = np.array([planar_psi_oracle(t, tau, P, radius) for t in grid])
-        assert np.max(np.abs(mine - ref)) < 1e-10 * np.max(np.abs(ref))
+        assert np.max(np.abs(mine - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    def test_fig12_panels_split_the_phase_budget(self, monkeypatch):
+        # each row block's panels carry at most 12 rad of its phase budget
+        # Phi(t) = int_0^t (|g'(s)| + max|theta|/tau) ds, g = a s^2 + b s^4,
+        # here in closed form (g falls to its minimum at s0, then rises); a
+        # uniform rule sized by the steepest slope would take 151 panels
+        P, tau, L = 75.0, 4.0 / 75.0, math.pi
+        a, b = 0.5 * (1.0 / tau - P), P / 24.0
+        s0 = math.sqrt(-a / (2.0 * b))
+        g = lambda t: a * t * t + b * t ** 4
+        variation = lambda t: np.where(t <= s0, -g(t), g(t) - 2.0 * g(s0))
+        grid = np.linspace(0.0, 0.8, 400)
+        blocks, panels = [], []
+        row_slices, segment = sc._row_slices, sc.gauss_segment
+
+        def spy_rows(n_rows, width):
+            blocks.append(row_slices(n_rows, width))
+            return blocks[-1]
+
+        def spy_segment(f, z0, z1, n_panels):
+            ends = np.linspace(np.atleast_1d(z0), np.atleast_1d(z1), n_panels + 1, axis=-1)
+            panels.append((ends[:, :-1].ravel(), ends[:, 1:].ravel()))
+            return segment(f, z0, z1, n_panels)
+
+        monkeypatch.setattr(sc, "_row_slices", spy_rows)
+        monkeypatch.setattr(sc, "gauss_segment", spy_segment)
+        sc.planar_psi(grid, tau, P, radius=L)
+        assert len(panels) == len(blocks[0])
+        for rows, (lo, hi) in zip(blocks[0], panels):
+            assert lo.size <= 20 and lo[0] == 0.0 and hi[-1] == L
+            assert np.array_equal(lo[1:], hi[:-1])
+            span = variation(hi) - variation(lo) + (hi - lo) * grid[rows].max() / tau
+            assert np.all(span <= 12.0)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_requires_finite_positive_radius(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            sc.planar_psi(np.linspace(0.0, 0.5, 5), 2.0 / 50.0, 50.0, radius=radius)
 
     def test_array_shape_and_scalar_type(self):
         tau, P = 1.2 / 50.0, 50.0
@@ -196,6 +234,23 @@ class TestPearceyCusp3D:
 # P = 50, 400 points each
 CUSP_COLUMNS = [(2, s, 0.4) for s in (1.0, 1.1, 1.2, 1.4)] + [(3, s, 0.3) for s in (1.0, 1.1, 1.2, 1.4)]
 CUSP_FORMS = {2: sc.pearcey_focus_2d, 3: sc.pearcey_cusp_3d}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("x", [0.0, -3.0])
+def test_cusp_forms_approach_exact_evolution_as_inverse_root_P(dim, x):
+    # the cusp forms are the leading terms of a large-P expansion (Berry &
+    # Upstill, Prog. Opt. 18, 257 (1980)): at fixed Pearcey x and beta in
+    # [0, 6], their largest gap to exact evolution, relative to the largest
+    # exact density, falls as P^(-1/2), 2x per 4x in P (1.99 to 2.09 here)
+    form, exact = (sc.pearcey_focus_2d, exact_density_2d) if dim == 2 else (sc.pearcey_cusp_3d, exact_density_3d)
+    gaps = []
+    for P in (200.0, 800.0, 3200.0):
+        tau = 1.0 / (P + x * math.sqrt(P / 6.0))
+        theta = np.linspace(0.0, 6.0, 13) * tau * (P / 6.0) ** 0.25 / math.sqrt(2.0)
+        ref = exact(P, tau, theta)
+        gaps.append(np.max(np.abs(np.abs(form(theta, tau, P)) ** 2 - ref)) / np.max(ref))
+    assert all(abs(g / g4 - 2.0) < 0.25 for g, g4 in zip(gaps, gaps[1:])), gaps
 
 
 def cusp_prefactor_3d(theta, tau, P):

@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 import kickedrotor
 from kickedrotor import specfun as sf
-from oracles import (airy_mp, bessoid_contour_oracle, bessoid_oracle, hyp1f1_focus, p1_contour_complex,
+import bessel_coefficients
+from oracles import (airy_mp, bessel_j_mp, bessoid_contour_oracle, bessoid_oracle, hyp1f1_focus, p1_contour_complex,
                      p1_contour_oracle, pearcey_series_mp, sincos_mp)
 
 # --- frozen oracle values ---
@@ -116,17 +117,48 @@ class TestBesselJ:
             sf.bessel_jn_array(1, 10 ** 4 + 1.0)
 
     def test_vectorized_j0_j1(self):
-        # a sweep, the series/Hankel cut at 12 and tiny arguments, both signs
-        x = np.concatenate([np.linspace(0.0, 300.0, 5001), np.linspace(11.9, 12.1, 2001),
-                            np.geomspace(1e-300, 1e-8, 300)])
-        x = np.concatenate([x, -x])
-        assert np.max(np.abs(sf.bessel_j0(x) - sps.j0(x))) < 1e-9
-        assert np.max(np.abs(sf.bessel_j1(x) - sps.j1(x))) < 1e-9
+        # 30-digit mpmath on [0, 100]: a sweep, the split at 12 and its
+        # neighbourhood, tiny arguments
+        x = np.concatenate([np.linspace(0.0, 100.0, 801), np.linspace(11.5, 12.5, 201),
+                            [12.0 - 2e-15, 12.0 + 2e-15], np.geomspace(1e-300, 1e-3, 20)])
+        assert np.max(np.abs(sf.bessel_j0(x) - bessel_j_mp(0, x))) < 1e-15
+        assert np.max(np.abs(sf.bessel_j1(x) - bessel_j_mp(1, x))) < 1e-15
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_vectorized_j0_j1_large_arguments(self, n):
+        # beyond 100 the rounding of chi = x - (2n + 1) pi/4, half an ulp of
+        # x, sets the error: ulp(x) times the amplitude sqrt(2/(pi x))
+        x = np.geomspace(100.0, 1e4, 200)
+        err = np.abs((sf.bessel_j1 if n else sf.bessel_j0)(x) - bessel_j_mp(n, x))
+        assert np.all(err < np.spacing(x) * np.sqrt(2.0 / (np.pi * x)) + 1e-15)
 
     def test_vectorized_j0_even_j1_odd(self):
         x = np.concatenate([np.linspace(0.0, 40.0, 801), [1e-300, 1e-8, 11.999, 12.0]])
         assert np.array_equal(sf.bessel_j0(-x), sf.bessel_j0(x))
         assert np.array_equal(sf.bessel_j1(-x), -sf.bessel_j1(x))
+
+    @pytest.mark.parametrize("f", [sf.bessel_j0, sf.bessel_j1])
+    def test_j0_j1_at_the_ends_of_the_domain(self, f):
+        # the limit at +-inf is 0; a huge finite x warns of nothing (Tier-1
+        # makes a RuntimeWarning an error); NaN stays NaN
+        assert np.array_equal(f(np.array([np.inf, -np.inf])), [0.0, 0.0])
+        assert f(np.inf) == 0.0 and f(-np.inf) == 0.0
+        huge = f(np.array([1e300, -1e300, np.finfo(float).max]))
+        assert np.all(np.isfinite(huge)) and np.all(np.abs(huge) < 1e-150)
+        assert np.isnan(f(np.nan)) and np.isnan(f(np.array([1.0, np.nan])))[1]
+
+    def test_j0_j1_shapes_and_scalars(self):
+        assert type(sf.bessel_j0(3.0)) is float and type(sf.bessel_j1(np.float64(-3.0))) is float
+        grid = np.linspace(0.0, 30.0, 12).reshape(3, 4)
+        assert sf.bessel_j0(grid).shape == (3, 4) and sf.bessel_j1(grid[:0]).shape == (0, 4)
+        # slices of the work array do not change a value: one long call equals per-element calls
+        x = np.linspace(0.0, 40.0, 20001)
+        assert np.array_equal(sf.bessel_j0(x)[::997], [sf.bessel_j0(v) for v in x[::997]])
+
+    def test_coefficient_literals_rebuild(self):
+        # tests/bessel_coefficients.py, 30-digit mpmath, gives the committed literals
+        for name, values in bessel_coefficients.coefficients().items():
+            assert getattr(sf, name) == values, name
 
 
 class TestSphericalJ:
