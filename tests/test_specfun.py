@@ -151,6 +151,8 @@ class TestBesselJ:
         assert type(sf.bessel_j0(3.0)) is float and type(sf.bessel_j1(np.float64(-3.0))) is float
         grid = np.linspace(0.0, 30.0, 12).reshape(3, 4)
         assert sf.bessel_j0(grid).shape == (3, 4) and sf.bessel_j1(grid[:0]).shape == (0, 4)
+        mixed = np.array([-3.0, 3.0, -20.0, 20.0, np.nan])
+        assert np.array_equal(sf.bessel_j1(mixed), [sf.bessel_j1(v) for v in mixed], equal_nan=True)
         # slices of the work array do not change a value: one long call equals per-element calls
         x = np.linspace(0.0, 40.0, 20001)
         assert np.array_equal(sf.bessel_j0(x)[::997], [sf.bessel_j0(v) for v in x[::997]])
