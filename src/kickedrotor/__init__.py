@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from . import classical, quantum2d, quantum3d, semiclassical, specfun, squeeze, thermal
 from .classical import Coupling, Geometry
-from .profiles import DensityProfile
 
 __all__ = [
     "__version__",
@@ -24,5 +23,4 @@ __all__ = [
     "thermal",
     "Coupling",
     "Geometry",
-    "DensityProfile",
 ]

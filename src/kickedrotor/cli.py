@@ -210,10 +210,10 @@ def _grid(cfg, three_d):
 
 
 def _exact_density(cfg, grid, three_d):
-    # the exact density profile on the grid, and the kicked and evolved
-    # packet, whose norm and edge coefficients are checked
+    # the exact density on the grid, and the kicked and evolved packet,
+    # whose norm and edge coefficients are checked
     if not three_d:
-        packet = q2.apply_kick(q2.ground_packet(), q2.KickSpec(cfg.P, Coupling(cfg.coupling)))
+        packet = q2.apply_kick(q2.ground_packet(), cfg.P, Coupling(cfg.coupling))
         packet = q2.free_evolve(packet, cfg.resolved_tau()).check()
         return q2.density(packet, grid), packet
     kick = q3.dipole_kick_ground if cfg.coupling == "dipole" else q3.polarization_kick_ground
@@ -226,7 +226,7 @@ def _exact_density(cfg, grid, three_d):
 # methods.  Each evaluator is looked up on its module when called, so a
 # wrapper later installed there sees every call.
 _METHODS = {
-    "exact": (lambda cfg, g, tau, P: _exact_density(cfg, g, cfg.dim == 3)[0].values, False),
+    "exact": (lambda cfg, g, tau, P: _exact_density(cfg, g, cfg.dim == 3)[0], False),
     "pearcey": (lambda cfg, g, tau, P: np.abs(
         (sc.pearcey_cusp_3d if cfg.dim == 3 else sc.pearcey_focus_2d)(g, tau, P)) ** 2, True),
     "airy": (lambda cfg, g, tau, P: np.abs(sc.airy_rainbow_2d_full(g, tau, P)) ** 2, True),
@@ -256,11 +256,12 @@ def _peak_summary(grid, vals):
 def _quantum(cfg):
     three_d = cfg.command == "quantum3d"
     grid = _grid(cfg, three_d)
-    prof, packet = _exact_density(cfg, grid, three_d)
-    columns = {"theta": grid, "density": prof.values}
+    vals, packet = _exact_density(cfg, grid, three_d)
+    columns = {"theta": grid, "density": vals}
     if three_d:
-        columns["weighted_density"] = prof.weighted
-    return columns, {**_peak_summary(grid, prof.values), "norm": packet.norm()}
+        # the solid-angle density, whose theta-integral is 1
+        columns["weighted_density"] = 2.0 * math.pi * np.sin(grid) * vals
+    return columns, {**_peak_summary(grid, vals), "norm": packet.norm()}
 
 
 def _classical(cfg):
@@ -279,9 +280,9 @@ def _classical(cfg):
 
 def _thermal(cfg):
     blocks = th.sample_blocks(cfg.particles, cfg.seed, kick_strength=cfg.P_prime)
-    prof, O, A = th.kicked_profile(blocks, cfg.t_prime / cfg.P_prime, cfg.grid_points,
-                                   Coupling(cfg.coupling))
-    return {"theta": prof.grid, "density": prof.values}, {"orientation": O, "alignment": A}
+    grid, dens, O, A = th.kicked_profile(blocks, cfg.t_prime / cfg.P_prime, cfg.grid_points,
+                                         Coupling(cfg.coupling))
+    return {"theta": grid, "density": dens}, {"orientation": O, "alignment": A}
 
 
 def _semiclassical(cfg):
@@ -293,14 +294,13 @@ def _semiclassical(cfg):
         mid = 0.5 * (grid[0] + grid[-1])
         # sc.annotate_validity names the 3D cusp "pearcey3d"
         key = "pearcey3d" if cfg.method == "pearcey" and three_d else cfg.method
-        summary["validity"] = sc.annotate_validity(key, mid, cfg.resolved_tau(), cfg.P).value
+        summary["validity"] = sc.annotate_validity(key, mid, cfg.resolved_tau(), cfg.P)
     return {"theta": grid, "density": vals}, summary
 
 
 def _squeeze(cfg):
     if cfg.P_prime is None:
-        trace = sq.run_accumulative(cfg.u0, cfg.w0, cfg.kicks)
-        columns = {c: trace.column(c) for c in ("k", "u", "w", "dtau")}
+        columns = sq.run_accumulative(cfg.u0, cfg.w0, cfg.kicks)
         k, u = columns["k"], columns["u"]
         m = k >= max(100, cfg.kicks // 10)
         summary = {}
@@ -308,14 +308,14 @@ def _squeeze(cfg):
             summary["loglog_slope"] = float(np.polyfit(np.log(k[m]), np.log(u[m]), 1)[0])
         summary["final_u"] = float(u[-1])
         return columns, summary
-    trace = sq.classical_accumulative_3d(
+    columns = sq.classical_accumulative_3d(
         cfg.particles, cfg.P_prime, cfg.kicks, cfg.seed, Coupling(cfg.coupling))
-    columns = {c: trace.column(c) for c in ("k", "u", "w", "dtau", "observable")}
+    steps, iters = columns.pop("scan_steps"), columns.pop("newton_iters")
     obs = columns["observable"]
     return columns, {"final_observable": float(obs[-1]),
                      "monotone_decreasing": bool(np.all(np.diff(obs) < 0)),
-                     "scan_steps_per_kick": [r.scan_steps for r in trace.records],
-                     "newton_iters_per_kick": [r.newton_iters for r in trace.records]}
+                     "scan_steps_per_kick": steps.tolist(),
+                     "newton_iters_per_kick": iters.tolist()}
 
 
 def _compare(cfg):

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import DensityProfile
 from .quantum2d import _I_POW, TruncationError, _check_packet, kick_order_margin
 from .specfun import spherical_jn_array
 
@@ -75,7 +74,7 @@ def dipole_kick_ground(P):
     # truncated tail away
     c = c / math.sqrt(float(np.sum(np.abs(c) ** 2)))
     packet = LegendrePacket3D(l_max=l_max, coeffs=c, time=0.0)
-    if abs(np.sum((2 * l + 1.0) * jl ** 2) - 1.0) > 1e-10:
+    if not abs(np.sum((2 * l + 1.0) * jl ** 2) - 1.0) <= 1e-10:
         raise TruncationError("spherical-Bessel tail mass exceeds 1e-10")
     return packet
 
@@ -139,7 +138,7 @@ def polarization_kick_ground(P):
     L = np.arange(0, L_max + 1, 2)
     c[::2] = np.exp(1j * P / 2.0) / np.sqrt(2.0 * L + 1.0) * np.sum(weights * d[::2], axis=1)
     packet = LegendrePacket3D(l_max=L_max, coeffs=c, time=0.0)
-    if abs(packet.norm() - 1.0) > 1e-8:
+    if not abs(packet.norm() - 1.0) <= 1e-8:
         raise TruncationError("polarization kick coefficients lost norm")
     return packet
 
@@ -163,10 +162,9 @@ def wavefunction_3d(packet, grid):
 
 
 def density_3d(packet, grid):
-    """|psi(theta)|^2 plus the solid-angle-weighted 2 pi sin(theta)|psi|^2
-    (the packet's own norm is checked by `check`)."""
+    """|psi(theta)|^2 on the grid, angles in [0, pi] (the packet's own norm
+    is checked by `check`)."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if np.any(grid < -1e-12) or np.any(grid > math.pi + 1e-12):
         raise ValueError("3D grid angles must lie in [0, pi]")
-    vals = np.abs(wavefunction_3d(packet, grid)) ** 2
-    return DensityProfile(grid=grid, values=vals, weighted=2.0 * math.pi * np.sin(grid) * vals)
+    return np.abs(wavefunction_3d(packet, grid)) ** 2

@@ -23,8 +23,6 @@ theta_r)/tau, oscillatory on the lit side theta < theta_r.
 from __future__ import annotations
 
 import cmath
-import enum
-import functools
 import math
 
 import numpy as np
@@ -44,7 +42,6 @@ from .specfun import (
 
 __all__ = [
     "DISC_RADIUS",
-    "Validity",
     "planar_psi",
     "focal_density_asymptotic",
     "pearcey_focus_2d",
@@ -59,12 +56,6 @@ __all__ = [
 ]
 
 DISC_RADIUS = 2.0  # radius of the flat disc of area 4*pi
-
-
-class Validity(enum.Enum):
-    INSIDE = "inside"
-    EDGE = "edge"
-    OUTSIDE = "outside"
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +306,6 @@ def _ua_coefficients(theta, tau, P):
 _UA_MERGE_BAND = 1e-7  # relative distance to theta_r where the limit form takes over
 
 
-@functools.lru_cache(maxsize=256)
 def _ua_limit_coefficients(tau, P):
     """(G1, G2): the theta -> theta_r limits of (g1, g2).
 
@@ -491,46 +481,47 @@ def ford_wheeler_glory(theta, tau, P):
 
 
 # ----------------------------------------------------------------------
-# Validity annotations
+# Window annotations
 # ----------------------------------------------------------------------
 
 def annotate_validity(method, theta, tau, P):
-    """Coarse inside/edge/outside window annotation for each approximation."""
+    """Coarse window annotation for each approximation: "inside", "edge"
+    or "outside"."""
     s = P * tau
     if method == "pearcey":
         if 0.7 <= s <= 1.25:
-            return Validity.INSIDE
-        return Validity.EDGE if s <= 1.45 else Validity.OUTSIDE
+            return "inside"
+        return "edge" if s <= 1.45 else "outside"
     if method == "pearcey3d":
         if 1.0 <= s <= 1.4:
-            return Validity.INSIDE
-        return Validity.EDGE if 0.9 <= s <= 1.6 else Validity.OUTSIDE
+            return "inside"
+        return "edge" if 0.9 <= s <= 1.6 else "outside"
     if method == "airy":
         if s <= 1.0:
-            return Validity.OUTSIDE
+            return "outside"
         thr = rainbow_angle(s)
         w = airy_fringe_width(tau, P)
         d = abs(theta - thr)
         if d <= 2.0 * w:
-            return Validity.INSIDE
-        return Validity.EDGE if d <= 4.0 * w else Validity.OUTSIDE
+            return "inside"
+        return "edge" if d <= 4.0 * w else "outside"
     if method == "uniform-airy":
         if s <= 1.0 or theta <= 0:
-            return Validity.OUTSIDE
-        return Validity.INSIDE if theta >= 0.5 else Validity.EDGE
+            return "outside"
+        return "inside" if theta >= 0.5 else "edge"
     if method == "uniform-bessel":
         if s <= 1.0:
-            return Validity.OUTSIDE
+            return "outside"
         thr_q = (2.0 / 3.0) * (s - 1.0) * math.sqrt(2.0 * (s - 1.0) / s)
         if theta < 0.6 * thr_q:
-            return Validity.INSIDE
-        return Validity.EDGE if theta < 0.85 * thr_q else Validity.OUTSIDE
+            return "inside"
+        return "edge" if theta < 0.85 * thr_q else "outside"
     if method == "ford-wheeler":
         if s <= 1.0:
-            return Validity.OUTSIDE
+            return "outside"
         if s <= 1.5 and theta * glory_angle_planar(tau, P) / tau < 6.0:
-            return Validity.INSIDE
-        return Validity.EDGE
+            return "inside"
+        return "edge"
     if method == "planar":
-        return Validity.INSIDE if s <= 2.0 else Validity.EDGE
+        return "inside" if s <= 2.0 else "edge"
     raise ValueError(f"unknown method {method!r}")

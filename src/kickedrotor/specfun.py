@@ -113,15 +113,15 @@ def _miller(n_max, x, half):
 
 def bessel_jn_array(n_max, x):
     """J_0(x) .. J_{n_max}(x) by Miller's backward recurrence, normalized by
-    the sum rule J_0 + 2*sum_k J_{2k} = 1."""
+    the sum rule J_0 + 2*sum_k J_{2k} = 1; below |x| = 1e-8, where one step
+    of the recurrence can outgrow its rescaling, by the series' first term
+    (x/2)^k/k!, whose relative error (x/2)^2/(k+1) is below 2.5e-17."""
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    if abs(x) > _BESSEL_X_LIMIT or n_max > _BESSEL_N_LIMIT:
+    if not abs(x) <= _BESSEL_X_LIMIT or n_max > _BESSEL_N_LIMIT:  # NaN included
         raise DomainError("bessel_jn_array argument out of range")
-    if abs(x) < 1e-300:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
+    if abs(x) < 1e-8:
+        return np.cumprod(np.concatenate([[1.0], 0.5 * x / np.arange(1.0, n_max + 1)]))
     out, even_sum = _miller(n_max, abs(x), 0)
     out /= even_sum
     if x < 0:
@@ -134,7 +134,7 @@ def spherical_jn_array(l_max, x):
     whichever of j_0 = sin(x)/x and j_1 is farther from a zero."""
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
-    if x < 0:
+    if not x >= 0:
         raise DomainError("x must be >= 0")
     if x < 1e-12:
         out = np.zeros(l_max + 1)

@@ -19,7 +19,6 @@ flies the ensemble there, once per kick.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +27,6 @@ from . import thermal
 from .specfun import ConvergenceError, sincos
 
 __all__ = [
-    "MomentState",
-    "SqueezeRecord",
-    "SqueezeTrace",
     "kick_cycle",
     "run_accumulative",
     "ode_invariant",
@@ -38,72 +34,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MomentState:
-    """Second moments (u, w) = (<x^2>, <p^2>/P) of the polar packet."""
-
-    u: float
-    w: float
-
-    def __post_init__(self):
-        if self.u <= 0 or self.w <= 0:
-            raise ValueError("moments u, w must be positive")
-
-
-@dataclass(frozen=True)
-class SqueezeRecord:
-    k: int
-    u: float
-    w: float
-    dtau: float
-    observable: float | None = None  # O_k or A_k for the Monte Carlo driver,
-    scan_steps: int | None = None    # and the scan steps and Newton
-    newton_iters: int | None = None  # iterations of its minimum search
-
-
-@dataclass(frozen=True)
-class SqueezeTrace:
-    records: tuple
-
-    def column(self, name):
-        return np.array([getattr(r, name) for r in self.records], dtype=float)
-
-
-def kick_cycle(state):
+def kick_cycle(u, w):
     """One kick at minimal spread (vanishing mixed moment) plus free flight
-    to the next minimum.
+    to the next minimum, on the second moments (u, w) = (<x^2>, <p^2>/P).
 
-    Returns (new_state, dtau) with dtau = u/(u + w) in kick-scaled time
-    (multiply by 1/P for the physical delay at kick strength P).
+    Returns (u, w, dtau) after the cycle, with dtau = u/(u + w) in
+    kick-scaled time (multiply by 1/P for the physical delay at kick
+    strength P).
     """
-    u, w = state.u, state.w
     dtau = u / (u + w)
-    new = MomentState(u=u - u * u / (u + w), w=w + u)
-    return new, dtau
+    return u - u * u / (u + w), w + u, dtau
 
 
 def run_accumulative(u0, w0, kicks):
-    """Iterate kick_cycle, recording (k, u_k, w_k, dtau_k).
+    """Iterate kick_cycle from u0, w0 > 0 (ValueError otherwise): the
+    columns {"k", "u", "w", "dtau"} as arrays.
 
-    Record k holds the state *after* k cycles; u decreases and w
-    increases strictly at every step.  A start whose u0/(u0 + w0) is
-    below double precision cannot show that decrease and raises
-    ValueError.
+    Row k holds the state *after* k cycles; u decreases and w increases
+    strictly at every step.  A start whose u0/(u0 + w0) is below double
+    precision cannot show that decrease and raises ValueError.
     """
     if kicks < 1:
         raise ValueError("kicks must be >= 1")
-    state = MomentState(u=float(u0), w=float(w0))
-    records = []
+    if not (u0 > 0 and w0 > 0):
+        raise ValueError("moments u, w must be positive")
+    u, w = float(u0), float(w0)
+    rows = []
     for k in range(1, kicks + 1):
-        prev = state
-        state, dtau = kick_cycle(state)
-        if not (state.u < prev.u and state.w > prev.w):
+        u_next, w_next, dtau = kick_cycle(u, w)
+        if not (u_next < u and w_next > w):
             raise ValueError(
                 f"squeezing stalls at kick {k}: u/(u + w) = "
-                f"{prev.u / (prev.u + prev.w):.3g} is below double precision "
+                f"{u / (u + w):.3g} is below double precision "
                 f"(u0 = {u0!r}, w0 = {w0!r})")
-        records.append(SqueezeRecord(k=k, u=state.u, w=state.w, dtau=dtau))
-    return SqueezeTrace(records=tuple(records))
+        u, w = u_next, w_next
+        rows.append((u, w, dtau))
+    return _columns(("u", "w", "dtau"), rows)
+
+
+def _columns(names, rows):
+    # {"k": 1 .. len(rows), name: that entry of every row}
+    return {"k": np.arange(1, len(rows) + 1), **dict(zip(names, map(np.array, zip(*rows))))}
 
 
 def ode_invariant(u, w):
@@ -204,6 +175,8 @@ def classical_accumulative_3d(n_particles, P_prime, kicks, seed,
     of `thermal._free_flight`, and the ensemble flies on them to the minimum.
     P_prime = inf means zero initial temperature (only P't' matters, so
     the kick strength is set to 1 and time is reported as P't').
+    Returns one dict of arrays: k, u = 2 O, w = <p_theta'^2>/P', dtau (in
+    P't'), observable (O or A), and each search's scan_steps and newton_iters.
     """
     if kicks < 1:
         raise ValueError("kicks must be >= 1")
@@ -215,8 +188,8 @@ def classical_accumulative_3d(n_particles, P_prime, kicks, seed,
             raise ValueError("P_prime must be positive or inf")
         ens = thermal.sample_ensemble(n_particles, seed, kick_strength=P_prime)
     P = ens.kick_strength
-    records = []
-    for k in range(1, kicks + 1):
+    rows = []
+    for _ in range(kicks):
         ens = thermal.kick(ens, coupling)
         flight = thermal._free_flight(ens)
         t_min, steps, iters = _first_minimum(ens, coupling, flight)
@@ -224,7 +197,6 @@ def classical_accumulative_3d(n_particles, P_prime, kicks, seed,
         O, A = thermal.orientation_alignment(ens)
         w = float(np.mean(ens.p_theta ** 2)) / P
         # u = 2 O = <2 (1 - cos theta)> ~ <theta^2> near the pole
-        records.append(SqueezeRecord(k=k, u=2.0 * O, w=w, dtau=t_min * P,
-                                     observable=A if coupling is Coupling.POLARIZATION else O,
-                                     scan_steps=steps, newton_iters=iters))
-    return SqueezeTrace(records=tuple(records))
+        rows.append((2.0 * O, w, t_min * P, A if coupling is Coupling.POLARIZATION else O,
+                     steps, iters))
+    return _columns(("u", "w", "dtau", "observable", "scan_steps", "newton_iters"), rows)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classical import Coupling
-from .profiles import DensityProfile
 from .specfun import DomainError, sincos
 
 __all__ = [
@@ -186,12 +185,13 @@ def _fly(ensemble, flight, dt):
 
 
 def kicked_profile(blocks, dt, bins, coupling=Coupling.DIPOLE):
-    """(profile, O, A) of the union of `blocks` (ensembles of one kick
+    """(grid, density, O, A) of the union of `blocks` (ensembles of one kick
     strength, such as `sample_blocks`) after a kick and free flight for dt:
-    the plotted f(theta), normalized so sum(density * dtheta) = 1 with no
-    1/sin(theta) weighting (the isotropic ensemble shows sin(theta)/2), and
-    `orientation_alignment`.  Counts add exactly, (O, A) up to sum order.
-    Only cos theta is flown, and arccos(cos theta) binned as np.histogram does.
+    the bin centers, the plotted f(theta) there, normalized so sum(density
+    * dtheta) = 1 with no 1/sin(theta) weighting (the isotropic ensemble
+    shows sin(theta)/2), and `orientation_alignment`.  Counts add exactly,
+    (O, A) up to sum order.  Only cos theta is flown, and arccos(cos theta)
+    binned as np.histogram does.
     """
     if bins < 2 or dt < 0:
         raise ValueError("need at least 2 bins and dt >= 0")
@@ -206,7 +206,7 @@ def kicked_profile(blocks, dt, bins, coupling=Coupling.DIPOLE):
     centers = 0.5 * (edges[:-1] + edges[1:])
     dens = counts / (n * (edges[1] - edges[0]))
     O, A = sums / n
-    return DensityProfile(grid=centers, values=dens), float(O), float(A)
+    return centers, dens, float(O), float(A)
 
 
 def _bin_counts(theta, edges):

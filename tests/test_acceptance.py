@@ -29,7 +29,7 @@ def report(num, label, ok, detail=""):
 
 
 def kicked_2d(P, tau):
-    p = q2.apply_kick(q2.ground_packet(), q2.KickSpec(P))
+    p = q2.apply_kick(q2.ground_packet(), P)
     return q2.free_evolve(p, tau)
 
 
@@ -41,7 +41,7 @@ def test_criterion_01_focal_peak_2d():
     t0 = time.perf_counter()
     P = 85.0
     target = 0.4078 * math.sqrt(P)
-    exact = q2.density(kicked_2d(P, 1.0 / P), np.array([0.0])).values[0]
+    exact = q2.density(kicked_2d(P, 1.0 / P), np.array([0.0]))[0]
     closed = abs(sc.pearcey_focus_2d(0.0, 1.0 / P, P)) ** 2
     elapsed = time.perf_counter() - t0
     ok = (abs(exact - target) / target < 0.05
@@ -101,7 +101,7 @@ def test_criterion_05_rainbow_angles():
     thr = cl.rainbow_angle(4.0)
     fringe = sc.airy_fringe_width(tau, P)
     grid = np.linspace(thr - 1.2, thr + 0.4, 800)
-    dens = q2.density(kicked_2d(P, tau), grid).values
+    dens = q2.density(kicked_2d(P, tau), grid)
     peak = grid[np.argmax(dens)]
     ok &= abs(peak - thr) < fringe
     report(5, "rainbow angles and exact peak within one Airy fringe", ok,
@@ -135,8 +135,8 @@ def test_criterion_07_norm_and_revivals():
     p2 = kicked_2d(P, 0.7)
     norm_ok = abs(p2.norm() - 1.0) < 1e-10
     grid2 = np.linspace(0, 2 * math.pi, 512, endpoint=False)
-    d_a = q2.density(p2, grid2).values
-    d_b = q2.density(q2.free_evolve(p2, 4 * math.pi), grid2).values
+    d_a = q2.density(p2, grid2)
+    d_b = q2.density(q2.free_evolve(p2, 4 * math.pi), grid2)
     rev2 = np.max(np.abs(d_a - d_b))
 
     p3 = kicked_3d(P, 0.7)
@@ -144,8 +144,8 @@ def test_criterion_07_norm_and_revivals():
     pol = q3.polarization_kick_ground(20.0)
     norm_ok &= abs(pol.norm() - 1.0) < 1e-10
     grid3 = np.linspace(0, math.pi, 512)
-    d3a = q3.density_3d(p3, grid3).values
-    d3b = q3.density_3d(q3.free_evolve_3d(p3, 2 * math.pi), grid3).values
+    d3a = q3.density_3d(p3, grid3)
+    d3b = q3.density_3d(q3.free_evolve_3d(p3, 2 * math.pi), grid3)
     rev3 = np.max(np.abs(d3a - d3b))
     ok = norm_ok and rev2 < 1e-8 and rev3 < 1e-8
     report(7, "norm conservation 1e-10; revivals pointwise 1e-8", ok,
@@ -199,7 +199,7 @@ def test_criterion_09_classical_quantum_correspondence():
     for c0, cv in zip(boxes, cvs):
         lo, hi = c0 - 0.05, c0 + 0.05
         gridb = np.linspace(lo, hi, 41)
-        qv = float(np.trapezoid(q3.density_3d(packet, gridb).values, gridb)) / 0.1
+        qv = float(np.trapezoid(q3.density_3d(packet, gridb), gridb)) / 0.1
         rels.append((qv - cv) / cv)
     rms = float(np.sqrt(np.mean(np.square(rels))))
     ok = rms < 0.10
@@ -210,19 +210,19 @@ def test_criterion_09_classical_quantum_correspondence():
 def test_criterion_10_thermal_hole():
     t0 = time.perf_counter()
     blocks = th.sample_blocks(10 ** 6, seed=11, kick_strength=10.0)
-    prof, _, _ = th.kicked_profile(blocks, 0.1, 400)  # P't' = 1
-    peak_zone = prof.values[prof.grid < 0.3]
+    grid, dens, _, _ = th.kicked_profile(blocks, 0.1, 400)  # P't' = 1
+    peak_zone = dens[grid < 0.3]
     elapsed = time.perf_counter() - t0
-    ok = (prof.values[0] < 0.10 * peak_zone.max()
-          and peak_zone.max() == prof.values.max()
+    ok = (dens[0] < 0.10 * peak_zone.max()
+          and peak_zone.max() == dens.max()
           and elapsed < 60.0)
     report(10, "thermal hole at theta=0 with focal peak inside 0.3 rad", ok,
-           f"first bin/peak={prof.values[0] / peak_zone.max():.4f}, {elapsed:.1f}s")
+           f"first bin/peak={dens[0] / peak_zone.max():.4f}, {elapsed:.1f}s")
 
 
 def test_criterion_11_squeezing():
     tr = sq.run_accumulative(1.0, 1.0, 1000)
-    k, u, dtau = tr.column("k"), tr.column("u"), tr.column("dtau")
+    k, u, dtau = tr["k"], tr["u"], tr["dtau"]
     m = k >= 100
     slope = float(np.polyfit(np.log(k[m]), np.log(u[m]), 1)[0])
     prod = (k * dtau)[m]
@@ -238,7 +238,7 @@ def test_criterion_11_squeezing():
     inv_ok = inv_dev < 1e-9
 
     trace = sq.classical_accumulative_3d(20000, math.inf, 10, seed=3)
-    obs = trace.column("observable")
+    obs = trace["observable"]
     mono_ok = bool(np.all(np.diff(obs) < 0))
     ok = slope_ok and prod_ok and inv_ok and mono_ok
     report(11, "squeezing asymptotics, ODE invariant, monotone driver", ok,

@@ -404,6 +404,24 @@ class TestMain:
         err = capsys.readouterr().err
         assert "double precision" in err and "Traceback" not in err
 
+    def test_squeeze_negative_moment_exit_two(self, tmp_path, capsys):
+        # u0 + w0 = 0 would divide by zero in the first cycle
+        rc = cli.main(["squeeze", "--u0", "1", "--w0", "-1", "--kicks", "3",
+                       "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "moments u, w must be positive" in err and "Traceback" not in err
+
+    def test_tiny_kick_is_the_uniform_density(self, tmp_path):
+        # J_k at P = 1e-200 once overflowed to an all-NaN CSV with exit 0
+        for coupling in ("dipole", "polarization"):
+            out = tmp_path / f"{coupling}.csv"
+            rc = cli.main(["quantum2d", "--P", "1e-200", "--s", "1e-200", "--grid", "4",
+                           "--coupling", coupling, "--out", str(out)])
+            assert rc == 0
+            dens = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+            assert dens == pytest.approx(np.full(4, 1.0 / (2.0 * math.pi)), rel=1e-14)
+
     @pytest.mark.parametrize("dim", ["2", "3"])
     def test_cusp_window_beyond_domain_exit_two(self, tmp_path, capsys, dim):
         # theta = 50 at P = 50, s = 1 is beta = 2,080, beyond the Pearcey

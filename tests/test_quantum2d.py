@@ -17,7 +17,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def kicked_ground(P, coupling=Coupling.DIPOLE):
-    return q2.apply_kick(q2.ground_packet(), q2.KickSpec(P, coupling))
+    return q2.apply_kick(q2.ground_packet(), P, coupling)
 
 
 class TestGroundPacket:
@@ -28,13 +28,13 @@ class TestGroundPacket:
     def test_uniform_density(self):
         g = q2.ground_packet()
         d = q2.density(g, np.linspace(0, TWO_PI, 200, endpoint=False))
-        assert np.allclose(d.values, 1.0 / TWO_PI, atol=1e-14)
+        assert np.allclose(d, 1.0 / TWO_PI, atol=1e-14)
 
     def test_stationary_under_free_evolution(self):
         g = q2.ground_packet()
         ev = q2.free_evolve(g, 3.7)
-        d0 = q2.density(g, np.linspace(0, TWO_PI, 64, endpoint=False)).values
-        d1 = q2.density(ev, np.linspace(0, TWO_PI, 64, endpoint=False)).values
+        d0 = q2.density(g, np.linspace(0, TWO_PI, 64, endpoint=False))
+        d1 = q2.density(ev, np.linspace(0, TWO_PI, 64, endpoint=False))
         assert np.allclose(d0, d1, atol=1e-15)
 
 
@@ -49,12 +49,26 @@ class TestApplyKick:
 
     def test_zero_strength_is_identity(self):
         g = q2.ground_packet()
-        assert q2.apply_kick(g, q2.KickSpec(0.0)) is g
+        assert q2.apply_kick(g, 0.0) is g
 
     def test_kick_is_pure_phase_at_time_zero(self):
         packet = kicked_ground(1.0)
         d = q2.density(packet, np.linspace(0, TWO_PI, 128, endpoint=False))
-        assert np.allclose(d.values, 1.0 / TWO_PI, atol=1e-12)
+        assert np.allclose(d, 1.0 / TWO_PI, atol=1e-12)
+
+    def test_negative_strength_rejected(self):
+        with pytest.raises(ValueError, match="kick strength must be >= 0"):
+            q2.apply_kick(q2.ground_packet(), -1.0)
+
+    def test_nan_packet_fails_the_checks(self):
+        # a NaN norm compares false both ways: the checks must fail closed
+        c = np.zeros(5, dtype=complex)
+        c[2], c[3] = 1.0, np.nan
+        packet = q2.FourierPacket2D(n_max=2, coeffs=c)
+        with pytest.raises(q2.TruncationError, match="norm nan"):
+            packet.check()
+        with pytest.raises(q2.TruncationError, match="leaked"):
+            q2.apply_kick(packet, 1.0)
 
     def test_norm_preserved(self):
         for P in (1.0, 20.0, 85.0):
@@ -90,14 +104,14 @@ class TestFreeEvolve:
         p = q2.free_evolve(kicked_ground(30.0), 0.37)
         rev = q2.free_evolve(p, q2.REVIVAL_PERIOD)
         grid = np.linspace(0, TWO_PI, 512, endpoint=False)
-        d0 = q2.density(p, grid).values
-        d1 = q2.density(rev, grid).values
+        d0 = q2.density(p, grid)
+        d1 = q2.density(rev, grid)
         assert np.max(np.abs(d0 - d1)) < 1e-8
 
     def test_focal_peak_value(self):
         P = 85.0
         p = q2.free_evolve(kicked_ground(P), 1.0 / P)
-        d0 = q2.density(p, np.array([0.0])).values[0]
+        d0 = q2.density(p, np.array([0.0]))[0]
         assert d0 == pytest.approx(0.4078 * math.sqrt(P), rel=0.05)
 
     def test_norm_conserved(self):
@@ -109,14 +123,14 @@ class TestDensity:
     def test_parity_of_kicked_packet(self):
         p = q2.free_evolve(kicked_ground(40.0), 0.05)
         th = np.linspace(0.1, 3.0, 37)
-        d1 = q2.density(p, th).values
-        d2 = q2.density(p, TWO_PI - th).values
+        d1 = q2.density(p, th)
+        d2 = q2.density(p, TWO_PI - th)
         assert np.max(np.abs(d1 - d2)) < 1e-10
 
     def test_norm_check_passes_on_fine_grid(self):
         p = q2.free_evolve(kicked_ground(20.0), 0.4)
         grid = np.linspace(0, TWO_PI, 4 * p.n_max + 8, endpoint=False)
-        assert abs(circle_norm(q2.density(p, grid).values) - 1.0) < 1e-8
+        assert abs(circle_norm(q2.density(p, grid)) - 1.0) < 1e-8
 
     def test_two_symmetric_rainbow_maxima(self):
         # P = 85 at P tau = 2: maxima straddle +-theta_r(2)
@@ -128,7 +142,7 @@ class TestDensity:
         w = airy_fringe_width(tau, P)
         p = q2.free_evolve(kicked_ground(P), tau)
         grid = np.linspace(0.05, TWO_PI - 0.05, 2400)
-        d = q2.density(p, grid).values
+        d = q2.density(p, grid)
         peak1 = grid[np.argmax(np.where(grid < np.pi, d, 0))]
         peak2 = grid[np.argmax(np.where(grid > np.pi, d, 0))]
         assert abs(peak1 - thr) < w
@@ -141,9 +155,9 @@ class TestDensity:
         p = q2.free_evolve(kicked_ground(P), 1.0 / P + q2.REVIVAL_PERIOD / 2)
         grid = np.linspace(0, TWO_PI, 4 * p.n_max + 8, endpoint=False)
         d = q2.density(p, grid)
-        assert abs(circle_norm(d.values) - 1.0) < 1e-8
-        assert d.values.max() > 3.0 * d.values.mean()
-        sym = np.abs(d.values[1:] - d.values[1:][::-1])
+        assert abs(circle_norm(d) - 1.0) < 1e-8
+        assert d.max() > 3.0 * d.mean()
+        sym = np.abs(d[1:] - d[1:][::-1])
         assert np.max(sym) < 1e-9
 
 
@@ -209,7 +223,7 @@ class TestPropagatorOracle:
         tau = 1.0 / P
         p = q2.free_evolve(kicked_ground(P), tau)
         for th in (0.0, 0.3, 1.0, 2.0):
-            exact = q2.density(p, np.array([th])).values[0]
+            exact = q2.density(p, np.array([th]))[0]
             oracle = abs(_line_propagator_psi(th, tau, P)) ** 2
             assert exact == pytest.approx(oracle, abs=1e-6)
 
@@ -222,6 +236,6 @@ def test_kick_and_evolve_preserve_norm(P, coupling, dtau, n_max, seed):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(2 * n_max + 1) + 1j * rng.standard_normal(2 * n_max + 1)
     packet = q2.FourierPacket2D(n_max=n_max, coeffs=c / np.linalg.norm(c))
-    kicked = q2.apply_kick(packet, q2.KickSpec(P, coupling))
+    kicked = q2.apply_kick(packet, P, coupling)
     assert abs(kicked.norm() - 1.0) < 1e-12
     assert abs(q2.free_evolve(kicked, dtau).norm() - 1.0) < 1e-12

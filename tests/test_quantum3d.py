@@ -83,7 +83,7 @@ class TestDipoleKick:
     def test_uniform_density_right_after_kick(self):
         p = q3.dipole_kick_ground(75.0)
         d = q3.density_3d(p, np.linspace(0.01, math.pi - 0.01, 64))
-        assert np.allclose(d.values, 1.0 / FOUR_PI, atol=1e-10)
+        assert np.allclose(d, 1.0 / FOUR_PI, atol=1e-10)
 
     def test_projection_oracle(self):
         # c_l = int Y_l^0 e^{iP cos th} 2 pi sin th dth / sqrt(4 pi)
@@ -104,7 +104,7 @@ class TestDipoleKick:
     def test_focal_peak_proportional_to_P(self):
         P = 75.0
         p = q3.free_evolve_3d(q3.dipole_kick_ground(P), 1.0 / P)
-        d0 = q3.density_3d(p, np.array([0.0])).values[0]
+        d0 = q3.density_3d(p, np.array([0.0]))[0]
         assert d0 == pytest.approx(3.0 * P / 8.0, rel=0.15)
 
 
@@ -137,8 +137,8 @@ class TestPolarizationKick:
         P = 75.0
         p = q3.free_evolve_3d(q3.polarization_kick_ground(P), 0.8 / P)
         th = np.linspace(0.05, 1.5, 33)
-        d1 = q3.density_3d(p, th).values
-        d2 = q3.density_3d(p, math.pi - th).values
+        d1 = q3.density_3d(p, th)
+        d2 = q3.density_3d(p, math.pi - th)
         assert np.max(np.abs(d1 - d2)) < 1e-10
 
     def test_double_focus_at_polarization_focal_time(self):
@@ -146,7 +146,7 @@ class TestPolarizationKick:
         P = 75.0
         p = q3.free_evolve_3d(q3.polarization_kick_ground(P), 1.0 / (2 * P))
         grid = np.linspace(0.0, math.pi, 721)
-        d = q3.density_3d(p, grid).values
+        d = q3.density_3d(p, grid)
         # both ends dominate the equator region by a large factor
         assert d[0] > 20 * np.median(d)
         assert d[-1] > 20 * np.median(d)
@@ -161,8 +161,8 @@ class TestFreeEvolve3D:
         p = q3.free_evolve_3d(q3.dipole_kick_ground(40.0), 0.13)
         rev = q3.free_evolve_3d(p, 2.0 * math.pi)
         grid = np.linspace(0, math.pi, 301)
-        d0 = q3.density_3d(p, grid).values
-        d1 = q3.density_3d(rev, grid).values
+        d0 = q3.density_3d(p, grid)
+        d1 = q3.density_3d(rev, grid)
         assert np.max(np.abs(d0 - d1)) < 1e-8
 
     def test_norm_conserved(self):
@@ -174,7 +174,7 @@ class TestFreeEvolve3D:
         P = 75.0
         p = q3.free_evolve_3d(q3.dipole_kick_ground(P), 1.0 / P)
         grid = np.linspace(0, math.pi, 721)
-        d = q3.density_3d(p, grid).values
+        d = q3.density_3d(p, grid)
         assert np.argmax(d) == 0
 
     def test_glory_snapshot_at_late_time(self):
@@ -182,7 +182,7 @@ class TestFreeEvolve3D:
         P = 75.0
         p = q3.free_evolve_3d(q3.dipole_kick_ground(P), 4.0 / P)
         grid = np.linspace(0, math.pi, 1441)
-        d = q3.density_3d(p, grid).values
+        d = q3.density_3d(p, grid)
         assert d[0] > 10 * np.median(d)  # glory peak at the pole
         rainbow_zone = (grid > 2.2) & (grid < 2.6)
         assert d[rainbow_zone].max() > 3 * np.median(d)
@@ -192,12 +192,12 @@ class TestDensity3D:
     def test_ground_state_uniform(self):
         p = q3.polarization_kick_ground(0.0)
         d = q3.density_3d(p, np.linspace(0, math.pi, 50))
-        assert np.allclose(d.values, 1.0 / FOUR_PI, atol=1e-14)
+        assert np.allclose(d, 1.0 / FOUR_PI, atol=1e-14)
 
     def test_weighted_normalization(self):
         P = 75.0
         p = q3.free_evolve_3d(q3.dipole_kick_ground(P), 2.0 / P)
-        norm = sphere_norm(lambda th: q3.density_3d(p, th).values, p.l_max)
+        norm = sphere_norm(lambda th: q3.density_3d(p, th), p.l_max)
         assert abs(norm - 1.0) < 1e-8
 
     def test_norm_check_reads_no_grid(self):
@@ -205,12 +205,18 @@ class TestDensity3D:
         # nodes), and the packet's Parseval check, which reads no grid,
         # rejects a packet whose norm is 1.0201 as a numerical fault
         p = q3.free_evolve_3d(q3.polarization_kick_ground(75.0), 2.0 / 75.0)
-        norm = sphere_norm(lambda th: q3.density_3d(p, th).values, p.l_max)
+        norm = sphere_norm(lambda th: q3.density_3d(p, th), p.l_max)
         assert abs(norm - 1.0) < 1e-8
         assert p.check() is p
         off = q3.LegendrePacket3D(l_max=p.l_max, coeffs=1.01 * p.coeffs, time=p.time)
         with pytest.raises(q3.TruncationError, match="norm 1.0201"):
             off.check()
+
+    def test_nan_packet_fails_its_check(self):
+        c = np.zeros(3, dtype=complex)
+        c[0], c[1] = 1.0, np.nan
+        with pytest.raises(q3.TruncationError, match="norm nan"):
+            q3.LegendrePacket3D(l_max=2, coeffs=c).check()
 
     def test_rejects_out_of_range_grid(self):
         p = q3.dipole_kick_ground(5.0)

@@ -83,6 +83,15 @@ class TestBesselJ:
         assert sf.bessel_jn_array(1, 0.0)[1] == 0.0
         assert sf.bessel_jn_array(7, 0.0)[7] == 0.0
 
+    @pytest.mark.parametrize("x", [1e-100, 1e-60, 1e-20, -1e-100])
+    def test_tiny_arguments_keep_the_leading_terms(self, x):
+        # below about 1.6e-58 one recurrence step outgrows the rescaling and
+        # overflowed to NaN; J_0 = 1 - x^2/4 and J_1 = x/2 - x^3/16
+        j = sf.bessel_jn_array(25, x)
+        assert np.all(np.isfinite(j))
+        assert j[0] == pytest.approx(1.0, rel=1e-15, abs=0)
+        assert j[1] == pytest.approx(x / 2, rel=1e-15, abs=0)
+
     def test_integral_representation_oracle(self):
         assert sf.bessel_jn_array(5, 85.0)[5] == pytest.approx(J5_85_ORACLE, abs=1e-10)
 
@@ -115,6 +124,8 @@ class TestBesselJ:
             sf.bessel_jn_array(10 ** 6 + 1, 1.0)
         with pytest.raises(sf.DomainError):
             sf.bessel_jn_array(1, 10 ** 4 + 1.0)
+        with pytest.raises(sf.DomainError):
+            sf.bessel_jn_array(3, math.nan)
 
     def test_vectorized_j0_j1(self):
         # 30-digit mpmath on [0, 100]: a sweep, the split at 12 and its
@@ -188,6 +199,9 @@ class TestSphericalJ:
     def test_negative_order_rejected(self):
         with pytest.raises(sf.DomainError):
             sf.spherical_jn_array(-1, 1.0)
+        for x in (-1.0, math.nan):
+            with pytest.raises(sf.DomainError):
+                sf.spherical_jn_array(3, x)
 
     @pytest.mark.parametrize("x", [1e-6, 9.82836333277001, 300.5, 1000.0])
     def test_backward_recurrence_on_either_side_of_the_turning_point(self, x):

@@ -18,58 +18,63 @@ from oracles import ensemble_at
 
 class TestKickCycle:
     def test_hand_values(self):
-        state, dtau = sq.kick_cycle(sq.MomentState(1.0, 1.0))
-        assert state.u == pytest.approx(0.5)
-        assert state.w == pytest.approx(2.0)
+        u, w, dtau = sq.kick_cycle(1.0, 1.0)
+        assert u == pytest.approx(0.5)
+        assert w == pytest.approx(2.0)
         assert dtau == pytest.approx(0.5)
 
     def test_perturbative_gain(self):
         # u << w: u' ~ u (1 - u/w)
         u, w = 1e-6, 1.0
-        state, _ = sq.kick_cycle(sq.MomentState(u, w))
-        assert state.u == pytest.approx(u * (1 - u / w), rel=1e-5)
+        u1, _, _ = sq.kick_cycle(u, w)
+        assert u1 == pytest.approx(u * (1 - u / w), rel=1e-5)
 
     def test_positivity_preserved(self):
-        state = sq.MomentState(3.0, 0.1)
+        u, w = 3.0, 0.1
         for _ in range(200):
-            state, _ = sq.kick_cycle(state)
-            assert state.u > 0 and state.w > 0
+            u, w, _ = sq.kick_cycle(u, w)
+            assert u > 0 and w > 0
 
     def test_stall_below_double_precision_is_a_value_error(self):
         # u - u^2/(u + w) rounds to u when u/(u + w) < 2^-53
         with pytest.raises(ValueError, match="double precision"):
             sq.run_accumulative(1e-20, 1.0, 3)
 
+    @pytest.mark.parametrize("u0, w0", [(0.0, 1.0), (1.0, -1.0)])
+    def test_nonpositive_start_is_a_value_error(self, u0, w0):
+        with pytest.raises(ValueError, match="moments u, w must be positive"):
+            sq.run_accumulative(u0, w0, 3)
+
 
 class TestRunAccumulative:
     def test_single_kick_matches_cycle(self):
         tr = sq.run_accumulative(1.0, 1.0, 1)
-        assert len(tr.records) == 1
-        assert tr.records[0].u == pytest.approx(0.5)
-        assert tr.records[0].dtau == pytest.approx(0.5)
+        assert len(tr["k"]) == 1
+        assert tr["u"][0] == pytest.approx(0.5)
+        assert tr["dtau"][0] == pytest.approx(0.5)
 
     def test_strict_monotonicity(self):
         tr = sq.run_accumulative(2.0, 0.5, 500)
-        u, w = tr.column("u"), tr.column("w")
+        u, w = tr["u"], tr["w"]
         assert np.all(np.diff(u) < 0)
         assert np.all(np.diff(w) > 0)
 
     def test_asymptotic_slope(self):
         tr = sq.run_accumulative(1.0, 1.0, 1000)
-        k, u = tr.column("k"), tr.column("u")
+        k, u = tr["k"], tr["u"]
         m = k >= 100
         slope = np.polyfit(np.log(k[m]), np.log(u[m]), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.05)
 
     def test_wait_times_scale_as_inverse_k(self):
         tr = sq.run_accumulative(1.0, 1.0, 1000)
-        k, dtau = tr.column("k"), tr.column("dtau")
+        k, dtau = tr["k"], tr["dtau"]
         prod = (k * dtau)[k >= 100]
         assert np.max(prod) / np.min(prod) - 1 < 0.10
 
     def test_u_times_sqrt_k_stabilizes(self):
         tr = sq.run_accumulative(1.0, 1.0, 2000)
-        k, u = tr.column("k"), tr.column("u")
+        k, u = tr["k"], tr["u"]
         tail = (u * np.sqrt(k))[k >= 1000]
         assert np.max(tail) / np.min(tail) - 1 < 1e-3
 
@@ -98,9 +103,9 @@ class TestOdeInvariant:
 
     def test_discrete_recurrence_breaks_invariant_early(self):
         # negative control: (1,1) -> 3 but (1/2, 2) -> 2.25
-        state, _ = sq.kick_cycle(sq.MomentState(1.0, 1.0))
-        assert sq.ode_invariant(state.u, state.w) == pytest.approx(2.25)
-        assert sq.ode_invariant(state.u, state.w) != pytest.approx(3.0, abs=0.5)
+        u, w, _ = sq.kick_cycle(1.0, 1.0)
+        assert sq.ode_invariant(u, w) == pytest.approx(2.25)
+        assert sq.ode_invariant(u, w) != pytest.approx(3.0, abs=0.5)
 
 
 def zero_temp_orientation(t):
@@ -112,7 +117,7 @@ def zero_temp_orientation(t):
 class TestClassicalDriver:
     def test_zero_temperature_monotone_orientation(self):
         tr = sq.classical_accumulative_3d(20000, math.inf, 10, seed=3)
-        obs = tr.column("observable")
+        obs = tr["observable"]
         assert np.all(np.diff(obs) < 0)
 
     def test_first_minimum_matches_quadrature_oracle(self):
@@ -122,15 +127,15 @@ class TestClassicalDriver:
         r = minimize_scalar(zero_temp_orientation, bounds=(1.2, 2.2),
                             method="bounded", options={"xatol": 1e-10})
         tr = sq.classical_accumulative_3d(400000, math.inf, 1, seed=12)
-        assert tr.records[0].dtau == pytest.approx(r.x, abs=0.01)
-        assert tr.records[0].observable == pytest.approx(
+        assert tr["dtau"][0] == pytest.approx(r.x, abs=0.01)
+        assert tr["observable"][0] == pytest.approx(
             zero_temp_orientation(r.x), abs=0.005)
 
     def test_finite_temperature_still_improves(self):
         strong = sq.classical_accumulative_3d(20000, 5.0, 12, seed=4)
         weak = sq.classical_accumulative_3d(20000, 1.0, 12, seed=4)
-        o_strong = strong.column("observable")
-        o_weak = weak.column("observable")
+        o_strong = strong["observable"]
+        o_weak = weak["observable"]
         assert np.all(np.diff(o_strong) < 0)
         assert o_weak[-1] < o_weak[0]          # improves with k
         assert o_weak[-1] > o_strong[-1]       # but more slowly than P'=5
@@ -138,15 +143,15 @@ class TestClassicalDriver:
     def test_polarization_uses_alignment(self):
         tr = sq.classical_accumulative_3d(20000, math.inf, 5, seed=5,
                                           coupling=Coupling.POLARIZATION)
-        obs = tr.column("observable")
+        obs = tr["observable"]
         assert np.all(np.diff(obs) < 0)
         assert obs[0] < 2.0 / 3.0  # below the isotropic alignment factor
 
     def test_determinism(self):
         a = sq.classical_accumulative_3d(5000, math.inf, 3, seed=9)
         b = sq.classical_accumulative_3d(5000, math.inf, 3, seed=9)
-        assert np.array_equal(a.column("observable"), b.column("observable"))
-        assert np.array_equal(a.column("dtau"), b.column("dtau"))
+        assert np.array_equal(a["observable"], b["observable"])
+        assert np.array_equal(a["dtau"], b["dtau"])
 
 
 def kicked_ensemble(P_prime, coupling, seed=21, n=20000):
@@ -207,7 +212,7 @@ class TestClosedFormObservable:
         tr = sq.classical_accumulative_3d(2000, 5.0, 4, seed=8)
         assert len(calls) == len(flights) == 4
         assert all(f is g for (f, _), g in zip(calls, flights))
-        assert [dt * 5.0 for _, dt in calls] == list(tr.column("dtau"))
+        assert [dt * 5.0 for _, dt in calls] == list(tr["dtau"])
 
     def test_no_minimum_is_a_convergence_error(self, monkeypatch):
         # an ensemble at rest has a flat observable: the real scan walks
@@ -220,8 +225,8 @@ class TestClosedFormObservable:
 
     def test_records_hold_the_search_counts(self):
         tr = sq.classical_accumulative_3d(2000, 5.0, 4, seed=8)
-        for r in tr.records:
-            assert r.scan_steps >= 1 and 1 <= r.newton_iters <= sq._NEWTON_BUDGET
+        assert np.all(tr["scan_steps"] >= 1)
+        assert np.all((1 <= tr["newton_iters"]) & (tr["newton_iters"] <= sq._NEWTON_BUDGET))
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

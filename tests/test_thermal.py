@@ -194,42 +194,42 @@ def test_flight_against_libm_oracle(P_prime, t_prime, coupling):
     assert np.max(gap[ref.sin_theta > 0.01]) <= 1e-13 * big
     # the histogram pass flies cos theta alone and bins arccos(cos theta):
     # against np.histogram of the libm flight's theta = arctan2(sin, cos)
-    prof, O, A = th.kicked_profile([ens], dt, 200, coupling)
+    _, dens, O, A = th.kicked_profile([ens], dt, 200, coupling)
     counts, edges = np.histogram(ref.theta, bins=200, range=(0.0, math.pi))
     O_ref, A_ref = th.orientation_alignment(ref)
-    assert np.array_equal(prof.values, counts / (n * (edges[1] - edges[0])))
+    assert np.array_equal(dens, counts / (n * (edges[1] - edges[0])))
     assert O == pytest.approx(O_ref, rel=1e-14, abs=0)
     assert A == pytest.approx(A_ref, rel=1e-14, abs=0)
 
 
 class TestHistogram:
     def test_isotropic_half_sine(self, big_ensemble):
-        prof, _, _ = th.kicked_profile([big_ensemble], 0.0, 50)
-        width = prof.grid[1] - prof.grid[0]
-        assert np.sum(prof.values) * width == pytest.approx(1.0, rel=1e-12)
-        ref = np.sin(prof.grid) / 2
-        counts = prof.values * (10 ** 6 * width)
+        grid, dens, _, _ = th.kicked_profile([big_ensemble], 0.0, 50)
+        width = grid[1] - grid[0]
+        assert np.sum(dens) * width == pytest.approx(1.0, rel=1e-12)
+        ref = np.sin(grid) / 2
+        counts = dens * (10 ** 6 * width)
         tol = 0.02 + 4.0 / np.sqrt(np.maximum(counts, 1))
-        assert np.all(np.abs(prof.values - ref) / ref < tol)
+        assert np.all(np.abs(dens - ref) / ref < tol)
 
     def test_focal_hole_at_strong_kick(self):
         # P' = 10 at P't' = 1: peak near the pole but a hole at theta = 0
-        prof, _, _ = th.kicked_profile(th.sample_blocks(10 ** 6, seed=42, kick_strength=10.0),
-                                       0.1, 400)
-        peak_zone = prof.values[prof.grid < 0.3]
-        assert prof.values[0] < 0.1 * peak_zone.max()
-        assert peak_zone.max() == prof.values.max()
+        grid, dens, _, _ = th.kicked_profile(th.sample_blocks(10 ** 6, seed=42, kick_strength=10.0),
+                                             0.1, 400)
+        peak_zone = dens[grid < 0.3]
+        assert dens[0] < 0.1 * peak_zone.max()
+        assert peak_zone.max() == dens.max()
 
     def test_weak_kick_near_equilibrium(self):
         # P' = 1 bends the half-sine but produces no focal spike, unlike
         # the strong kick at the same P't'
         weak = th.sample_blocks(200000, seed=7, kick_strength=1.0)
         strong = th.sample_blocks(200000, seed=7, kick_strength=10.0)
-        prof_w, _, _ = th.kicked_profile(weak, 1.0, 50)
-        prof_s, _, _ = th.kicked_profile(strong, 0.1, 50)
+        _, dens_w, _, _ = th.kicked_profile(weak, 1.0, 50)
+        _, dens_s, _, _ = th.kicked_profile(strong, 0.1, 50)
         equilibrium_peak = 0.5
-        assert prof_w.values.max() < 2.0 * equilibrium_peak
-        assert prof_s.values.max() > 2.0 * prof_w.values.max()
+        assert dens_w.max() < 2.0 * equilibrium_peak
+        assert dens_s.max() > 2.0 * dens_w.max()
 
     def test_rejects_single_bin(self):
         with pytest.raises(ValueError):
@@ -268,10 +268,10 @@ class TestHistogram:
         e.cos_theta[:3], e.cos_theta[3:5], e.sin_theta[:5] = 1.0, -1.0, 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            prof, O, A = th.kicked_profile([e], dt, 90)
+            _, dens, O, A = th.kicked_profile([e], dt, 90)
             counts, edges, (O_ref, A_ref) = one_shot_profile(e, dt, 90, Coupling.DIPOLE)
             _, _, omega, b = th._free_flight(th.kick(e))
-        assert np.array_equal(prof.values, counts / (e.n * (edges[1] - edges[0])))
+        assert np.array_equal(dens, counts / (e.n * (edges[1] - edges[0])))
         assert counts[0] >= 3 and counts[-1] >= 2
         assert (O, A) == (O_ref, A_ref)
         assert not np.any(omega[:5]) and not np.any(b[:5]) and np.all(omega[5:] > 0)
@@ -289,11 +289,11 @@ class TestHistogram:
     def test_blocked_pass_matches_one_shot(self, n, P_prime, t_prime, coupling, bins):
         ens = th.sample_ensemble(n, seed=n, kick_strength=P_prime)
         blocks = th.sample_blocks(n, seed=n, kick_strength=P_prime)
-        prof, O, A = th.kicked_profile(blocks, t_prime / P_prime, bins, coupling)
+        grid, dens, O, A = th.kicked_profile(blocks, t_prime / P_prime, bins, coupling)
         counts, edges, (O_ref, A_ref) = one_shot_profile(ens, t_prime / P_prime, bins, coupling)
         width = edges[1] - edges[0]
-        assert np.array_equal(prof.values, counts / (n * width))
-        assert np.array_equal(prof.grid, 0.5 * (edges[:-1] + edges[1:]))
+        assert np.array_equal(dens, counts / (n * width))
+        assert np.array_equal(grid, 0.5 * (edges[:-1] + edges[1:]))
         assert O == pytest.approx(O_ref, rel=0, abs=1e-15)
         assert A == pytest.approx(A_ref, rel=0, abs=1e-15)
 
@@ -304,10 +304,10 @@ class TestHistogram:
         # the streamed blocks against the whole ensemble kicked, flown and
         # histogrammed at once: counts exact, (O, A) up to sum order
         dt = 0.13
-        prof, O, A = th.kicked_profile(th.sample_blocks(n, 77, kick_strength=6.0), dt, 90, coupling)
+        _, dens, O, A = th.kicked_profile(th.sample_blocks(n, 77, kick_strength=6.0), dt, 90, coupling)
         counts, edges, (O_ref, A_ref) = one_shot_profile(
             th.sample_ensemble(n, 77, kick_strength=6.0), dt, 90, coupling)
-        assert np.array_equal(prof.values, counts / (n * (edges[1] - edges[0])))
+        assert np.array_equal(dens, counts / (n * (edges[1] - edges[0])))
         assert O == pytest.approx(O_ref, rel=1e-15, abs=0)
         assert A == pytest.approx(A_ref, rel=1e-15, abs=0)
 
@@ -320,14 +320,14 @@ class TestZeroTemperatureDegeneration:
         from oracles import box_means
         s = 2.0
         blocks = th.sample_blocks(10 ** 6, seed=33, kick_strength=1.0, temperature=0.0)
-        prof, _, _ = th.kicked_profile(blocks, s, 100)
-        width = prof.grid[1] - prof.grid[0]
+        grid, dens, _, _ = th.kicked_profile(blocks, s, 100)
+        width = grid[1] - grid[0]
         params = cl.MapParams(s, geometry=cl.Geometry.SPHERE_3D)
         thr = cl.rainbow_angle(s)
-        keep = np.minimum(np.abs(prof.grid), np.abs(prof.grid - thr)) >= 0.12
+        keep = np.minimum(np.abs(grid), np.abs(grid - thr)) >= 0.12
         refs = box_means(lambda t: cl.density_classical(t, params) * 2 * math.pi * np.sin(t),
-                         prof.grid[keep] - width / 2, prof.grid[keep] + width / 2)
-        for val, ref in zip(prof.values[keep], refs):
+                         grid[keep] - width / 2, grid[keep] + width / 2)
+        for val, ref in zip(dens[keep], refs):
             counts = val * 10 ** 6 * width
             tol = 0.02 + 4.0 / math.sqrt(max(counts, 1.0))
             assert val == pytest.approx(ref, rel=tol)
