@@ -3,8 +3,8 @@
 A rotor starting at rest at angle theta0 acquires angular velocity
 -P sin(theta0) (dipole coupling) or -P sin(2 theta0) (polarization), so at
 dimensionless time tau it sits at theta0 - s sin(theta0) with s = P*tau.
-Everything here works with the single map parameter s: the kick map, its
-multi-branch inversion, the singular ensemble density, and the critical
+Everything here works with the single map parameter s: the multi-branch
+inversion of the kick map, the singular ensemble density, and the critical
 angles (rainbow, glory) and times of the resulting catastrophes.  The
 inversion of a whole theta array is solved in one _bisect_rows call.
 """
@@ -23,15 +23,10 @@ __all__ = [
     "Coupling",
     "Geometry",
     "MapParams",
-    "BranchSet",
-    "map_forward",
-    "invert_map",
     "density_classical",
     "rainbow_angle",
     "glory_angles",
-    "GloryAngles",
     "focal_times",
-    "fold_to_sphere",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -63,33 +58,6 @@ class MapParams:
     def harmonic(self):
         # sin(m*theta0) kick profile: m=1 dipole, m=2 polarization
         return 1 if self.coupling is Coupling.DIPOLE else 2
-
-
-@dataclass(frozen=True)
-class BranchSet:
-    """All initial angles mapping to one final angle."""
-
-    roots: tuple
-
-    def __len__(self):
-        return len(self.roots)
-
-
-def fold_to_sphere(theta):
-    """Reflect an unrestricted polar angle into [0, pi]."""
-    r = math.fmod(theta, TWO_PI)
-    if r < 0:
-        r += TWO_PI
-    return TWO_PI - r if r > math.pi else r
-
-
-def map_forward(theta0, params):
-    """Final angle of a rotor that started at rest at theta0."""
-    m = params.harmonic
-    val = theta0 - params.s * math.sin(m * theta0)
-    if params.geometry is Geometry.SPHERE_3D:
-        return fold_to_sphere(val)
-    return val % TWO_PI
 
 
 _BISECT_TOL, _BISECT_MAX = 1e-14, 200  # bracket width at which _bisect_rows stops; most halvings
@@ -198,16 +166,6 @@ def _branches(theta, params):
     return index, roots, 1.0 - m * s * np.cos(m * roots)
 
 
-def invert_map(theta, params):
-    """Every initial angle whose trajectory arrives at theta (a scalar).
-
-    Planar geometry scans the 2*pi*p copies of theta that intersect the
-    map's range; the sphere also matches the reflected targets -theta.
-    """
-    _, roots, _ = _branches(np.array([float(theta)]), params)
-    return BranchSet(roots=tuple(roots.tolist()))
-
-
 def density_classical(theta, params):
     """Angular density of the initially uniform kicked ensemble.
 
@@ -251,15 +209,6 @@ def rainbow_angle(s):
     return -math.acos(1.0 / s) + math.sqrt(s * s - 1.0)
 
 
-@dataclass(frozen=True)
-class GloryAngles:
-    """Initial angles feeding the forward/backward glory, if present."""
-
-    forward: float | None
-    backward: tuple | None  # pair of roots once the rainbow ring returns
-    s_backward_onset: float  # map strength at which the backward glory forms
-
-
 # map strength at which the backward glory forms: the rainbow ring reaches
 # the far pole, -arccos(1/s) + sqrt(s^2 - 1) = pi
 _S_BACKWARD = float(_bisect_rows(
@@ -272,7 +221,9 @@ def glory_angles(s):
     Forward glory: nontrivial root of theta = s*sin(theta), present for
     s >= 1 (born at zero).  Backward glory: the pair solving
     theta0 - s*sin(theta0) = -pi (trajectories landing on the far pole),
-    present once s exceeds the onset strength ~4.6.
+    present once s exceeds the onset strength _S_BACKWARD ~4.6.  Returns
+    (forward, backward): the root, and the pair of roots, or None where
+    that glory is absent.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
@@ -294,8 +245,7 @@ def glory_angles(s):
             b1, b2 = _bisect_rows(lambda t: t - s * np.sin(t) + math.pi,
                                   np.array([1e-12, tbar]), np.array([tbar, math.pi]))
             backward = (float(b1), float(b2))
-    return GloryAngles(forward=forward, backward=backward,
-                       s_backward_onset=_S_BACKWARD)
+    return forward, backward
 
 
 def focal_times(P, coupling=Coupling.DIPOLE):

@@ -221,6 +221,13 @@ def _exact_density(cfg, grid, three_d):
     return q3.density_3d(packet, grid), packet
 
 
+def _classical_density(cfg, grid, tau, P):
+    # NaN, not inf, at a singular angle (a fold or a glory), in every output
+    vals = density_classical(grid, MapParams(
+        P * tau, Coupling(cfg.coupling), Geometry.SPHERE_3D if cfg.dim == 3 else Geometry.PLANAR_2D))
+    return np.where(np.isfinite(vals), vals, np.nan)
+
+
 # method -> (density(cfg, grid, tau, P), whether `semiclassical` tags the
 # run with its sc.annotate_validity window); the keys are the valid
 # methods.  Each evaluator is looked up on its module when called, so a
@@ -236,8 +243,7 @@ _METHODS = {
     "ford-wheeler": (lambda cfg, g, tau, P: np.abs(sc.ford_wheeler_glory(g, tau, P)) ** 2, True),
     "planar": (lambda cfg, g, tau, P:
                np.abs(sc.planar_psi(g, tau, P, radius=cfg.radius)) ** 2, False),
-    "classical": (lambda cfg, g, tau, P: density_classical(g, MapParams(
-        P * tau, Coupling(cfg.coupling), Geometry.SPHERE_3D if cfg.dim == 3 else Geometry.PLANAR_2D)), False),
+    "classical": (_classical_density, False),
 }
 
 
@@ -246,10 +252,13 @@ def _method_density(cfg, method, grid):
 
 
 def _peak_summary(grid, vals):
-    # the first angle within 1e-12 of the max, so that rounding does not
-    # choose between the mirror peaks of a symmetric density
-    top = vals[int(np.argmax(vals))]
-    i = int(np.argmax(np.isclose(vals, top, rtol=1e-12, atol=0.0, equal_nan=True)))
+    # the first angle within 1e-12 of the largest finite value, so that
+    # rounding does not choose between the mirror peaks of a symmetric density
+    finite = np.isfinite(vals)
+    if not finite.any():
+        raise ValueError("no finite density value on the grid")
+    top = vals[finite].max()
+    i = int(np.argmax(np.isclose(vals, top, rtol=1e-12, atol=0.0)))
     return {"peak_theta": float(grid[i]), "peak_value": float(top)}
 
 
@@ -271,11 +280,11 @@ def _classical(cfg):
     summary = {"s": s}
     if s >= 1:
         summary["rainbow_angle"] = rainbow_angle(s)
-        g = glory_angles(s)
-        if g.forward is not None:
-            summary["glory_angle"] = g.forward
+        forward, _ = glory_angles(s)
+        if forward is not None:
+            summary["glory_angle"] = forward
     summary["focal_time"] = focal_times(cfg.P, Coupling(cfg.coupling))
-    return {"theta": grid, "density": np.where(np.isfinite(vals), vals, np.nan)}, summary
+    return {"theta": grid, "density": vals}, summary
 
 
 def _thermal(cfg):

@@ -26,10 +26,7 @@ __all__ = [
     "free_evolve",
     "wavefunction",
     "density",
-    "REVIVAL_PERIOD",
 ]
-
-REVIVAL_PERIOD = 4.0 * math.pi
 
 NORM_TOL = 1e-10
 TAIL_TOL = 1e-12

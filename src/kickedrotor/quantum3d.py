@@ -29,10 +29,7 @@ __all__ = [
     "free_evolve_3d",
     "wavefunction_3d",
     "density_3d",
-    "REVIVAL_PERIOD_3D",
 ]
-
-REVIVAL_PERIOD_3D = 2.0 * math.pi  # l(l+1) is even, so exp(-i l(l+1) pi) = 1
 
 
 @dataclass(frozen=True)

@@ -325,18 +325,16 @@ def _ua_prefactor(theta, tau):
     return 2.0 * np.sqrt(-1j * math.pi * tau / (2.0 * theta)) / (4j * tau * math.pi ** 1.5)
 
 
-def uniform_airy_3d_limit_form(theta, tau, P):
-    """Fold-limit wave function: limit coefficients (G1, G2) on the
-    rainbow Airy variable eta.  This is the beyond-fold branch of
-    uniform_airy_3d, exposed separately; usable in a neighborhood of
-    theta_r on either side.  Scalar or array theta, like uniform_airy_3d."""
-    theta = np.asarray(theta, dtype=float)
+def _ua_limit_form(theta, tau, P):
+    # the beyond-fold branch of uniform_airy_3d on a theta array: limit
+    # coefficients (G1, G2) on the rainbow Airy variable eta, usable in a
+    # neighborhood of theta_r on either side
     tbar, thr, c = _rainbow_geometry(tau, P)
     G1, G2 = _ua_limit_coefficients(tau, P)
     eta = c * (theta - thr) / tau
     A = _phi_fullcos(tbar, theta, tau, P)
     ai, aip = airy(np.clip(eta, -60.0, 20.0))
-    return _as_psi(_ua_prefactor(theta, tau) * np.exp(1j * A) * (G1 * ai - 1j * G2 * aip))
+    return _ua_prefactor(theta, tau) * np.exp(1j * A) * (G1 * ai - 1j * G2 * aip)
 
 
 def uniform_airy_3d(theta, tau, P):
@@ -366,7 +364,7 @@ def uniform_airy_3d(theta, tau, P):
     out = np.empty(flat.shape, dtype=complex)
     limit = flat >= thr * (1.0 - _UA_MERGE_BAND)
     if limit.any():
-        out[limit] = uniform_airy_3d_limit_form(flat[limit], tau, P)
+        out[limit] = _ua_limit_form(flat[limit], tau, P)
     inner = flat[~limit]
     if inner.size:
         A, xi, g1, g2 = _ua_coefficients(inner, tau, P)
@@ -522,6 +520,4 @@ def annotate_validity(method, theta, tau, P):
         if s <= 1.5 and theta * glory_angle_planar(tau, P) / tau < 6.0:
             return "inside"
         return "edge"
-    if method == "planar":
-        return "inside" if s <= 2.0 else "edge"
     raise ValueError(f"unknown method {method!r}")

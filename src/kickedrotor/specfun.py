@@ -131,15 +131,15 @@ def bessel_jn_array(n_max, x):
 
 def spherical_jn_array(l_max, x):
     """j_0(x) .. j_{l_max}(x) by Miller's backward recurrence, anchored on
-    whichever of j_0 = sin(x)/x and j_1 is farther from a zero."""
+    whichever of j_0 = sin(x)/x and j_1 is farther from a zero; below
+    x = 1e-12 by the series' first term x^l/(2l+1)!!, whose relative error
+    x^2/(2(2l+3)) is below 1e-24."""
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
     if not x >= 0:
         raise DomainError("x must be >= 0")
     if x < 1e-12:
-        out = np.zeros(l_max + 1)
-        out[0] = 1.0
-        return out
+        return np.cumprod(np.concatenate([[1.0], x / np.arange(3.0, 2 * l_max + 2, 2.0)]))
     j0 = math.sin(x) / x
     j1 = j0 / x - math.cos(x) / x
     out = _miller(max(l_max, 1), x, 1)[0]

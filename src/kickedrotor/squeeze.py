@@ -92,8 +92,8 @@ def _observable_in_flight(flight, coupling):
     A = <1 - cos^2 theta(t)> (polarization) in free flight, in closed form
     from the `thermal._free_flight` coefficients: x = cos theta =
     cos0 cos(wt) - b sin(wt), x' = -w (cos0 sin(wt) + b cos(wt)), x'' = -w^2 x.
-    Each t costs one tangent per particle (`specfun.sincos`); F agrees with
-    `orientation_alignment(evolve(ensemble, t))` to rounding."""
+    Each t costs one tangent per particle (`specfun.sincos`); F agrees to
+    rounding with `orientation_alignment` of the ensemble `thermal._fly` flies."""
     cos0, _, omega, b = flight
     squared = coupling is Coupling.POLARIZATION
 

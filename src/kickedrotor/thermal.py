@@ -13,7 +13,9 @@ with frequency omega = sqrt(p_theta'^2 + p_phi'^2/sin^2 theta(0)):
 of strength P' adds -P' sin(theta) (dipole) or -P' sin(2 theta)
 (polarization) to p_theta'.  The azimuth phi enters neither and is not
 kept; theta enters only through (cos theta, sin theta), the pair an
-ensemble carries; the histogram flies cos theta alone, binning its arccos.
+ensemble carries.  `_fly` moves a whole ensemble through free flight (the
+squeeze driver's step); the histogram flies cos theta alone, binning its
+arccos.
 
 Sampling uses a counter-based Philox generator keyed by (seed), so an
 ensemble is reproducible however it is split; `sample_blocks` streams it.
@@ -34,7 +36,6 @@ __all__ = [
     "sample_blocks",
     "sample_ensemble",
     "kick",
-    "evolve",
     "kicked_profile",
     "orientation_alignment",
 ]
@@ -66,11 +67,8 @@ class ThermalEnsemble:
     @property
     def theta(self):
         """Polar angles in [0, pi], formed from (cos theta, sin theta)."""
+        # no runtime path reads it; the benchmark tracer counts particles by it
         return np.arctan2(self.sin_theta, self.cos_theta)
-
-    def energy(self):
-        """Per-particle free energy (p_theta'^2 + p_phi'^2/sin^2 theta)/2."""
-        return 0.5 * (self.p_theta ** 2 + (self.p_phi / self.sin_theta) ** 2)
 
 
 def sample_blocks(n, seed, kick_strength=1.0, temperature=1.0):
@@ -136,22 +134,6 @@ def _free_flight(ensemble):
     return ensemble.cos_theta, sin0, omega, b
 
 
-def evolve(ensemble, dt):
-    """Free flight for dimensionless time dt (>= 0).
-
-    cos(theta) rotates harmonically at each particle's omega, with the
-    coefficients of `_free_flight`; sin(theta) is recovered from the
-    energy invariant and p_theta from the analytic time derivative, which
-    also makes passage through a pole (possible only for p_phi = 0)
-    reflect the momentum automatically.  The rotation takes one tangent
-    per particle (`specfun.sincos`), and the large temporaries are freed
-    as soon as they are used.
-    """
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
-    return _fly(ensemble, _free_flight(ensemble), dt) if dt else ensemble
-
-
 def _flown_cos(flight, dt):
     # (cos theta(dt), sin(omega dt), cos(omega dt)) on the `_free_flight`
     # coefficients; a particle at rest keeps cos theta0 exactly
@@ -162,7 +144,11 @@ def _flown_cos(flight, dt):
 
 
 def _fly(ensemble, flight, dt):
-    # `evolve` for dt > 0 on the `_free_flight` coefficients of the ensemble
+    """The ensemble after free flight for dt on its `_free_flight`
+    coefficients: cos theta by `_flown_cos`, sin theta from the energy
+    invariant, p_theta from the analytic time derivative, which also
+    reflects the momentum through a pole (possible only for p_phi = 0).
+    Large temporaries are freed as soon as they are used."""
     c, sw, cw = _flown_cos(flight, dt)
     cos0, sin0, omega, _ = flight
     del flight  # and with it b

@@ -22,6 +22,8 @@ None of these share code with the package evaluators they check:
   32-node Gauss-Legendre on four times the panels the package once used;
 - `bisect_scalar`: one-bracket bisection, the row rule of
   `classical._bisect_rows` written out for a single scalar function;
+- `map_forward`: the kick map theta0 - s sin(m theta0) by the math module,
+  taken mod 2 pi and, on the sphere, reflected into [0, pi];
 - `invert_map_loop`, `density_classical_loop`: the classical map inversion
   and ensemble density one angle at a time, bracket by bracket, with
   `bisect_scalar` and the math module;
@@ -31,7 +33,7 @@ None of these share code with the package evaluators they check:
   (order, point), each phase n theta formed exactly;
 - `ensemble_at`: a thermal ensemble at given angles, through np.cos and
   np.sin.
-- `evolve_libm`: the closed-form free flight of `thermal.evolve` written
+- `evolve_libm`: the closed-form free flight of `thermal._fly` written
   out whole, its rotation through np.cos and np.sin.
 - `stationary_points_3d`: the classified real stationary points of the
   quartic planar phase, a paper construction only tests use (built on the
@@ -398,6 +400,13 @@ def box_means(f, lo, hi, n=32):
     return 0.5 * (f(0.5 * (lo + hi) + 0.5 * (hi - lo) * x) @ w)
 
 
+def map_forward(theta0, params):
+    """Final angle of a rotor that started at rest at theta0: theta0 - s
+    sin(m theta0) mod 2 pi, reflected into [0, pi] on the sphere."""
+    r = (theta0 - params.s * math.sin(params.harmonic * theta0)) % (2 * math.pi)
+    return 2 * math.pi - r if params.geometry.value == "sphere3D" and r > math.pi else r
+
+
 def invert_map_loop(theta, params):
     """Initial angles arriving at one angle theta, one bracket at a time:
     every target copy +-theta + 2 pi k inside the map's range, on every
@@ -503,7 +512,7 @@ def ensemble_at(theta, p_theta, p_phi, kick_strength=1.0):
 
 
 def evolve_libm(ensemble, dt):
-    """Free flight for dt > 0 of every particle: cos theta(t) = cos theta0
+    """Free flight for dt >= 0 of every particle: cos theta(t) = cos theta0
     cos(wt) - b sin(wt), b = (p_theta/w) sin theta0, sin theta from the
     energy invariant and p_theta = -(d cos theta/dt)/sin theta, with w and
     its sine and cosine from np.sqrt, np.cos and np.sin.  A particle with

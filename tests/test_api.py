@@ -9,7 +9,10 @@ removed or moved function must leave no name behind.
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -76,3 +79,17 @@ def test_runs_leave_module_state_unchanged(tmp_path):
         for name, value in vars(importlib.import_module(info.name)).items():
             if hasattr(value, "cache_parameters"):
                 assert value.cache_parameters()["maxsize"] is not None, f"{info.name}.{name}"
+
+
+def test_runtime_imports_numpy_only():
+    # a fresh interpreter runs the exact 2D, 3D cusp and squeeze scenarios
+    # without loading any of the test-side tools
+    lines = [dict(d, output_path="x.csv") for d in _SCENARIOS
+             if d["command"] in ("quantum2d", "semiclassical", "squeeze")]
+    code = ("import sys\nfrom kickedrotor import cli\n"
+            f"for d in {lines!r}:\n    cli.run(cli.ScenarioConfig.from_dict(d))\n"
+            "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'hypothesis'}))")
+    src = os.path.dirname(os.path.dirname(kickedrotor.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -11,10 +11,15 @@ from hypothesis import assume, given, settings, strategies as st
 from kickedrotor import classical as cl
 from kickedrotor import cli
 from kickedrotor import specfun as sf
-from oracles import box_means, density_classical_loop, invert_map_loop
+from oracles import box_means, density_classical_loop, invert_map_loop, map_forward
 
 SPHERE = cl.Geometry.SPHERE_3D
 PLANAR = cl.Geometry.PLANAR_2D
+
+
+def branch_roots(theta, params):
+    """Every initial angle arriving at one angle, from the runtime's inversion."""
+    return cl._branches(np.array([float(theta)]), params)[1].tolist()
 
 
 def sin2_integral(f, pts, n=64):
@@ -40,49 +45,49 @@ def total_probability(params, n):
     if m * s > 1.0:
         a = math.acos(1.0 / (m * s))
         folds = [(sign * a + 2 * math.pi * k) / m for k in range(m + 1) for sign in (1, -1)]
-        pts += [cl.map_forward(t0, params) for t0 in folds if 0.0 < t0 < hi]
+        pts += [map_forward(t0, params) for t0 in folds if 0.0 < t0 < hi]
     weight = (lambda t: 2 * math.pi * np.sin(t)) if sphere else (lambda t: 1.0)
     return sin2_integral(lambda t: cl.density_classical(t, params) * weight(t), np.unique(pts), n)
 
 
 class TestMapForward:
+    # the kick map's conventions, read back through the runtime's inversion
     def test_identity_at_zero_strength(self):
         p = cl.MapParams(0.0)
         for t0 in (0.1, 2.0, 5.5):
-            assert cl.map_forward(t0, p) == pytest.approx(t0)
+            assert branch_roots(t0, p) == pytest.approx([t0])
 
     def test_small_angle_cubic_degeneracy(self):
         # at s = 1: theta = theta0 - sin(theta0) ~ theta0^3/6
         p = cl.MapParams(1.0)
         for t0 in (1e-2, 1e-3):
-            assert cl.map_forward(t0, p) == pytest.approx(t0 ** 3 / 6.0, rel=1e-3)
+            assert branch_roots(t0 ** 3 / 6.0, p) == pytest.approx([t0], rel=1e-3)
 
     def test_direct_evaluation_with_fold(self):
         p = cl.MapParams(3.0)
         val = (math.pi / 2 - 3.0) % (2 * math.pi)
-        assert cl.map_forward(math.pi / 2, p) == pytest.approx(val)
+        assert min(abs(r - math.pi / 2) for r in branch_roots(val, p)) < 1e-10
 
     def test_sphere_reflection(self):
         p = cl.MapParams(3.0, geometry=SPHERE)
         raw = math.pi / 2 - 3.0  # negative: reflected through the pole
-        assert cl.map_forward(math.pi / 2, p) == pytest.approx(-raw)
+        assert min(abs(r - math.pi / 2) for r in branch_roots(-raw, p)) < 1e-10
 
     def test_polarization_uses_double_angle(self):
         p = cl.MapParams(0.5, coupling=cl.Coupling.POLARIZATION)
         t0 = 0.7
-        assert cl.map_forward(t0, p) == pytest.approx(t0 - 0.5 * math.sin(2 * t0))
+        assert branch_roots(t0 - 0.5 * math.sin(2 * t0), p) == pytest.approx([t0])
 
 
 class TestInvertMap:
     def test_single_branch_below_fold(self):
         p = cl.MapParams(0.8)
         for th in (0.3, 2.0, 4.0, 5.9):
-            assert len(cl.invert_map(th, p)) == 1
+            assert len(branch_roots(th, p)) == 1
 
     def test_three_branches_at_origin_sphere(self):
         p = cl.MapParams(3.0, geometry=SPHERE)
-        bs = cl.invert_map(0.0, p)
-        assert len(bs) == 3
+        assert len(branch_roots(0.0, p)) == 3
 
     def test_roots_round_trip(self):
         rng = np.random.default_rng(11)
@@ -90,21 +95,22 @@ class TestInvertMap:
             hi = 2 * math.pi if geometry is PLANAR else math.pi
             for s in (0.5, 2.0, 4.0):
                 p = cl.MapParams(s, geometry=geometry)
-                for th in rng.uniform(0.0, hi, 12):
-                    for r in cl.invert_map(th, p).roots:
-                        assert cl.map_forward(r, p) == pytest.approx(th, abs=1e-10)
+                theta = rng.uniform(0.0, hi, 12)
+                index, roots, _ = cl._branches(theta, p)
+                for i, r in zip(index, roots):
+                    assert map_forward(r, p) == pytest.approx(theta[i], abs=1e-10)
 
     def test_branch_count_changes_by_two_at_rainbow(self):
         s = 3.0
         thr = cl.rainbow_angle(s)
         p = cl.MapParams(s, geometry=SPHERE)
-        n_in = len(cl.invert_map(thr - 1e-3, p))
-        n_out = len(cl.invert_map(thr + 1e-3, p))
+        n_in = len(branch_roots(thr - 1e-3, p))
+        n_out = len(branch_roots(thr + 1e-3, p))
         assert n_in - n_out == 2
 
     def test_count_change_across_rainbow_dense_scan(self):
         # dense forward-map scan oracle: count sign changes of
-        # g(theta0) - target over 1e5 points and compare with invert_map
+        # g(theta0) - target over 1e5 points and compare with the inversion
         s = 3.0
         p = cl.MapParams(s, geometry=SPHERE)
         thr = cl.rainbow_angle(s)
@@ -115,9 +121,9 @@ class TestInvertMap:
             for target in {theta, -theta, theta - 2 * math.pi, -theta + 2 * math.pi}:
                 f = g - target
                 n_scan += int(np.count_nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0))
-            assert n_scan == len(cl.invert_map(theta, p))
-        n_lit = len(cl.invert_map(thr - 1e-2, p))
-        n_shadow = len(cl.invert_map(thr + 1e-2, p))
+            assert n_scan == len(branch_roots(theta, p))
+        n_lit = len(branch_roots(thr - 1e-2, p))
+        n_shadow = len(branch_roots(thr + 1e-2, p))
         assert n_lit - n_shadow == 2
 
     def test_planar_count_scan_parity(self):
@@ -131,7 +137,7 @@ class TestInvertMap:
             if min(abs(th - x) for x in special) < 2e-2:
                 counts.append(None)
                 continue
-            counts.append(len(cl.invert_map(th, p)))
+            counts.append(len(branch_roots(th, p)))
         seen = [c for c in counts if c is not None]
         assert all(c % 2 == 1 for c in seen)
         jumps = {abs(a - b) for a, b in zip(seen, seen[1:])}
@@ -236,7 +242,7 @@ class TestDensityProperties:
         assert np.array_equal(column, [density_classical_loop(t, p) for t in grid])
         assert np.array_equal(column[:len(theta)], [cl.density_classical(t, p) for t in theta])
         for t in theta:
-            assert list(cl.invert_map(t, p).roots) == invert_map_loop(t, p)
+            assert branch_roots(t, p) == invert_map_loop(t, p)
         # several blocks per column: the blocks must not mix angles
         with mock.patch.object(sf, "_CONTOUR_BLOCK", 512):
             assert np.array_equal(cl.density_classical(grid, p), column)
@@ -291,18 +297,17 @@ class TestCriticalAngles:
             cl.rainbow_angle(0.9)
 
     def test_forward_glory(self):
-        assert cl.glory_angles(1.0).forward == 0.0
+        assert cl.glory_angles(1.0)[0] == 0.0
         # bisection oracle: root of theta = 2 sin(theta)
-        assert cl.glory_angles(2.0).forward == pytest.approx(1.895494267033981, abs=1e-10)
-        assert cl.glory_angles(0.5).forward is None
+        assert cl.glory_angles(2.0)[0] == pytest.approx(1.895494267033981, abs=1e-10)
+        assert cl.glory_angles(0.5)[0] is None
 
     def test_backward_glory_onset(self):
-        g = cl.glory_angles(2.0)
-        assert g.backward is None
-        assert g.s_backward_onset == pytest.approx(4.603338848751701, abs=1e-6)
-        g6 = cl.glory_angles(6.0)
-        assert g6.backward is not None
-        b1, b2 = g6.backward
+        assert cl.glory_angles(2.0)[1] is None
+        assert cl._S_BACKWARD == pytest.approx(4.603338848751701, abs=1e-6)
+        _, backward = cl.glory_angles(6.0)
+        assert backward is not None
+        b1, b2 = backward
         for b in (b1, b2):
             assert b - 6.0 * math.sin(b) == pytest.approx(-math.pi, abs=1e-10)
 

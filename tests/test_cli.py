@@ -128,10 +128,12 @@ class TestRun:
         top = 1.0 + 4e-16
         summary = cli._peak_summary(grid, np.array([0.0, 1.0, 0.5, top, 0.0]))
         assert summary == {"peak_theta": 1.0, "peak_value": top}
-        # an infinite or NaN maximum keeps its first point
+        # infinite and NaN values are passed over: the peak is a finite value
         for bad in (math.inf, math.nan):
             summary = cli._peak_summary(grid, np.array([0.0, 1.0, bad, bad, 0.0]))
-            assert summary["peak_theta"] == 2.0
+            assert summary == {"peak_theta": 1.0, "peak_value": 1.0}
+        with pytest.raises(ValueError, match="no finite"):
+            cli._peak_summary(grid[:2], np.array([math.nan, math.inf]))
 
     @pytest.mark.parametrize("name", ["fig06h", "fig10a"])
     def test_mirror_peak_reported_below_pi(self, tmp_path, name):
@@ -192,6 +194,25 @@ class TestOutputFiles:
         c2 = ScenarioConfig.from_dict(side["config"])
         env2 = run(c2)
         assert env2.csv_text() == env.csv_text()
+
+    @pytest.mark.parametrize("argv", [["classical"],
+                                      ["semiclassical", "--method", "classical"],
+                                      ["compare", "--methods", "classical,exact"],
+                                      ["compare", "--methods", "exact,classical"]])
+    def test_singular_classical_angle_is_nan_and_sidecar_strict_json(self, tmp_path, argv):
+        # at s = 2 the forward glory focuses on theta = 0, where the
+        # classical density is singular: every command writes NaN there
+        out = tmp_path / "r.csv"
+        assert cli.main(argv + ["--dim", "3", "--P", "50", "--s", "2", "--grid", "9",
+                                "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"sidecar holds {name}")
+
+        summary = json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse)["summary"]
+        header, first = [line.split(",") for line in out.read_text().splitlines()[:2]]
+        assert first[header.index("density_classical" if argv[0] == "compare" else "density")] == "nan"
+        assert argv[0] == "classical" or math.isfinite(summary["peak_value"])
 
     def test_byte_identical_reruns(self, tmp_path):
         a = run(cfg_2d(tmp_path)).csv_text()

@@ -102,7 +102,7 @@ class TestFreeEvolve:
 
     def test_full_revival(self):
         p = q2.free_evolve(kicked_ground(30.0), 0.37)
-        rev = q2.free_evolve(p, q2.REVIVAL_PERIOD)
+        rev = q2.free_evolve(p, 4 * math.pi)
         grid = np.linspace(0, TWO_PI, 512, endpoint=False)
         d0 = q2.density(p, grid)
         d1 = q2.density(rev, grid)
@@ -152,7 +152,7 @@ class TestDensity:
     def test_fractional_revival_snapshot(self):
         # half-revival of the focused packet: structured, normalized, even
         P = 85.0
-        p = q2.free_evolve(kicked_ground(P), 1.0 / P + q2.REVIVAL_PERIOD / 2)
+        p = q2.free_evolve(kicked_ground(P), 1.0 / P + 2 * math.pi)
         grid = np.linspace(0, TWO_PI, 4 * p.n_max + 8, endpoint=False)
         d = q2.density(p, grid)
         assert abs(circle_norm(d) - 1.0) < 1e-8

@@ -73,6 +73,12 @@ class TestDipoleKick:
         assert p.coeffs[0] == 1.0
         assert np.max(np.abs(p.coeffs[1:])) == 0.0
 
+    def test_tiny_kick_keeps_the_dipole_order(self):
+        # c_1 = i sqrt(3) j_1(P) = i P/sqrt(3) to first order in P
+        c = q3.dipole_kick_ground(1e-13).coeffs
+        assert c[1] == pytest.approx(1j * 1e-13 / math.sqrt(3.0), rel=1e-15, abs=0.0)
+        assert c[2] == pytest.approx(-math.sqrt(5.0) * 1e-26 / 15.0, rel=1e-15, abs=0.0)
+
     def test_coefficients(self):
         P = 75.0
         p = q3.dipole_kick_ground(P)

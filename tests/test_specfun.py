@@ -179,6 +179,16 @@ class TestSphericalJ:
         assert sf.spherical_jn_array(0, 0.0)[0] == 1.0
         assert sf.spherical_jn_array(3, 0.0)[3] == 0.0
 
+    @pytest.mark.parametrize("x", [1e-13, 5e-13, 2e-12])
+    def test_tiny_argument_keeps_every_order(self, x):
+        # below 1e-12 the series' first term x^l/(2l+1)!!, above it the
+        # recurrence; scipy is itself within 3e-14 here
+        l = np.arange(6)
+        got = sf.spherical_jn_array(5, x)
+        assert np.all(got > 0)
+        assert np.allclose(got, sps.spherical_jn(l, x), rtol=1e-13, atol=0.0)
+        assert got[1] == pytest.approx(x / 3.0, rel=1e-15, abs=0.0)
+
     def test_half_integer_oracle(self):
         assert sf.spherical_jn_array(10, 75.0)[10] == pytest.approx(J10_SPH_75_ORACLE, rel=1e-11)
 
