@@ -112,9 +112,11 @@ class ScenarioConfig:
         if self.command == "compare":
             if len(self.methods) < 2:
                 raise ConfigError("field 'methods': compare needs at least two")
-            for m in self.methods:
+            for i, m in enumerate(self.methods):
                 if not isinstance(m, str) or m not in _METHODS:
                     raise ConfigError(f"field 'methods': {m!r}")
+                if m in self.methods[:i]:
+                    raise ConfigError(f"field 'methods': {m!r} is repeated")
         if self.command == "thermal":
             # squeeze reads P_prime = inf as zero temperature; here the time
             # t' = (P't')/P' would be 0, the unkicked ensemble
@@ -288,8 +290,8 @@ def _classical(cfg):
 
 
 def _thermal(cfg):
-    blocks = th.sample_blocks(cfg.particles, cfg.seed, kick_strength=cfg.P_prime)
-    grid, dens, O, A = th.kicked_profile(blocks, cfg.t_prime / cfg.P_prime, cfg.grid_points,
+    grid, dens, O, A = th.kicked_profile(th.sample_blocks(cfg.particles, cfg.seed), cfg.P_prime,
+                                         cfg.t_prime / cfg.P_prime, cfg.grid_points,
                                          Coupling(cfg.coupling))
     return {"theta": grid, "density": dens}, {"orientation": O, "alignment": A}
 

@@ -44,18 +44,21 @@ def kick_order_margin(P):
 
 @dataclass(frozen=True)
 class FourierPacket2D:
-    """Fourier coefficients c_n, n in [-n_max, n_max], at time tau."""
+    """Fourier coefficients c_n, n in [-n_max, n_max]: a read-only copy of
+    an odd-length 1-D array."""
 
-    n_max: int
-    coeffs: np.ndarray  # complex, length 2*n_max + 1
-    time: float = 0.0
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (2 * self.n_max + 1,):
-            raise ValueError("coefficient array length must be 2*n_max + 1")
+        c = np.array(self.coeffs, dtype=complex)
+        if c.ndim != 1 or c.size % 2 == 0:
+            raise ValueError("coefficients must be a 1-D array of odd length 2*n_max + 1")
         object.__setattr__(self, "coeffs", c)
         c.setflags(write=False)
+
+    @property
+    def n_max(self):
+        return self.coeffs.size // 2
 
     @property
     def orders(self):
@@ -82,15 +85,7 @@ def _check_packet(packet, edge):
 
 def ground_packet():
     """Rotational ground state: c_0 = 1 alone, uniform density 1/(2 pi)."""
-    return FourierPacket2D(n_max=0, coeffs=np.ones(1, dtype=complex), time=0.0)
-
-
-def _padded(packet, extra):
-    if extra <= 0:
-        return packet.coeffs, packet.n_max
-    c = np.zeros(2 * (packet.n_max + extra) + 1, dtype=complex)
-    c[extra:extra + 2 * packet.n_max + 1] = packet.coeffs
-    return c, packet.n_max + extra
+    return FourierPacket2D(np.ones(1))
 
 
 # i^k by k mod 4, exact unit phases (quantum3d uses it too)
@@ -122,12 +117,12 @@ def apply_kick(packet, P, coupling=Coupling.DIPOLE):
     z = P / step
     order = kick_order_margin(z)
     margin = step * order
-    c, n_max = _padded(packet, margin)
+    c = np.pad(packet.coeffs, margin)
     kernel = np.zeros(2 * margin + 1, dtype=complex)
     kernel[::step] = _jacobi_anger_kernel(order, z)
     new = np.exp(1j * (P - z)) * np.convolve(c, kernel)[margin:-margin]
 
-    out = FourierPacket2D(n_max=n_max, coeffs=new, time=packet.time)
+    out = FourierPacket2D(new)
     # a packet already off norm by a finite amount is not the kick's fault
     if not abs(out.norm() - 1.0) <= NORM_TOL and not abs(packet.norm() - 1.0) > NORM_TOL:
         raise TruncationError("kick leaked probability past the truncation order")
@@ -140,7 +135,7 @@ def free_evolve(packet, dtau):
         raise ValueError("dtau must be finite")
     n = packet.orders
     c = packet.coeffs * np.exp(-0.5j * n * n * dtau)
-    return FourierPacket2D(n_max=packet.n_max, coeffs=c, time=packet.time + dtau)
+    return FourierPacket2D(c)
 
 
 def wavefunction(packet, grid):

@@ -34,18 +34,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LegendrePacket3D:
-    """Coefficients over Y_l^0, l in [0, l_max], at time tau."""
+    """Coefficients over Y_l^0, l in [0, l_max]: a read-only copy of a
+    nonempty 1-D array."""
 
-    l_max: int
     coeffs: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.l_max + 1,):
-            raise ValueError("coefficient array length must be l_max + 1")
+        c = np.array(self.coeffs, dtype=complex)
+        if c.ndim != 1 or not c.size:
+            raise ValueError("coefficients must be a nonempty 1-D array of length l_max + 1")
         object.__setattr__(self, "coeffs", c)
         c.setflags(write=False)
+
+    @property
+    def l_max(self):
+        return self.coeffs.size - 1
 
     @property
     def orders(self):
@@ -70,7 +73,7 @@ def dipole_kick_ground(P):
     # spherical-Bessel sum rule: sum (2l+1) j_l^2 = 1; renormalize the
     # truncated tail away
     c = c / math.sqrt(float(np.sum(np.abs(c) ** 2)))
-    packet = LegendrePacket3D(l_max=l_max, coeffs=c, time=0.0)
+    packet = LegendrePacket3D(c)
     if not abs(np.sum((2 * l + 1.0) * jl ** 2) - 1.0) <= 1e-10:
         raise TruncationError("spherical-Bessel tail mass exceeds 1e-10")
     return packet
@@ -134,7 +137,7 @@ def polarization_kick_ground(P):
     c = np.zeros(L_max + 1, dtype=complex)
     L = np.arange(0, L_max + 1, 2)
     c[::2] = np.exp(1j * P / 2.0) / np.sqrt(2.0 * L + 1.0) * np.sum(weights * d[::2], axis=1)
-    packet = LegendrePacket3D(l_max=L_max, coeffs=c, time=0.0)
+    packet = LegendrePacket3D(c)
     if not abs(packet.norm() - 1.0) <= 1e-8:
         raise TruncationError("polarization kick coefficients lost norm")
     return packet
@@ -146,7 +149,7 @@ def free_evolve_3d(packet, dtau):
         raise ValueError("dtau must be finite")
     l = packet.orders
     c = packet.coeffs * np.exp(-0.5j * l * (l + 1.0) * dtau)
-    return LegendrePacket3D(l_max=packet.l_max, coeffs=c, time=packet.time + dtau)
+    return LegendrePacket3D(c)
 
 
 def wavefunction_3d(packet, grid):

@@ -469,12 +469,9 @@ def ford_wheeler_glory(theta, tau, P):
     theta = np.asarray(theta, dtype=float)
     tg = glory_angle_planar(tau, P)
     D = 1.0 - s + 0.5 * s * tg * tg  # = 2 (s - 1) > 0
-    a = _quartic_phase(tg, theta, tau, P, +1.0) * 0.5 + _quartic_phase(tg, theta, tau, P, -1.0) * 0.5
-    chi = -0.25 * math.pi
+    a = _quartic_phase(tg, 0.0, tau, P, 1.0)  # the quartic phase at the glory angle
     amp = tg * bessel_j0(tg * theta / tau) / math.sqrt(D)
-    phase = np.exp(1j * (a - chi)) * np.exp(
-        1j * (P + theta * theta / (2.0 * tau)
-              + 0.5 * (1.0 / tau - P) * tg * tg + P * tg ** 4 / 24.0))
+    phase = np.exp(1j * (P + theta * theta / (2.0 * tau) + a + 0.25 * math.pi))  # a - chi
     return _as_psi(phase * amp / (1j * math.sqrt(2.0 * tau)))
 
 

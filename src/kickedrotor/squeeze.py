@@ -10,15 +10,17 @@ mixed moment) and waiting for the next minimum gives the exact recurrence
 with the wait Delta tau_k = u_k/(u_k + w_k) in kick-scaled time.  The
 large-k flow conserves u^2 + 2wu and drives u ~ k^(-1/2): squeezing
 without saturation.  A Monte Carlo driver applies the same protocol to
-the full classical 3D ensemble; it finds each minimum of the spread on the
-closed-form free flight `thermal._free_flight` of the carried (cos theta0,
-sin theta0) (an angle-addition scan, then Newton on dO/dt or dA/dt) and
-flies the ensemble there, once per kick.
+the full classical 3D ensemble, kicking it at the same strength P' every
+pulse; it finds each minimum of the spread on the closed-form free flight
+`thermal._free_flight` of the carried (cos theta0, sin theta0) (an
+angle-addition scan, then Newton on dO/dt or dA/dt) and flies the ensemble
+there, once per kick.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -113,15 +115,15 @@ _SCAN_STEP, _SCAN_BUDGET = 0.01, 2_000_000
 _NEWTON_TOL, _NEWTON_BUDGET = 1e-10, 100
 
 
-def _first_minimum(ensemble, coupling, flight):
+def _first_minimum(flight, P, coupling):
     """(t, scan steps, Newton iterations) for the first local minimum of
-    O (dipole) or A (polarization) on a kicked ensemble's free flight.
+    O (dipole) or A (polarization) on the free flight of an ensemble kicked
+    at strength P (which sets the time scale of the search).
     The scan walks t = k dt until F turns up, advancing (cos wt, sin wt) by
     angle addition: four multiplies per particle, no transcendental.  Newton
     on dF/dt = 0 refines its lowest point inside the bracket of the scan,
     bisecting it whenever a step leaves it or the curvature is not positive.
     """
-    P = ensemble.kick_strength
     dt = _SCAN_STEP / P
     cos0, _, omega, b = flight
     # x = cos theta = Re(q z), q = cos0 + i b, z = exp(i omega t); a step
@@ -174,25 +176,23 @@ def classical_accumulative_3d(n_particles, P_prime, kicks, seed,
     The minimum search evaluates O or A in closed form from the coefficients
     of `thermal._free_flight`, and the ensemble flies on them to the minimum.
     P_prime = inf means zero initial temperature (only P't' matters, so
-    the kick strength is set to 1 and time is reported as P't').
+    the seed's positions start at rest, the kick strength is set to 1 and
+    time is reported as P't'); a P_prime not > 0, NaN included, is a ValueError.
     Returns one dict of arrays: k, u = 2 O, w = <p_theta'^2>/P', dtau (in
     P't'), observable (O or A), and each search's scan_steps and newton_iters.
     """
     if kicks < 1:
         raise ValueError("kicks must be >= 1")
-    if math.isinf(P_prime):
-        ens = thermal.sample_ensemble(n_particles, seed, kick_strength=1.0,
-                                      temperature=0.0)
-    else:
-        if P_prime <= 0:
-            raise ValueError("P_prime must be positive or inf")
-        ens = thermal.sample_ensemble(n_particles, seed, kick_strength=P_prime)
-    P = ens.kick_strength
+    if not P_prime > 0:
+        raise ValueError("P_prime must be positive or inf")
+    ens, P = thermal.sample_ensemble(n_particles, seed), float(P_prime)
+    if math.isinf(P):
+        ens, P = replace(ens, p_theta=np.zeros(ens.n), p_phi=np.zeros(ens.n)), 1.0
     rows = []
     for _ in range(kicks):
-        ens = thermal.kick(ens, coupling)
+        ens = thermal.kick(ens, P, coupling)
         flight = thermal._free_flight(ens)
-        t_min, steps, iters = _first_minimum(ens, coupling, flight)
+        t_min, steps, iters = _first_minimum(flight, P, coupling)
         ens = thermal._fly(ens, flight, t_min) if t_min else ens
         O, A = thermal.orientation_alignment(ens)
         w = float(np.mean(ens.p_theta ** 2)) / P

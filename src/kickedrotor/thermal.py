@@ -1,21 +1,23 @@
-"""Classical 3D kicked-rotor ensembles at finite temperature.
+"""Classical 3D kicked-rotor ensembles drawn from the thermal distribution.
 
 Momenta are measured in units of the thermal momentum, so the initial
 distribution is exp[-(p_theta'^2 + p_phi'^2/sin^2 theta)/2] with theta
-distributed as sin(theta)/2.  Free motion conserves p_phi' and the energy
-(p_theta'^2 + p_phi'^2/sin^2 theta)/2; cos(theta) evolves harmonically
-with frequency omega = sqrt(p_theta'^2 + p_phi'^2/sin^2 theta(0)):
+distributed as sin(theta)/2; another thermal momentum only rescales P' and
+t', and at zero temperature the particles start at rest.  Free motion
+conserves p_phi' and the energy (p_theta'^2 + p_phi'^2/sin^2 theta)/2;
+cos(theta) evolves harmonically with frequency
+omega = sqrt(p_theta'^2 + p_phi'^2/sin^2 theta(0)):
 
     cos theta(t') = cos theta0 cos(omega t')
                     - (p_theta'/omega) sin theta0 sin(omega t')
 
 (the sign of the second term is fixed by theta_dot = +p_theta').  A kick
-of strength P' adds -P' sin(theta) (dipole) or -P' sin(2 theta)
-(polarization) to p_theta'.  The azimuth phi enters neither and is not
-kept; theta enters only through (cos theta, sin theta), the pair an
-ensemble carries.  `_fly` moves a whole ensemble through free flight (the
-squeeze driver's step); the histogram flies cos theta alone, binning its
-arccos.
+of strength P', an argument of `kick` and not a property of the ensemble,
+adds -P' sin(theta) (dipole) or -P' sin(2 theta) (polarization) to
+p_theta'.  The azimuth phi enters neither and is not kept; theta enters
+only through (cos theta, sin theta), the pair an ensemble carries.  `_fly`
+moves a whole ensemble through free flight (the squeeze driver's step);
+the histogram flies cos theta alone, binning its arccos.
 
 Sampling uses a counter-based Philox generator keyed by (seed), so an
 ensemble is reproducible however it is split; `sample_blocks` streams it.
@@ -46,13 +48,12 @@ _ARRAYS = ("cos_theta", "sin_theta", "p_theta", "p_phi")
 
 @dataclass(frozen=True)
 class ThermalEnsemble:
-    """Particle arrays (cos theta, sin theta, p_theta, p_phi) plus kick strength."""
+    """Particle arrays (cos theta, sin theta, p_theta, p_phi)."""
 
     cos_theta: np.ndarray
     sin_theta: np.ndarray
     p_theta: np.ndarray
     p_phi: np.ndarray
-    kick_strength: float
 
     def __post_init__(self):
         if len(self.cos_theta) < 1:
@@ -71,46 +72,41 @@ class ThermalEnsemble:
         return np.arctan2(self.sin_theta, self.cos_theta)
 
 
-def sample_blocks(n, seed, kick_strength=1.0, temperature=1.0):
+def sample_blocks(n, seed):
     """The thermal ensemble of n particles in consecutive blocks of BLOCK.
 
     cos theta = 1 - 2u for a uniform u, sin theta = 2 sqrt(u (1 - u)) (exact
     near both poles), p_theta' standard normal and p_phi' normal with
     standard deviation sin theta.  The momenta start 2n draws into the
     stream, after n draws that would give a uniform phi; all n p_theta'
-    come first, so only they are drawn at full size.  temperature=0
-    collapses the momentum spread (the P' -> infinity limit, where only P't'
-    matters)."""
+    come first, so only they are drawn at full size."""
     if n < 1:
         raise ValueError("n must be >= 1")
     uniform = np.random.Generator(np.random.Philox(key=seed))
     normal = np.random.Generator(np.random.Philox(key=seed).advance(n // 2))  # 4 draws a step
     normal.bit_generator.random_raw(2 * (n % 2), output=False)
-    scale = math.sqrt(temperature)
     p_theta = normal.standard_normal(n)
-    p_theta *= scale
     for lo in range(0, n, BLOCK):
         u = uniform.random(min(BLOCK, n - lo))
         s = np.multiply(u, 1.0 - u)  # u (1 - u), made sin theta in place
         np.multiply(np.sqrt(s, out=s), 2.0, out=s)
         p_phi = normal.standard_normal(u.size)
         p_phi *= s
-        p_phi *= scale
-        yield ThermalEnsemble(1.0 - 2.0 * u, s, p_theta[lo:lo + u.size], p_phi, float(kick_strength))
+        yield ThermalEnsemble(1.0 - 2.0 * u, s, p_theta[lo:lo + u.size], p_phi)
 
 
-def sample_ensemble(n, seed, kick_strength=1.0, temperature=1.0):
+def sample_ensemble(n, seed):
     """The n-particle thermal ensemble of `sample_blocks` as one block."""
-    blocks = list(sample_blocks(n, seed, kick_strength, temperature))
-    return replace(blocks[0], **{a: np.concatenate([getattr(b, a) for b in blocks])
-                                 for a in _ARRAYS})
+    blocks = list(sample_blocks(n, seed))
+    return ThermalEnsemble(*(np.concatenate([getattr(b, a) for b in blocks]) for a in _ARRAYS))
 
 
-def kick(ensemble, coupling=Coupling.DIPOLE):
-    """Instantaneous kick at the current positions: only p_theta changes."""
+def kick(ensemble, P, coupling=Coupling.DIPOLE):
+    """Instantaneous kick of strength P (P' in thermal units) at the current
+    positions: only p_theta changes."""
     s = ensemble.sin_theta
     dp = 2.0 * s * ensemble.cos_theta if coupling is Coupling.POLARIZATION else s
-    return replace(ensemble, p_theta=ensemble.p_theta - ensemble.kick_strength * dp)
+    return replace(ensemble, p_theta=ensemble.p_theta - P * dp)
 
 
 def _free_flight(ensemble):
@@ -170,9 +166,9 @@ def _fly(ensemble, flight, dt):
     return replace(ensemble, cos_theta=c, sin_theta=sin_new, p_theta=p_theta)
 
 
-def kicked_profile(blocks, dt, bins, coupling=Coupling.DIPOLE):
-    """(grid, density, O, A) of the union of `blocks` (ensembles of one kick
-    strength, such as `sample_blocks`) after a kick and free flight for dt:
+def kicked_profile(blocks, P, dt, bins, coupling=Coupling.DIPOLE):
+    """(grid, density, O, A) of the union of `blocks` (ensembles such as
+    `sample_blocks`) after a kick of strength P and free flight for dt:
     the bin centers, the plotted f(theta) there, normalized so sum(density
     * dtheta) = 1 with no 1/sin(theta) weighting (the isotropic ensemble
     shows sin(theta)/2), and `orientation_alignment`.  Counts add exactly,
@@ -184,7 +180,7 @@ def kicked_profile(blocks, dt, bins, coupling=Coupling.DIPOLE):
     edges = np.linspace(0.0, math.pi, bins + 1)
     n, counts, sums = 0, 0, np.zeros(2)
     for block in blocks:
-        c = _flown_cos(_free_flight(kick(block, coupling)), dt)[0] if dt else block.cos_theta
+        c = _flown_cos(_free_flight(kick(block, P, coupling)), dt)[0] if dt else block.cos_theta
         sums += _alignment_sums(c)
         n, counts = n + block.n, counts + _bin_counts(np.arccos(c), edges)
     if not n:

@@ -32,7 +32,11 @@ None of these share code with the package evaluators they check:
 - `wavefunction_direct`: the planar Fourier sum one exponential per
   (order, point), each phase n theta formed exactly;
 - `ensemble_at`: a thermal ensemble at given angles, through np.cos and
-  np.sin.
+  np.sin, with given momenta (no kick strength: each kick takes its own);
+- `at_rest`: an ensemble's positions with zero momenta, the
+  zero-temperature start the squeeze driver builds from `sample_ensemble`;
+- `driver_first_kick`: the (ensemble, P) the squeeze driver hands its first
+  `thermal.kick`, caught by a stand-in kick that stops the run.
 - `evolve_libm`: the closed-form free flight of `thermal._fly` written
   out whole, its rotation through np.cos and np.sin.
 - `stationary_points_3d`: the classified real stationary points of the
@@ -51,6 +55,7 @@ ConvergenceError there.
 import cmath
 import math
 from dataclasses import dataclass, replace
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -59,6 +64,8 @@ from scipy.special import j0, jv
 
 from kickedrotor.semiclassical import DISC_RADIUS, _quartic_phase, glory_angle_planar
 from kickedrotor.specfun import ConvergenceError, DomainError, gauss_segment
+from kickedrotor import squeeze, thermal
+from kickedrotor.classical import Coupling
 from kickedrotor.thermal import ThermalEnsemble
 
 _MP_DPS = 50
@@ -502,13 +509,39 @@ def sphere_norm(density, l_max):
     return float(2.0 * math.pi * np.sum(w * density(np.arccos(x))))
 
 
-def ensemble_at(theta, p_theta, p_phi, kick_strength=1.0):
-    """ThermalEnsemble of particles at the angles theta."""
+def ensemble_at(theta, p_theta, p_phi):
+    """ThermalEnsemble of particles at the angles theta with the given
+    momenta (the kick strength is an argument of each kick)."""
     theta = np.asarray(theta, dtype=float)
     return ThermalEnsemble(cos_theta=np.cos(theta), sin_theta=np.sin(theta),
                            p_theta=np.asarray(p_theta, dtype=float),
-                           p_phi=np.asarray(p_phi, dtype=float),
-                           kick_strength=kick_strength)
+                           p_phi=np.asarray(p_phi, dtype=float))
+
+
+def at_rest(ensemble):
+    """The ensemble's positions with p_theta = p_phi = 0 (zero temperature)."""
+    return replace(ensemble, p_theta=np.zeros(ensemble.n), p_phi=np.zeros(ensemble.n))
+
+
+class _FirstKick(Exception):
+    pass
+
+
+def driver_first_kick(n, seed, P_prime, coupling=Coupling.DIPOLE):
+    """(ensemble, P) that `squeeze.classical_accumulative_3d` passes to its
+    first `thermal.kick`; the run stops there."""
+    seen = []
+
+    def first_kick(ensemble, P, coupling):
+        seen.append((ensemble, P))
+        raise _FirstKick
+
+    with mock.patch.object(thermal, "kick", first_kick):
+        try:
+            squeeze.classical_accumulative_3d(n, P_prime, 1, seed, coupling)
+        except _FirstKick:
+            return seen[0]
+    raise AssertionError("the driver never kicked")
 
 
 def evolve_libm(ensemble, dt):

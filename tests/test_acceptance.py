@@ -209,8 +209,8 @@ def test_criterion_09_classical_quantum_correspondence():
 
 def test_criterion_10_thermal_hole():
     t0 = time.perf_counter()
-    blocks = th.sample_blocks(10 ** 6, seed=11, kick_strength=10.0)
-    grid, dens, _, _ = th.kicked_profile(blocks, 0.1, 400)  # P't' = 1
+    blocks = th.sample_blocks(10 ** 6, seed=11)
+    grid, dens, _, _ = th.kicked_profile(blocks, 10.0, 0.1, 400)  # P't' = 1
     peak_zone = dens[grid < 0.3]
     elapsed = time.perf_counter() - t0
     ok = (dens[0] < 0.10 * peak_zone.max()
@@ -277,7 +277,7 @@ def test_criterion_12_property_suite():
 
     # thermal conservation
     energy = lambda e: 0.5 * (e.p_theta ** 2 + (e.p_phi / e.sin_theta) ** 2)
-    ens = th.kick(th.sample_ensemble(10 ** 5, seed=8))
+    ens = th.kick(th.sample_ensemble(10 ** 5, seed=8), 1.0)
     ev = th._fly(ens, th._free_flight(ens), 1.3)
     cons_ok = (np.max(np.abs(energy(ev) - energy(ens))) < 1e-9
                and np.array_equal(ev.p_phi, ens.p_phi))

@@ -272,6 +272,19 @@ class TestBatch:
         assert "field 'window'" in index[0]["error"]
         assert (tmp_path / "out" / "good.csv").exists()
 
+    def test_repeated_compare_method_fails_its_line_only(self, tmp_path):
+        # "exact,exact" would pass the two-method count and report a zero gap
+        twice = {"command": "compare", "P": 10.0, "s": 1.0, "methods": ["exact", "exact"],
+                 "grid_points": 8, "output_path": "twice.csv"}
+        good = dict(twice, methods=["exact", "classical"], output_path="good.csv")
+        f = tmp_path / "m.jsonl"
+        f.write_text(json.dumps(twice) + "\n" + json.dumps(good) + "\n")
+        envs, index = batch(str(f), str(tmp_path / "out"))
+        assert [e["status"] for e in index] == ["failed", "ok"]
+        assert index[0]["failure"] == "config"
+        assert "'exact' is repeated" in index[0]["error"]
+        assert not (tmp_path / "out" / "twice.csv").exists()
+
     def test_thermal_infinite_kick_fails_its_line_only(self, tmp_path):
         hot = {"command": "thermal", "P_prime": math.inf, "t_prime": 1.0, "particles": 500,
                "grid_points": 8, "output_path": "hot.csv"}
@@ -414,6 +427,15 @@ class TestMain:
         assert "field 'radius'" in err and "Traceback" not in err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("methods", ["exact,exact", "exact,classical,exact"])
+    def test_repeated_compare_method_exit_two(self, tmp_path, capsys, methods):
+        rc = cli.main(["compare", "--P", "10", "--s", "1", "--grid", "8",
+                       "--methods", methods, "--out", str(tmp_path / "c.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "field 'methods': 'exact' is repeated" in err and "Traceback" not in err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_missing_batch_file_exit_two(self, tmp_path, capsys):
         assert cli.main(["batch", str(tmp_path / "missing.jsonl")]) == 2
         assert "Traceback" not in capsys.readouterr().err
@@ -473,7 +495,7 @@ class TestMain:
             def leaky(P):
                 c = np.zeros(41, dtype=complex)
                 c[0], c[-1] = norm, top
-                return q3.LegendrePacket3D(l_max=40, coeffs=c)
+                return q3.LegendrePacket3D(c)
             monkeypatch.setattr(q3, "dipole_kick_ground", leaky)
             rc = cli.main(["quantum3d", "--P", "20", "--s", "1", "--grid", "8",
                            "--out", str(tmp_path / "q.csv")])

@@ -38,6 +38,27 @@ class TestGroundPacket:
         assert np.allclose(d0, d1, atol=1e-15)
 
 
+class TestPacket:
+    def test_orders_follow_the_coefficients(self):
+        for n_max in (0, 1, 7):
+            p = q2.FourierPacket2D(np.ones(2 * n_max + 1) / math.sqrt(2 * n_max + 1))
+            assert p.n_max == n_max
+            assert np.array_equal(p.orders, np.arange(-n_max, n_max + 1))
+        assert kicked_ground(20.0).n_max == q2.kick_order_margin(20.0)
+
+    @pytest.mark.parametrize("coeffs", [np.ones(2), np.ones(0), np.ones((3, 3)), 1.0])
+    def test_rejects_even_or_non_vector_coefficients(self, coeffs):
+        with pytest.raises(ValueError, match="odd length"):
+            q2.FourierPacket2D(coeffs)
+
+    def test_copies_the_callers_array(self):
+        c = np.array([0.0, 1.0, 0.0], dtype=complex)
+        p = q2.FourierPacket2D(c)
+        c[0] = 0.5
+        assert c.flags.writeable and c[0] == 0.5
+        assert np.array_equal(p.coeffs, [0.0, 1.0, 0.0]) and not p.coeffs.flags.writeable
+
+
 class TestApplyKick:
     def test_dipole_ground_reproduces_bessel_coefficients(self):
         P = 85.0
@@ -64,7 +85,7 @@ class TestApplyKick:
         # a NaN norm compares false both ways: the checks must fail closed
         c = np.zeros(5, dtype=complex)
         c[2], c[3] = 1.0, np.nan
-        packet = q2.FourierPacket2D(n_max=2, coeffs=c)
+        packet = q2.FourierPacket2D(c)
         with pytest.raises(q2.TruncationError, match="norm nan"):
             packet.check()
         with pytest.raises(q2.TruncationError, match="leaked"):
@@ -206,7 +227,7 @@ class TestWavefunction:
         # P' = 85 (400) fills n_max = 141 (479) as fig06 does
         rng = np.random.default_rng(n_max)
         c = rng.standard_normal(2 * n_max + 1) + 1j * rng.standard_normal(2 * n_max + 1)
-        packets = [q2.FourierPacket2D(n_max=n_max, coeffs=c / np.linalg.norm(c))]
+        packets = [q2.FourierPacket2D(c / np.linalg.norm(c))]
         if P is not None:
             packets.append(q2.free_evolve(kicked_ground(P), 0.7 / P))
         grid = np.linspace(0.0, TWO_PI, points, endpoint=False) if points > 1 else np.array([2.5])
@@ -235,7 +256,7 @@ def test_kick_and_evolve_preserve_norm(P, coupling, dtau, n_max, seed):
     # a random normalized packet, kicked and then evolved freely
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(2 * n_max + 1) + 1j * rng.standard_normal(2 * n_max + 1)
-    packet = q2.FourierPacket2D(n_max=n_max, coeffs=c / np.linalg.norm(c))
+    packet = q2.FourierPacket2D(c / np.linalg.norm(c))
     kicked = q2.apply_kick(packet, P, coupling)
     assert abs(kicked.norm() - 1.0) < 1e-12
     assert abs(q2.free_evolve(kicked, dtau).norm() - 1.0) < 1e-12

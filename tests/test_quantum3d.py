@@ -214,15 +214,33 @@ class TestDensity3D:
         norm = sphere_norm(lambda th: q3.density_3d(p, th), p.l_max)
         assert abs(norm - 1.0) < 1e-8
         assert p.check() is p
-        off = q3.LegendrePacket3D(l_max=p.l_max, coeffs=1.01 * p.coeffs, time=p.time)
+        off = q3.LegendrePacket3D(1.01 * p.coeffs)
         with pytest.raises(q3.TruncationError, match="norm 1.0201"):
             off.check()
+
+    def test_l_max_follows_the_coefficients(self):
+        assert q3.LegendrePacket3D(np.ones(1)).l_max == 0
+        p = q3.dipole_kick_ground(20.0)
+        assert p.l_max == p.coeffs.size - 1 == q3.kick_order_margin(20.0)
+        assert np.array_equal(p.orders, np.arange(p.l_max + 1))
+
+    @pytest.mark.parametrize("coeffs", [np.ones(0), np.ones((2, 2)), 1.0])
+    def test_rejects_empty_or_non_vector_coefficients(self, coeffs):
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            q3.LegendrePacket3D(coeffs)
+
+    def test_copies_the_callers_array(self):
+        c = np.array([1.0, 0.0], dtype=complex)
+        p = q3.LegendrePacket3D(c)
+        c[1] = 0.5
+        assert c.flags.writeable and c[1] == 0.5
+        assert np.array_equal(p.coeffs, [1.0, 0.0]) and not p.coeffs.flags.writeable
 
     def test_nan_packet_fails_its_check(self):
         c = np.zeros(3, dtype=complex)
         c[0], c[1] = 1.0, np.nan
         with pytest.raises(q3.TruncationError, match="norm nan"):
-            q3.LegendrePacket3D(l_max=2, coeffs=c).check()
+            q3.LegendrePacket3D(c).check()
 
     def test_rejects_out_of_range_grid(self):
         p = q3.dipole_kick_ground(5.0)

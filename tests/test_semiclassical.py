@@ -572,6 +572,14 @@ class TestFordWheeler:
         with pytest.raises(ValueError):
             sc.ford_wheeler_glory(0.1, 0.9 / 50.0, 50.0)
 
+    @pytest.mark.parametrize("P,s", [(50.0, 1.2), (75.0, 4.0), (20.0, 1.05)])
+    def test_wave_function_is_uniform_bessel_on_axis(self, P, s):
+        # the complex values, phase included, agree at theta = 0: the quartic
+        # phase at the glory angle enters once
+        fw = sc.ford_wheeler_glory(0.0, s / P, P)
+        ub = sc.uniform_bessel_glory(0.0, s / P, P)
+        assert abs(fw - ub) <= 1e-12 * abs(ub)
+
 
 # (form, tau, P, a theta window inside its domain)
 ARRAY_FORMS = [

@@ -13,7 +13,7 @@ from kickedrotor import squeeze as sq
 from kickedrotor import thermal as th
 from kickedrotor.classical import Coupling
 from kickedrotor.specfun import ConvergenceError
-from oracles import ensemble_at, evolve_libm
+from oracles import at_rest, driver_first_kick, ensemble_at, evolve_libm
 
 
 class TestKickCycle:
@@ -147,6 +147,22 @@ class TestClassicalDriver:
         assert np.all(np.diff(obs) < 0)
         assert obs[0] < 2.0 / 3.0  # below the isotropic alignment factor
 
+    @pytest.mark.parametrize("P_prime", [math.inf, 5.0])
+    def test_first_kick_flies_the_sampled_positions(self, P_prime):
+        # the driver kicks what `driver_start` builds, which the other
+        # driver tests fly: at P' = inf the seed's positions at rest with
+        # unit kick, else the seed's sample at P'
+        e, P = driver_first_kick(3000, 13, P_prime, Coupling.POLARIZATION)
+        ref, P_ref = driver_start(P_prime, 3000, 13)
+        assert P == P_ref
+        for name in ("cos_theta", "sin_theta", "p_theta", "p_phi"):
+            assert np.array_equal(getattr(e, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("P_prime", [0.0, -1.0, -math.inf, math.nan])
+    def test_nonpositive_kick_strength_rejected(self, P_prime):
+        with pytest.raises(ValueError, match="P_prime must be positive"):
+            sq.classical_accumulative_3d(100, P_prime, 1, seed=1)
+
     def test_determinism(self):
         a = sq.classical_accumulative_3d(5000, math.inf, 3, seed=9)
         b = sq.classical_accumulative_3d(5000, math.inf, 3, seed=9)
@@ -154,25 +170,29 @@ class TestClassicalDriver:
         assert np.array_equal(a["dtau"], b["dtau"])
 
 
+def driver_start(P_prime, n, seed):
+    """(ensemble, P) the driver starts from: the seed's sample and P', or at
+    P' = inf (zero temperature) its positions at rest and P = 1."""
+    ens = th.sample_ensemble(n, seed)
+    return (at_rest(ens), 1.0) if math.isinf(P_prime) else (ens, P_prime)
+
+
 def kicked_ensemble(P_prime, coupling, seed=21, n=20000):
-    if math.isinf(P_prime):
-        ens = th.sample_ensemble(n, seed, kick_strength=1.0, temperature=0.0)
-    else:
-        ens = th.sample_ensemble(n, seed, kick_strength=P_prime)
-    ens = th.kick(ens, coupling)
+    ens, P = driver_start(P_prime, n, seed)
+    ens = th.kick(ens, P, coupling)
     ens.p_theta[0] = ens.p_phi[0] = 0.0  # a particle at rest
-    return ens
+    return ens, P
 
 
 class TestClosedFormObservable:
     @pytest.mark.parametrize("coupling", [Coupling.DIPOLE, Coupling.POLARIZATION])
     @pytest.mark.parametrize("P_prime", [math.inf, 5.0])
     def test_matches_evolved_ensemble(self, P_prime, coupling):
-        ens = kicked_ensemble(P_prime, coupling)
+        ens, P = kicked_ensemble(P_prime, coupling)
         at = sq._observable_in_flight(th._free_flight(ens), coupling)
         idx = 0 if coupling is Coupling.DIPOLE else 1
         for st_ in (0.0, 0.01, 0.5, 1.773, 3.0, 25.0):
-            t = st_ / ens.kick_strength
+            t = st_ / P
             ref = th.orientation_alignment(evolve_libm(ens, t))[idx]
             assert at(t)[0] == pytest.approx(ref, rel=1e-14, abs=1e-14)
 
@@ -180,14 +200,14 @@ class TestClosedFormObservable:
     @pytest.mark.parametrize("P_prime", [math.inf, 5.0])
     def test_derivatives_match_evolved_differences(self, P_prime, coupling):
         # central differences of O or A of the evolved ensemble
-        ens = kicked_ensemble(P_prime, coupling)
+        ens, P = kicked_ensemble(P_prime, coupling)
         at = sq._observable_in_flight(th._free_flight(ens), coupling)
         idx = 0 if coupling is Coupling.DIPOLE else 1
         F = lambda t: th.orientation_alignment(evolve_libm(ens, t))[idx]
         for st_ in (0.3, 1.773, 3.0):
-            t, h = st_ / ens.kick_strength, 1e-4 / ens.kick_strength
+            t, h = st_ / P, 1e-4 / P
             _, d1, d2 = at(t)
-            scale = ens.kick_strength ** 2
+            scale = P ** 2
             assert d1 == pytest.approx((F(t + h) - F(t - h)) / (2 * h), rel=1e-6, abs=1e-8 * scale)
             assert d2 == pytest.approx((F(t + h) - 2 * F(t) + F(t - h)) / h ** 2,
                                        rel=1e-4, abs=1e-4 * scale)
@@ -218,10 +238,10 @@ class TestClosedFormObservable:
         # an ensemble at rest has a flat observable: the real scan walks
         # until its (lowered) step budget runs out
         monkeypatch.setattr(sq, "_SCAN_BUDGET", 50)
-        ens = ensemble_at(np.linspace(0.1, 3.0, 10), np.zeros(10), np.zeros(10), 5.0)
+        ens = ensemble_at(np.linspace(0.1, 3.0, 10), np.zeros(10), np.zeros(10))
         for coupling in (Coupling.DIPOLE, Coupling.POLARIZATION):
             with pytest.raises(ConvergenceError, match="scan budget"):
-                sq._first_minimum(ens, coupling, th._free_flight(ens))
+                sq._first_minimum(th._free_flight(ens), 5.0, coupling)
 
     def test_records_hold_the_search_counts(self):
         tr = sq.classical_accumulative_3d(2000, 5.0, 4, seed=8)
@@ -237,16 +257,13 @@ def test_first_minimum_is_a_stationary_minimum_in_the_bracket(P_prime, coupling,
     # after a few kicks of the driver's protocol, the search's t* has
     # dF/dt ~ 0 against the slopes on its scan bracket, and F(t*) is no
     # larger than F at either end of the bracket
-    if math.isinf(P_prime):
-        ens = th.sample_ensemble(n, seed, kick_strength=1.0, temperature=0.0)
-    else:
-        ens = th.sample_ensemble(n, seed, kick_strength=P_prime)
+    ens, P = driver_start(P_prime, n, seed)
     for _ in range(kicks):
-        ens = th.kick(ens, coupling)
+        ens = th.kick(ens, P, coupling)
         flight = th._free_flight(ens)
-        t, steps, iters = sq._first_minimum(ens, coupling, flight)
+        t, steps, iters = sq._first_minimum(flight, P, coupling)
         at = sq._observable_in_flight(flight, coupling)
-        dt = sq._SCAN_STEP / ens.kick_strength
+        dt = sq._SCAN_STEP / P
         a, b = max(0.0, (steps - 2) * dt), steps * dt
         (Fa, ga, _), (Fb, gb, _), (Ft, gt, _) = at(a), at(b), at(t)
         assert a <= t <= b

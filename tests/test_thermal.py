@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 
 from kickedrotor import thermal as th
 from kickedrotor.classical import Coupling
-from oracles import ensemble_at, evolve_libm
+from oracles import at_rest, driver_first_kick, ensemble_at, evolve_libm
 
 
 def fly(ensemble, dt):
@@ -57,22 +57,23 @@ class TestSampling:
         c = th.sample_ensemble(1000, seed=6)
         assert not np.array_equal(a.cos_theta, c.cos_theta)
 
-    def test_zero_temperature(self):
-        e = th.sample_ensemble(100, seed=1, temperature=0.0)
-        assert np.all(e.p_theta == 0.0)
-        assert np.all(e.p_phi == 0.0)
-
     @pytest.mark.parametrize("temperature", [1.0, 0.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 1000, 1001, 1002, 1003, 65537])
     def test_stream_kept_without_azimuth(self, n, temperature):
-        # a sampler that also draws a uniform azimuth: the stream to keep
+        # a sampler that also draws a uniform azimuth: the stream to keep,
+        # by `sample_ensemble` (T = 1) and by the zero-temperature squeeze
+        # driver's start, the same positions at rest kicked at P = 1 (T = 0)
         rng = np.random.Generator(np.random.Philox(key=17))
         u = rng.random(n)
         rng.random(n) * 2.0 * math.pi
         scale = math.sqrt(temperature)
         p_theta = rng.standard_normal(n) * scale
         normals = rng.standard_normal(n)
-        e = th.sample_ensemble(n, 17, temperature=temperature)
+        if temperature:
+            e = th.sample_ensemble(n, 17)
+        else:
+            e, P = driver_first_kick(n, 17, math.inf)
+            assert P == 1.0
         assert np.array_equal(e.cos_theta, 1.0 - 2.0 * u)
         assert np.array_equal(e.sin_theta, 2.0 * np.sqrt(u * (1.0 - u)))
         assert np.array_equal(e.p_theta, p_theta)
@@ -85,34 +86,33 @@ class TestSampling:
     @pytest.mark.parametrize("n", [1, th.BLOCK - 1, th.BLOCK, th.BLOCK + 1, 2 * th.BLOCK + 5,
                                    2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17 + 5])
     def test_ensemble_is_the_concatenated_blocks(self, n):
-        blocks = list(th.sample_blocks(n, 23, kick_strength=3.0, temperature=0.5))
+        blocks = list(th.sample_blocks(n, 23))
         assert [b.n for b in blocks] == [min(th.BLOCK, n - lo) for lo in range(0, n, th.BLOCK)]
-        e = th.sample_ensemble(n, 23, kick_strength=3.0, temperature=0.5)
+        e = th.sample_ensemble(n, 23)
         for name in ("cos_theta", "sin_theta", "p_theta", "p_phi"):
             assert np.array_equal(getattr(e, name),
                                   np.concatenate([getattr(b, name) for b in blocks]))
-        assert all(b.kick_strength == 3.0 for b in blocks)
 
 
 class TestKick:
     def test_zero_strength_identity(self):
-        e = th.sample_ensemble(100, seed=1, kick_strength=0.0)
-        k = th.kick(e)
+        e = th.sample_ensemble(100, seed=1)
+        k = th.kick(e, 0.0)
         assert np.array_equal(k.p_theta, e.p_theta)
 
     def test_momentum_transfer(self):
-        e = ensemble_at([math.pi / 2], [0.0], [0.0], kick_strength=10.0)
-        assert th.kick(e).p_theta[0] == pytest.approx(-10.0)
+        e = ensemble_at([math.pi / 2], [0.0], [0.0])
+        assert th.kick(e, 10.0).p_theta[0] == pytest.approx(-10.0)
 
     def test_positions_unchanged(self):
-        e = th.sample_ensemble(50, seed=3, kick_strength=4.0)
-        k = th.kick(e)
+        e = th.sample_ensemble(50, seed=3)
+        k = th.kick(e, 4.0)
         assert k.cos_theta is e.cos_theta and k.sin_theta is e.sin_theta
         assert np.array_equal(k.p_phi, e.p_phi)
 
     def test_polarization_double_angle(self):
-        e = ensemble_at([0.3], [0.0], [0.0], kick_strength=2.0)
-        k = th.kick(e, Coupling.POLARIZATION)
+        e = ensemble_at([0.3], [0.0], [0.0])
+        k = th.kick(e, 2.0, Coupling.POLARIZATION)
         assert k.p_theta[0] == pytest.approx(-2.0 * math.sin(0.6))
 
 
@@ -135,8 +135,8 @@ class TestEvolve:
     def test_zero_temperature_map(self):
         # kicked motionless rotor follows theta(t) = theta0 - P t sin(theta0)
         th0 = 1.1
-        e = ensemble_at([th0], [0.0], [0.0], kick_strength=3.0)
-        ev = fly(th.kick(e), 0.2)
+        e = ensemble_at([th0], [0.0], [0.0])
+        ev = fly(th.kick(e, 3.0), 0.2)
         assert ev.theta[0] == pytest.approx(th0 - 3.0 * 0.2 * math.sin(th0), abs=1e-12)
 
     def test_against_ode_oracle(self):
@@ -153,7 +153,7 @@ class TestEvolve:
             assert ev.p_theta[0] == pytest.approx(ref_p, abs=1e-8)
 
     def test_energy_and_p_phi_conserved(self, big_ensemble):
-        e = th.kick(big_ensemble)
+        e = th.kick(big_ensemble, 1.0)
         ev = fly(e, 0.9)
         assert np.max(np.abs(energy(ev) - energy(e))) < 1e-9
         assert np.array_equal(ev.p_phi, e.p_phi)
@@ -169,7 +169,7 @@ class TestEvolve:
     def test_rest_particle_kept_and_input_untouched(self):
         # the flight reuses its temporaries in place: the input arrays must
         # survive, and a particle with p_theta = p_phi = 0 stays at theta0
-        e = th.kick(th.sample_ensemble(1000, seed=6, kick_strength=2.0))
+        e = th.kick(th.sample_ensemble(1000, seed=6), 2.0)
         e.p_theta[0] = e.p_phi[0] = 0.0
         arrays = (e.cos_theta, e.sin_theta, e.p_theta, e.p_phi)
         before = [a.copy() for a in arrays]
@@ -180,9 +180,9 @@ class TestEvolve:
         assert not np.array_equal(ev.cos_theta[1:], e.cos_theta[1:])
 
 
-def one_shot_profile(ensemble, dt, bins, coupling):
+def one_shot_profile(ensemble, P, dt, bins, coupling):
     # kick, fly and histogram the whole ensemble at once
-    ev = th.kick(ensemble, coupling)
+    ev = th.kick(ensemble, P, coupling)
     ev = fly(ev, dt) if dt else ev
     counts, edges = np.histogram(ev.theta, bins=bins, range=(0.0, math.pi))
     return counts, edges, th.orientation_alignment(ev)
@@ -197,8 +197,9 @@ def test_flight_against_libm_oracle(P_prime, t_prime, coupling):
     # sin theta: near a pole both sides sit ~1e-12 from a 40-digit flight
     n, zero_t = 2 ** 17, math.isinf(P_prime)
     P = 1.0 if zero_t else P_prime
-    ens = th.sample_ensemble(n, 31, kick_strength=P, temperature=0.0 if zero_t else 1.0)
-    kicked, dt = th.kick(ens, coupling), t_prime / P
+    ens = th.sample_ensemble(n, 31)
+    ens = at_rest(ens) if zero_t else ens
+    kicked, dt = th.kick(ens, P, coupling), t_prime / P
     got, ref = fly(kicked, dt), evolve_libm(kicked, dt)
     assert np.max(np.abs(got.cos_theta - ref.cos_theta)) <= 1e-15
     assert np.max(np.abs(got.sin_theta - ref.sin_theta)) <= 1e-15
@@ -208,7 +209,7 @@ def test_flight_against_libm_oracle(P_prime, t_prime, coupling):
     assert np.max(gap[ref.sin_theta > 0.01]) <= 1e-13 * big
     # the histogram pass flies cos theta alone and bins arccos(cos theta):
     # against np.histogram of the libm flight's theta = arctan2(sin, cos)
-    _, dens, O, A = th.kicked_profile([ens], dt, 200, coupling)
+    _, dens, O, A = th.kicked_profile([ens], P, dt, 200, coupling)
     counts, edges = np.histogram(ref.theta, bins=200, range=(0.0, math.pi))
     O_ref, A_ref = th.orientation_alignment(ref)
     assert np.array_equal(dens, counts / (n * (edges[1] - edges[0])))
@@ -218,7 +219,7 @@ def test_flight_against_libm_oracle(P_prime, t_prime, coupling):
 
 class TestHistogram:
     def test_isotropic_half_sine(self, big_ensemble):
-        grid, dens, _, _ = th.kicked_profile([big_ensemble], 0.0, 50)
+        grid, dens, _, _ = th.kicked_profile([big_ensemble], 1.0, 0.0, 50)
         width = grid[1] - grid[0]
         assert np.sum(dens) * width == pytest.approx(1.0, rel=1e-12)
         ref = np.sin(grid) / 2
@@ -228,8 +229,7 @@ class TestHistogram:
 
     def test_focal_hole_at_strong_kick(self):
         # P' = 10 at P't' = 1: peak near the pole but a hole at theta = 0
-        grid, dens, _, _ = th.kicked_profile(th.sample_blocks(10 ** 6, seed=42, kick_strength=10.0),
-                                             0.1, 400)
+        grid, dens, _, _ = th.kicked_profile(th.sample_blocks(10 ** 6, seed=42), 10.0, 0.1, 400)
         peak_zone = dens[grid < 0.3]
         assert dens[0] < 0.1 * peak_zone.max()
         assert peak_zone.max() == dens.max()
@@ -237,27 +237,25 @@ class TestHistogram:
     def test_weak_kick_near_equilibrium(self):
         # P' = 1 bends the half-sine but produces no focal spike, unlike
         # the strong kick at the same P't'
-        weak = th.sample_blocks(200000, seed=7, kick_strength=1.0)
-        strong = th.sample_blocks(200000, seed=7, kick_strength=10.0)
-        _, dens_w, _, _ = th.kicked_profile(weak, 1.0, 50)
-        _, dens_s, _, _ = th.kicked_profile(strong, 0.1, 50)
+        _, dens_w, _, _ = th.kicked_profile(th.sample_blocks(200000, seed=7), 1.0, 1.0, 50)
+        _, dens_s, _, _ = th.kicked_profile(th.sample_blocks(200000, seed=7), 10.0, 0.1, 50)
         equilibrium_peak = 0.5
         assert dens_w.max() < 2.0 * equilibrium_peak
         assert dens_s.max() > 2.0 * dens_w.max()
 
     def test_rejects_single_bin(self):
         with pytest.raises(ValueError):
-            th.kicked_profile(th.sample_blocks(10, seed=1), 0.0, 1)
+            th.kicked_profile(th.sample_blocks(10, seed=1), 1.0, 0.0, 1)
 
     def test_rejects_no_blocks(self):
         with pytest.raises(ValueError, match="no particles"):
-            th.kicked_profile(iter(()), 0.1, 10)
+            th.kicked_profile(iter(()), 1.0, 0.1, 10)
 
     def test_input_untouched(self):
-        e = th.sample_ensemble(th.BLOCK + 3, seed=8, kick_strength=3.0)
+        e = th.sample_ensemble(th.BLOCK + 3, seed=8)
         arrays = (e.cos_theta, e.sin_theta, e.p_theta, e.p_phi)
         before = [a.copy() for a in arrays]
-        th.kicked_profile([e], 0.4, 30, Coupling.POLARIZATION)
+        th.kicked_profile([e], 3.0, 0.4, 30, Coupling.POLARIZATION)
         for a, b in zip(arrays, before):
             assert np.array_equal(a, b)
 
@@ -278,13 +276,13 @@ class TestHistogram:
         # p = 0): the kick leaves them at rest, in the first and last bins.
         # Their p_phi/sin theta is 0/0, the NaN `_free_flight` maps to rest
         # without a warning (a CLI run would print one on stderr)
-        e = th.sample_ensemble(1000, seed=12, kick_strength=2.0, temperature=0.0)
+        e = at_rest(th.sample_ensemble(1000, seed=12))
         e.cos_theta[:3], e.cos_theta[3:5], e.sin_theta[:5] = 1.0, -1.0, 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, dens, O, A = th.kicked_profile([e], dt, 90)
-            counts, edges, (O_ref, A_ref) = one_shot_profile(e, dt, 90, Coupling.DIPOLE)
-            _, _, omega, b = th._free_flight(th.kick(e))
+            _, dens, O, A = th.kicked_profile([e], 2.0, dt, 90)
+            counts, edges, (O_ref, A_ref) = one_shot_profile(e, 2.0, dt, 90, Coupling.DIPOLE)
+            _, _, omega, b = th._free_flight(th.kick(e, 2.0))
         assert np.array_equal(dens, counts / (e.n * (edges[1] - edges[0])))
         assert counts[0] >= 3 and counts[-1] >= 2
         assert (O, A) == (O_ref, A_ref)
@@ -301,10 +299,10 @@ class TestHistogram:
     @example(n=th.BLOCK, P_prime=10.0, t_prime=1.0, coupling=Coupling.DIPOLE, bins=200)
     @example(n=th.BLOCK + 1, P_prime=1.0, t_prime=3.0, coupling=Coupling.POLARIZATION, bins=200)
     def test_blocked_pass_matches_one_shot(self, n, P_prime, t_prime, coupling, bins):
-        ens = th.sample_ensemble(n, seed=n, kick_strength=P_prime)
-        blocks = th.sample_blocks(n, seed=n, kick_strength=P_prime)
-        grid, dens, O, A = th.kicked_profile(blocks, t_prime / P_prime, bins, coupling)
-        counts, edges, (O_ref, A_ref) = one_shot_profile(ens, t_prime / P_prime, bins, coupling)
+        ens, blocks = th.sample_ensemble(n, seed=n), th.sample_blocks(n, seed=n)
+        grid, dens, O, A = th.kicked_profile(blocks, P_prime, t_prime / P_prime, bins, coupling)
+        counts, edges, (O_ref, A_ref) = one_shot_profile(ens, P_prime, t_prime / P_prime, bins,
+                                                         coupling)
         width = edges[1] - edges[0]
         assert np.array_equal(dens, counts / (n * width))
         assert np.array_equal(grid, 0.5 * (edges[:-1] + edges[1:]))
@@ -318,9 +316,9 @@ class TestHistogram:
         # the streamed blocks against the whole ensemble kicked, flown and
         # histogrammed at once: counts exact, (O, A) up to sum order
         dt = 0.13
-        _, dens, O, A = th.kicked_profile(th.sample_blocks(n, 77, kick_strength=6.0), dt, 90, coupling)
+        _, dens, O, A = th.kicked_profile(th.sample_blocks(n, 77), 6.0, dt, 90, coupling)
         counts, edges, (O_ref, A_ref) = one_shot_profile(
-            th.sample_ensemble(n, 77, kick_strength=6.0), dt, 90, coupling)
+            th.sample_ensemble(n, 77), 6.0, dt, 90, coupling)
         assert np.array_equal(dens, counts / (n * (edges[1] - edges[0])))
         assert O == pytest.approx(O_ref, rel=1e-15, abs=0)
         assert A == pytest.approx(A_ref, rel=1e-15, abs=0)
@@ -333,8 +331,8 @@ class TestZeroTemperatureDegeneration:
         from kickedrotor import classical as cl
         from oracles import box_means
         s = 2.0
-        blocks = th.sample_blocks(10 ** 6, seed=33, kick_strength=1.0, temperature=0.0)
-        grid, dens, _, _ = th.kicked_profile(blocks, s, 100)
+        blocks = map(at_rest, th.sample_blocks(10 ** 6, seed=33))
+        grid, dens, _, _ = th.kicked_profile(blocks, 1.0, s, 100)
         width = grid[1] - grid[0]
         params = cl.MapParams(s, geometry=cl.Geometry.SPHERE_3D)
         thr = cl.rainbow_angle(s)
@@ -355,8 +353,7 @@ class TestOrientationAlignment:
 
     def test_strong_kick_first_minimum(self):
         # P' = 10 squeezes O well below the isotropic value 1
-        ens = th.sample_ensemble(200000, seed=9, kick_strength=10.0)
-        ens = th.kick(ens)
+        ens = th.kick(th.sample_ensemble(200000, seed=9), 10.0)
         best = min(th.orientation_alignment(fly(ens, t))[0]
                    for t in np.linspace(0.05, 0.3, 26))
         assert best < 0.3
