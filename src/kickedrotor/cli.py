@@ -1,15 +1,15 @@
 """Command-line front end: scenario configs, dispatch, CSV/JSON output.
 
 One table, `_COMMANDS`, maps each command to its runner, which turns a
-validated config into CSV columns and summary scalars; `validate` and `run`
-read it, and `build_parser` gives each command a subparser.  Every run
-writes a CSV (header row, 15 significant digits, UTF-8, LF) and a JSON
-sidecar holding the exact config, version, runtime and summary scalars, so
-any output file can be reproduced from its sidecar alone.  `batch` executes
-a JSON-lines file of scenarios, isolating failures.  Command-line defaults
-that differ from a batch line's (the field defaults, in parentheses):
-`classical --dim` 3 (2), `thermal --grid` 200 (400), `squeeze --kicks`
-1000 (10), `semiclassical --method` pearcey (exact).
+validated config into CSV columns and summary scalars, and to the
+`ScenarioConfig` fields the command takes.  `validate`, `run` and
+`build_parser` all read it: each subparser has one flag per field, with
+the field's default, and `validate` is the one rule set for a command-line
+run and a batch line alike, so the same fields give the same scenario.
+Every run writes a CSV (header row, 15 significant digits, UTF-8, LF) and
+a JSON sidecar holding the exact config, version, runtime and summary
+scalars, so any output file can be reproduced from its sidecar alone.
+`batch` executes a JSON-lines file of scenarios, isolating failures.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,17 +97,24 @@ class ScenarioConfig:
             _check_type(f, getattr(self, f.name))
         if self.command not in _COMMANDS:
             raise ConfigError(f"field 'command': unknown command {self.command!r}")
+        taken = _COMMANDS[self.command][1]
+        for f in fields(self):
+            # checked on the value, so that a sidecar's full config still loads
+            if f.name not in (*taken, "command", "output_path") and getattr(self, f.name) != f.default:
+                raise ConfigError(f"field '{f.name}': {self.command} does not take it")
+        if self.s is not None and self.tau is not None:
+            raise ConfigError("field 's': give 's' or 'tau', not both")
         if self.grid_points < 2:
             raise ConfigError("field 'grid_points': must be >= 2")
         if self.dim not in (2, 3):
             raise ConfigError(f"field 'dim': must be 2 or 3, got {self.dim}")
         if self.coupling not in ("dipole", "polarization"):
             raise ConfigError(f"field 'coupling': {self.coupling!r}")
-        if _COMMANDS[self.command][1]:
+        if "P" in taken:
             if self.P is None or self.P <= 0:
                 raise ConfigError("field 'P': positive kick strength required")
             self.resolved_tau()
-        if self.command == "semiclassical" and self.method not in _METHODS:
+        if self.method not in _METHODS:
             raise ConfigError(f"field 'method': {self.method!r}")
         if self.command == "compare":
             if len(self.methods) < 2:
@@ -132,17 +139,14 @@ class ScenarioConfig:
             self.window = (float(lo), float(hi))
         if self.radius <= 0:
             raise ConfigError("field 'radius': positive disc radius required")
-        if self.command == "squeeze" and self.kicks < 1:
+        if self.kicks < 1:
             raise ConfigError("field 'kicks': must be >= 1")
         if not self.output_path:
             raise ConfigError("field 'output_path': required")
         return self
 
     def to_dict(self):
-        d = asdict(self)
-        d["methods"] = list(self.methods)
-        d["window"] = list(self.window)
-        return d
+        return {**vars(self), "methods": list(self.methods), "window": list(self.window)}
 
     @classmethod
     def from_dict(cls, d):
@@ -200,10 +204,6 @@ def write_envelope(env):
     _atomic_write(os.path.splitext(path)[0] + ".json",
                   json.dumps(env.sidecar(), indent=2, sort_keys=True) + "\n")
 
-
-# ----------------------------------------------------------------------
-# dispatch
-# ----------------------------------------------------------------------
 
 def _grid(cfg, three_d):
     # the window, or the sphere's [0, pi] or the circle's [0, 2 pi) (no endpoint)
@@ -342,17 +342,22 @@ def _compare(cfg):
     return columns, {**summary, **_peak_summary(grid, vals[ref])}
 
 
-# command -> (runner, whether it needs P and tau (or s)); a runner takes a
-# validated config and returns (columns, summary).  The keys are the valid
-# commands; each also has a subparser in build_parser.
+# the fields of a density on a theta grid, and of a Monte Carlo ensemble
+_GRID_FIELDS = ("P", "s", "tau", "coupling", "grid_points", "window")
+_ENSEMBLE_FIELDS = ("coupling", "particles", "seed", "P_prime")
+
+# command -> (runner, the ScenarioConfig fields it takes besides
+# `output_path`, help); a runner takes a validated config and returns
+# (columns, summary).  The keys are the valid commands; `validate` holds
+# every other field to its default; `build_parser` gives each field a flag.
 _COMMANDS = {
-    "quantum2d": (_quantum, True),
-    "quantum3d": (_quantum, True),
-    "classical": (_classical, True),
-    "thermal": (_thermal, False),
-    "semiclassical": (_semiclassical, True),
-    "squeeze": (_squeeze, False),
-    "compare": (_compare, True),
+    "quantum2d": (_quantum, _GRID_FIELDS, "exact 2D quantum density"),
+    "quantum3d": (_quantum, _GRID_FIELDS, "exact 3D quantum density"),
+    "classical": (_classical, _GRID_FIELDS + ("dim",), "classical ensemble density"),
+    "thermal": (_thermal, _ENSEMBLE_FIELDS + ("grid_points", "t_prime"), "thermal Monte Carlo histogram"),
+    "semiclassical": (_semiclassical, _GRID_FIELDS + ("method", "dim", "radius"), "asymptotic approximations"),
+    "squeeze": (_squeeze, _ENSEMBLE_FIELDS + ("kicks", "u0", "w0"), "accumulative squeezing traces"),
+    "compare": (_compare, _GRID_FIELDS + ("methods", "dim", "radius"), "overlay several methods on one grid"),
 }
 
 
@@ -386,7 +391,8 @@ def batch(config_path, out_dir=None):
     exception); a failed entry also records its class, "config"
     (ValueError: a malformed line, an invalid field, an output path an
     earlier line already named; OSError: an output path that cannot be
-    written) or "numerical" (RuntimeError).
+    written; MemoryError: a grid or ensemble larger than can be allocated)
+    or "numerical" (RuntimeError).
     """
     with open(config_path, encoding="utf-8") as fh:
         lines = [(ln, line.strip()) for ln, line in enumerate(fh, 1)]
@@ -408,7 +414,7 @@ def batch(config_path, out_dir=None):
             entry["status"] = "ok"
             entry["runtime_ms"] = round(env.runtime_ms, 3)
             entry["summary"] = env.summary
-        except (ValueError, OSError, RuntimeError) as exc:  # ConfigError is a ValueError
+        except (ValueError, OSError, MemoryError, RuntimeError) as exc:  # ConfigError is a ValueError
             entry["status"] = "failed"
             entry["runtime_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
             entry["failure"] = "numerical" if isinstance(exc, RuntimeError) else "config"
@@ -422,26 +428,32 @@ def batch(config_path, out_dir=None):
     return envelopes, index
 
 
-# ----------------------------------------------------------------------
-# argparse front end
-# ----------------------------------------------------------------------
+# flag spellings other than --<field>
+_FLAGS = {"grid_points": "--grid", "P_prime": "--Pprime", "t_prime": "--st", "output_path": "--out"}
+# help for the flags whose meaning the name does not give
+_HELP = {
+    "P": "kick strength",
+    "s": "map strength s = P*tau (give s or tau)",
+    "tau": "delay after the kick",
+    "method": "one of " + ", ".join(_METHODS),
+    "methods": "comma-separated, e.g. exact,pearcey",
+    "window": "theta window 'lo,hi' (default: the full domain)",
+    "P_prime": "kick strength in thermal units; squeeze runs the classical driver (inf = T=0)",
+    "t_prime": "elapsed time as P'*t'",
+    "radius": "planar-model disc radius",
+    "output_path": "output CSV (default: named from the command and the fields set)",
+}
 
-def _add_common(p, need_P=True):
-    # need_P: P and tau (or s) on a theta grid; otherwise the Monte Carlo
-    # ensemble's size and seed
-    if need_P:
-        p.add_argument("--P", type=float, required=True, help="kick strength")
-        g = p.add_mutually_exclusive_group(required=True)
-        g.add_argument("--s", type=float, help="map strength s = P*tau")
-        g.add_argument("--tau", type=float, help="delay after the kick")
-        p.add_argument("--grid", type=int, default=400, dest="grid_points")
-        p.add_argument("--window", type=str, default=None,
-                       help="theta window 'lo,hi' (default: full domain)")
-    else:
-        p.add_argument("--particles", type=int, default=100000)
-        p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--coupling", choices=("dipole", "polarization"), default="dipole")
-    p.add_argument("--out", type=str, default=None, dest="output_path")
+
+def _items(text):
+    # a comma-separated list, numbers where every item reads as one, as on a batch line
+    try:
+        return tuple(map(float, text.split(",")))
+    except ValueError:
+        return tuple(text.split(","))
+
+
+_TYPES = {"str": str, "int": int, "float": float, "tuple": _items}
 
 
 def build_parser():
@@ -450,58 +462,34 @@ def build_parser():
         description="Kicked-rotor catastrophe simulations: exact quantum, "
                     "classical, semiclassical, thermal and squeezing runs.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    for cmd in ("quantum2d", "quantum3d"):
-        p = sub.add_parser(cmd, help=f"exact {cmd[-2:]} quantum density")
-        _add_common(p)
-
-    p = sub.add_parser("classical", help="classical ensemble density")
-    _add_common(p)
-    p.add_argument("--dim", type=int, choices=(2, 3), default=3)
-
-    p = sub.add_parser("semiclassical", help="asymptotic approximations")
-    _add_common(p)
-    p.add_argument("--method", choices=tuple(_METHODS), default="pearcey")
-    p.add_argument("--dim", type=int, choices=(2, 3), default=2)
-    p.add_argument("--radius", type=float, default=sc.DISC_RADIUS,
-                   help="planar-model disc radius")
-
-    p = sub.add_parser("thermal", help="thermal Monte Carlo histogram")
-    _add_common(p, need_P=False)
-    p.add_argument("--Pprime", type=float, required=True, dest="P_prime")
-    p.add_argument("--st", type=float, required=True, dest="t_prime",
-                   help="elapsed time as P'*t'")
-    p.add_argument("--grid", type=int, default=200, dest="grid_points")
-
-    p = sub.add_parser("squeeze", help="accumulative squeezing traces")
-    _add_common(p, need_P=False)
-    p.add_argument("--kicks", type=int, default=1000)
-    p.add_argument("--u0", type=float, default=1.0)
-    p.add_argument("--w0", type=float, default=1.0)
-    p.add_argument("--Pprime", type=float, default=None, dest="P_prime",
-                   help="run the classical Monte Carlo driver (inf = T=0)")
-
-    p = sub.add_parser("compare", help="overlay several methods on one grid")
-    _add_common(p)
-    p.add_argument("--methods", type=str, required=True,
-                   help="comma-separated, e.g. exact,pearcey")
-    p.add_argument("--dim", type=int, choices=(2, 3), default=2)
-    p.add_argument("--radius", type=float, default=sc.DISC_RADIUS)
-
+    for command, (_, taken, help_text) in _COMMANDS.items():
+        # no abbreviations: --P on thermal must not read as --Pprime
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for f in fields(ScenarioConfig):
+            if f.name in taken or f.name == "output_path":
+                default = "" if f.default in (None, (), "") else f" (default {f.default})"
+                p.add_argument(_FLAGS.get(f.name, "--" + f.name), dest=f.name,
+                               type=_TYPES[f.type.split(" |")[0]],
+                               help=(_HELP.get(f.name, "") + default).strip())
     p = sub.add_parser("batch", help="run a JSON-lines scenario file")
     p.add_argument("config_file")
     p.add_argument("--outdir", type=str, default=None)
     return ap
 
 
+def _tag(value):
+    if isinstance(value, tuple):
+        return ",".join(map(_tag, value))
+    return f"{value:.15g}" if isinstance(value, float) else str(value)
+
+
 def _default_out(cfg):
-    base = os.environ.get("KICKEDROTOR_OUTDIR", ".")
-    tag = cfg.command
-    if cfg.P is not None:
-        tag += f"_P{cfg.P:g}"
-    if cfg.s is not None:
-        tag += f"_s{cfg.s:g}"
-    return os.path.join(base, tag + ".csv")
+    # the command, then each field the run set away from its default, as
+    # name and value: runs that differ in any field write different files
+    tag = cfg.command + "".join(
+        f"_{f.name}{_tag(getattr(cfg, f.name))}" for f in fields(cfg)
+        if f.name in _COMMANDS[cfg.command][1] and getattr(cfg, f.name) != f.default)
+    return os.path.join(os.environ.get("KICKEDROTOR_OUTDIR", "."), tag + ".csv")
 
 
 def main(argv=None):
@@ -518,15 +506,7 @@ def main(argv=None):
                 return EXIT_NUMERICAL
             return EXIT_CONFIG if failed else EXIT_OK
 
-        kwargs = {k: v for k, v in vars(args).items() if v is not None and k != "command"}
-        if "methods" in kwargs:
-            kwargs["methods"] = tuple(kwargs["methods"].split(","))
-        if "window" in kwargs:
-            try:
-                kwargs["window"] = tuple(float(v) for v in args.window.split(","))
-            except ValueError:
-                raise ConfigError(f"field 'window': expected 'lo,hi', got {args.window!r}") from None
-        cfg = ScenarioConfig(command=args.command, **kwargs)
+        cfg = ScenarioConfig(**{k: v for k, v in vars(args).items() if v is not None})
         if not cfg.output_path:
             cfg.output_path = _default_out(cfg)
         env = run(cfg)
@@ -535,9 +515,9 @@ def main(argv=None):
         for k, v in env.summary.items():
             print(f"  {k} = {v}")
         return EXIT_OK
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # ConfigError, out-of-domain windows/parameters in the evaluators,
-        # and files that cannot be read or written
+        # files that cannot be read or written, allocations too large to make
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:

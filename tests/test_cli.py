@@ -4,6 +4,8 @@ import argparse
 import json
 import math
 import os
+import re
+import shlex
 import tempfile
 import time
 
@@ -76,8 +78,8 @@ class TestConfig:
             c.validate()
 
     def test_numbers_of_either_type_accepted(self):
-        c = ScenarioConfig(command="squeeze", P=10, s=1, P_prime=math.inf, u0=2,
-                           grid_points=np.int64(16), output_path="x.csv")
+        c = ScenarioConfig(command="squeeze", P_prime=math.inf, u0=2, w0=3,
+                           kicks=np.int64(16), output_path="x.csv")
         assert c.validate() is c
 
     @pytest.mark.parametrize("dim", [0, 1, 4])
@@ -120,6 +122,97 @@ class TestRegistry:
         assert lines
         for d in lines:
             assert ScenarioConfig.from_dict(d).validate().command in cli._COMMANDS
+
+
+# one scenario per command with only the fields it cannot do without: a
+# command-line run of these flags and the batch line of these fields must
+# be the same scenario
+_REQUIRED = {
+    "quantum2d": {"P": 20.0, "s": 1.0},
+    "quantum3d": {"P": 20.0, "s": 1.2},
+    "classical": {"P": 20.0, "s": 1.5},
+    "thermal": {"P_prime": 5.0, "t_prime": 1.0},
+    "semiclassical": {"P": 20.0, "s": 1.5},
+    "squeeze": {},
+    "compare": {"P": 20.0, "s": 1.0, "methods": ["exact", "classical"]},
+}
+
+
+_SPELLINGS = {"grid_points": "--grid", "P_prime": "--Pprime", "t_prime": "--st"}
+
+
+def _argv(command, fields):
+    return [command] + [f"{_SPELLINGS.get(k, '--' + k)}={','.join(v) if isinstance(v, list) else v}"
+                        for k, v in fields.items()]
+
+
+def _exit_code(argv):
+    # argparse ends a command line it cannot parse with SystemExit(2)
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestOneSchema:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_command_line_run_is_the_batch_line(self, tmp_path, command):
+        fields = _REQUIRED[command]
+        assert cli.main(_argv(command, fields) + ["--out", str(tmp_path / "cli.csv")]) == 0
+        f = tmp_path / "b.jsonl"
+        f.write_text(json.dumps({"command": command, **fields, "output_path": "batch.csv"}) + "\n")
+        _, index = batch(str(f), str(tmp_path))
+        assert index[0]["status"] == "ok"
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "batch.csv").read_bytes()
+        configs = [json.loads((tmp_path / n).read_text())["config"] for n in ("cli.json", "batch.json")]
+        for c in configs:
+            # a sidecar's full config loads: the fields the command does not
+            # take hold their defaults
+            assert ScenarioConfig.from_dict(c).validate().command == command
+            del c["output_path"]
+        assert configs[0] == configs[1]
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_flags_are_the_fields(self, command):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[command]
+        dests = [a.dest for a in sub._actions if a.dest != "help"]
+        assert sorted(dests) == sorted([*cli._COMMANDS[command][1], "output_path"])
+
+    @pytest.mark.parametrize("command,fields,named", [
+        ("quantum2d", {"P": 20.0, "s": 1.0, "tau": 0.05}, "s"),
+        ("quantum2d", {"P": 20.0, "s": 1.0, "particles": 500}, "particles"),
+        ("thermal", {"P_prime": 5.0, "t_prime": 1.0, "tau": 0.05}, "tau"),
+        # --P is no abbreviation of --Pprime
+        ("thermal", {"P_prime": 5.0, "t_prime": 1.0, "P": 5.0}, "P")])
+    def test_both_front_ends_refuse_the_same_fields(self, tmp_path, capsys, command, fields, named):
+        fields = dict(fields, grid_points=8)
+        assert _exit_code(_argv(command, fields) + ["--out", str(tmp_path / "c.csv")]) == 2
+        err = capsys.readouterr().err
+        assert (f"--{named}=" in err or f"field '{named}'" in err) and "Traceback" not in err
+        f = tmp_path / "b.jsonl"
+        f.write_text(json.dumps({"command": command, **fields, "output_path": "b.csv"}) + "\n")
+        assert cli.main(["batch", str(f), "--outdir", str(tmp_path)]) == 2
+        index = json.loads((tmp_path / "b.index.json").read_text())
+        assert index[0]["failure"] == "config" and f"field '{named}'" in index[0]["error"]
+        assert not any((tmp_path / n).exists() for n in ("c.csv", "b.csv"))
+
+    def test_readme_examples_parse(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            blocks = re.findall(r"```sh\n(.*?)```", fh.read(), flags=re.S)
+        examples = []
+        for line in "\n".join(blocks).replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            while words and "=" in words[0]:
+                words.pop(0)  # an environment setting
+            if words[:1] == ["kickedrotor"]:
+                examples.append(words[1:])
+        assert len(examples) >= 6
+        for argv in examples:
+            args = cli.build_parser().parse_args(argv)
+            if args.command != "batch":
+                ScenarioConfig(**{k: v for k, v in vars(args).items() if v is not None}).validate()
 
 
 class TestRun:
@@ -323,6 +416,24 @@ class TestBatch:
         assert "field 'radius'" in index[0]["error"]
         assert not (tmp_path / "out" / "bad.csv").exists()
 
+    def test_allocation_too_large_fails_its_line_only(self, tmp_path, capsys):
+        # numpy refuses 10**15 grid points or particles before it touches memory
+        lines = [{"command": "quantum2d", "P": 20.0, "s": 1.0, "grid_points": 10**15,
+                  "output_path": "grid.csv"},
+                 {"command": "thermal", "P_prime": 5.0, "t_prime": 1.0, "particles": 10**15,
+                  "output_path": "ensemble.csv"},
+                 {"command": "quantum2d", "P": 20.0, "s": 1.0, "grid_points": 16,
+                  "output_path": "good.csv"}]
+        f = tmp_path / "m.jsonl"
+        f.write_text("\n".join(map(json.dumps, lines)) + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["batch", str(f), "--outdir", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        index = json.loads((out / "m.index.json").read_text())
+        assert [e["status"] for e in index] == ["failed", "failed", "ok"]
+        assert all(e["failure"] == "config" and "MemoryError" in e["error"] for e in index[:2])
+        assert (out / "good.csv").exists()
+
     def test_squeeze_stall_does_not_stop_the_batch(self, tmp_path):
         stall = {"command": "squeeze", "u0": 1e-20, "w0": 1.0, "kicks": 3,
                  "output_path": "stall.csv"}
@@ -436,6 +547,13 @@ class TestMain:
         assert "field 'methods': 'exact' is repeated" in err and "Traceback" not in err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("argv", [["quantum2d", "--P", "20", "--s", "1", "--grid", str(10**15)],
+                                      ["thermal", "--Pprime", "5", "--st", "1", "--particles", str(10**15)]])
+    def test_allocation_too_large_exit_two(self, tmp_path, capsys, argv):
+        assert cli.main(argv + ["--out", str(tmp_path / "m.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "Unable to allocate" in err and "Traceback" not in err
+
     def test_missing_batch_file_exit_two(self, tmp_path, capsys):
         assert cli.main(["batch", str(tmp_path / "missing.jsonl")]) == 2
         assert "Traceback" not in capsys.readouterr().err
@@ -539,7 +657,24 @@ class TestMain:
         monkeypatch.setenv("KICKEDROTOR_OUTDIR", str(tmp_path))
         rc = cli.main(["quantum2d", "--P", "20", "--s", "1", "--grid", "16"])
         assert rc == 0
-        assert (tmp_path / "quantum2d_P20_s1.csv").exists()
+        assert (tmp_path / "quantum2d_P20_s1_grid_points16.csv").exists()
+
+    @pytest.mark.parametrize("command,options", [
+        ("quantum2d", ["--P", "85", "--grid", "8"]),
+        ("semiclassical", ["--P", "75", "--s", "4", "--grid", "8"]),
+        ("thermal", ["--Pprime", "5", "--st", "1", "--particles", "500", "--grid", "8"]),
+        ("squeeze", ["--kicks", "3"])])
+    def test_default_outputs_differ_in_one_field(self, tmp_path, monkeypatch, command, options):
+        # a default name lists every field set away from its default, so
+        # runs that differ in one field write two files
+        other = {"quantum2d": (["--tau", "3.15"], ["--tau", "4.2"]),
+                 "semiclassical": (["--method", "airy"], ["--method", "classical"]),
+                 "thermal": (["--seed", "2"], ["--seed", "3"]),
+                 "squeeze": (["--u0", "2"], ["--u0", "3"])}[command]
+        monkeypatch.setenv("KICKEDROTOR_OUTDIR", str(tmp_path))
+        for extra in other:
+            assert cli.main([command, *options, *extra]) == 0
+        assert len(list(tmp_path.glob("*.csv"))) == 2
 
     def test_squeeze_driver_inf(self, tmp_path):
         rc = cli.main(["squeeze", "--kicks", "3", "--Pprime", "inf",
