@@ -97,11 +97,20 @@ class ScenarioConfig:
             _check_type(f, getattr(self, f.name))
         if self.command not in _COMMANDS:
             raise ConfigError(f"field 'command': unknown command {self.command!r}")
-        taken = _COMMANDS[self.command][1]
+        taken, mode = _COMMANDS[self.command][1], self.command
+        # the fields the run's mode reads: squeeze's moment recurrence (no
+        # P_prime) reads kicks, u0 and w0 alone, its driver neither u0 nor
+        # w0; only the planar method reads radius
+        if self.command == "squeeze":
+            driver = self.P_prime is not None
+            taken = _ENSEMBLE_FIELDS + ("kicks",) if driver else ("kicks", "u0", "w0")
+            mode += " with P_prime" if driver else " without P_prime"
+        elif "radius" in taken and "planar" not in (self.method, *self.methods):
+            taken, mode = tuple(f for f in taken if f != "radius"), mode + " without the planar method"
         for f in fields(self):
             # checked on the value, so that a sidecar's full config still loads
             if f.name not in (*taken, "command", "output_path") and getattr(self, f.name) != f.default:
-                raise ConfigError(f"field '{f.name}': {self.command} does not take it")
+                raise ConfigError(f"field '{f.name}': {mode} does not take it")
         if self.s is not None and self.tau is not None:
             raise ConfigError("field 's': give 's' or 'tau', not both")
         if self.grid_points < 2:
@@ -214,13 +223,13 @@ def _grid(cfg, three_d):
 def _exact_density(cfg, grid, three_d):
     # the exact density on the grid, and the kicked and evolved packet,
     # whose norm and edge coefficients are checked
-    if not three_d:
-        packet = q2.apply_kick(q2.ground_packet(), cfg.P, Coupling(cfg.coupling))
-        packet = q2.free_evolve(packet, cfg.resolved_tau()).check()
-        return q2.density(packet, grid), packet
-    kick = q3.dipole_kick_ground if cfg.coupling == "dipole" else q3.polarization_kick_ground
-    packet = q3.free_evolve_3d(kick(cfg.P), cfg.resolved_tau()).check()
-    return q3.density_3d(packet, grid), packet
+    if three_d:
+        kick = q3.dipole_kick_ground if cfg.coupling == "dipole" else q3.polarization_kick_ground
+        packet, density = kick(cfg.P), q3.density_3d
+    else:
+        packet, density = q2.apply_kick(q2.ground_packet(), cfg.P, Coupling(cfg.coupling)), q2.density
+    packet = q2.free_evolve(packet, cfg.resolved_tau()).check()
+    return density(packet, grid), packet
 
 
 def _classical_density(cfg, grid, tau, P):

@@ -5,7 +5,8 @@ The state is a free-rotor Fourier packet Psi(theta) =
 exp(iP cos theta) (dipole) or exp(iP cos^2 theta) (polarization), which in
 the coefficient picture is a Bessel-weighted convolution; free evolution
 multiplies c_n by exp(-i n^2 tau / 2).  Packets are immutable; every
-operation returns a new one.
+operation returns a new one.  The body of a packet, `Packet`, and
+`free_evolve` serve the 3D rotor's `quantum3d.LegendrePacket3D` too.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .classical import Coupling
 from .specfun import bessel_jn_array
 
 __all__ = [
+    "Packet",
     "FourierPacket2D",
     "TruncationError",
     "ground_packet",
@@ -43,44 +45,45 @@ def kick_order_margin(P):
 
 
 @dataclass(frozen=True)
-class FourierPacket2D:
-    """Fourier coefficients c_n, n in [-n_max, n_max]: a read-only copy of
-    an odd-length 1-D array."""
+class Packet:
+    """Coefficients of a rotor state over its free basis: a read-only copy
+    of a 1-D array.  Each rotor's subclass gives what differs: its shape
+    rule (`_size_ok`, `_SHAPE`), its `orders`, the indices of its `_EDGE`
+    coefficients and its `spectrum`, twice the free energy of each order."""
 
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=complex)
-        if c.ndim != 1 or c.size % 2 == 0:
-            raise ValueError("coefficients must be a 1-D array of odd length 2*n_max + 1")
+        if c.ndim != 1 or not self._size_ok(c.size):
+            raise ValueError(f"coefficients must be a {self._SHAPE}")
         object.__setattr__(self, "coeffs", c)
         c.setflags(write=False)
-
-    @property
-    def n_max(self):
-        return self.coeffs.size // 2
-
-    @property
-    def orders(self):
-        return np.arange(-self.n_max, self.n_max + 1)
 
     def norm(self):
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
     def check(self):
-        return _check_packet(self, (self.coeffs[0], self.coeffs[-1]))
+        # the packet, once its norm is 1 within NORM_TOL and its edge
+        # coefficients (unless it has only one) are below TAIL_TOL; both
+        # faults are numerical, so both raise TruncationError, NaN included
+        norm = self.norm()
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise TruncationError(f"packet norm {norm} deviates from 1")
+        if self.coeffs.size > 1 and not np.all(np.abs(self.coeffs[self._EDGE]) < TAIL_TOL):
+            raise TruncationError("edge coefficients exceed the truncation floor")
+        return self
 
 
-def _check_packet(packet, edge):
-    # the packet, once its norm is 1 within NORM_TOL and its edge
-    # coefficients (unless it has only one) are below TAIL_TOL; both faults
-    # are numerical, so both raise TruncationError, NaN included
-    norm = packet.norm()
-    if not abs(norm - 1.0) <= NORM_TOL:
-        raise TruncationError(f"packet norm {norm} deviates from 1")
-    if packet.coeffs.size > 1 and not all(abs(e) < TAIL_TOL for e in edge):
-        raise TruncationError("edge coefficients exceed the truncation floor")
-    return packet
+class FourierPacket2D(Packet):
+    """c_n for n in [-n_max, n_max], an edge at either end; 2E = n^2."""
+
+    _SHAPE = "1-D array of odd length 2*n_max + 1"
+    _EDGE = [0, -1]
+    _size_ok = staticmethod(lambda size: size % 2 == 1)
+    n_max = property(lambda self: self.coeffs.size // 2)
+    orders = property(lambda self: np.arange(-self.n_max, self.n_max + 1))
+    spectrum = property(lambda self: self.orders ** 2)
 
 
 def ground_packet():
@@ -117,7 +120,8 @@ def apply_kick(packet, P, coupling=Coupling.DIPOLE):
     z = P / step
     order = kick_order_margin(z)
     margin = step * order
-    c = np.pad(packet.coeffs, margin)
+    c = np.zeros(packet.coeffs.size + 2 * margin, dtype=complex)
+    c[margin:-margin] = packet.coeffs
     kernel = np.zeros(2 * margin + 1, dtype=complex)
     kernel[::step] = _jacobi_anger_kernel(order, z)
     new = np.exp(1j * (P - z)) * np.convolve(c, kernel)[margin:-margin]
@@ -130,12 +134,11 @@ def apply_kick(packet, P, coupling=Coupling.DIPOLE):
 
 
 def free_evolve(packet, dtau):
-    """Free rotor phase: c_n <- c_n exp(-i n^2 dtau / 2)."""
+    """Free rotor phase c_n <- c_n exp(-i E_n dtau), E_n = n^2/2 on the
+    circle and l(l+1)/2 on the sphere: a packet of the same kind."""
     if not math.isfinite(dtau):
         raise ValueError("dtau must be finite")
-    n = packet.orders
-    c = packet.coeffs * np.exp(-0.5j * n * n * dtau)
-    return FourierPacket2D(c)
+    return type(packet)(packet.coeffs * np.exp(-0.5j * packet.spectrum * dtau))
 
 
 def wavefunction(packet, grid):

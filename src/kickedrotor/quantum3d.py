@@ -6,19 +6,18 @@ ground state populates c_l = i^l sqrt(2l+1) j_l(P); the polarization kick
 needs the Legendre re-expansion P_l(cos 2 theta) = sum_L d_{L,l} P_L(cos
 theta), built by recurrence on each call.
 
-The free phase is exp(-i l(l+1) tau / 2) with the same sign as the 2D
-rotor; the opposite sign is equivalent to kicking with -P and would focus
-the packet at theta = pi instead of theta = 0.
+`quantum2d.free_evolve` applies the free phase exp(-i l(l+1) tau / 2),
+with the same sign as the 2D rotor's; the opposite sign is equivalent to
+kicking with -P and would focus the packet at theta = pi instead of 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum2d import _I_POW, TruncationError, _check_packet, kick_order_margin
+from .quantum2d import _I_POW, Packet, TruncationError, kick_order_margin
 from .specfun import spherical_jn_array
 
 __all__ = [
@@ -26,39 +25,20 @@ __all__ = [
     "dipole_kick_ground",
     "build_recurrence",
     "polarization_kick_ground",
-    "free_evolve_3d",
     "wavefunction_3d",
     "density_3d",
 ]
 
 
-@dataclass(frozen=True)
-class LegendrePacket3D:
-    """Coefficients over Y_l^0, l in [0, l_max]: a read-only copy of a
-    nonempty 1-D array."""
+class LegendrePacket3D(Packet):
+    """c_l for l in [0, l_max], at least one, an edge at l_max; 2E = l(l+1)."""
 
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)
-        if c.ndim != 1 or not c.size:
-            raise ValueError("coefficients must be a nonempty 1-D array of length l_max + 1")
-        object.__setattr__(self, "coeffs", c)
-        c.setflags(write=False)
-
-    @property
-    def l_max(self):
-        return self.coeffs.size - 1
-
-    @property
-    def orders(self):
-        return np.arange(self.l_max + 1)
-
-    def norm(self):
-        return float(np.sum(np.abs(self.coeffs) ** 2))
-
-    def check(self):
-        return _check_packet(self, (self.coeffs[-1],))
+    _SHAPE = "nonempty 1-D array of length l_max + 1"
+    _EDGE = [-1]
+    _size_ok = staticmethod(lambda size: size > 0)
+    l_max = property(lambda self: self.coeffs.size - 1)
+    orders = property(lambda self: np.arange(self.coeffs.size))
+    spectrum = property(lambda self: self.orders * (self.orders + 1.0))
 
 
 def dipole_kick_ground(P):
@@ -141,15 +121,6 @@ def polarization_kick_ground(P):
     if not abs(packet.norm() - 1.0) <= 1e-8:
         raise TruncationError("polarization kick coefficients lost norm")
     return packet
-
-
-def free_evolve_3d(packet, dtau):
-    """Free phase c_l <- c_l exp(-i l(l+1) dtau / 2)."""
-    if not math.isfinite(dtau):
-        raise ValueError("dtau must be finite")
-    l = packet.orders
-    c = packet.coeffs * np.exp(-0.5j * l * (l + 1.0) * dtau)
-    return LegendrePacket3D(c)
 
 
 def wavefunction_3d(packet, grid):

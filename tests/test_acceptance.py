@@ -34,7 +34,7 @@ def kicked_2d(P, tau):
 
 
 def kicked_3d(P, tau):
-    return q3.free_evolve_3d(q3.dipole_kick_ground(P), tau)
+    return q2.free_evolve(q3.dipole_kick_ground(P), tau)
 
 
 def test_criterion_01_focal_peak_2d():
@@ -145,7 +145,7 @@ def test_criterion_07_norm_and_revivals():
     norm_ok &= abs(pol.norm() - 1.0) < 1e-10
     grid3 = np.linspace(0, math.pi, 512)
     d3a = q3.density_3d(p3, grid3)
-    d3b = q3.density_3d(q3.free_evolve_3d(p3, 2 * math.pi), grid3)
+    d3b = q3.density_3d(q2.free_evolve(p3, 2 * math.pi), grid3)
     rev3 = np.max(np.abs(d3a - d3b))
     ok = norm_ok and rev2 < 1e-8 and rev3 < 1e-8
     report(7, "norm conservation 1e-10; revivals pointwise 1e-8", ok,

@@ -78,7 +78,11 @@ class TestConfig:
             c.validate()
 
     def test_numbers_of_either_type_accepted(self):
-        c = ScenarioConfig(command="squeeze", P_prime=math.inf, u0=2, w0=3,
+        # an int for a float field, a numpy integer for an int field, inf for
+        # P_prime: in the moment recurrence and in the classical driver
+        c = ScenarioConfig(command="squeeze", u0=2, w0=3, kicks=np.int64(16), output_path="x.csv")
+        assert c.validate() is c
+        c = ScenarioConfig(command="squeeze", P_prime=math.inf, particles=np.int64(50),
                            kicks=np.int64(16), output_path="x.csv")
         assert c.validate() is c
 
@@ -154,6 +158,20 @@ def _exit_code(argv):
         return exc.code
 
 
+def _refused_by_both(tmp_path, capsys, command, fields, named):
+    # exit 2 naming the field from the command line and from a batch line,
+    # with no output written
+    assert _exit_code(_argv(command, fields) + ["--out", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert (f"--{named}=" in err or f"field '{named}'" in err) and "Traceback" not in err
+    f = tmp_path / "b.jsonl"
+    f.write_text(json.dumps({"command": command, **fields, "output_path": "b.csv"}) + "\n")
+    assert cli.main(["batch", str(f), "--outdir", str(tmp_path)]) == 2
+    index = json.loads((tmp_path / "b.index.json").read_text())
+    assert index[0]["failure"] == "config" and f"field '{named}'" in index[0]["error"]
+    assert not any((tmp_path / n).exists() for n in ("c.csv", "b.csv"))
+
+
 class TestOneSchema:
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_command_line_run_is_the_batch_line(self, tmp_path, command):
@@ -186,16 +204,21 @@ class TestOneSchema:
         # --P is no abbreviation of --Pprime
         ("thermal", {"P_prime": 5.0, "t_prime": 1.0, "P": 5.0}, "P")])
     def test_both_front_ends_refuse_the_same_fields(self, tmp_path, capsys, command, fields, named):
-        fields = dict(fields, grid_points=8)
-        assert _exit_code(_argv(command, fields) + ["--out", str(tmp_path / "c.csv")]) == 2
-        err = capsys.readouterr().err
-        assert (f"--{named}=" in err or f"field '{named}'" in err) and "Traceback" not in err
-        f = tmp_path / "b.jsonl"
-        f.write_text(json.dumps({"command": command, **fields, "output_path": "b.csv"}) + "\n")
-        assert cli.main(["batch", str(f), "--outdir", str(tmp_path)]) == 2
-        index = json.loads((tmp_path / "b.index.json").read_text())
-        assert index[0]["failure"] == "config" and f"field '{named}'" in index[0]["error"]
-        assert not any((tmp_path / n).exists() for n in ("c.csv", "b.csv"))
+        _refused_by_both(tmp_path, capsys, command, dict(fields, grid_points=8), named)
+
+    @pytest.mark.parametrize("command,fields,named", [
+        # squeeze's moment recurrence (no P_prime) reads only kicks, u0, w0
+        ("squeeze", {"kicks": 3, "seed": 2, "particles": 7, "coupling": "polarization"}, "coupling"),
+        ("squeeze", {"kicks": 3, "seed": 2}, "seed"),
+        ("squeeze", {"kicks": 3, "particles": 7}, "particles"),
+        # its classical driver reads neither u0 nor w0
+        ("squeeze", {"P_prime": 5.0, "particles": 50, "kicks": 2, "u0": 2.0}, "u0"),
+        ("squeeze", {"P_prime": math.inf, "particles": 50, "kicks": 2, "w0": 2.0}, "w0"),
+        # only the planar method reads radius
+        ("semiclassical", {"P": 20.0, "s": 1.5, "method": "airy", "radius": 3.0}, "radius"),
+        ("compare", {"P": 20.0, "s": 1.0, "methods": ["exact", "classical"], "radius": 3.0}, "radius")])
+    def test_fields_the_mode_never_reads_refused(self, tmp_path, capsys, command, fields, named):
+        _refused_by_both(tmp_path, capsys, command, fields, named)
 
     def test_readme_examples_parse(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

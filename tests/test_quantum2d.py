@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import jv
 
 from kickedrotor import quantum2d as q2
+from kickedrotor import quantum3d as q3
 from kickedrotor.classical import Coupling
 from oracles import circle_norm, wavefunction_direct
 
@@ -57,6 +58,61 @@ class TestPacket:
         c[0] = 0.5
         assert c.flags.writeable and c[0] == 0.5
         assert np.array_equal(p.coeffs, [0.0, 1.0, 0.0]) and not p.coeffs.flags.writeable
+
+
+class TestSharedPacketBody:
+    # the one packet body, run on both kinds: the 2D Fourier packet and the
+    # 3D Legendre packet
+    KINDS = [q2.FourierPacket2D, q3.LegendrePacket3D]
+
+    @pytest.mark.parametrize("kind,coeffs", [
+        (q2.FourierPacket2D, np.ones(4)), (q2.FourierPacket2D, np.ones(0)),
+        (q2.FourierPacket2D, np.ones((3, 3))), (q3.LegendrePacket3D, np.ones(0)),
+        (q3.LegendrePacket3D, np.ones((2, 2))), (q3.LegendrePacket3D, 1.0)])
+    def test_bad_shape_raises(self, kind, coeffs):
+        with pytest.raises(ValueError, match="1-D array"):
+            kind(coeffs)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_copy_is_read_only(self, kind):
+        c = np.array([0.0, 1.0, 0.0])
+        p = kind(c)
+        c[1] = 0.5
+        assert np.array_equal(p.coeffs, [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="read-only"):
+            p.coeffs[1] = 0.5
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_free_evolve_keeps_the_kind(self, kind):
+        p = q2.free_evolve(kind(np.array([0.0, 1.0, 0.0])), 0.7)
+        assert type(p) is kind and p.coeffs.size == 3
+
+    def test_free_evolve_phases_bit_for_bit(self):
+        # the two free spectra, 2E = n^2 and l(l+1), from the orders alone;
+        # coefficients first, as numpy's complex product need not commute
+        dtau = 0.377
+        p2 = kicked_ground(20.0)
+        n = np.arange(-p2.n_max, p2.n_max + 1)
+        assert np.array_equal(q2.free_evolve(p2, dtau).coeffs,
+                              p2.coeffs * np.exp(-0.5j * n * n * dtau))
+        p3 = q3.polarization_kick_ground(20.0)
+        l = np.arange(p3.coeffs.size)
+        assert np.array_equal(q2.free_evolve(p3, dtau).coeffs,
+                              p3.coeffs * np.exp(-0.5j * l * (l + 1.0) * dtau))
+
+    @pytest.mark.parametrize("kind,low_is_edge", [(q2.FourierPacket2D, True),
+                                                  (q3.LegendrePacket3D, False)])
+    def test_edge_coefficients(self, kind, low_is_edge):
+        # the top order is an edge of both kinds; the lowest stored order is
+        # an edge of the 2D packet (n = -n_max), the bulk of the 3D one (l = 0)
+        with pytest.raises(q2.TruncationError, match="edge"):
+            kind(np.array([0.0, 0.6, 0.8])).check()
+        low = kind(np.array([0.6, 0.8j, 0.0]))
+        if low_is_edge:
+            with pytest.raises(q2.TruncationError, match="edge"):
+                low.check()
+        else:
+            assert low.check() is low
 
 
 class TestApplyKick:

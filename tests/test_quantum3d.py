@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_legendre, spherical_jn
 
+from kickedrotor import quantum2d as q2
 from kickedrotor import quantum3d as q3
 from oracles import sphere_norm
 
@@ -109,7 +110,7 @@ class TestDipoleKick:
 
     def test_focal_peak_proportional_to_P(self):
         P = 75.0
-        p = q3.free_evolve_3d(q3.dipole_kick_ground(P), 1.0 / P)
+        p = q2.free_evolve(q3.dipole_kick_ground(P), 1.0 / P)
         d0 = q3.density_3d(p, np.array([0.0]))[0]
         assert d0 == pytest.approx(3.0 * P / 8.0, rel=0.15)
 
@@ -141,7 +142,7 @@ class TestPolarizationKick:
 
     def test_density_symmetric_about_equator(self):
         P = 75.0
-        p = q3.free_evolve_3d(q3.polarization_kick_ground(P), 0.8 / P)
+        p = q2.free_evolve(q3.polarization_kick_ground(P), 0.8 / P)
         th = np.linspace(0.05, 1.5, 33)
         d1 = q3.density_3d(p, th)
         d2 = q3.density_3d(p, math.pi - th)
@@ -150,7 +151,7 @@ class TestPolarizationKick:
     def test_double_focus_at_polarization_focal_time(self):
         # peaks near both poles at tau = 1/(2P)
         P = 75.0
-        p = q3.free_evolve_3d(q3.polarization_kick_ground(P), 1.0 / (2 * P))
+        p = q2.free_evolve(q3.polarization_kick_ground(P), 1.0 / (2 * P))
         grid = np.linspace(0.0, math.pi, 721)
         d = q3.density_3d(p, grid)
         # both ends dominate the equator region by a large factor
@@ -161,24 +162,24 @@ class TestPolarizationKick:
 class TestFreeEvolve3D:
     def test_identity(self):
         p = q3.dipole_kick_ground(30.0)
-        assert np.array_equal(q3.free_evolve_3d(p, 0.0).coeffs, p.coeffs)
+        assert np.array_equal(q2.free_evolve(p, 0.0).coeffs, p.coeffs)
 
     def test_revival_at_two_pi(self):
-        p = q3.free_evolve_3d(q3.dipole_kick_ground(40.0), 0.13)
-        rev = q3.free_evolve_3d(p, 2.0 * math.pi)
+        p = q2.free_evolve(q3.dipole_kick_ground(40.0), 0.13)
+        rev = q2.free_evolve(p, 2.0 * math.pi)
         grid = np.linspace(0, math.pi, 301)
         d0 = q3.density_3d(p, grid)
         d1 = q3.density_3d(rev, grid)
         assert np.max(np.abs(d0 - d1)) < 1e-8
 
     def test_norm_conserved(self):
-        p = q3.free_evolve_3d(q3.dipole_kick_ground(75.0), 0.4)
+        p = q2.free_evolve(q3.dipole_kick_ground(75.0), 0.4)
         assert abs(p.norm() - 1.0) < 1e-10
 
     def test_focus_lands_at_north_pole(self):
         # the sign convention: dipole kick with P > 0 focuses at theta = 0
         P = 75.0
-        p = q3.free_evolve_3d(q3.dipole_kick_ground(P), 1.0 / P)
+        p = q2.free_evolve(q3.dipole_kick_ground(P), 1.0 / P)
         grid = np.linspace(0, math.pi, 721)
         d = q3.density_3d(p, grid)
         assert np.argmax(d) == 0
@@ -186,7 +187,7 @@ class TestFreeEvolve3D:
     def test_glory_snapshot_at_late_time(self):
         # at P tau = 4 the forward peak persists alongside the rainbow
         P = 75.0
-        p = q3.free_evolve_3d(q3.dipole_kick_ground(P), 4.0 / P)
+        p = q2.free_evolve(q3.dipole_kick_ground(P), 4.0 / P)
         grid = np.linspace(0, math.pi, 1441)
         d = q3.density_3d(p, grid)
         assert d[0] > 10 * np.median(d)  # glory peak at the pole
@@ -202,7 +203,7 @@ class TestDensity3D:
 
     def test_weighted_normalization(self):
         P = 75.0
-        p = q3.free_evolve_3d(q3.dipole_kick_ground(P), 2.0 / P)
+        p = q2.free_evolve(q3.dipole_kick_ground(P), 2.0 / P)
         norm = sphere_norm(lambda th: q3.density_3d(p, th), p.l_max)
         assert abs(norm - 1.0) < 1e-8
 
@@ -210,7 +211,7 @@ class TestDensity3D:
         # the density integrates to 1 (Gauss-Legendre on the oracle's own
         # nodes), and the packet's Parseval check, which reads no grid,
         # rejects a packet whose norm is 1.0201 as a numerical fault
-        p = q3.free_evolve_3d(q3.polarization_kick_ground(75.0), 2.0 / 75.0)
+        p = q2.free_evolve(q3.polarization_kick_ground(75.0), 2.0 / 75.0)
         norm = sphere_norm(lambda th: q3.density_3d(p, th), p.l_max)
         assert abs(norm - 1.0) < 1e-8
         assert p.check() is p
@@ -253,4 +254,4 @@ class TestDensity3D:
 def test_kick_and_evolve_preserve_norm(P, polarization, dtau):
     kicked = (q3.polarization_kick_ground if polarization else q3.dipole_kick_ground)(P)
     assert abs(kicked.norm() - 1.0) < 1e-12
-    assert abs(q3.free_evolve_3d(kicked, dtau).norm() - 1.0) < 1e-12
+    assert abs(q2.free_evolve(kicked, dtau).norm() - 1.0) < 1e-12

@@ -23,7 +23,7 @@ def exact_density_2d(P, tau, thetas):
 
 
 def exact_density_3d(P, tau, thetas):
-    p = q3.free_evolve_3d(q3.dipole_kick_ground(P), tau)
+    p = q2.free_evolve(q3.dipole_kick_ground(P), tau)
     return q3.density_3d(p, np.asarray(thetas, dtype=float))
 
 
