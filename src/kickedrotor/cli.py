@@ -223,11 +223,8 @@ def _grid(cfg, three_d):
 def _exact_density(cfg, grid, three_d):
     # the exact density on the grid, and the kicked and evolved packet,
     # whose norm and edge coefficients are checked
-    if three_d:
-        kick = q3.dipole_kick_ground if cfg.coupling == "dipole" else q3.polarization_kick_ground
-        packet, density = kick(cfg.P), q3.density_3d
-    else:
-        packet, density = q2.apply_kick(q2.ground_packet(), cfg.P, Coupling(cfg.coupling)), q2.density
+    kind, density = (q3.LegendrePacket3D, q3.density_3d) if three_d else (q2.FourierPacket2D, q2.density)
+    packet = q2.apply_kick(kind(np.ones(1)), cfg.P, Coupling(cfg.coupling))
     packet = q2.free_evolve(packet, cfg.resolved_tau()).check()
     return density(packet, grid), packet
 

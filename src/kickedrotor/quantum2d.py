@@ -5,8 +5,9 @@ The state is a free-rotor Fourier packet Psi(theta) =
 exp(iP cos theta) (dipole) or exp(iP cos^2 theta) (polarization), which in
 the coefficient picture is a Bessel-weighted convolution; free evolution
 multiplies c_n by exp(-i n^2 tau / 2).  Packets are immutable; every
-operation returns a new one.  The body of a packet, `Packet`, and
-`free_evolve` serve the 3D rotor's `quantum3d.LegendrePacket3D` too.
+operation returns a new one.  The body of a packet, `Packet`, `apply_kick`
+and `free_evolve` serve the 3D rotor's `quantum3d.LegendrePacket3D` too: a
+3D packet is kicked in the same harmonics, through its own change of basis.
 """
 
 from __future__ import annotations
@@ -44,12 +45,15 @@ def kick_order_margin(P):
     return int(math.ceil(P + 8.0 * P ** (1.0 / 3.0) + 20.0)) if P > 0 else 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Packet:
     """Coefficients of a rotor state over its free basis: a read-only copy
-    of a 1-D array.  Each rotor's subclass gives what differs: its shape
-    rule (`_size_ok`, `_SHAPE`), its `orders`, the indices of its `_EDGE`
-    coefficients and its `spectrum`, twice the free energy of each order."""
+    of a 1-D array, compared and hashed by identity.  Each rotor's subclass
+    gives what differs: its shape rule (`_size_ok`, `_SHAPE`), its `orders`,
+    the indices of its `_EDGE` coefficients, its `spectrum`, twice the free
+    energy of each order, and its change of basis to the coefficients of
+    e^{in theta}, in which every kick acts (`_harmonics`), and back
+    (`_from_harmonics`)."""
 
     coeffs: np.ndarray
 
@@ -76,7 +80,8 @@ class Packet:
 
 
 class FourierPacket2D(Packet):
-    """c_n for n in [-n_max, n_max], an edge at either end; 2E = n^2."""
+    """c_n for n in [-n_max, n_max], an edge at either end; 2E = n^2; the
+    coefficients are already those of e^{in theta}."""
 
     _SHAPE = "1-D array of odd length 2*n_max + 1"
     _EDGE = [0, -1]
@@ -84,6 +89,8 @@ class FourierPacket2D(Packet):
     n_max = property(lambda self: self.coeffs.size // 2)
     orders = property(lambda self: np.arange(-self.n_max, self.n_max + 1))
     spectrum = property(lambda self: self.orders ** 2)
+    _harmonics = property(lambda self: self.coeffs)
+    _from_harmonics = classmethod(lambda cls, d: cls(d))
 
 
 def ground_packet():
@@ -91,7 +98,7 @@ def ground_packet():
     return FourierPacket2D(np.ones(1))
 
 
-# i^k by k mod 4, exact unit phases (quantum3d uses it too)
+# i^k by k mod 4, exact unit phases
 _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 
@@ -104,15 +111,19 @@ def _jacobi_anger_kernel(order, z):
 
 
 def apply_kick(packet, P, coupling=Coupling.DIPOLE):
-    """Apply exp(iP cos theta) or exp(iP cos^2 theta) to the packet.
+    """Apply exp(iP cos theta) or exp(iP cos^2 theta) to a packet of either
+    rotor, in the coefficients d_n of e^{in theta}:
 
-    Dipole:       c_n <- sum_k i^k J_k(P) c_{n-k}
-    Polarization: c_n <- e^{iP/2} sum_k i^k J_k(P/2) c_{n-2k},
+    Dipole:       d_n <- sum_k i^k J_k(P) d_{n-k}
+    Polarization: d_n <- e^{iP/2} sum_k i^k J_k(P/2) d_{n-2k},
     as cos^2 theta = (1 + cos 2 theta)/2: the dipole kernel at P/2 on every
-    second harmonic.  The truncation order grows by the kick margin; norm
-    is preserved.  A kick strength P < 0 raises ValueError.
+    second harmonic.  A 2D packet's coefficients are the d_n; a 3D packet
+    goes to them and back through its Chebyshev series in cos theta.  The
+    truncation order grows by the kick margin; norm is preserved.  A kick
+    strength that is negative or NaN raises ValueError; P = 0 returns the
+    packet itself.
     """
-    if P < 0:
+    if not P >= 0:
         raise ValueError("kick strength must be >= 0")
     if P == 0.0:
         return packet
@@ -120,13 +131,14 @@ def apply_kick(packet, P, coupling=Coupling.DIPOLE):
     z = P / step
     order = kick_order_margin(z)
     margin = step * order
-    c = np.zeros(packet.coeffs.size + 2 * margin, dtype=complex)
-    c[margin:-margin] = packet.coeffs
+    d = packet._harmonics
+    c = np.zeros(d.size + 2 * margin, dtype=complex)
+    c[margin:-margin] = d
     kernel = np.zeros(2 * margin + 1, dtype=complex)
     kernel[::step] = _jacobi_anger_kernel(order, z)
     new = np.exp(1j * (P - z)) * np.convolve(c, kernel)[margin:-margin]
 
-    out = FourierPacket2D(new)
+    out = packet._from_harmonics(new)
     # a packet already off norm by a finite amount is not the kick's fault
     if not abs(out.norm() - 1.0) <= NORM_TOL and not abs(packet.norm() - 1.0) > NORM_TOL:
         raise TruncationError("kick leaked probability past the truncation order")

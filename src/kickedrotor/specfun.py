@@ -2,8 +2,9 @@
 
 Everything the other modules need lives here: sin and cos from one SIMD
 tangent (`sincos`, absolute error <= 2.3e-16), integer-order Bessel J_n
-and spherical Bessel j_l (as arrays of all orders up to a maximum), J_0 and
-J_1 on arrays, Airy Ai/Ai', the Pearcey integral and the Bessoid integral.
+(as an array of all orders up to a maximum, the kernel of every quantum
+kick), J_0 and J_1 on arrays, Airy Ai/Ai', the Pearcey integral and the
+Bessoid integral.
 
 Ai/Ai' and each Pearcey object have one evaluator, a contour quadrature
 on the shared Gauss-Legendre panels of `gauss_segment`.  Airy takes straight
@@ -36,7 +37,6 @@ __all__ = [
     "bessel_jn_array",
     "bessel_j0",
     "bessel_j1",
-    "spherical_jn_array",
     "airy",
     "pearcey",
     "bessoid",
@@ -72,7 +72,7 @@ def sincos(x):
 
 
 # ----------------------------------------------------------------------
-# Bessel J_n and spherical j_l by Miller's backward recurrence
+# Bessel J_n by Miller's backward recurrence
 # ----------------------------------------------------------------------
 
 _BESSEL_N_LIMIT = 10**6
@@ -86,18 +86,17 @@ def _miller_start(n, x):
     return int(math.ceil(max(n, turn))) + 30
 
 
-def _miller(n_max, x, half):
-    # f_0 .. f_{n_max} proportional to J_k(x) (half = 0) or to the spherical
-    # j_k(x) (half = 1), x > 0, by f_{k-1} = (2k + half)/x f_k - f_{k+1} down
-    # from an even start far above the turning point (DLMF 10.74(iii)),
-    # rescaled before it overflows; and f_0 + 2 sum_k f_{2k} over every
-    # order passed, the normalization of J_k (sum rule)
+def _miller(n_max, x):
+    # f_0 .. f_{n_max} proportional to J_k(x), x > 0, by f_{k-1} =
+    # 2k/x f_k - f_{k+1} down from an even start far above the turning point
+    # (DLMF 10.74(iii)), rescaled before it overflows; and f_0 + 2 sum_k
+    # f_{2k} over every order passed, the normalization of J_k (sum rule)
     m = _miller_start(n_max, x)
     m += m % 2
     out = np.zeros(n_max + 1)
     jp, j, even_sum = 0.0, 1e-300, 0.0
     for k in range(m, 0, -1):
-        jm = (2.0 * k + half) / x * j - jp
+        jm = 2.0 * k / x * j - jp
         jp, j = j, jm
         if abs(j) > 1e250:
             j *= 1e-250
@@ -122,29 +121,11 @@ def bessel_jn_array(n_max, x):
         raise DomainError("bessel_jn_array argument out of range")
     if abs(x) < 1e-8:
         return np.cumprod(np.concatenate([[1.0], 0.5 * x / np.arange(1.0, n_max + 1)]))
-    out, even_sum = _miller(n_max, abs(x), 0)
+    out, even_sum = _miller(n_max, abs(x))
     out /= even_sum
     if x < 0:
         out[1::2] *= -1.0
     return out
-
-
-def spherical_jn_array(l_max, x):
-    """j_0(x) .. j_{l_max}(x) by Miller's backward recurrence, anchored on
-    whichever of j_0 = sin(x)/x and j_1 is farther from a zero; below
-    x = 1e-12 by the series' first term x^l/(2l+1)!!, whose relative error
-    x^2/(2(2l+3)) is below 1e-24."""
-    if l_max < 0:
-        raise DomainError("l_max must be >= 0")
-    if not x >= 0:
-        raise DomainError("x must be >= 0")
-    if x < 1e-12:
-        return np.cumprod(np.concatenate([[1.0], x / np.arange(3.0, 2 * l_max + 2, 2.0)]))
-    j0 = math.sin(x) / x
-    j1 = j0 / x - math.cos(x) / x
-    out = _miller(max(l_max, 1), x, 1)[0]
-    out *= j0 / out[0] if abs(j0) >= abs(j1) else j1 / out[1]
-    return out[:l_max + 1]
 
 
 # J_0 and J_1 on arrays.  Below |x| = 12, in t = 2 (x/12)^2 - 1: J_0 =

@@ -45,6 +45,12 @@ None of these share code with the package evaluators they check:
 - `hyp1f1_focus`, `focal_density_closed_form`: 1F1(1/2, 3/2, iz) and the
   planar model's focal density in its 1F1 closed form, paper constructions
   only tests use (built on the package's `gauss_segment`).
+- `build_recurrence`: the Legendre re-expansion table of P_l(cos 2 theta)
+  over P_L(cos theta), column by column by recurrence; with spherical j_m
+  it gives the polarization kick of the 3D ground state;
+- `chebyshev_kick_3d`: a 3D packet kicked by the Chebyshev series of the
+  kick operator, a three-term recurrence on the tridiagonal cos theta with
+  scipy's J_k.
 
 The series are slow (10-1000 ms a point), so tests call them at a few
 points only.  The double series run out of terms near the corner of
@@ -710,3 +716,77 @@ def p1_contour_complex(x, y, power=0, panel_phase=12.0):
         return sum(gauss_segment(f, a, b, -(-n // k)) for a, b in zip(ends[:-1], ends[1:]))
 
     return complex(leg(0.0 + 0.0j, R + 0.0j, n1) + leg(R + 0.0j, R + T * w8, n2))
+
+
+def build_recurrence(L_max):
+    """Legendre re-expansion table: the read-only array d[L, l], L <= L_max,
+    l <= L_max/2, with P_l(2x^2 - 1) = sum_L d[L, l] P_L(x).  Only even L
+    contribute; every column sums to 1 because P_L(1) = 1.
+
+    Column l+1 follows from columns l and l-1 as one array step over even L:
+      d_{L,l+1} = (2l+1)(2L+1)/(l+1) sum_{L'} d_{L',l} N_{L,L'}
+                  - (2l+1)/(l+1) d_{L,l} - l/(l+1) d_{L,l-1},
+    where N_{L,L'} = <P_L | x^2 | P_L'> (with the 2/(2L+1) normalization
+    kept) is nonzero only for L' = L-2, L, L+2; it is seeded by P_0 -> 1 and
+    P_1(2x^2-1) = 2x^2 - 1 = (4 P_2 - P_0)/3.
+    """
+    if L_max < 2 or L_max % 2:
+        raise ValueError("L_max must be even and >= 2")
+    l_max = L_max // 2
+    L = np.arange(0, L_max + 1, 2)
+    # the diagonals L' = L-2, L, L+2 of N_{L,L'}
+    lower = 2.0 * L * (L - 1) / ((2 * L - 3.0) * (2 * L - 1.0) * (2 * L + 1.0))
+    diag = 2.0 / (2 * L + 1) ** 2 * ((L + 1) ** 2 / (2 * L + 3.0) + L * L / (2 * L - 1.0))
+    upper = 2.0 * (L + 1) * (L + 2) / ((2 * L + 1.0) * (2 * L + 3.0) * (2 * L + 5.0))
+    # row l holds column l of d on even L, between one zero on either side
+    cols = np.zeros((l_max + 1, L.size + 2))
+    cols[0, 1] = 1.0
+    cols[1, 1:3] = -1.0 / 3.0, 4.0 / 3.0
+    for l in range(1, l_max):
+        prev, c = cols[l - 1, 1:-1], cols[l]
+        acc = c[:-2] * lower + c[1:-1] * diag + c[2:] * upper
+        cols[l + 1, 1:-1] = ((2 * l + 1.0) * (2 * L + 1.0) / (l + 1.0) * acc
+                             - (2 * l + 1.0) / (l + 1.0) * c[1:-1] - l / (l + 1.0) * prev)
+    d = np.zeros((L_max + 1, l_max + 1))
+    d[::2] = cols[:, 1:-1].T
+    d.setflags(write=False)
+    return d
+
+
+def chebyshev_kick_3d(c, P, coupling):
+    """The m = 0 packet c_l over Y_l^0 kicked by exp(iP cos theta) (dipole)
+    or exp(iP cos^2 theta) (polarization), by the Chebyshev series of the
+    kick operator (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)):
+
+      e^{izX} = sum_k eps_k i^k J_k(z) T_k(X),  eps_0 = 1, eps_k = 2
+
+    (DLMF 10.12.3), X = cos theta, tridiagonal on Y_l^0 with
+    <l+1|X|l> = (l+1)/sqrt((2l+1)(2l+3)), and T_k(X) c by the three-term
+    recurrence T_{k+1} = 2X T_k - T_{k-1}.  As cos^2 = (1 + T_2(cos))/2 and
+    T_k(T_2) = T_2k, the polarization kick is e^{iP/2} times the series at
+    z = P/2 in T_2k(X).  The series stops at k = z + 12 z^(1/3) + 40, and
+    the basis holds every degree the recurrence reaches, so nothing else is
+    truncated.  coupling is a `Coupling` or its value."""
+    c = np.asarray(c, dtype=complex)
+    step = 2 if getattr(coupling, "value", coupling) == "polarization" else 1
+    z = P / step
+    terms = int(z + 12.0 * z ** (1.0 / 3.0) + 40.0)
+    v = np.zeros(c.size + step * terms, dtype=complex)
+    v[:c.size] = c
+    l = np.arange(v.size - 1)
+    off = (l + 1.0) / np.sqrt((2.0 * l + 1.0) * (2.0 * l + 3.0))
+
+    def cos_theta(u):
+        out = np.zeros_like(u)
+        out[1:] += off * u[:-1]
+        out[:-1] += off * u[1:]
+        return out
+
+    jk = jv(np.arange(terms + 1), z)
+    out = jk[0] * v
+    prev, t = v, cos_theta(v)
+    for k in range(1, step * terms + 1):
+        if k % step == 0:
+            out += 2.0 * (1j) ** (k // step % 4) * jk[k // step] * t
+        prev, t = t, 2.0 * cos_theta(t) - prev
+    return np.exp(1j * (P - z)) * out

@@ -19,7 +19,7 @@ from kickedrotor import semiclassical as sc
 from kickedrotor import specfun as sf
 from kickedrotor import squeeze as sq
 from kickedrotor import thermal as th
-from oracles import box_means
+from oracles import box_means, build_recurrence
 
 
 def report(num, label, ok, detail=""):
@@ -33,8 +33,8 @@ def kicked_2d(P, tau):
     return q2.free_evolve(p, tau)
 
 
-def kicked_3d(P, tau):
-    return q2.free_evolve(q3.dipole_kick_ground(P), tau)
+def kicked_3d(P, tau, coupling=cl.Coupling.DIPOLE):
+    return q2.free_evolve(q2.apply_kick(q3.LegendrePacket3D(np.ones(1)), P, coupling), tau)
 
 
 def test_criterion_01_focal_peak_2d():
@@ -141,7 +141,7 @@ def test_criterion_07_norm_and_revivals():
 
     p3 = kicked_3d(P, 0.7)
     norm_ok &= abs(p3.norm() - 1.0) < 1e-10
-    pol = q3.polarization_kick_ground(20.0)
+    pol = kicked_3d(20.0, 0.0, cl.Coupling.POLARIZATION)
     norm_ok &= abs(pol.norm() - 1.0) < 1e-10
     grid3 = np.linspace(0, math.pi, 512)
     d3a = q3.density_3d(p3, grid3)
@@ -154,13 +154,18 @@ def test_criterion_07_norm_and_revivals():
 
 def test_criterion_08_recurrence_and_polarization():
     from scipy.special import eval_legendre
-    table = q3.build_recurrence(220)
+    # the re-expansion table (a test oracle) and the runtime kick: the kick
+    # keeps psi(0) = e^{iP} psi_0(0), as every column of the table sums to
+    # P_L(1) = 1, populates even l only, and matches the projections
+    table = build_recurrence(220)
     rows_ok = np.max(np.abs(table[:, :101].sum(axis=0) - 1.0)) < 1e-10
     odd_ok = np.max(np.abs(table[1::2, :])) < 1e-10
     proj_ok = True
     worst = 0.0
     for P in (5.0, 12.0, 20.0):
-        packet = q3.polarization_kick_ground(P)
+        packet = kicked_3d(P, 0.0, cl.Coupling.POLARIZATION)
+        rows_ok &= abs(np.sqrt(2 * packet.orders + 1.0) @ packet.coeffs - np.exp(1j * P)) < 1e-10
+        odd_ok &= np.max(np.abs(packet.coeffs[1::2])) == 0.0
         for L in (0, 2, 8, 14):
             yl = math.sqrt((2 * L + 1) / (4 * math.pi))
 

@@ -633,11 +633,11 @@ class TestMain:
         # "numerical" failure in a batch
         for top, norm, fault in ((1e-6, math.sqrt(1.0 - 1e-12), "truncation floor"),
                                  (0.0, 1.01, "norm 1.0201")):
-            def leaky(P):
+            def leaky(packet, P, coupling):
                 c = np.zeros(41, dtype=complex)
                 c[0], c[-1] = norm, top
                 return q3.LegendrePacket3D(c)
-            monkeypatch.setattr(q3, "dipole_kick_ground", leaky)
+            monkeypatch.setattr(q2, "apply_kick", leaky)
             rc = cli.main(["quantum3d", "--P", "20", "--s", "1", "--grid", "8",
                            "--out", str(tmp_path / "q.csv")])
             assert rc == 3

@@ -95,10 +95,17 @@ class TestSharedPacketBody:
         n = np.arange(-p2.n_max, p2.n_max + 1)
         assert np.array_equal(q2.free_evolve(p2, dtau).coeffs,
                               p2.coeffs * np.exp(-0.5j * n * n * dtau))
-        p3 = q3.polarization_kick_ground(20.0)
+        p3 = q2.apply_kick(q3.LegendrePacket3D(np.ones(1)), 20.0, Coupling.POLARIZATION)
         l = np.arange(p3.coeffs.size)
         assert np.array_equal(q2.free_evolve(p3, dtau).coeffs,
                               p3.coeffs * np.exp(-0.5j * l * (l + 1.0) * dtau))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_compared_and_hashed_by_identity(self, kind):
+        # equal coefficients compare without raising; a packet is hashable
+        a, b = kind(np.array([0.0, 1.0, 0.0])), kind(np.array([0.0, 1.0, 0.0]))
+        assert a == a and a != b and len({a, a, b}) == 2
+        assert hash(a) == hash(a)
 
     @pytest.mark.parametrize("kind,low_is_edge", [(q2.FourierPacket2D, True),
                                                   (q3.LegendrePacket3D, False)])

@@ -19,6 +19,8 @@ import scipy.special as sps
 from hypothesis import given, settings, strategies as st
 
 import kickedrotor
+from kickedrotor import quantum2d as q2
+from kickedrotor import quantum3d as q3
 from kickedrotor import specfun as sf
 import bessel_coefficients
 from oracles import (airy_mp, bessel_j_mp, bessoid_contour_oracle, bessoid_oracle, hyp1f1_focus, p1_contour_complex,
@@ -174,55 +176,64 @@ class TestBesselJ:
             assert getattr(sf, name) == values, name
 
 
+def spherical_jn_by_kick(l_max, x):
+    # j_0(x) .. j_{l_max}(x) as the runtime makes them: the 3D dipole kick of
+    # the ground state is c_l = i^l sqrt(2l+1) j_l(x), zero past its l_max
+    c = q2.apply_kick(q3.LegendrePacket3D(np.ones(1)), x).coeffs
+    l = np.arange(c.size)
+    j = (c * np.array([1.0, -1j, -1.0, 1j])[l % 4]).real / np.sqrt(2 * l + 1.0)
+    return np.concatenate([j, np.zeros(max(0, l_max + 1 - j.size))])[:l_max + 1]
+
+
 class TestSphericalJ:
     def test_limits_at_zero(self):
-        assert sf.spherical_jn_array(0, 0.0)[0] == 1.0
-        assert sf.spherical_jn_array(3, 0.0)[3] == 0.0
+        # no kick at x = 0: the ground state, c_0 = 1 alone
+        assert spherical_jn_by_kick(0, 0.0)[0] == 1.0
+        assert spherical_jn_by_kick(3, 0.0)[3] == 0.0
 
     @pytest.mark.parametrize("x", [1e-13, 5e-13, 2e-12])
     def test_tiny_argument_keeps_every_order(self, x):
-        # below 1e-12 the series' first term x^l/(2l+1)!!, above it the
-        # recurrence; scipy is itself within 3e-14 here
+        # J_k by its series' first term (x below 1e-8), then Chebyshev to
+        # Legendre; scipy is itself within 3e-14 here
         l = np.arange(6)
-        got = sf.spherical_jn_array(5, x)
+        got = spherical_jn_by_kick(5, x)
         assert np.all(got > 0)
         assert np.allclose(got, sps.spherical_jn(l, x), rtol=1e-13, atol=0.0)
         assert got[1] == pytest.approx(x / 3.0, rel=1e-15, abs=0.0)
 
     def test_half_integer_oracle(self):
-        assert sf.spherical_jn_array(10, 75.0)[10] == pytest.approx(J10_SPH_75_ORACLE, rel=1e-11)
+        assert spherical_jn_by_kick(10, 75.0)[10] == pytest.approx(J10_SPH_75_ORACLE, rel=1e-11)
 
     def test_against_scipy_sweep(self):
         rng = np.random.default_rng(3)
         for _ in range(150):
             l = int(rng.integers(0, 250))
             x = float(rng.uniform(0.0, 300.0))
-            assert sf.spherical_jn_array(l, x)[l] == pytest.approx(
+            assert spherical_jn_by_kick(l, x)[l] == pytest.approx(
                 sps.spherical_jn(l, x), rel=1e-11, abs=1e-14)
 
     def test_near_sine_zero_anchor(self):
-        # x = k pi makes j_0 vanish; the anchor must switch to j_1
+        # x = k pi makes j_0 vanish
         for x in (math.pi, 2 * math.pi, 3 * math.pi):
-            assert sf.spherical_jn_array(4, x)[4] == pytest.approx(
+            assert spherical_jn_by_kick(4, x)[4] == pytest.approx(
                 sps.spherical_jn(4, x), rel=1e-10)
 
     def test_negative_order_rejected(self):
-        with pytest.raises(sf.DomainError):
-            sf.spherical_jn_array(-1, 1.0)
+        # the kick takes no order; a negative or NaN argument is refused
         for x in (-1.0, math.nan):
-            with pytest.raises(sf.DomainError):
-                sf.spherical_jn_array(3, x)
+            with pytest.raises(ValueError, match="kick strength must be >= 0"):
+                spherical_jn_by_kick(3, x)
 
     @pytest.mark.parametrize("x", [1e-6, 9.82836333277001, 300.5, 1000.0])
     def test_backward_recurrence_on_either_side_of_the_turning_point(self, x):
-        # one backward recurrence for every x, also past the turning point
-        # x > l_max, against sqrt(pi/2x) J_{l+1/2}(x) at 40 digits
+        # also past the turning point x > l, against sqrt(pi/2x) J_{l+1/2}(x)
+        # at 40 digits
         import mpmath
         l = np.r_[0:6, 60:300:40, 299, 300]
         with mpmath.workdps(40):
             ref = [float(mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(x)))
                          * mpmath.besselj(k + mpmath.mpf(1) / 2, x)) for k in l]
-        assert np.max(np.abs(sf.spherical_jn_array(300, x)[l] - ref)) < 1e-15
+        assert np.max(np.abs(spherical_jn_by_kick(300, x)[l] - ref)) < 1e-15
 
 
 class TestAiry:
