@@ -5,9 +5,11 @@ The state is a free-rotor Fourier packet Psi(theta) =
 exp(iP cos theta) (dipole) or exp(iP cos^2 theta) (polarization), which in
 the coefficient picture is a Bessel-weighted convolution; free evolution
 multiplies c_n by exp(-i n^2 tau / 2).  Packets are immutable; every
-operation returns a new one.  The body of a packet, `Packet`, `apply_kick`
-and `free_evolve` serve the 3D rotor's `quantum3d.LegendrePacket3D` too: a
-3D packet is kicked in the same harmonics, through its own change of basis.
+operation returns a new one.  `Packet`, `apply_kick`, `free_evolve` and
+`wavefunction` serve the 3D rotor's `quantum3d.LegendrePacket3D` too: it is
+kicked and summed in the same harmonics, through its own change of basis.
+Sums are np.einsum calls, not BLAS products, whose threads cost more than
+these small sums.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import Coupling
-from .specfun import bessel_jn_array
+from .specfun import _row_slices, bessel_jn_array
 
 __all__ = [
     "Packet",
@@ -51,8 +53,9 @@ class Packet:
     of a 1-D array, compared and hashed by identity.  Each rotor's subclass
     gives what differs: its shape rule (`_size_ok`, `_SHAPE`), its `orders`,
     the indices of its `_EDGE` coefficients, its `spectrum`, twice the free
-    energy of each order, and its change of basis to the coefficients of
-    e^{in theta}, in which every kick acts (`_harmonics`), and back
+    energy of each order, the `area` of its surface, and its change of
+    basis to the coefficients of e^{in theta}, in which every kick acts and
+    the wave function is summed (`_harmonics`), and back
     (`_from_harmonics`)."""
 
     coeffs: np.ndarray
@@ -83,6 +86,7 @@ class FourierPacket2D(Packet):
     """c_n for n in [-n_max, n_max], an edge at either end; 2E = n^2; the
     coefficients are already those of e^{in theta}."""
 
+    area = 2.0 * math.pi
     _SHAPE = "1-D array of odd length 2*n_max + 1"
     _EDGE = [0, -1]
     _size_ok = staticmethod(lambda size: size % 2 == 1)
@@ -154,13 +158,18 @@ def free_evolve(packet, dtau):
 
 
 def wavefunction(packet, grid):
-    """Psi(theta) on the given angles, by direct coefficient summation over
-    z^k = exp(i k theta): one running product in k > 0, conjugated for k < 0."""
+    """Psi(theta) = sum_n d_n e^{in theta} / sqrt(area) on the given angles,
+    for a packet of either rotor, from its coefficients d_n of e^{in theta}:
+    z^k = exp(i k theta) as one running product in k > 0, conjugated for
+    k < 0, laid for one row block of `specfun._row_slices` at a time."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    n, c = packet.n_max, packet.coeffs
-    zk = np.cumprod(np.broadcast_to(np.exp(1j * grid)[:, None], (grid.size, n)), axis=1)
-    psi = c[n] + zk @ c[n + 1:] + (zk @ c[:n][::-1].conj()).conj()
-    return psi / math.sqrt(2.0 * math.pi)
+    d = packet._harmonics
+    n = d.size // 2
+    z, psi = np.exp(1j * grid), np.empty(grid.size, complex)
+    for rows in _row_slices(grid.size, max(n, 1)):
+        zk = np.cumprod(np.broadcast_to(z[rows, None], (rows.stop - rows.start, n)), axis=1)
+        psi[rows] = d[n] + np.einsum("ij,j->i", zk, d[n + 1:]) + np.einsum("ij,j->i", zk, d[:n][::-1].conj()).conj()
+    return psi / math.sqrt(packet.area)
 
 
 def density(packet, grid):

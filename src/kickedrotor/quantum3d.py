@@ -8,7 +8,8 @@ is the even Fourier series sum a_n cos(n theta), and the packet converts
 between Legendre and Chebyshev coefficients in closed form (Alpert &
 Rokhlin, SIAM J. Sci. Stat. Comput. 12, 158 (1991); the entries as in Hale
 & Townsend, SIAM J. Sci. Comput. 36, A148 (2014)).  From the ground state
-the dipole kick gives c_l = i^l sqrt(2l+1) j_l(P).
+the dipole kick gives c_l = i^l sqrt(2l+1) j_l(P).  `quantum2d.wavefunction`
+sums psi = sum_l c_l Y_l^0 = sum_n d_n e^{in theta} / sqrt(4 pi).
 
 `quantum2d.free_evolve` applies the free phase exp(-i l(l+1) tau / 2),
 with the same sign as the 2D rotor's; the opposite sign is equivalent to
@@ -22,11 +23,10 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .quantum2d import Packet
+from .quantum2d import Packet, wavefunction
 
 __all__ = [
     "LegendrePacket3D",
-    "wavefunction_3d",
     "density_3d",
 ]
 
@@ -40,17 +40,19 @@ def _lam(size):
 
 def _pair_sum(w, h, v):
     # sum_j w_j h_{n+j} v_{n+2j} for n < v.size, v zero past its end: both
-    # conversions, each one (n, j) array over strided views of h and v (h
+    # conversions, each one einsum over (n, j) strided views of h and v (h
     # must hold v.size + w.size - 1 values, as as_strided does not check)
     n, j = v.size, w.size
     vp = np.concatenate([v, np.zeros(2 * j - 2)])
     step = vp.strides[0]
-    return (as_strided(h, (n, j), 2 * h.strides) * as_strided(vp, (n, j), (step, 2 * step))) @ w
+    return np.einsum("ij,ij,j->i", as_strided(h, (n, j), 2 * h.strides),
+                     as_strided(vp, (n, j), (step, 2 * step)), w)
 
 
 class LegendrePacket3D(Packet):
     """c_l for l in [0, l_max], at least one, an edge at l_max; 2E = l(l+1)."""
 
+    area = 4.0 * math.pi
     _SHAPE = "nonempty 1-D array of length l_max + 1"
     _EDGE = [-1]
     _size_ok = staticmethod(lambda size: size > 0)
@@ -87,19 +89,10 @@ class LegendrePacket3D(Packet):
         return cls(c)
 
 
-def wavefunction_3d(packet, grid):
-    """psi(theta) = sum_l c_l Y_l^0(theta) via a Legendre-coefficient sum."""
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    l = packet.orders
-    ph = packet.coeffs * np.sqrt((2 * l + 1.0) / (4.0 * math.pi))
-    # Clenshaw evaluation of sum ph_l P_l(cos theta)
-    return np.polynomial.legendre.legval(np.cos(grid), ph)
-
-
 def density_3d(packet, grid):
     """|psi(theta)|^2 on the grid, angles in [0, pi] (the packet's own norm
     is checked by `check`)."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if np.any(grid < -1e-12) or np.any(grid > math.pi + 1e-12):
         raise ValueError("3D grid angles must lie in [0, pi]")
-    return np.abs(wavefunction_3d(packet, grid)) ** 2
+    return np.abs(wavefunction(packet, grid)) ** 2

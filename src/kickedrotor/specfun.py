@@ -236,7 +236,17 @@ def bessel_j1(x):
 # Complex Gauss-Legendre segments (shared oscillatory-quadrature kernel)
 # ----------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# the 24-point Gauss-Legendre rule, bit for bit numpy's leggauss(24), which
+# is exactly symmetric: its 12 positive nodes, ascending, and their weights
+_GL_HALF = np.array([
+    (0.06405689286260563, 0.12793819534675202), (0.1911188674736163, 0.12583745634682825),
+    (0.3150426796961634, 0.1216704729278033), (0.4337935076260451, 0.11550566805372552),
+    (0.5454214713888396, 0.10744427011596556), (0.6480936519369755, 0.09761865210411393),
+    (0.7401241915785544, 0.0861901615319532), (0.820001985973903, 0.07334648141108016),
+    (0.8864155270044011, 0.05929858491543636), (0.9382745520027328, 0.04427743881741941),
+    (0.9747285559713095, 0.02853138862893356), (0.9951872199970213, 0.01234122979998869)])
+_GL_NODES = np.concatenate([-_GL_HALF[::-1, 0], _GL_HALF[:, 0]])
+_GL_WEIGHTS = np.concatenate([_GL_HALF[::-1, 1], _GL_HALF[:, 1]])
 _MAX_PANELS = 10**6
 # (row, node) entries evaluated at once by the array quadratures: longer
 # arrays go in row blocks, so the working memory stays under a few MB

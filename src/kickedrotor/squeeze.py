@@ -119,29 +119,26 @@ def _first_minimum(flight, P, coupling):
     """(t, scan steps, Newton iterations) for the first local minimum of
     O (dipole) or A (polarization) on the free flight of an ensemble kicked
     at strength P (which sets the time scale of the search).
-    The scan walks t = k dt until F turns up, advancing (cos wt, sin wt) by
-    angle addition: four multiplies per particle, no transcendental.  Newton
+    The scan walks t = k dt until F turns up, advancing (cos0 + i b) e^{iwt}
+    by angle addition: four multiplies per particle, no transcendental.  Newton
     on dF/dt = 0 refines its lowest point inside the bracket of the scan,
     bisecting it whenever a step leaves it or the curvature is not positive.
     """
     dt = _SCAN_STEP / P
     cos0, _, omega, b = flight
-    # x = cos theta = Re(q z), q = cos0 + i b, z = exp(i omega t); a step
-    # multiplies z by exp(i omega dt): (C, S) <- (C cd - S sd, S cd + C sd)
-    q, z = cos0 + 1j * b, np.ones(omega.shape, complex)
+    # x = cos theta = Re(w), w = (cos0 + i b) exp(i omega t); a step
+    # multiplies w by exp(i omega dt) = cd + i sd, four real multiplies
     sd, cd = sincos(omega * dt)
-    rot, qz = cd + 1j * sd, np.empty_like(z)
+    w, rot = cos0 + 1j * b, cd + 1j * sd
 
     def spread():
         # n (F - 1), all the scan compares
-        if coupling is Coupling.POLARIZATION:
-            x = np.multiply(q, z, out=qz).real
-            return -np.dot(x, x)
-        return -np.dot(q, z).real
+        x = w.real
+        return -np.einsum("i,i->", x, x) if coupling is Coupling.POLARIZATION else -x.sum()
 
     f_prev = spread()
     for steps in range(1, _SCAN_BUDGET + 1):  # walk downhill until F turns up
-        z *= rot
+        w *= rot
         f_curr = spread()
         if f_curr > f_prev:
             break

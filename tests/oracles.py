@@ -51,6 +51,8 @@ None of these share code with the package evaluators they check:
 - `chebyshev_kick_3d`: a 3D packet kicked by the Chebyshev series of the
   kick operator, a three-term recurrence on the tridiagonal cos theta with
   scipy's J_k.
+- `legendre_density_mp`: the 3D density |sum_l c_l Y_l^0|^2 at 30 digits,
+  P_l by its three-term recurrence.
 
 The series are slow (10-1000 ms a point), so tests call them at a few
 points only.  The double series run out of terms near the corner of
@@ -790,3 +792,27 @@ def chebyshev_kick_3d(c, P, coupling):
             out += 2.0 * (1j) ** (k // step % 4) * jk[k // step] * t
         prev, t = t, 2.0 * cos_theta(t) - prev
     return np.exp(1j * (P - z)) * out
+
+
+def legendre_density_mp(coeffs, grid, bits=100):
+    """|psi(theta)|^2 of psi = sum_l c_l sqrt((2l+1)/(4 pi)) P_l(cos theta),
+    rounded to doubles: cos theta and the weights by mpmath at 30 digits,
+    P_l by the recurrence (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1} in
+    `bits`-bit fixed point (exact Python integers; |P_l| <= 1 on [-1, 1])."""
+    one = 1 << bits
+    with mpmath.workdps(30):
+        def fixed(v):
+            return int(mpmath.nint(v * one))
+        w = [mpmath.sqrt((2 * l + 1) / (4 * mpmath.pi)) for l in range(len(coeffs))]
+        e = [(fixed(complex(c).real * wl), fixed(complex(c).imag * wl)) for c, wl in zip(coeffs, w)]
+        xs = [fixed(mpmath.cos(float(t))) for t in grid]
+    out = []
+    for x in xs:
+        re = im = p_prev = 0
+        p = one
+        for l, (er, ei) in enumerate(e):
+            re += er * p
+            im += ei * p
+            p_prev, p = p, ((2 * l + 1) * (x * p >> bits) - l * p_prev) // (l + 1)
+        out.append((re * re + im * im) / one ** 4)
+    return np.array(out)

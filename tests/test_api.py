@@ -1,11 +1,13 @@
 """Public surface: every module's __all__ names what the module defines,
-and running the package leaves no module state behind.
+running the package leaves no module state behind, the runtime loads no
+module beyond numpy, and no module writes a BLAS product.
 
 Tools that wrap a module's public functions by its __all__ (the
 benchmark's tracer among them) skip a stale name without a word, so a
 removed or moved function must leave no name behind.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -82,14 +84,51 @@ def test_runs_leave_module_state_unchanged(tmp_path):
 
 
 def test_runtime_imports_numpy_only():
-    # a fresh interpreter runs the exact 2D, 3D cusp and squeeze scenarios
-    # without loading any of the test-side tools
+    # a fresh interpreter runs the exact 2D and 3D, 3D cusp and squeeze
+    # scenarios without loading any of the test-side tools, or
+    # numpy.polynomial
     lines = [dict(d, output_path="x.csv") for d in _SCENARIOS
-             if d["command"] in ("quantum2d", "semiclassical", "squeeze")]
+             if d["command"] in ("quantum2d", "quantum3d", "semiclassical", "squeeze")]
     code = ("import sys\nfrom kickedrotor import cli\n"
             f"for d in {lines!r}:\n    cli.run(cli.ScenarioConfig.from_dict(d))\n"
-            "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'hypothesis'}))")
+            "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'hypothesis'}),"
+            " 'numpy.polynomial' in sys.modules)")
     src = os.path.dirname(os.path.dirname(kickedrotor.__file__))
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] False"
+
+
+# numpy calls that hand a product reduction to BLAS
+_BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "tensordot"}
+
+
+def _blas_sites(tree):
+    # (line, what) for every `@`, BLAS-backed call, or einsum that may be
+    # optimized into one
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in _BLAS_CALLS:
+                yield node.lineno, name
+            elif name == "einsum" and any(k.arg == "optimize" for k in node.keywords):
+                yield node.lineno, "einsum(optimize=...)"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_runtime_makes_no_blas_call(name):
+    # every product is reduced by np.einsum, which calls no BLAS unless
+    # optimized: OpenBLAS's thread pool would cost the small products here
+    # more than the products themselves
+    path = importlib.import_module(f"kickedrotor.{name}").__file__
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    assert list(_blas_sites(tree)) == []
+
+
+def test_blas_guard_finds_every_form():
+    code = "a @ b\nc @= d\nnp.dot(a, b)\nx.dot(y)\nmatmul(a, b)\nnp.einsum('i,i', a, b, optimize=True)\n"
+    assert [what for _, what in _blas_sites(ast.parse(code))] == [
+        "@", "@", "dot", "dot", "matmul", "einsum(optimize=...)"]

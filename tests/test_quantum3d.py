@@ -13,7 +13,7 @@ from scipy.special import eval_legendre, spherical_jn
 from kickedrotor import quantum2d as q2
 from kickedrotor import quantum3d as q3
 from kickedrotor.classical import Coupling
-from oracles import build_recurrence, chebyshev_kick_3d, sphere_norm
+from oracles import build_recurrence, chebyshev_kick_3d, legendre_density_mp, sphere_norm
 
 FOUR_PI = 4.0 * math.pi
 GROUND = q3.LegendrePacket3D(np.ones(1))
@@ -276,6 +276,16 @@ class TestFreeEvolve3D:
 
 
 class TestDensity3D:
+    @pytest.mark.parametrize("P,s,coupling", [(50.0, 1.0, Coupling.DIPOLE), (75.0, 2.0, Coupling.DIPOLE),
+                                              (75.0, 2.4, Coupling.POLARIZATION), (800.0, 1.0, Coupling.DIPOLE)])
+    def test_matches_the_legendre_oracle(self, P, s, coupling):
+        # the Fourier sum of quantum2d.wavefunction against the Legendre
+        # series at 30 digits, on 60 angles from pole to pole
+        p = q2.free_evolve(kicked(P, coupling), s / P)
+        grid = np.linspace(0.0, math.pi, 60)
+        ref = legendre_density_mp(p.coeffs, grid)
+        assert np.max(np.abs(q3.density_3d(p, grid) - ref)) <= 2e-14 * np.max(ref)
+
     def test_ground_state_uniform(self):
         p = kicked(0.0, Coupling.POLARIZATION)
         d = q3.density_3d(p, np.linspace(0, math.pi, 50))

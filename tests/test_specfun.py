@@ -176,6 +176,13 @@ class TestBesselJ:
             assert getattr(sf, name) == values, name
 
 
+def test_gauss_literals_are_leggauss_bit_for_bit():
+    # the committed 24-point rule is numpy's, so no runtime path loads numpy.polynomial
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    assert sf._GL_NODES.tobytes() == nodes.tobytes()
+    assert sf._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def spherical_jn_by_kick(l_max, x):
     # j_0(x) .. j_{l_max}(x) as the runtime makes them: the 3D dipole kick of
     # the ground state is c_l = i^l sqrt(2l+1) j_l(x), zero past its l_max
