@@ -223,10 +223,10 @@ def _grid(cfg, three_d):
 def _exact_density(cfg, grid, three_d):
     # the exact density on the grid, and the kicked and evolved packet,
     # whose norm and edge coefficients are checked
-    kind, density = (q3.LegendrePacket3D, q3.density_3d) if three_d else (q2.FourierPacket2D, q2.density)
+    kind = q3.LegendrePacket3D if three_d else q2.FourierPacket2D
     packet = q2.apply_kick(kind(np.ones(1)), cfg.P, Coupling(cfg.coupling))
     packet = q2.free_evolve(packet, cfg.resolved_tau()).check()
-    return density(packet, grid), packet
+    return q2.density(packet, grid), packet
 
 
 def _classical_density(cfg, grid, tau, P):
@@ -322,7 +322,8 @@ def _squeeze(cfg):
         m = k >= max(100, cfg.kicks // 10)
         summary = {}
         if np.count_nonzero(m) >= 2:
-            summary["loglog_slope"] = float(np.polyfit(np.log(k[m]), np.log(u[m]), 1)[0])
+            x, y = np.log(k[m]), np.log(u[m])  # least squares in closed form, not LAPACK's
+            summary["loglog_slope"] = float(np.sum((x - x.mean()) * (y - y.mean())) / np.sum((x - x.mean()) ** 2))
         summary["final_u"] = float(u[-1])
         return columns, summary
     columns = sq.classical_accumulative_3d(

@@ -5,9 +5,9 @@ The state is a free-rotor Fourier packet Psi(theta) =
 exp(iP cos theta) (dipole) or exp(iP cos^2 theta) (polarization), which in
 the coefficient picture is a Bessel-weighted convolution; free evolution
 multiplies c_n by exp(-i n^2 tau / 2).  Packets are immutable; every
-operation returns a new one.  `Packet`, `apply_kick`, `free_evolve` and
-`wavefunction` serve the 3D rotor's `quantum3d.LegendrePacket3D` too: it is
-kicked and summed in the same harmonics, through its own change of basis.
+operation returns a new one.  `Packet` and every function here serve the
+3D rotor's `quantum3d.LegendrePacket3D` too: it is kicked and summed in the
+same harmonics, through its own change of basis.
 Sums are np.einsum calls, not BLAS products, whose threads cost more than
 these small sums.
 """
@@ -26,7 +26,6 @@ __all__ = [
     "Packet",
     "FourierPacket2D",
     "TruncationError",
-    "ground_packet",
     "apply_kick",
     "free_evolve",
     "wavefunction",
@@ -53,9 +52,10 @@ class Packet:
     of a 1-D array, compared and hashed by identity.  Each rotor's subclass
     gives what differs: its shape rule (`_size_ok`, `_SHAPE`), its `orders`,
     the indices of its `_EDGE` coefficients, its `spectrum`, twice the free
-    energy of each order, the `area` of its surface, and its change of
-    basis to the coefficients of e^{in theta}, in which every kick acts and
-    the wave function is summed (`_harmonics`), and back
+    energy of each order, the `area` of its surface and the range of its
+    `angles`, the highest harmonic `n_max` of psi, and its change of basis
+    to the coefficients d_n of e^{in theta} (|n| <= n_max), in which every
+    kick acts and the wave function is summed (`_harmonics`), and back
     (`_from_harmonics`)."""
 
     coeffs: np.ndarray
@@ -86,7 +86,7 @@ class FourierPacket2D(Packet):
     """c_n for n in [-n_max, n_max], an edge at either end; 2E = n^2; the
     coefficients are already those of e^{in theta}."""
 
-    area = 2.0 * math.pi
+    area, angles = 2.0 * math.pi, (-math.inf, math.inf)
     _SHAPE = "1-D array of odd length 2*n_max + 1"
     _EDGE = [0, -1]
     _size_ok = staticmethod(lambda size: size % 2 == 1)
@@ -95,11 +95,6 @@ class FourierPacket2D(Packet):
     spectrum = property(lambda self: self.orders ** 2)
     _harmonics = property(lambda self: self.coeffs)
     _from_harmonics = classmethod(lambda cls, d: cls(d))
-
-
-def ground_packet():
-    """Rotational ground state: c_0 = 1 alone, uniform density 1/(2 pi)."""
-    return FourierPacket2D(np.ones(1))
 
 
 # i^k by k mod 4, exact unit phases
@@ -163,8 +158,7 @@ def wavefunction(packet, grid):
     z^k = exp(i k theta) as one running product in k > 0, conjugated for
     k < 0, laid for one row block of `specfun._row_slices` at a time."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    d = packet._harmonics
-    n = d.size // 2
+    d, n = packet._harmonics, packet.n_max
     z, psi = np.exp(1j * grid), np.empty(grid.size, complex)
     for rows in _row_slices(grid.size, max(n, 1)):
         zk = np.cumprod(np.broadcast_to(z[rows, None], (rows.stop - rows.start, n)), axis=1)
@@ -173,5 +167,11 @@ def wavefunction(packet, grid):
 
 
 def density(packet, grid):
-    """|Psi|^2 on the grid (the packet's own norm is checked by `check`)."""
+    """|Psi|^2 on the grid for a packet of either rotor (`check` checks its
+    norm); an angle 1e-12 beyond the kind's `angles` raises ValueError."""
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    lo, hi = packet.angles
+    if np.any(grid < lo - 1e-12) or np.any(grid > hi + 1e-12):
+        # only the sphere's range is finite
+        raise ValueError("3D grid angles must lie in [0, pi]")
     return np.abs(wavefunction(packet, grid)) ** 2

@@ -9,7 +9,7 @@ between Legendre and Chebyshev coefficients in closed form (Alpert &
 Rokhlin, SIAM J. Sci. Stat. Comput. 12, 158 (1991); the entries as in Hale
 & Townsend, SIAM J. Sci. Comput. 36, A148 (2014)).  From the ground state
 the dipole kick gives c_l = i^l sqrt(2l+1) j_l(P).  `quantum2d.wavefunction`
-sums psi = sum_l c_l Y_l^0 = sum_n d_n e^{in theta} / sqrt(4 pi).
+sums psi = sum_l c_l Y_l^0 = sum_n d_n e^{in theta} / sqrt(4 pi), |n| <= l_max.
 
 `quantum2d.free_evolve` applies the free phase exp(-i l(l+1) tau / 2),
 with the same sign as the 2D rotor's; the opposite sign is equivalent to
@@ -23,11 +23,10 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .quantum2d import Packet, wavefunction
+from .quantum2d import Packet
 
 __all__ = [
     "LegendrePacket3D",
-    "density_3d",
 ]
 
 
@@ -50,13 +49,14 @@ def _pair_sum(w, h, v):
 
 
 class LegendrePacket3D(Packet):
-    """c_l for l in [0, l_max], at least one, an edge at l_max; 2E = l(l+1)."""
+    """c_l for l in [0, l_max], at least one, an edge at l_max; 2E = l(l+1);
+    psi reaches the harmonic e^{i l_max theta}, so n_max = l_max."""
 
-    area = 4.0 * math.pi
+    area, angles = 4.0 * math.pi, (0.0, math.pi)
     _SHAPE = "nonempty 1-D array of length l_max + 1"
     _EDGE = [-1]
     _size_ok = staticmethod(lambda size: size > 0)
-    l_max = property(lambda self: self.coeffs.size - 1)
+    l_max = n_max = property(lambda self: self.coeffs.size - 1)
     orders = property(lambda self: np.arange(self.coeffs.size))
     spectrum = property(lambda self: self.orders * (self.orders + 1.0))
 
@@ -88,11 +88,3 @@ class LegendrePacket3D(Packet):
         c[0] += v[0]
         return cls(c)
 
-
-def density_3d(packet, grid):
-    """|psi(theta)|^2 on the grid, angles in [0, pi] (the packet's own norm
-    is checked by `check`)."""
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if np.any(grid < -1e-12) or np.any(grid > math.pi + 1e-12):
-        raise ValueError("3D grid angles must lie in [0, pi]")
-    return np.abs(wavefunction(packet, grid)) ** 2

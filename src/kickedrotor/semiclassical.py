@@ -241,7 +241,8 @@ def airy_rainbow_2d(theta, tau, P):
     with eta = [2/(P sin tb)]^(1/3) (theta - theta_r)/tau: oscillatory on
     the lit side theta < theta_r, decaying beyond it.  theta may be a
     scalar (complex result) or an array of any shape (complex array of
-    that shape, one airy call); eta is clipped to airy's [-60, 20].
+    that shape, one airy call); an eta above 20, where |Ai| < 1.7e-27, is
+    taken at 20, and one below airy's -1000 raises DomainError.
     """
     s = P * tau
     if s <= 1.0:
@@ -249,7 +250,7 @@ def airy_rainbow_2d(theta, tau, P):
     theta = np.asarray(theta, dtype=float)
     tbar, thr, c = _rainbow_geometry(tau, P)
     eta = c * (theta - thr) / tau
-    ai, _ = airy(np.clip(eta, -60.0, 20.0))
+    ai, _ = airy(np.minimum(eta, 20.0))
     pref = (1.0 / cmath.sqrt(1j * tau)) * c
     return _as_psi(pref * np.exp(1j * (2.0 + (theta - tbar) ** 2) / (2.0 * tau)) * ai)
 
@@ -333,7 +334,7 @@ def _ua_limit_form(theta, tau, P):
     G1, G2 = _ua_limit_coefficients(tau, P)
     eta = c * (theta - thr) / tau
     A = _phi_fullcos(tbar, theta, tau, P)
-    ai, aip = airy(np.clip(eta, -60.0, 20.0))
+    ai, aip = airy(np.minimum(eta, 20.0))
     return _ua_prefactor(theta, tau) * np.exp(1j * A) * (G1 * ai - 1j * G2 * aip)
 
 
@@ -368,7 +369,7 @@ def uniform_airy_3d(theta, tau, P):
     inner = flat[~limit]
     if inner.size:
         A, xi, g1, g2 = _ua_coefficients(inner, tau, P)
-        ai, aip = airy(np.clip(xi, -60.0, 20.0))
+        ai, aip = airy(np.minimum(xi, 20.0))
         out[~limit] = _ua_prefactor(inner, tau) * np.exp(1j * A) * (g1 * ai - 1j * g2 * aip)
     return _as_psi(out.reshape(theta.shape))
 
@@ -402,20 +403,19 @@ def _quartic_phase(t, theta, tau, P, azim_sign):
 
 def _quartic_glory_pair(theta, tau, P):
     """Stationary points flanking the quartic glory angle, for a scalar or
-    an array theta >= 0; at theta = 0 both are the glory angle."""
+    an array theta >= 0; at theta = 0 both are the glory angle.  Divided by
+    P/6, both stationary-point equations read t^3 - 3 r^2 t -+ 6 theta/s = 0
+    with r = theta_g/sqrt(3), and Viete's trigonometric form gives the roots
+    2r cos(alpha/3) (phi0 = 0) and 2r cos((pi - alpha)/3) (phi0 = pi),
+    alpha = arccos(3 theta/(s r^3)).  An arccos argument above 1 puts theta
+    past the quartic rainbow, where the pair is gone: ValueError."""
     tg = glory_angle_planar(tau, P)
-    theta = np.asarray(theta, dtype=float)
-    t01, t02 = np.full(theta.shape, tg), np.full(theta.shape, tg)
-    off = theta != 0.0
-    th = theta[off]
-    f0 = lambda t: (P / 6.0) * t ** 3 + (1.0 / tau - P) * t - th / tau
-    fpi = lambda t: (P / 6.0) * t ** 3 + (1.0 / tau - P) * t + th / tau
-    lo = tg / math.sqrt(3.0)  # quartic fold angle, where the pair is born
-    if np.any(fpi(lo) > 0.0):
+    r = tg / math.sqrt(3.0)
+    arg = 3.0 * np.asarray(theta, dtype=float) / (P * tau * r ** 3)
+    if np.any(arg > 1.0):
         raise ValueError("theta beyond the quartic rainbow; glory pair is gone")
-    t01[off] = _bisect_rows(f0, tg, tg + 3.0)
-    t02[off] = _bisect_rows(fpi, lo, tg)
-    return t01, t02, tg
+    alpha = np.arccos(arg)
+    return 2.0 * r * np.cos(alpha / 3.0), 2.0 * r * np.cos((math.pi - alpha) / 3.0), tg
 
 
 def uniform_bessel_glory(theta, tau, P):

@@ -7,14 +7,16 @@ mixed moment) and waiting for the next minimum gives the exact recurrence
 
     u_{k+1} = u_k - u_k^2/(u_k + w_k),    w_{k+1} = w_k + u_k,
 
-with the wait Delta tau_k = u_k/(u_k + w_k) in kick-scaled time.  The
-large-k flow conserves u^2 + 2wu and drives u ~ k^(-1/2): squeezing
-without saturation.  A Monte Carlo driver applies the same protocol to
-the full classical 3D ensemble, kicking it at the same strength P' every
-pulse; it finds each minimum of the spread on the closed-form free flight
-`thermal._free_flight` of the carried (cos theta0, sin theta0) (an
-angle-addition scan, then Newton on dO/dt or dA/dt) and flies the ensemble
-there, once per kick.
+with the wait Delta tau_k = u_k/(u_k + w_k) in kick-scaled time.  As
+u_{k+1} = u_k w_k/(u_k + w_k), it conserves u w exactly; so
+1/u_{k+1}^2 = 1/u_k^2 + 2/(u_0 w_0) + 1/w_k^2, and
+u_k <= (1/u_0^2 + 2k/(u_0 w_0))^(-1/2): squeezing without saturation.
+The large-k flow conserves u^2 + 2wu.  A Monte Carlo driver applies the
+same protocol to the full classical 3D ensemble, kicking it at the same
+strength P' every pulse; it finds each minimum of the spread on the
+closed-form free flight `thermal._free_flight` of the carried
+(cos theta0, sin theta0) (an angle-addition scan, then Newton on dO/dt or
+dA/dt) and flies the ensemble there, once per kick.
 """
 
 from __future__ import annotations
@@ -81,9 +83,8 @@ def _columns(names, rows):
 
 def ode_invariant(u, w):
     """u^2 + 2wu: conserved along the continuous (large-k) squeezing flow
-    du/dk = -u^2/(w+u), dw/dk = u.  In the deep regime u << w the product
-    w*u is conserved instead.  The discrete recurrence does not conserve
-    either during the first few kicks."""
+    du/dk = -u^2/(w+u), dw/dk = u.  The discrete recurrence of
+    `kick_cycle` does not conserve it, but conserves u w exactly."""
     if u <= 0 or w <= 0:
         raise ValueError("u, w must be positive")
     return u * u + 2.0 * w * u

@@ -53,6 +53,9 @@ None of these share code with the package evaluators they check:
   scipy's J_k.
 - `legendre_density_mp`: the 3D density |sum_l c_l Y_l^0|^2 at 30 digits,
   P_l by its three-term recurrence.
+- `thermal_moments_quadrature`: O and A of the kicked thermal ensemble
+  after a free flight, and their variances, by a Gauss tensor rule over
+  theta0, p_theta and p_phi/sin theta0 (numpy only).
 
 The series are slow (10-1000 ms a point), so tests call them at a few
 points only.  The double series run out of terms near the corner of
@@ -95,8 +98,8 @@ def pearcey_series_mp(x, beta, half_dy=False):
     domain, so the accumulation runs at 50 significant digits.
     """
     with mpmath.workdps(_MP_DPS):
-        X = mpmath.mpf(repr(float(x)))
-        B = mpmath.mpf(repr(float(beta)))
+        X = mpmath.mpf(float(x))
+        B = mpmath.mpf(float(beta))
         total = mpmath.mpc(0)
         quiet_rows = 0
         n = 0
@@ -159,8 +162,8 @@ def cusp_3d_series(theta, tau, P):
     if abs(x) > 40 or abs(beta) > 40:
         raise ConvergenceError("cusp_3d_series arguments outside the series domain")
     with mpmath.workdps(50):
-        X = mpmath.mpf(repr(float(x)))
-        B = mpmath.mpf(repr(float(beta)))
+        X = mpmath.mpf(float(x))
+        B = mpmath.mpf(float(beta))
         total = mpmath.mpc(0)
         quiet_rows = 0
         dfac = mpmath.mpf(1)  # (2n-1)!!/(2n)!!
@@ -284,7 +287,7 @@ def focal_sum_2d(theta, P, n_terms=200):
         raise ValueError("P must be > 0")
     beta = float(math.sqrt(2.0) * theta * P * (6.0 / P) ** 0.25)
     with mpmath.workdps(40):
-        B = mpmath.mpf(repr(float(beta)))
+        B = mpmath.mpf(float(beta))
         acc = mpmath.mpc(0)
         for n in range(n_terms):
             term = (B ** (2 * n) / mpmath.factorial(2 * n)
@@ -306,7 +309,7 @@ def airy_mp(xs):
     at 30 digits (about 2 ms a point)."""
     with mpmath.workdps(30):
         vals = [(mpmath.airyai(X), mpmath.airyai(X, derivative=1))
-                for X in (mpmath.mpf(repr(float(x))) for x in xs)]
+                for X in (mpmath.mpf(float(x)) for x in xs)]
     return np.array([[float(a) for a, _ in vals], [float(d) for _, d in vals]])
 
 
@@ -816,3 +819,44 @@ def legendre_density_mp(coeffs, grid, bits=100):
             p_prev, p = p, ((2 * l + 1) * (x * p >> bits) - l * p_prev) // (l + 1)
         out.append((re * re + im * im) / one ** 4)
     return np.array(out)
+
+
+def thermal_moments_quadrature(P, dt, polarization=False, nodes=(40, 40, 20), tol=1e-8):
+    """(O, A, var(1 - cos theta), var(1 - cos^2 theta)) of the thermal
+    ensemble kicked at strength P (thermal units) and flown freely for dt.
+
+    The ensemble is theta0 with density sin(theta0)/2 on [0, pi] (Gauss-
+    Legendre), and the independent standard normals p_theta and q =
+    p_phi/sin(theta0) (probabilists' Gauss-Hermite, DLMF 3.5(v)), on
+    `nodes` points each (an even number for q).  The kick gives
+    p' = p_theta - P sin(theta0), or - P sin(2 theta0) for polarization; the
+    flight cos theta = cos theta0 cos(w dt) - p' sin theta0 sin(w dt)/w
+    with w = sqrt(p'^2 + q^2).  The sums are taken again on twice the nodes,
+    which are returned; if O or A differs by more than tol between the two,
+    or a variance (which only sizes a Monte Carlo sigma) by more than 1e-2
+    of itself, RuntimeError.
+    """
+    def moments(n_theta, n_p, n_q):
+        x, w = np.polynomial.legendre.leggauss(n_theta)
+        th0 = 0.5 * math.pi * (x + 1.0)
+        w_th = w * (math.pi / 4.0) * np.sin(th0)
+        p, w_p = np.polynomial.hermite_e.hermegauss(n_p)
+        # q enters only as q^2: the positive half of an even rule (no node
+        # at 0, so w > 0), its weights doubled
+        q, w_q = np.polynomial.hermite_e.hermegauss(n_q)
+        half = q > 0
+        weight = np.einsum("i,j,k->ijk", w_th, w_p, 2.0 * w_q[half]) / (2.0 * math.pi)
+        s0, c0 = np.sin(th0)[:, None, None], np.cos(th0)[:, None, None]
+        kicked = p[None, :, None] - P * (2.0 * s0 * c0 if polarization else s0)
+        omega = np.sqrt(kicked ** 2 + (q[half] ** 2)[None, None, :])
+        c = c0 * np.cos(omega * dt) - kicked * s0 * np.sin(omega * dt) / omega
+        o, a = 1.0 - c, 1.0 - c * c
+        O, A = np.sum(weight * o), np.sum(weight * a)
+        return np.array([O, A, np.sum(weight * o * o) - O * O, np.sum(weight * a * a) - A * A])
+
+    if nodes[2] % 2:
+        raise ValueError("the q rule needs an even number of nodes")
+    coarse, fine = moments(*nodes), moments(*(2 * n for n in nodes))
+    if np.any(np.abs(fine - coarse) > [tol, tol, 1e-2 * fine[2], 1e-2 * fine[3]]):
+        raise RuntimeError(f"thermal quadrature unconverged: {coarse} against {fine} on twice the nodes")
+    return tuple(float(v) for v in fine)

@@ -29,7 +29,7 @@ def report(num, label, ok, detail=""):
 
 
 def kicked_2d(P, tau):
-    p = q2.apply_kick(q2.ground_packet(), P)
+    p = q2.apply_kick(q2.FourierPacket2D(np.ones(1)), P)
     return q2.free_evolve(p, tau)
 
 
@@ -144,8 +144,8 @@ def test_criterion_07_norm_and_revivals():
     pol = kicked_3d(20.0, 0.0, cl.Coupling.POLARIZATION)
     norm_ok &= abs(pol.norm() - 1.0) < 1e-10
     grid3 = np.linspace(0, math.pi, 512)
-    d3a = q3.density_3d(p3, grid3)
-    d3b = q3.density_3d(q2.free_evolve(p3, 2 * math.pi), grid3)
+    d3a = q2.density(p3, grid3)
+    d3b = q2.density(q2.free_evolve(p3, 2 * math.pi), grid3)
     rev3 = np.max(np.abs(d3a - d3b))
     ok = norm_ok and rev2 < 1e-8 and rev3 < 1e-8
     report(7, "norm conservation 1e-10; revivals pointwise 1e-8", ok,
@@ -204,7 +204,7 @@ def test_criterion_09_classical_quantum_correspondence():
     for c0, cv in zip(boxes, cvs):
         lo, hi = c0 - 0.05, c0 + 0.05
         gridb = np.linspace(lo, hi, 41)
-        qv = float(np.trapezoid(q3.density_3d(packet, gridb), gridb)) / 0.1
+        qv = float(np.trapezoid(q2.density(packet, gridb), gridb)) / 0.1
         rels.append((qv - cv) / cv)
     rms = float(np.sqrt(np.mean(np.square(rels))))
     ok = rms < 0.10

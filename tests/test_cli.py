@@ -279,6 +279,10 @@ class TestRun:
         env = run(ScenarioConfig(command="squeeze", kicks=1000,
                                  output_path=str(tmp_path / "sq.csv")))
         assert env.summary["loglog_slope"] == pytest.approx(-0.5, abs=0.05)
+        # the closed-form least-squares slope is numpy's fit of the same rows
+        k, u = env.columns["k"], env.columns["u"]
+        fit = np.polyfit(np.log(k[k >= 100]), np.log(u[k >= 100]), 1)[0]
+        assert env.summary["loglog_slope"] == pytest.approx(fit, abs=1e-15)
 
     def test_thermal_summary(self, tmp_path):
         env = run(ScenarioConfig(command="thermal", P_prime=10.0, t_prime=1.0,

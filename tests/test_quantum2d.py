@@ -18,21 +18,21 @@ TWO_PI = 2.0 * math.pi
 
 
 def kicked_ground(P, coupling=Coupling.DIPOLE):
-    return q2.apply_kick(q2.ground_packet(), P, coupling)
+    return q2.apply_kick(q2.FourierPacket2D(np.ones(1)), P, coupling)
 
 
 class TestGroundPacket:
     def test_normalized(self):
-        g = q2.ground_packet()
+        g = q2.FourierPacket2D(np.ones(1))
         assert g.norm() == 1.0
 
     def test_uniform_density(self):
-        g = q2.ground_packet()
+        g = q2.FourierPacket2D(np.ones(1))
         d = q2.density(g, np.linspace(0, TWO_PI, 200, endpoint=False))
         assert np.allclose(d, 1.0 / TWO_PI, atol=1e-14)
 
     def test_stationary_under_free_evolution(self):
-        g = q2.ground_packet()
+        g = q2.FourierPacket2D(np.ones(1))
         ev = q2.free_evolve(g, 3.7)
         d0 = q2.density(g, np.linspace(0, TWO_PI, 64, endpoint=False))
         d1 = q2.density(ev, np.linspace(0, TWO_PI, 64, endpoint=False))
@@ -132,7 +132,7 @@ class TestApplyKick:
         assert np.max(np.abs(packet.coeffs - expected)) < 1e-12
 
     def test_zero_strength_is_identity(self):
-        g = q2.ground_packet()
+        g = q2.FourierPacket2D(np.ones(1))
         assert q2.apply_kick(g, 0.0) is g
 
     def test_kick_is_pure_phase_at_time_zero(self):
@@ -142,7 +142,7 @@ class TestApplyKick:
 
     def test_negative_strength_rejected(self):
         with pytest.raises(ValueError, match="kick strength must be >= 0"):
-            q2.apply_kick(q2.ground_packet(), -1.0)
+            q2.apply_kick(q2.FourierPacket2D(np.ones(1)), -1.0)
 
     def test_nan_packet_fails_the_checks(self):
         # a NaN norm compares false both ways: the checks must fail closed

@@ -101,7 +101,7 @@ class TestDipoleKick:
 
     def test_uniform_density_right_after_kick(self):
         p = kicked(75.0)
-        d = q3.density_3d(p, np.linspace(0.01, math.pi - 0.01, 64))
+        d = q2.density(p, np.linspace(0.01, math.pi - 0.01, 64))
         assert np.allclose(d, 1.0 / FOUR_PI, atol=1e-10)
 
     def test_projection_oracle(self):
@@ -123,7 +123,7 @@ class TestDipoleKick:
     def test_focal_peak_proportional_to_P(self):
         P = 75.0
         p = q2.free_evolve(kicked(P), 1.0 / P)
-        d0 = q3.density_3d(p, np.array([0.0]))[0]
+        d0 = q2.density(p, np.array([0.0]))[0]
         assert d0 == pytest.approx(3.0 * P / 8.0, rel=0.15)
 
 
@@ -155,8 +155,8 @@ class TestPolarizationKick:
         P = 75.0
         p = q2.free_evolve(kicked(P, Coupling.POLARIZATION), 0.8 / P)
         th = np.linspace(0.05, 1.5, 33)
-        d1 = q3.density_3d(p, th)
-        d2 = q3.density_3d(p, math.pi - th)
+        d1 = q2.density(p, th)
+        d2 = q2.density(p, math.pi - th)
         assert np.max(np.abs(d1 - d2)) < 1e-10
 
     def test_double_focus_at_polarization_focal_time(self):
@@ -164,7 +164,7 @@ class TestPolarizationKick:
         P = 75.0
         p = q2.free_evolve(kicked(P, Coupling.POLARIZATION), 1.0 / (2 * P))
         grid = np.linspace(0.0, math.pi, 721)
-        d = q3.density_3d(p, grid)
+        d = q2.density(p, grid)
         # both ends dominate the equator region by a large factor
         assert d[0] > 20 * np.median(d)
         assert d[-1] > 20 * np.median(d)
@@ -248,8 +248,8 @@ class TestFreeEvolve3D:
         p = q2.free_evolve(kicked(40.0), 0.13)
         rev = q2.free_evolve(p, 2.0 * math.pi)
         grid = np.linspace(0, math.pi, 301)
-        d0 = q3.density_3d(p, grid)
-        d1 = q3.density_3d(rev, grid)
+        d0 = q2.density(p, grid)
+        d1 = q2.density(rev, grid)
         assert np.max(np.abs(d0 - d1)) < 1e-8
 
     def test_norm_conserved(self):
@@ -261,7 +261,7 @@ class TestFreeEvolve3D:
         P = 75.0
         p = q2.free_evolve(kicked(P), 1.0 / P)
         grid = np.linspace(0, math.pi, 721)
-        d = q3.density_3d(p, grid)
+        d = q2.density(p, grid)
         assert np.argmax(d) == 0
 
     def test_glory_snapshot_at_late_time(self):
@@ -269,7 +269,7 @@ class TestFreeEvolve3D:
         P = 75.0
         p = q2.free_evolve(kicked(P), 4.0 / P)
         grid = np.linspace(0, math.pi, 1441)
-        d = q3.density_3d(p, grid)
+        d = q2.density(p, grid)
         assert d[0] > 10 * np.median(d)  # glory peak at the pole
         rainbow_zone = (grid > 2.2) & (grid < 2.6)
         assert d[rainbow_zone].max() > 3 * np.median(d)
@@ -284,17 +284,17 @@ class TestDensity3D:
         p = q2.free_evolve(kicked(P, coupling), s / P)
         grid = np.linspace(0.0, math.pi, 60)
         ref = legendre_density_mp(p.coeffs, grid)
-        assert np.max(np.abs(q3.density_3d(p, grid) - ref)) <= 2e-14 * np.max(ref)
+        assert np.max(np.abs(q2.density(p, grid) - ref)) <= 2e-14 * np.max(ref)
 
     def test_ground_state_uniform(self):
         p = kicked(0.0, Coupling.POLARIZATION)
-        d = q3.density_3d(p, np.linspace(0, math.pi, 50))
+        d = q2.density(p, np.linspace(0, math.pi, 50))
         assert np.allclose(d, 1.0 / FOUR_PI, atol=1e-14)
 
     def test_weighted_normalization(self):
         P = 75.0
         p = q2.free_evolve(kicked(P), 2.0 / P)
-        norm = sphere_norm(lambda th: q3.density_3d(p, th), p.l_max)
+        norm = sphere_norm(lambda th: q2.density(p, th), p.l_max)
         assert abs(norm - 1.0) < 1e-8
 
     def test_norm_check_reads_no_grid(self):
@@ -302,7 +302,7 @@ class TestDensity3D:
         # nodes), and the packet's Parseval check, which reads no grid,
         # rejects a packet whose norm is 1.0201 as a numerical fault
         p = q2.free_evolve(kicked(75.0, Coupling.POLARIZATION), 2.0 / 75.0)
-        norm = sphere_norm(lambda th: q3.density_3d(p, th), p.l_max)
+        norm = sphere_norm(lambda th: q2.density(p, th), p.l_max)
         assert abs(norm - 1.0) < 1e-8
         assert p.check() is p
         off = q3.LegendrePacket3D(1.01 * p.coeffs)
@@ -335,9 +335,19 @@ class TestDensity3D:
             q3.LegendrePacket3D(c).check()
 
     def test_rejects_out_of_range_grid(self):
+        # the sphere's angles are [0, pi] within 1e-12; the circle's any angle
         p = kicked(5.0)
-        with pytest.raises(ValueError):
-            q3.density_3d(p, np.array([-0.2]))
+        for bad in (-0.2, -2e-12, math.pi + 2e-12, 7.0):
+            with pytest.raises(ValueError, match=r"3D grid angles must lie in \[0, pi\]"):
+                q2.density(p, np.array([0.5, bad]))
+        assert np.all(np.isfinite(q2.density(p, np.array([-1e-12, math.pi + 1e-12]))))
+        flat = q2.FourierPacket2D(np.ones(1))
+        assert np.allclose(q2.density(flat, np.array([-0.2, 7.0, -100.0])), 1.0 / (2.0 * math.pi))
+
+    def test_n_max_is_l_max(self):
+        # psi's highest harmonic e^{i l_max theta}, which the shared sum reads
+        for p in (GROUND, kicked(5.0), kicked(20.0, Coupling.POLARIZATION)):
+            assert p.n_max == p.l_max == p._harmonics.size // 2
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)

@@ -3,6 +3,7 @@ exact quantum densities, and closed-form focal/rainbow values."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,18 +14,18 @@ from kickedrotor import semiclassical as sc
 from kickedrotor import specfun as sf
 from kickedrotor.classical import _bisect_rows, rainbow_angle
 from kickedrotor.specfun import ConvergenceError, DomainError
-from oracles import (bessoid_oracle, bisect_scalar, cusp_3d_series, focal_density_closed_form,
+from oracles import (airy_mp, bessoid_oracle, bisect_scalar, cusp_3d_series, focal_density_closed_form,
                      focal_sum_2d, planar_psi_oracle, stationary_points_3d)
 
 
 def exact_density_2d(P, tau, thetas):
-    p = q2.free_evolve(q2.apply_kick(q2.ground_packet(), P), tau)
+    p = q2.free_evolve(q2.apply_kick(q2.FourierPacket2D(np.ones(1)), P), tau)
     return q2.density(p, np.asarray(thetas, dtype=float))
 
 
 def exact_density_3d(P, tau, thetas):
     p = q2.free_evolve(q2.apply_kick(q3.LegendrePacket3D(np.ones(1)), P), tau)
-    return q3.density_3d(p, np.asarray(thetas, dtype=float))
+    return q2.density(p, np.asarray(thetas, dtype=float))
 
 
 class TestPlanarPsi:
@@ -432,6 +433,22 @@ class TestAiryRainbow2D:
         mine = np.abs(sc.airy_rainbow_2d(grid, tau, P)) ** 2
         assert grid[np.argmax(mine)] == pytest.approx(predicted, abs=2e-3)
 
+    def test_far_lit_side_is_not_clamped(self):
+        # P = 1200, s = 4 on the default 1200-point [0, 2 pi) grid: 170
+        # points have eta < -60, which once all read Ai(-60); each must
+        # carry its own Ai(eta), against 30-digit mpmath
+        P, s = 1200.0, 4.0
+        tau = s / P
+        grid = np.linspace(0.0, 2.0 * math.pi, 1200, endpoint=False)
+        tbar, thr, c = sc._rainbow_geometry(tau, P)
+        eta = c * (grid - thr) / tau
+        far = eta < -60.0
+        assert np.count_nonzero(far) == 170 and eta.min() > -1000.0
+        got = np.abs(sc.airy_rainbow_2d(grid[far], tau, P)) * math.sqrt(tau) / c
+        want = np.abs(airy_mp(eta[far])[0])
+        assert np.max(np.abs(got - want)) <= 3e-15 * np.max(np.abs(eta[far]) ** -0.25)
+        assert np.unique(np.round(got, 12)).size > 100
+
     def test_separated_then_interfering(self):
         # P tau = 4: both rainbows well separated, the mirror term is
         # negligible at the rainbow; P tau = 4.7: strong interference
@@ -545,6 +562,30 @@ class TestUniformBesselGlory:
         with pytest.raises(ValueError):
             sc.uniform_bessel_glory(2.5, self.tau, self.P)
 
+    @pytest.mark.parametrize("P,s", [(75.0, 1.5), (75.0, 4.0), (200.0, 3.0)])
+    def test_glory_pair_solves_the_cubic(self, P, s):
+        # against the largest of mpmath's roots of P t^3/6 + (1/tau - P) t
+        # -+ theta/tau at 30 digits (phi0 = 0 and pi), at the axis,
+        # mid-window and next to the quartic rainbow theta_q = s r^3/3,
+        # r = theta_g/sqrt(3), where the phi0 = pi root is ill-conditioned
+        # as 1/sqrt(theta_q - theta); past theta_q, ValueError
+        tau = s / P
+        tg = sc.glory_angle_planar(tau, P)
+        thq = s * (tg / math.sqrt(3.0)) ** 3 / 3.0
+        thetas = np.array([0.0, 0.5 * thq, thq * (1.0 - 1e-6)])
+        t01, t02, _ = sc._quartic_glory_pair(thetas, tau, P)
+        with mpmath.workdps(30):
+            for i, th in enumerate(thetas):
+                for sign, got in ((-1.0, t01[i]), (1.0, t02[i])):
+                    roots = mpmath.polyroots([mpmath.mpf(P) / 6, 0, 1 / mpmath.mpf(tau) - P,
+                                              sign * mpmath.mpf(th) / mpmath.mpf(tau)],
+                                             maxsteps=200, extraprec=60)
+                    want = max(float(mpmath.re(x)) for x in roots)
+                    assert abs(got - want) <= (1e-12 if i == 2 else 2e-15 * tg)
+        assert t01[0] == pytest.approx(tg, rel=1e-15) and t02[0] == pytest.approx(tg, rel=1e-15)
+        with pytest.raises(ValueError, match="quartic rainbow"):
+            sc._quartic_glory_pair(np.array([0.1, thq * (1.0 + 1e-9)]), tau, P)
+
 
 class TestFordWheeler:
     def test_finite_at_origin(self):
@@ -636,8 +677,8 @@ def test_one_bad_theta_raises_the_scalar_error(form, tau, P, window, bad, messag
 
 
 class TestBisectRows:
-    # the stationary-pair brackets of the fig11 (uniform Airy) and fig12
-    # (uniform Bessel) columns, P = 75, s = 4
+    # the stationary-pair brackets of the fig11 (uniform Airy) columns, and
+    # the quartic cubic that fig12's glory pair once took by bisection, P = 75, s = 4
     P, s = 75.0, 4.0
 
     def test_fullcos_roots_equal_scalar_bisection(self):

@@ -305,6 +305,15 @@ class TestAiry:
         got = np.array(sf.airy(self._NEG))
         assert np.max(np.abs(got - ref)) <= 1e-13
 
+    def test_envelope_error_far_on_negative_axis(self):
+        # [-1000, -60], where |Ai| and |Ai'| fall as the envelopes
+        # |x|^(-1/4)/sqrt(pi) and |x|^(1/4)/sqrt(pi): within 3e-15 of them
+        xs = -np.geomspace(60.0, 1000.0, 60)
+        ref = airy_mp(xs)
+        got = np.array(sf.airy(xs))
+        env = np.abs(xs) ** np.array([[-0.25], [0.25]]) / math.sqrt(math.pi)
+        assert np.max(np.abs(got - ref) / env) <= 3e-15
+
     def test_column_longer_than_one_block(self, monkeypatch):
         # several row blocks, each ray call within _CONTOUR_BLOCK entries,
         # equal to the scalar calls
@@ -339,7 +348,8 @@ class TestAiry:
         with pytest.raises(sf.DomainError):
             sf.airy(21.0)
         with pytest.raises(sf.DomainError):
-            sf.airy(-61.0)
+            sf.airy(-1001.0)
+        assert np.isfinite(sf.airy(-1000.0)[0])
         with pytest.raises(sf.DomainError, match="21.0"):
             sf.airy(np.array([[0.0, 1.0], [21.0, -3.0]]))
         with pytest.raises(sf.DomainError):

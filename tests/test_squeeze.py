@@ -101,6 +101,15 @@ class TestOdeInvariant:
         wu = w * u
         assert np.max(wu) / np.min(wu) - 1 < 1e-3
 
+    @pytest.mark.parametrize("u0,w0,kicks", [(1.0, 1.0, 100000), (5.0, 0.01, 1000), (0.01, 5.0, 1000)])
+    def test_recurrence_conserves_uw_and_bounds_u(self, u0, w0, kicks):
+        # u' w' = (u w/(u + w)) (u + w) = u w, so
+        # 1/u_k^2 >= 1/u0^2 + 2k/(u0 w0) at every k
+        tr = sq.run_accumulative(u0, w0, kicks)
+        u, w, k = tr["u"], tr["w"], tr["k"]
+        assert np.max(np.abs(u * w / (u0 * w0) - 1.0)) < 1e-13
+        assert np.all(u <= (1.0 / u0 ** 2 + 2.0 * k / (u0 * w0)) ** -0.5)
+
     def test_discrete_recurrence_breaks_invariant_early(self):
         # negative control: (1,1) -> 3 but (1/2, 2) -> 2.25
         u, w, _ = sq.kick_cycle(1.0, 1.0)

@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 
 from kickedrotor import thermal as th
 from kickedrotor.classical import Coupling
-from oracles import at_rest, driver_first_kick, ensemble_at, evolve_libm
+from oracles import at_rest, driver_first_kick, ensemble_at, evolve_libm, thermal_moments_quadrature
 
 
 def fly(ensemble, dt):
@@ -357,3 +357,31 @@ class TestOrientationAlignment:
         best = min(th.orientation_alignment(fly(ens, t))[0]
                    for t in np.linspace(0.05, 0.3, 26))
         assert best < 0.3
+
+
+# the cookbook's fig13 lines, (P', t', seed)
+FIG13 = [(10.0, 1.0, 101), (5.0, 1.0, 102), (1.0, 1.0, 103), (10.0, 3.0, 104), (10.0, 4.5, 105)]
+
+
+@pytest.mark.parametrize("coupling", [Coupling.DIPOLE, Coupling.POLARIZATION])
+@pytest.mark.parametrize("P_prime,t_prime,seed", FIG13)
+def test_moments_match_quadrature(P_prime, t_prime, seed, coupling):
+    # O and A of the sampled, kicked and flown ensemble within 4 Monte Carlo
+    # sigma of the quadrature, sigma = sqrt(var/n).  The weakest dipole
+    # kick, P' = 1, is where the thermal momenta weigh most: it takes 2e6
+    # particles, at which a p_theta scaled by 1.01 moves its O by 8.3 sigma;
+    # the other lines take 2e5
+    n = 2_000_000 if (P_prime, coupling) == (1.0, Coupling.DIPOLE) else 200_000
+    dt = t_prime / P_prime
+    O, A, var_O, var_A = thermal_moments_quadrature(P_prime, dt, coupling is Coupling.POLARIZATION)
+    _, _, o, a = th.kicked_profile(th.sample_blocks(n, seed), P_prime, dt, 200, coupling)
+    assert abs(o - O) <= 4.0 * math.sqrt(var_O / n)
+    assert abs(a - A) <= 4.0 * math.sqrt(var_A / n)
+
+
+def test_moment_quadrature_checks_itself():
+    # the polarization flight at t' = 4.5 converges slowest: A moves by 3e-9
+    # from 40 x 40 x 20 nodes to twice that, and by 2e-5 from 24 x 24 x 12
+    thermal_moments_quadrature(10.0, 0.45, True)
+    with pytest.raises(RuntimeError, match="unconverged"):
+        thermal_moments_quadrature(10.0, 0.45, True, nodes=(12, 12, 6))
